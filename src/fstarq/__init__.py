@@ -11,9 +11,8 @@ from .deformation import (DeformationSpec, FFactorialTable, SpectrumRow,
                           f_factorial, f_squared, f_squared_deriv, identity_spec,
                           normalization_Nf, parse_deformation, qdef_spec,
                           registry_specs, spec_to_text, spectrum, sqrt_n_spec)
-from .errors import (DegenerateFit, FStarError, NonPositiveValue, OutOfRange,
-                     ParseError, ProfileUnavailable, SeriesDivergence,
-                     SingularAmplitude)
+from .errors import (FStarError, NonPositiveValue, OutOfRange, ParseError,
+                     ProfileUnavailable, SeriesDivergence, SingularAmplitude)
 from .genvalue import (AssocScaling, HamiltonianField, ResidualReport, Witness,
                        associativity_defect, bracket_term, build_hamiltonian,
                        commutator_deviation, commutator_report, energy_level,
@@ -33,7 +32,7 @@ from .verify import run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssocScaling", "DeformationSpec", "DegenerateFit", "FFactorialTable",
+    "AssocScaling", "DeformationSpec", "FFactorialTable",
     "FStarError", "Field", "HamiltonianField", "NonPositiveValue", "OutOfRange",
     "ParseError", "PhaseGrid", "PolySymbol", "ProfileUnavailable",
     "ResidualReport", "SeriesDivergence", "SingularAmplitude", "SpectrumRow",

@@ -39,7 +39,3 @@ class OutOfRange(FStarError):
 
 class ProfileUnavailable(FStarError):
     """Analytic radial derivatives requested on a field without a registered profile."""
-
-
-class DegenerateFit(FStarError):
-    """All defects sit at the roundoff floor; a log-log slope fit is meaningless."""

@@ -25,7 +25,7 @@ from .deformation import (DeformationSpec, amplitude_F, commutator_target, deriv
                           eval_f, f_squared, f_squared_deriv, spec_to_text, spectrum)
 from .phasespace import (AnalyticStructure, Field, PhaseGrid, default_grid,
                          fock_wigner, integrate, mesh, partial_field)
-from .starproduct import fstar_apply, moyal_apply, star_commutator
+from .starproduct import ProductSetup, fstar_apply, moyal_apply, star_commutator
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
 DEFAULT_R_CUT = 4.0
@@ -54,9 +54,6 @@ class HamiltonianProfile:
             return f_squared(self.spec, x) + x * s1
         return 2.0 * s1 + x * f_squared_deriv(self.spec, x, 2)
 
-    def value(self, n):
-        return self.deriv(n, 0)
-
     def deriv(self, n, order: int):
         if order > self.max_order:
             raise ValueError("Hamiltonian profile carries two derivatives only")
@@ -72,9 +69,6 @@ class DeformationProfile:
 
     def __init__(self, spec: DeformationSpec):
         self.spec = spec
-
-    def value(self, n):
-        return eval_f(self.spec, n)
 
     def deriv(self, n, order: int):
         if order == 0:
@@ -218,20 +212,13 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
 def bracket_term(h: Field, w: Field, spec: DeformationSpec,
                  hbar: float | None = None) -> Field:
     """(i hbar / 2) F(n) (dh/dq dw/dp - dh/dp dw/dq), analytic where possible."""
-    if h.grid != w.grid:
-        raise ValueError("fields must share a grid")
-    grid = h.grid
-    if hbar is None:
-        hbar = grid.hbar
-    Q, P = mesh(grid)
-    nfield = (Q * Q + P * P) / (2.0 * hbar)
-    F = amplitude_F(spec, nfield)
+    s = ProductSetup(h, w, spec, hbar)
     hq = partial_field(h, 1, 0)
     hp = partial_field(h, 0, 1)
     wq = partial_field(w, 1, 0)
     wp = partial_field(w, 0, 1)
-    vals = (0.5j * hbar) * F * (hq * wp - hp * wq)
-    return Field(grid, vals, label=f"bracket({h.label}, {w.label})")
+    vals = (0.5j * s.hbar) * s.F * (hq * wp - hp * wq)
+    return Field(s.grid, vals, label=f"bracket({h.label}, {w.label})")
 
 
 def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid | None = None,

@@ -1,15 +1,16 @@
 """Phase-space grids, fields, Wigner functions, derivatives, quadrature.
 
-Fields are complex arrays sampled on a rectangular (q, p) grid.  Fields
-built from closed forms carry metadata that yields exact derivatives:
+Fields are complex arrays sampled on a rectangular (q, p) grid.
+``partial_field`` serves each partial from the first source that has it:
 
-* ``poly``      -- an exact PolySymbol backing the samples
+* known partials -- seeded with precomputed partials (the product-rule
+  jets of an f-star product); every partial computed later joins them;
+* ``poly``      -- an exact PolySymbol backing the samples;
 * ``analytic``  -- a sum  sum_k c_k(q, p) * w^(k)(v)  with polynomial
   coefficients c_k and a radial profile w of v = (q^2 + p^2) / scale;
   this family is closed under partial derivatives, so mixed partials of
-  any order come out exact (up to the profile's own derivative budget)
-
-Everything else falls back to 4th-order finite-difference stencils.
+  any order come out exact within the profile's own derivative budget;
+* 4th-order finite-difference stencils, for everything else.
 """
 
 from __future__ import annotations
@@ -144,12 +145,9 @@ class FockWignerProfile:
             raise ValueError("n must be >= 0")
         self.n = n
 
-    def value(self, v: np.ndarray) -> np.ndarray:
-        return 2.0 * (-1.0) ** self.n * np.exp(-v) * laguerre(self.n, 2.0 * v)
-
     def deriv(self, v: np.ndarray, order: int) -> np.ndarray:
         if order == 0:
-            return self.value(v)
+            return 2.0 * (-1.0) ** self.n * np.exp(-v) * laguerre(self.n, 2.0 * v)
         # d^m/dv^m [e^{-v} L_n(2v)] = (-1)^m e^{-v} sum_j C(m,j) 2^j L_{n-j}^{(j)}(2v)
         x = 2.0 * np.asarray(v, dtype=float)
         acc = np.zeros_like(x)
@@ -168,9 +166,6 @@ class MixtureWignerProfile:
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=float)
-
-    def value(self, v: np.ndarray) -> np.ndarray:
-        return self.deriv(v, 0)
 
     def deriv(self, v: np.ndarray, order: int) -> np.ndarray:
         x = 2.0 * np.asarray(v, dtype=float)
@@ -228,7 +223,8 @@ class AnalyticStructure:
             c = self.terms[k]
             if not c.terms:
                 continue
-            out += c.eval_grid(Q, P) * self.profile.deriv(v, k)
+            coeff = c.constant_value() if c.is_constant() else c.eval_grid(Q, P)
+            out += coeff * self.profile.deriv(v, k)
         return out
 
 
@@ -238,15 +234,16 @@ class AnalyticStructure:
 
 class Field:
     """Complex-valued samples on a PhaseGrid, with optional exact-derivative
-    metadata (polynomial backing, analytic radial structure, or explicit
-    precomputed partials)."""
+    metadata (polynomial backing, analytic radial structure) and the known
+    partials: a dict keyed by (i, j), seeded from ``partials`` and filled by
+    ``partial_field`` as it computes more."""
 
-    __slots__ = ("grid", "values", "label", "poly", "analytic", "explicit_partials", "_cache")
+    __slots__ = ("grid", "values", "label", "poly", "analytic", "_cache")
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, label: str = "",
                  poly: PolySymbol | None = None,
                  analytic: AnalyticStructure | None = None,
-                 explicit_partials: dict[tuple[int, int], np.ndarray] | None = None):
+                 partials: dict[tuple[int, int], np.ndarray] | None = None):
         arr = np.asarray(values, dtype=complex)
         if arr.shape != (grid.n_q, grid.n_p):
             raise ValueError(f"values shape {arr.shape} does not match grid "
@@ -258,23 +255,8 @@ class Field:
         self.label = label
         self.poly = poly
         self.analytic = analytic
-        self.explicit_partials = explicit_partials
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
-
-    @property
-    def analytic_order(self) -> int:
-        """Highest total derivative order available without finite differences
-        (a large sentinel when unlimited)."""
-        if self.poly is not None:
-            return 1 << 20
-        if self.analytic is not None:
-            cap = self.analytic.profile.max_order
-            if cap is None:
-                return 1 << 20
-            return max(cap - self.analytic.order_needed, 0)
-        if self.explicit_partials:
-            return max(i + j for i, j in self.explicit_partials)
-        return 0
+        self._cache: dict[tuple[int, int], np.ndarray] = {
+            key: np.asarray(part, dtype=complex) for key, part in (partials or {}).items()}
 
     def conjugate(self) -> "Field":
         poly = self.poly.conjugate() if self.poly is not None else None
@@ -284,11 +266,9 @@ class Field:
             analytic = AnalyticStructure(
                 self.analytic.profile, self.analytic.scale,
                 {k: c.conjugate() for k, c in self.analytic.terms.items()})
-        partials = None
-        if self.explicit_partials is not None:
-            partials = {k: np.conj(v) for k, v in self.explicit_partials.items()}
         return Field(self.grid, np.conj(self.values), label=f"conj({self.label})",
-                     poly=poly, analytic=analytic, explicit_partials=partials)
+                     poly=poly, analytic=analytic,
+                     partials={k: np.conj(v) for k, v in self._cache.items()})
 
     def __repr__(self):
         return f"Field({self.label or 'unnamed'}, {self.grid.n_q}x{self.grid.n_p})"
@@ -331,18 +311,17 @@ def _fd4_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     """d^i/dq^i d^j/dp^j of the samples, from the best available source.
 
-    Preference order: explicit precomputed partials, exact polynomial,
-    analytic radial structure, repeated fd4 stencils (which lose one order
-    of accuracy per application).
+    Preference order: the field's known partials, exact polynomial,
+    analytic radial structure within the profile's derivative budget,
+    repeated fd4 stencils (which lose one order of accuracy per
+    application).  A computed partial joins the known partials.
     """
     if i == 0 and j == 0:
         return field.values
     key = (i, j)
     if key in field._cache:
         return field._cache[key]
-    if field.explicit_partials is not None and key in field.explicit_partials:
-        arr = np.asarray(field.explicit_partials[key], dtype=complex)
-    elif field.poly is not None:
+    if field.poly is not None:
         Q, P = mesh(field.grid)
         arr = field.poly.partial(i, j).eval_grid(Q, P)
     elif field.analytic is not None and (

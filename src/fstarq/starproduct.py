@@ -16,6 +16,9 @@ first-order product is the supported path.
 Products can optionally propagate exact first partials of the result
 ("jets") when the operands supply exact second partials; nested products
 in the associativity study rely on this to stay above the fd4 noise floor.
+The jets seed the result's known partials, which ``partial_field`` serves.
+``ProductSetup`` validates the options of ``fstar_apply``, ``star_commutator``
+and ``genvalue.bracket_term`` in one place.
 """
 
 from __future__ import annotations
@@ -25,16 +28,10 @@ import math
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv
-from .phasespace import Field, PhaseGrid, mesh, partial_field
+from .phasespace import Field, mesh, partial_field
 from .symbols import PolySymbol
 
 ORDERS = ("first", "second")
-
-
-def _check_shared_grid(k: Field, g: Field) -> PhaseGrid:
-    if k.grid != g.grid:
-        raise ValueError("fields must share a grid")
-    return k.grid
 
 
 def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
@@ -60,56 +57,63 @@ def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
     return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
 
 
-class _AmplitudeContext:
-    """F(n) (and optionally its gradient) sampled on a grid for a given hbar."""
+class ProductSetup:
+    """Validated options of an f-star product of k and g, with F(n) (and,
+    for jets, its gradient) sampled on their shared grid."""
 
-    def __init__(self, spec: DeformationSpec, grid: PhaseGrid, hbar: float,
-                 with_gradient: bool):
+    def __init__(self, k: Field, g: Field, spec: DeformationSpec,
+                 hbar: float | None = None, order: str = "first", jet_order: int = 0):
+        if k.grid != g.grid:
+            raise ValueError("fields must share a grid")
+        grid = k.grid
+        if hbar is None:
+            hbar = grid.hbar
+        if not 0.0 < hbar < math.inf:
+            raise ValueError("hbar must be a positive finite real")
+        if order not in ORDERS:
+            raise ValueError(f"order must be one of {ORDERS}")
+        if jet_order not in (0, 1):
+            raise ValueError("jet_order must be 0 or 1")
+        if jet_order == 1 and order == "second":
+            raise ValueError("jet propagation is only supported at order='first'")
+        self.grid = grid
+        self.hbar = hbar
+        self.order = order
+        self.jet_order = jet_order
         Q, P = mesh(grid)
-        self.n = (Q * Q + P * P) / (2.0 * hbar)
-        self.F = amplitude_F(spec, self.n)
+        n = (Q * Q + P * P) / (2.0 * hbar)
+        self.F = amplitude_F(spec, n)
         self.Fq = None
         self.Fp = None
-        if with_gradient:
-            dF = amplitude_F_deriv(spec, self.n)
+        if jet_order:
+            dF = amplitude_F_deriv(spec, n)
             self.Fq = dF * Q / hbar
             self.Fp = dF * P / hbar
 
 
-def _fstar(k: Field, g: Field, ctx: _AmplitudeContext, hbar: float, order: str,
-           jet_order: int) -> Field:
-    grid = k.grid
+def _fstar(k: Field, g: Field, s: ProductSetup) -> Field:
+    hbar = s.hbar
     kv, gv = k.values, g.values
     kq = partial_field(k, 1, 0)
     kp = partial_field(k, 0, 1)
     gq = partial_field(g, 1, 0)
     gp = partial_field(g, 0, 1)
     bracket = kq * gp - kp * gq
-    out = kv * gv + (0.5j * hbar) * ctx.F * bracket
-    if order == "second":
-        kqq = partial_field(k, 2, 0)
-        kqp = partial_field(k, 1, 1)
-        kpp = partial_field(k, 0, 2)
-        gqq = partial_field(g, 2, 0)
-        gqp = partial_field(g, 1, 1)
-        gpp = partial_field(g, 0, 2)
-        bi2 = kqq * gpp - 2.0 * kqp * gqp + kpp * gqq
-        out = out - (hbar * hbar / 4.0) * ctx.F * ctx.F * bi2
+    out = kv * gv + (0.5j * hbar) * s.F * bracket
     partials = None
-    if jet_order >= 1:
-        kqq = partial_field(k, 2, 0)
-        kqp = partial_field(k, 1, 1)
-        kpp = partial_field(k, 0, 2)
-        gqq = partial_field(g, 2, 0)
-        gqp = partial_field(g, 1, 1)
-        gpp = partial_field(g, 0, 2)
+    if s.order == "second" or s.jet_order:
+        kqq, kqp, kpp, gqq, gqp, gpp = (partial_field(f, *key) for f in (k, g)
+                                        for key in ((2, 0), (1, 1), (0, 2)))
+    if s.order == "second":
+        bi2 = kqq * gpp - 2.0 * kqp * gqp + kpp * gqq
+        out = out - (hbar * hbar / 4.0) * s.F * s.F * bi2
+    if s.jet_order:
         br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
         br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
-        d_q = kq * gv + kv * gq + (0.5j * hbar) * (ctx.Fq * bracket + ctx.F * br_q)
-        d_p = kp * gv + kv * gp + (0.5j * hbar) * (ctx.Fp * bracket + ctx.F * br_p)
+        d_q = kq * gv + kv * gq + (0.5j * hbar) * (s.Fq * bracket + s.F * br_q)
+        d_p = kp * gv + kv * gp + (0.5j * hbar) * (s.Fp * bracket + s.F * br_p)
         partials = {(1, 0): d_q, (0, 1): d_p}
-    return Field(grid, out, label=f"{k.label} star_f {g.label}",
-                 explicit_partials=partials)
+    return Field(s.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
 
 
 def fstar_apply(k: Field, g: Field, spec: DeformationSpec, hbar: float | None = None,
@@ -119,39 +123,19 @@ def fstar_apply(k: Field, g: Field, spec: DeformationSpec, hbar: float | None = 
     jet_order=1 additionally attaches exact first partials of the result,
     computed by the product rule from the operands' second partials.
     """
-    grid = _check_shared_grid(k, g)
-    if hbar is None:
-        hbar = grid.hbar
-    if hbar <= 0:
-        raise ValueError("hbar must be > 0")
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-    if jet_order not in (0, 1):
-        raise ValueError("jet_order must be 0 or 1")
-    if jet_order == 1 and order == "second":
-        raise ValueError("jet propagation is only supported at order='first'")
-    ctx = _AmplitudeContext(spec, grid, hbar, with_gradient=jet_order >= 1)
-    return _fstar(k, g, ctx, hbar, order, jet_order)
+    return _fstar(k, g, ProductSetup(k, g, spec, hbar, order, jet_order))
 
 
 def star_commutator(k: Field, g: Field, spec: DeformationSpec,
                     hbar: float | None = None, order: str = "first",
                     jet_order: int = 0) -> Field:
     """(k *_f g - g *_f k) / hbar."""
-    grid = _check_shared_grid(k, g)
-    if hbar is None:
-        hbar = grid.hbar
-    if hbar <= 0:
-        raise ValueError("hbar must be > 0")
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-    ctx = _AmplitudeContext(spec, grid, hbar, with_gradient=jet_order >= 1)
-    kg = _fstar(k, g, ctx, hbar, order, jet_order)
-    gk = _fstar(g, k, ctx, hbar, order, jet_order)
-    vals = (kg.values - gk.values) / hbar
+    s = ProductSetup(k, g, spec, hbar, order, jet_order)
+    kg = _fstar(k, g, s)
+    gk = _fstar(g, k, s)
     partials = None
-    if jet_order >= 1:
-        partials = {key: (kg.explicit_partials[key] - gk.explicit_partials[key]) / hbar
-                    for key in kg.explicit_partials}
-    return Field(grid, vals, label=f"[{k.label}, {g.label}]_f / hbar",
-                 explicit_partials=partials)
+    if jet_order:
+        partials = {key: (partial_field(kg, *key) - partial_field(gk, *key)) / s.hbar
+                    for key in ((1, 0), (0, 1))}
+    return Field(s.grid, (kg.values - gk.values) / s.hbar,
+                 label=f"[{k.label}, {g.label}]_f / hbar", partials=partials)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fstarq import (PhaseGrid, PolySymbol, amplitude_F, annihilation_symbol,
-                    creation_symbol, field_from_poly, field_from_values,
+                    bracket_term, creation_symbol, field_from_poly, field_from_values,
                     fock_wigner, fstar_apply, identity_spec, mesh, moyal_apply,
                     parse_symbol, partial_field, qdef_spec, sqrt_n_spec,
                     star_commutator)
@@ -116,12 +116,14 @@ def test_fstar_grid_mismatch(grid):
 
 def test_fstar_invalid_options(grid):
     k = field_from_poly(PolySymbol.q(), grid)
-    with pytest.raises(ValueError):
-        fstar_apply(k, k, identity_spec(), order="third")
-    with pytest.raises(ValueError):
-        fstar_apply(k, k, identity_spec(), order="second", jet_order=1)
-    with pytest.raises(ValueError):
-        fstar_apply(k, k, identity_spec(), hbar=-1.0)
+    bad_hbar = [{"hbar": -1.0}, {"hbar": 0.0}, {"hbar": math.nan}]
+    bad_product = bad_hbar + [{"order": "third"}, {"order": "second", "jet_order": 1},
+                              {"jet_order": 2}]
+    for entry, cases in ((fstar_apply, bad_product), (star_commutator, bad_product),
+                         (bracket_term, bad_hbar)):
+        for kwargs in cases:
+            with pytest.raises(ValueError):
+                entry(k, k, identity_spec(), **kwargs)
 
 
 def test_fstar_second_order_formula(grid):
@@ -146,8 +148,12 @@ def test_fstar_jet_partials_match_polynomial_truth(grid):
     g = field_from_poly(PolySymbol.p(), grid)
     out = fstar_apply(k, g, identity_spec(), jet_order=1)
     Q, P = mesh(grid)
-    assert np.max(np.abs(out.explicit_partials[(1, 0)] - P)) <= 1e-12
-    assert np.max(np.abs(out.explicit_partials[(0, 1)] - Q)) <= 1e-12
+    assert np.max(np.abs(partial_field(out, 1, 0) - P)) <= 1e-12
+    assert np.max(np.abs(partial_field(out, 0, 1) - Q)) <= 1e-12
+    # the conjugate field serves the conjugated jets, not a stencil estimate
+    conj = out.conjugate()
+    for key in ((1, 0), (0, 1)):
+        assert partial_field(conj, *key).tobytes() == np.conj(partial_field(out, *key)).tobytes()
 
 
 def test_fstar_jet_partials_match_fd(grid):
@@ -164,7 +170,7 @@ def test_fstar_jet_partials_match_fd(grid):
     mask[:8, :] = mask[-8:, :] = mask[:, :8] = mask[:, -8:] = False
     for key in ((1, 0), (0, 1)):
         fd = partial_field(raw, *key)
-        dev = np.abs(out.explicit_partials[key] - fd)
+        dev = np.abs(partial_field(out, *key) - fd)
         assert np.max(dev[mask]) <= 2e-4
 
 
