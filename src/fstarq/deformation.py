@@ -87,7 +87,7 @@ def _sinhc(t):
     small = np.abs(t) < 0.25
     ts = np.where(small, t, 1.0)
     series = 1.0 + ts * ts / 6.0 + ts**4 / 120.0 + ts**6 / 5040.0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         direct = np.sinh(t) / np.where(small, 1.0, t)
     return np.where(small, series, direct)
 
@@ -97,7 +97,7 @@ def _sinhc_d1(t):
     small = np.abs(t) < 0.25
     ts = np.where(small, t, 1.0)
     series = ts / 3.0 + ts**3 / 30.0 + ts**5 / 840.0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         direct = (t * np.cosh(t) - np.sinh(t)) / np.where(small, 1.0, t * t)
     return np.where(small, series, direct)
 
@@ -107,7 +107,7 @@ def _sinhc_d2(t):
     small = np.abs(t) < 0.25
     ts = np.where(small, t, 1.0)
     series = 1.0 / 3.0 + ts * ts / 10.0 + ts**4 / 168.0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         direct = ((t * t + 2.0) * np.sinh(t) - 2.0 * t * np.cosh(t)) / np.where(small, 1.0, t**3)
     return np.where(small, series, direct)
 
@@ -281,9 +281,9 @@ def amplitude_F(spec: DeformationSpec, n):
     arr = np.asarray(n, dtype=float)
     f0 = _f_raw(spec, arr)
     f1 = _f_raw(spec, arr + 1.0)
-    num = (arr + 1.0) * f_squared(spec, arr + 1.0) - arr * f_squared(spec, arr)
     den = f0 * f1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        num = (arr + 1.0) * f_squared(spec, arr + 1.0) - arr * f_squared(spec, arr)
         out = num / den
     bad = (den == 0) | ~np.isfinite(out)
     if np.any(bad):

@@ -1,9 +1,9 @@
 """Deterministic CSV and JSON serialization.
 
-CSV uses '.' decimals, '\\n' line endings and a header row.  JSON is UTF-8
-with insertion-ordered keys and floats printed to 17 significant digits,
-which round-trips IEEE doubles exactly; two runs of the same build produce
-byte-identical output.
+CSV uses '.' decimals, '\\n' line endings and a header row; JSON is UTF-8
+with insertion-ordered keys.  Floats are printed as ``%.17g``: the same bytes
+every run, read back exactly.  A field CSV is written one q row per ``%`` over
+a template built once, and parsed back by ``numpy.loadtxt``.
 """
 
 from __future__ import annotations
@@ -77,18 +77,16 @@ def grid_to_dict(grid: PhaseGrid) -> dict:
 
 def field_to_csv(field: Field, path) -> None:
     """Write rows q, p, re, im in row-major (q outer) order."""
-    qs = field.grid.q_values()
-    ps = field.grid.p_values()
-    lines = ["q,p,re,im"]
     vals = field.values
-    for iq in range(field.grid.n_q):
-        fq = format_float(qs[iq])
-        row = vals[iq]
-        for ip in range(field.grid.n_p):
-            v = row[ip]
-            lines.append(f"{fq},{format_float(ps[ip])},"
-                         f"{format_float(v.real)},{format_float(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("cannot serialize non-finite numbers")
+    leads = [format_float(q) + "," for q in field.grid.q_values()]
+    rests = [format_float(p) + ",%.17g,%.17g\n" for p in field.grid.p_values()]
+    pairs = np.stack([vals.real, vals.imag], -1).reshape(len(leads), -1).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("q,p,re,im\n")
+        for lead, row in zip(leads, pairs):
+            fh.write((lead + lead.join(rests)) % tuple(row))
 
 
 def read_field_csv(path, hbar: float = 1.0, label: str = "") -> Field:
@@ -97,19 +95,23 @@ def read_field_csv(path, hbar: float = 1.0, label: str = "") -> Field:
     The grid is reconstructed from the sample coordinates themselves (with
     offset 0, since the written coordinates already include any shift).
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    if lines[0] != "q,p,re,im":
-        raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    qs = np.unique(data[:, 0])
-    ps = np.unique(data[:, 1])
+    with open(path, encoding="utf-8") as fh:
+        nonblank = ((i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln != "\n")
+        skip, header = next(nonblank, (0, ""))
+        if header != "q,p,re,im":
+            raise ValueError(f"unexpected CSV header {header!r}")
+        if next(nonblank, None) is None:
+            raise ValueError("CSV has no data rows")
+    q, p, re, im = np.loadtxt(path, delimiter=",", dtype=float, comments=None, ndmin=2,
+                              skiprows=skip, encoding="utf-8", unpack=True)
+    qs = np.unique(q)
+    ps = np.unique(p)
     n_q, n_p = len(qs), len(ps)
-    if n_q * n_p != len(data):
+    if n_q * n_p != len(q):
         raise ValueError("CSV rows do not form a complete rectangular grid")
     grid = PhaseGrid(float(qs[0]), float(qs[-1]), float(ps[0]), float(ps[-1]),
                      n_q, n_p, hbar=hbar, offset=0.0)
-    vals = (data[:, 2] + 1j * data[:, 3]).reshape(n_q, n_p)
+    vals = np.stack([re, im], -1).view(complex).reshape(n_q, n_p)
     return field_from_values(grid, vals, label=label)
 
 

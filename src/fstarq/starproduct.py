@@ -34,6 +34,15 @@ from .symbols import PolySymbol
 ORDERS = ("first", "second")
 
 
+def _checked_hbar(grid, hbar: float | None) -> float:
+    """hbar, or the grid's when None, once it is a positive finite real."""
+    if hbar is None:
+        hbar = grid.hbar
+    if not 0.0 < hbar < math.inf:
+        raise ValueError("hbar must be a positive finite real")
+    return hbar
+
+
 def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
     """Left Moyal multiplication h * w of a polynomial symbol onto a field.
 
@@ -41,8 +50,7 @@ def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
     available source (analytic profile preferred, else fd4 stencils).
     """
     grid = w.grid
-    if hbar is None:
-        hbar = grid.hbar
+    hbar = _checked_hbar(grid, hbar)
     Q, P = mesh(grid)
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
     for m in range(h.degree + 1):
@@ -66,10 +74,7 @@ class ProductSetup:
         if k.grid != g.grid:
             raise ValueError("fields must share a grid")
         grid = k.grid
-        if hbar is None:
-            hbar = grid.hbar
-        if not 0.0 < hbar < math.inf:
-            raise ValueError("hbar must be a positive finite real")
+        hbar = _checked_hbar(grid, hbar)
         if order not in ORDERS:
             raise ValueError(f"order must be one of {ORDERS}")
         if jet_order not in (0, 1):

@@ -17,7 +17,7 @@ from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, 
 from .genvalue import (associativity_defect, build_hamiltonian, commutator_report,
                        genvalue_residual)
 from .phasespace import (PhaseGrid, derivative, fcs_wigner, field_from_poly, fock_wigner,
-                         integrate)
+                         integrate, partial_field)
 from .starproduct import fstar_apply, moyal_apply
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
@@ -86,6 +86,11 @@ def check_imag_vanishing(quick: bool) -> dict:
     for spec in registry_specs():
         ham = None if spec.kind == "identity" else build_hamiltonian(spec, grid)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+            if ham is not None:
+                # every task reads these partials of ham; filling them first,
+                # each key in its own task, keeps the tasks from racing to
+                # compute the same unlocked cache entry
+                list(pool.map(lambda key: partial_field(ham.field, *key), ((1, 0), (0, 1))))
             vals = list(pool.map(lambda n: imag_of(spec, ham, n), range(n_top + 1)))
         local = max(vals)
         if local > worst:

@@ -1,14 +1,19 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, canonical_json, fcs_wigner, field_report,
-                    field_to_csv, genvalue_residual, identity_spec,
+from fstarq import (PhaseGrid, canonical_json, fcs_wigner, field_from_values,
+                    field_report, field_to_csv, genvalue_residual, identity_spec,
                     read_field_csv, report_to_dict, report_to_json, spectrum,
                     spectrum_to_csv, sqrt_n_spec)
 from fstarq.cli import main
+from fstarq.io import format_float
 from fstarq.verify import worker_count
 
 
@@ -56,6 +61,84 @@ def test_field_csv_round_trip(tmp_path):
     again = read_field_csv(path)
     assert np.array_equal(again.values, field.values)  # 17g round-trips exactly
     assert np.allclose(again.grid.q_values(), grid.q_values(), rtol=0, atol=0)
+
+
+def reference_field_csv(field) -> bytes:
+    """The per-element writer that field_to_csv must match byte for byte."""
+    lines = ["q,p,re,im"]
+    for iq, q in enumerate(field.grid.q_values()):
+        for ip, p in enumerate(field.grid.p_values()):
+            v = field.values[iq, ip]
+            lines.append(",".join(format_float(x) for x in (q, p, v.real, v.imag)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.fixture
+def awkward_field():
+    grid = PhaseGrid(-1.0, 1.5, -2.0, 0.5, 5, 6, offset=0.25)
+    rng = np.random.default_rng(20250810)
+    vals = np.empty((5, 6), dtype=complex)
+    vals.real = rng.standard_normal((5, 6)) * 10.0 ** rng.integers(-300, 300, (5, 6))
+    vals.imag = -rng.standard_normal((5, 6)) * 10.0 ** rng.integers(-300, 300, (5, 6))
+    awkward = [-0.0, 5e-324, 1e308, 0.1, -0.1, -1e308, 0.0, -5e-324, 2.0**-1074 * 3]
+    vals.real.flat[:9] = awkward
+    vals.imag.flat[3:12] = awkward[::-1]
+    return field_from_values(grid, vals, label="awkward")
+
+
+def test_field_csv_matches_reference_writer(tmp_path, awkward_field):
+    path = tmp_path / "f.csv"
+    field_to_csv(awkward_field, path)
+    assert path.read_bytes() == reference_field_csv(awkward_field)
+
+
+def test_field_csv_round_trip_is_bit_exact(tmp_path, awkward_field):
+    path = tmp_path / "f.csv"
+    field_to_csv(awkward_field, path)
+    again = read_field_csv(path)
+    # the int64 view tells -0.0 from 0.0
+    assert np.array_equal(again.values.view(np.int64), awkward_field.values.view(np.int64))
+    assert np.array_equal(again.grid.q_values(), awkward_field.grid.q_values())
+    assert np.array_equal(again.grid.p_values(), awkward_field.grid.p_values())
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_field_csv_rejects_nonfinite(tmp_path, awkward_field, bad):
+    awkward_field.values[2, 3] = bad  # after construction, past Field's own check
+    path = tmp_path / "f.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        field_to_csv(awkward_field, path)
+    assert not path.exists()
+
+
+def _bad_header(lines):
+    lines[0] = "q,p,re,imag"
+
+
+def _short_row(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+
+
+def _missing_row(lines):
+    del lines[-2]
+
+
+def _header_only(lines):
+    del lines[1:-1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_bad_header, "header"), (_short_row, None), (_missing_row, "rectangular"),
+    (_header_only, "no data rows"),
+])
+def test_read_field_csv_rejects_malformed(tmp_path, awkward_field, edit, message):
+    path = tmp_path / "f.csv"
+    field_to_csv(awkward_field, path)
+    lines = path.read_text().split("\n")  # ends with "" after the final newline
+    edit(lines)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=message):
+        read_field_csv(path)
 
 
 def test_field_report_stats():
@@ -152,6 +235,19 @@ def test_cli_assoc_csv(tmp_path):
     assert len(lines) == 4
     slope = float(lines[1].split(",")[2])
     assert slope >= 1.9
+
+
+def test_cli_refused_qdef_assoc_prints_only_the_error():
+    # F(n) overflows far inside the default grid; the refusal must not be
+    # preceded by numpy's overflow warnings
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from fstarq.cli import main; "
+         "sys.exit(main(['assoc', '--spec', 'qdef:q=1.2']))"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: F(n) singular at n = 6375.0244140625 for kind 'qdef'\n"
 
 
 @pytest.mark.parametrize("argv", [

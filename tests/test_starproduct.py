@@ -124,6 +124,9 @@ def test_fstar_invalid_options(grid):
         for kwargs in cases:
             with pytest.raises(ValueError):
                 entry(k, k, identity_spec(), **kwargs)
+    for kwargs in bad_hbar:
+        with pytest.raises(ValueError, match="hbar must be a positive finite real"):
+            moyal_apply(PolySymbol.q(), k, **kwargs)
 
 
 def test_fstar_second_order_formula(grid):
