@@ -338,6 +338,7 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
     if hbar <= 0 or omega <= 0:
         raise ValueError("hbar and omega must be > 0")
     ns = np.arange(0, n_max + 1, dtype=float)
+    eval_f(spec, np.arange(0, n_max + 2, dtype=float))  # NonPositiveValue names the bad n
     # assembled via the commutator target plus 2 n f(n)^2; the genvalue module
     # recomputes E_n from the raw formula as an independent cross-check
     energies = 0.5 * hbar * omega * (commutator_target(spec, ns)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .deformation import (DeformationSpec, amplitude_F, commutator_target, deriv_f,
                           eval_f, f_squared, f_squared_deriv, spec_to_text, spectrum)
-from .phasespace import (AnalyticStructure, Field, PhaseGrid, default_grid,
+from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, default_grid,
                          fock_wigner, integrate, mesh, partial_field)
 from .starproduct import ProductSetup, fstar_apply, moyal_apply, star_commutator
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
@@ -35,7 +35,7 @@ DEFAULT_R_CUT = 4.0
 # Profiles in the excitation number n (scale = 2 hbar makes v = n)
 
 
-class HamiltonianProfile:
+class HamiltonianProfile(RadialProfile):
     """h(n) = (hbar w / 2) [(n+1) f(n+1)^2 + n f(n)^2] with two derivatives."""
 
     max_order = 2
@@ -62,7 +62,7 @@ class HamiltonianProfile:
                        + self._g(np.asarray(n, dtype=float), order))
 
 
-class DeformationProfile:
+class DeformationProfile(RadialProfile):
     """f(n) itself, with two derivatives; backs the ladder fields a f(n)."""
 
     max_order = 2
@@ -301,13 +301,13 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
     if g.grid != grid or h.grid != grid:
         raise ValueError("fields must share a grid")
     all_poly = all(f.poly is not None for f in (k, g, h))
-    Q, P = mesh(grid)
+    q, p = grid.axes()
     points = []
     for hbar in hbars:
         if spec.kind == "identity" and all_poly:
             left = moyal_exact(moyal_exact(k.poly, g.poly, hbar), h.poly, hbar)
             right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
-            diff = (left - right).eval_grid(Q, P)
+            diff = (left - right).eval_grid(q, p)
         else:
             kg = fstar_apply(k, g, spec, hbar, order=order, jet_order=1)
             gh = fstar_apply(g, h, spec, hbar, order=order, jet_order=1)

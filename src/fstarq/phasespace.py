@@ -9,7 +9,8 @@ Fields are complex arrays sampled on a rectangular (q, p) grid.
 * ``analytic``  -- a sum  sum_k c_k(q, p) * w^(k)(v)  with polynomial
   coefficients c_k and a radial profile w of v = (q^2 + p^2) / scale;
   this family is closed under partial derivatives, so mixed partials of
-  any order come out exact within the profile's own derivative budget;
+  any order come out exact within the profile's own derivative budget; each
+  profile memoizes w^(k)(v) by (grid, scale, k) for as long as it lives;
 * 4th-order finite-difference stencils, for everything else.
 """
 
@@ -75,6 +76,10 @@ class PhaseGrid:
     def p_values(self) -> np.ndarray:
         return self.p_min + (np.arange(self.n_p) + self.offset) * self.dp
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """A q column and a p row that broadcast to the (n_q, n_p) mesh."""
+        return self.q_values()[:, None], self.p_values()[None, :]
+
 
 def default_grid(hbar: float = 1.0) -> PhaseGrid:
     """[-8, 8]^2 at 513 x 513 with a half-cell offset."""
@@ -135,10 +140,25 @@ def laguerre_series(alpha: int, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray
 # Radial profiles: w(v) plus derivatives of any requested order
 
 
-class FockWignerProfile:
-    """w(v) = 2 (-1)^n e^{-v} L_n(2v); derivatives of every order."""
+class RadialProfile:
+    """Base of the radial profiles; subclasses supply ``deriv(v, order)`` and
+    cap ``max_order`` if their derivative budget is finite."""
 
     max_order = None
+
+    def on_grid(self, grid: PhaseGrid, scale: float, k: int) -> np.ndarray:
+        """w^(k)(v), v = (q^2 + p^2) / scale, computed once per (grid, scale, k) and
+        kept read-only for the profile's life; unlocked, so fill before sharing."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if (grid, scale, k) not in memo:
+            Q, P = mesh(grid)
+            memo[grid, scale, k] = self.deriv((Q * Q + P * P) / scale, k)
+            memo[grid, scale, k].setflags(write=False)
+        return memo[grid, scale, k]
+
+
+class FockWignerProfile(RadialProfile):
+    """w(v) = 2 (-1)^n e^{-v} L_n(2v); derivatives of every order."""
 
     def __init__(self, n: int):
         if n < 0:
@@ -159,10 +179,8 @@ class FockWignerProfile:
         return sign * np.exp(-v) * acc
 
 
-class MixtureWignerProfile:
+class MixtureWignerProfile(RadialProfile):
     """Weighted sum of Fock Wigner profiles: w(v) = sum_n c_n W_n-profile(v)."""
-
-    max_order = None
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=float)
@@ -180,7 +198,9 @@ class MixtureWignerProfile:
 
 
 class AnalyticStructure:
-    """sum_k c_k(q,p) * w^(k)(v) with v = (q^2+p^2)/scale; closed under d/dq, d/dp."""
+    """sum_k c_k(q,p) * w^(k)(v) with v = (q^2+p^2)/scale; closed under d/dq, d/dp.
+    ``evaluate`` reads w^(k)(v) from the profile's memo (``on_grid``), keyed by
+    (grid, scale, k) and kept as long as the profile, which its partials share."""
 
     def __init__(self, profile, scale: float, terms: dict[int, PolySymbol] | None = None):
         self.profile = profile
@@ -216,15 +236,14 @@ class AnalyticStructure:
         return s
 
     def evaluate(self, grid: PhaseGrid) -> np.ndarray:
-        Q, P = mesh(grid)
-        v = (Q * Q + P * P) / self.scale
-        out = np.zeros(Q.shape, dtype=complex)
+        q, p = grid.axes()
+        out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
         for k in sorted(self.terms):
             c = self.terms[k]
             if not c.terms:
                 continue
-            coeff = c.constant_value() if c.is_constant() else c.eval_grid(Q, P)
-            out += coeff * self.profile.deriv(v, k)
+            coeff = c.constant_value() if c.is_constant() else c.eval_grid(q, p)
+            out += coeff * self.profile.on_grid(grid, self.scale, k)
         return out
 
 
@@ -279,8 +298,8 @@ def field_from_values(grid: PhaseGrid, values: np.ndarray, label: str = "") -> F
 
 
 def field_from_poly(poly: PolySymbol, grid: PhaseGrid, label: str = "") -> Field:
-    Q, P = mesh(grid)
-    return Field(grid, poly.eval_grid(Q, P), label=label or poly.to_string(), poly=poly)
+    return Field(grid, poly.eval_grid(*grid.axes()), label=label or poly.to_string(),
+                 poly=poly)
 
 
 def field_from_function(fn, grid: PhaseGrid, label: str = "") -> Field:
@@ -322,8 +341,7 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     if key in field._cache:
         return field._cache[key]
     if field.poly is not None:
-        Q, P = mesh(field.grid)
-        arr = field.poly.partial(i, j).eval_grid(Q, P)
+        arr = field.poly.partial(i, j).eval_grid(*field.grid.axes())
     elif field.analytic is not None and (
             field.analytic.profile.max_order is None
             or field.analytic.order_needed + i + j <= field.analytic.profile.max_order):

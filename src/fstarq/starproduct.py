@@ -51,7 +51,7 @@ def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
     """
     grid = w.grid
     hbar = _checked_hbar(grid, hbar)
-    Q, P = mesh(grid)
+    q, p = grid.axes()
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
     for m in range(h.degree + 1):
         pref = (0.5j * hbar) ** m / math.factorial(m)
@@ -61,7 +61,7 @@ def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
                 continue
             sign = -1.0 if j % 2 else 1.0
             wpart = partial_field(w, j, m - j)
-            out += (pref * sign * math.comb(m, j)) * hpart.eval_grid(Q, P) * wpart
+            out += (pref * sign * math.comb(m, j)) * hpart.eval_grid(q, p) * wpart
     return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
 
 

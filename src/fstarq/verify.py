@@ -17,7 +17,7 @@ from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, 
 from .genvalue import (associativity_defect, build_hamiltonian, commutator_report,
                        genvalue_residual)
 from .phasespace import (PhaseGrid, derivative, fcs_wigner, field_from_poly, fock_wigner,
-                         integrate, partial_field)
+                         integrate, mesh, partial_field)
 from .starproduct import fstar_apply, moyal_apply
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
@@ -60,6 +60,7 @@ def check_moyal_genvalue(quick: bool) -> dict:
     grid = _grid(quick)
     spec = identity_spec()
     n_top = 3 if quick else 10
+    mesh(grid)  # built here: lru_cache lets pool threads that miss together each build it
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         reports = list(pool.map(
             lambda n: genvalue_residual(spec, n, grid, omega=1.0), range(n_top + 1)))
@@ -85,12 +86,11 @@ def check_imag_vanishing(quick: bool) -> dict:
 
     for spec in registry_specs():
         ham = None if spec.kind == "identity" else build_hamiltonian(spec, grid)
+        if ham is not None:
+            # every task reads these: filled here, no task races on an unlocked cache
+            partial_field(ham.field, 1, 0)
+            partial_field(ham.field, 0, 1)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            if ham is not None:
-                # every task reads these partials of ham; filling them first,
-                # each key in its own task, keeps the tasks from racing to
-                # compute the same unlocked cache entry
-                list(pool.map(lambda key: partial_field(ham.field, *key), ((1, 0), (0, 1))))
             vals = list(pool.map(lambda n: imag_of(spec, ham, n), range(n_top + 1)))
         local = max(vals)
         if local > worst:

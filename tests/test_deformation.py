@@ -167,6 +167,16 @@ def test_expr_nonpositive_detection():
         eval_f(spec, np.array([0.5, 3.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, n_max, bad_n", [
+    ("expr:ln(n)", 20, 0.0),       # f(0) = -inf used to give E_0 = NaN
+    ("expr:1-0.1*n", 9, 10.0),     # E_9 needs f(10) = 0
+])
+def test_spectrum_rejects_nonpositive_f(text, n_max, bad_n):
+    with pytest.raises(NonPositiveValue, match=f"at n = {bad_n} "):
+        spectrum(parse_deformation(text), n_max)
+
+
 def test_expr_derivatives_are_symbolic():
     spec = expr_spec("sqrt(1+0.1*n)")
     n = 4.0

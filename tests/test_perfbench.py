@@ -1,7 +1,8 @@
 """Smoke tests of the benchmark.  One traced diagnostics deck must run, pass
-its output checks, and see no fd4 fallback; the tracer wraps fstarq's layers
-by name, so a rename in the package shows up here.  One untraced field-io
-deck must write the reference CSV bytes and read them back bit-exact."""
+its output checks, move no reported number, and see no fd4 fallback; the
+tracer wraps fstarq's layers by name, so a rename in the package shows up
+here.  One untraced field-io deck must write the reference CSV bytes and
+read them back bit-exact."""
 
 import json
 import pathlib
@@ -22,6 +23,7 @@ def test_traced_diagnostics_deck(tmp_path):
     assert len(result["ops"]) == 4
     assert [op for op in result["ops"] if op["status"] == "failed"] == []
     assert result["layers"]["phasespace.partial_field.fd4"] == 0
+    assert result["moved"] == []  # every reported number matches reference.json bitwise
     assert trace.is_file()
 
 

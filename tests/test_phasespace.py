@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from fstarq import (PhaseGrid, default_grid, fcs_wigner, field_from_function,
-                    field_from_poly, field_from_values, fock_wigner, gradient,
-                    identity_spec, integrate, laguerre, mesh, parse_symbol,
-                    partial_field, qdef_spec, registry_specs, spec_to_text,
-                    sqrt_n_spec, wigner_weights)
+from fstarq import (Field, PhaseGrid, PolySymbol, default_grid, fcs_wigner,
+                    field_from_function, field_from_poly, field_from_values,
+                    fock_wigner, fstar_apply, gradient, identity_spec, integrate,
+                    laguerre, mesh, moyal_apply, parse_symbol, partial_field,
+                    qdef_spec, registry_specs, spec_to_text, sqrt_n_spec,
+                    wigner_weights)
 from fstarq.errors import ProfileUnavailable
+from fstarq.genvalue import HamiltonianProfile
 from fstarq.phasespace import AnalyticStructure, FockWignerProfile, derivative, laguerre_series
 
 REGISTRY = registry_specs()
@@ -308,3 +310,64 @@ def test_analytic_structure_radial_flag(grid257):
     assert not w.analytic.partial(0).is_radial
     sq = w.analytic.partial(0)
     assert isinstance(sq, AnalyticStructure)
+
+
+# ---------------------------------------------------------------------------
+# radial-derivative memo
+
+
+class Counting:
+    """Records the order of every deriv call that reaches the profile."""
+
+    def deriv(self, v, order):
+        self.__dict__.setdefault("orders", []).append(order)
+        return super().deriv(v, order)
+
+
+class CountingFock(Counting, FockWignerProfile):
+    pass
+
+
+class CountingHamiltonian(Counting, HamiltonianProfile):
+    pass
+
+
+def _analytic_field(profile, grid, scale):
+    structure = AnalyticStructure(profile, scale=scale)
+    return Field(grid, structure.evaluate(grid), analytic=structure)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_radial_derivatives_computed_once_per_key(grid257):
+    spec = sqrt_n_spec()
+    fock = CountingFock(3)
+    ham = CountingHamiltonian(spec, 1.0, 1.0)
+    w = _analytic_field(fock, grid257, 1.0)
+    h = _analytic_field(ham, grid257, 2.0)
+    # six partials of W_3, orders 0..2 of its profile
+    moyal_apply(PolySymbol({(2, 0): 0.5, (0, 2): 0.5}), w)
+    # jets ask for the second partials of both operands too
+    fstar_apply(h, w, spec, jet_order=1)
+    assert sorted(fock.orders) == [0, 1, 2]
+    assert sorted(ham.orders) == [0, 1, 2]
+    Q, P = mesh(grid257)
+    for profile, direct, scale in ((fock, FockWignerProfile(3), 1.0),
+                                   (ham, HamiltonianProfile(spec, 1.0, 1.0), 2.0)):
+        for k in range(3):
+            assert _same_bits(profile.on_grid(grid257, scale, k),
+                              direct.deriv((Q * Q + P * P) / scale, k))
+    assert len(fock.orders) == len(ham.orders) == 3  # served from the memo
+
+
+def test_radial_memo_keys_on_grid_and_scale(grid257, origin_grid):
+    profile = CountingFock(2)
+    for grid, scale in ((grid257, 1.0), (origin_grid, 1.0), (grid257, 2.0)):
+        Q, P = mesh(grid)
+        direct = FockWignerProfile(2).deriv((Q * Q + P * P) / scale, 1)
+        assert _same_bits(profile.on_grid(grid, scale, 1), direct)
+    with pytest.raises(ValueError):
+        profile.on_grid(grid257, 1.0, 1)[0, 0] = 0.0
+    assert profile.orders == [1, 1, 1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fstarq import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
+from fstarq import (PolySymbol, annihilation_symbol, creation_symbol, mesh, moyal_exact,
                     parse_symbol, poisson_bracket, random_polynomial)
 from fstarq.errors import ParseError
 
@@ -62,6 +62,14 @@ def test_eval_against_direct():
     Q = np.array([[q]])
     P = np.array([[p]])
     assert poly.eval_grid(Q, P)[0, 0] == pytest.approx(direct, rel=1e-15)
+
+
+def test_eval_grid_on_axes_matches_mesh(grid513):
+    poly = random_polynomial(np.random.default_rng(6), 6)
+    on_mesh = poly.eval_grid(*mesh(grid513))
+    on_axes = poly.eval_grid(*grid513.axes())
+    assert on_axes.shape == on_mesh.shape
+    assert np.array_equal(on_axes.view(np.int64), on_mesh.view(np.int64))
 
 
 def test_partial_derivatives():
