@@ -147,21 +147,28 @@ def _f_raw(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
     return np.asarray(ast(n), dtype=float)
 
 
-def eval_f(spec: DeformationSpec, n):
-    """Evaluate f at a real (scalar or array) excitation number n >= 0.
-
-    Raises NonPositiveValue if f comes out non-finite, or <= 0 at any
-    probed point with n > 0 (f(0) = 0 is legitimate, e.g. for sqrt_n).
-    """
-    arr = np.asarray(n, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("n must be >= 0")
+def _checked_f(spec: DeformationSpec, arr: np.ndarray) -> np.ndarray:
+    """f on arr; NonPositiveValue names the first n where f is non-finite,
+    or <= 0 with n > 0 (f(0) = 0 is legitimate, e.g. for sqrt_n)."""
     vals = _f_raw(spec, arr)
     bad = ~np.isfinite(vals) | ((vals <= 0) & (arr > 0))
     if np.any(bad):
         witness = float(arr[bad].flat[0]) if arr.ndim else float(arr)
         raise NonPositiveValue(
             f"f(n) is not a finite positive value at n = {witness} for kind {spec.kind!r}")
+    return vals
+
+
+def eval_f(spec: DeformationSpec, n):
+    """Evaluate f at a real (scalar or array) excitation number n >= 0.
+
+    Raises NonPositiveValue if f comes out non-finite, or <= 0 at any
+    probed point with n > 0.
+    """
+    arr = np.asarray(n, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("n must be >= 0")
+    vals = _checked_f(spec, arr)
     if np.ndim(n) == 0:
         return float(vals)
     return vals
@@ -195,7 +202,8 @@ def deriv_f(spec: DeformationSpec, n, order: int = 1):
 
 def f_squared(spec: DeformationSpec, n):
     """f(n)^2 in closed form (avoids the sqrt-then-square rounding where the
-    square itself is the natural primitive, e.g. n for sqrt_n)."""
+    square itself is the natural primitive, e.g. n for sqrt_n).  An expr f
+    is checked as in eval_f first, so squaring cannot hide its sign."""
     arr = np.asarray(n, dtype=float)
     if spec.kind == "identity":
         out = np.ones_like(arr)
@@ -204,7 +212,7 @@ def f_squared(spec: DeformationSpec, n):
     elif spec.kind == "qdef":
         out = _qdef_s(spec, arr, 0)
     else:
-        f = _f_raw(spec, arr)
+        f = _checked_f(spec, arr)
         out = f * f
     if np.ndim(n) == 0:
         return float(out)
@@ -295,7 +303,10 @@ def amplitude_F(spec: DeformationSpec, n):
 
 
 def amplitude_F_deriv(spec: DeformationSpec, n):
-    """dF/dn by the quotient rule, using the analytic derivatives."""
+    """dF/dn by the quotient rule, using the analytic derivatives.
+
+    Raises SingularAmplitude at the first n where it is not finite.  For qdef
+    that refusal is as false as amplitude_F's: the quotient overflows first."""
     arr = np.asarray(n, dtype=float)
     f0 = _f_raw(spec, arr)
     f1 = _f_raw(spec, arr + 1.0)
@@ -308,8 +319,12 @@ def amplitude_F_deriv(spec: DeformationSpec, n):
             - s0 - arr * f_squared_deriv(spec, arr, 1))
     den = f0 * f1
     dden = g0 * f1 + f0 * g1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = (dnum * den - num * dden) / (den * den)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        witness = float(arr[bad].flat[0]) if arr.ndim else float(arr)
+        raise SingularAmplitude(f"dF/dn singular at n = {witness} for kind {spec.kind!r}")
     if np.ndim(n) == 0:
         return float(out)
     return out

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .deformation import (DeformationSpec, amplitude_F, commutator_target, deriv_f,
+from .deformation import (DeformationSpec, commutator_target, deriv_f,
                           eval_f, f_squared, f_squared_deriv, spec_to_text, spectrum)
 from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, default_grid,
                          fock_wigner, integrate, mesh, partial_field)
-from .starproduct import ProductSetup, fstar_apply, moyal_apply, star_commutator
+from .starproduct import ProductSetup, fstar_apply, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
 DEFAULT_R_CUT = 4.0
@@ -212,7 +212,7 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
 def bracket_term(h: Field, w: Field, spec: DeformationSpec,
                  hbar: float | None = None) -> Field:
     """(i hbar / 2) F(n) (dh/dq dw/dp - dh/dp dw/dq), analytic where possible."""
-    s = ProductSetup(h, w, spec, hbar)
+    s = ProductSetup((h, w), spec, hbar)
     hq = partial_field(h, 1, 0)
     hp = partial_field(h, 0, 1)
     wq = partial_field(w, 1, 0)
@@ -234,13 +234,13 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid | None = None,
         grid = default_grid()
     hbar = grid.hbar
     A, Abar = ladder_fields(spec, grid)
-    comm = star_commutator(A, Abar, spec, hbar, order=order)
+    s = ProductSetup((A, Abar), spec, hbar, order)
+    comm = s.commutator(A, Abar)
     Q, P = mesh(grid)
     nfield = (Q * Q + P * P) / (2.0 * hbar)
     target = commutator_target(spec, nfield)
-    # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'
-    closed = amplitude_F(spec, nfield) * (
-        f_squared(spec, nfield) + nfield * f_squared_deriv(spec, nfield, 1))
+    # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'; s.F is F(nfield)
+    closed = s.F * (f_squared(spec, nfield) + nfield * f_squared_deriv(spec, nfield, 1))
     deviation = comm.values - target
     max_abs, l2, witness = _region_norms(deviation, grid, r_cut=None)
     imag_max = float(np.max(np.abs(comm.values.imag)))
@@ -309,11 +309,10 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
             right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
             diff = (left - right).eval_grid(q, p)
         else:
-            kg = fstar_apply(k, g, spec, hbar, order=order, jet_order=1)
-            gh = fstar_apply(g, h, spec, hbar, order=order, jet_order=1)
-            left_f = fstar_apply(kg, h, spec, hbar, order=order)
-            right_f = fstar_apply(k, gh, spec, hbar, order=order)
-            diff = left_f.values - right_f.values
+            s = ProductSetup((k, g, h), spec, hbar, order, jet_order=1)
+            kg = s.product(k, g, jets=True)
+            gh = s.product(g, h, jets=True)
+            diff = s.product(kg, h).values - s.product(k, gh).values
         norm = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dq * grid.dp))
         points.append((hbar, norm))
     if all(norm < EXACT_ZERO_FLOOR for _, norm in points):

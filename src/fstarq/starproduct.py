@@ -18,7 +18,8 @@ Products can optionally propagate exact first partials of the result
 in the associativity study rely on this to stay above the fd4 noise floor.
 The jets seed the result's known partials, which ``partial_field`` serves.
 ``ProductSetup`` validates the options of ``fstar_apply``, ``star_commutator``
-and ``genvalue.bracket_term`` in one place.
+and ``genvalue.bracket_term`` in one place, and one setup samples F(n) once
+for every product taken at its (spec, grid, hbar).
 """
 
 from __future__ import annotations
@@ -66,14 +67,15 @@ def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
 
 
 class ProductSetup:
-    """Validated options of an f-star product of k and g, with F(n) (and,
-    for jets, its gradient) sampled on their shared grid."""
+    """Validated options of f-star products among fields on one grid, with F(n)
+    (and, for jet_order=1, its gradient) sampled once for every product taken
+    through the setup; whether a product propagates jets is chosen per product."""
 
-    def __init__(self, k: Field, g: Field, spec: DeformationSpec,
-                 hbar: float | None = None, order: str = "first", jet_order: int = 0):
-        if k.grid != g.grid:
+    def __init__(self, fields, spec: DeformationSpec, hbar: float | None = None,
+                 order: str = "first", jet_order: int = 0):
+        grid = fields[0].grid
+        if any(f.grid != grid for f in fields):
             raise ValueError("fields must share a grid")
-        grid = k.grid
         hbar = _checked_hbar(grid, hbar)
         if order not in ORDERS:
             raise ValueError(f"order must be one of {ORDERS}")
@@ -84,41 +86,54 @@ class ProductSetup:
         self.grid = grid
         self.hbar = hbar
         self.order = order
-        self.jet_order = jet_order
         Q, P = mesh(grid)
         n = (Q * Q + P * P) / (2.0 * hbar)
         self.F = amplitude_F(spec, n)
-        self.Fq = None
-        self.Fp = None
+        self.Fq = self.Fp = None
         if jet_order:
             dF = amplitude_F_deriv(spec, n)
             self.Fq = dF * Q / hbar
             self.Fp = dF * P / hbar
 
+    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
+        """k *_f g; jets=True attaches its exact first partials."""
+        if k.grid != self.grid or g.grid != self.grid:
+            raise ValueError("fields must share the setup's grid")
+        if jets and self.Fq is None:
+            raise ValueError("jets need a setup built with jet_order=1")
+        hbar = self.hbar
+        kv, gv = k.values, g.values
+        kq = partial_field(k, 1, 0)
+        kp = partial_field(k, 0, 1)
+        gq = partial_field(g, 1, 0)
+        gp = partial_field(g, 0, 1)
+        bracket = kq * gp - kp * gq
+        out = kv * gv + (0.5j * hbar) * self.F * bracket
+        partials = None
+        if self.order == "second" or jets:
+            kqq, kqp, kpp, gqq, gqp, gpp = (partial_field(f, *key) for f in (k, g)
+                                            for key in ((2, 0), (1, 1), (0, 2)))
+        if self.order == "second":
+            bi2 = kqq * gpp - 2.0 * kqp * gqp + kpp * gqq
+            out = out - (hbar * hbar / 4.0) * self.F * self.F * bi2
+        if jets:
+            br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
+            br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
+            d_q = kq * gv + kv * gq + (0.5j * hbar) * (self.Fq * bracket + self.F * br_q)
+            d_p = kp * gv + kv * gp + (0.5j * hbar) * (self.Fp * bracket + self.F * br_p)
+            partials = {(1, 0): d_q, (0, 1): d_p}
+        return Field(self.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
 
-def _fstar(k: Field, g: Field, s: ProductSetup) -> Field:
-    hbar = s.hbar
-    kv, gv = k.values, g.values
-    kq = partial_field(k, 1, 0)
-    kp = partial_field(k, 0, 1)
-    gq = partial_field(g, 1, 0)
-    gp = partial_field(g, 0, 1)
-    bracket = kq * gp - kp * gq
-    out = kv * gv + (0.5j * hbar) * s.F * bracket
-    partials = None
-    if s.order == "second" or s.jet_order:
-        kqq, kqp, kpp, gqq, gqp, gpp = (partial_field(f, *key) for f in (k, g)
-                                        for key in ((2, 0), (1, 1), (0, 2)))
-    if s.order == "second":
-        bi2 = kqq * gpp - 2.0 * kqp * gqp + kpp * gqq
-        out = out - (hbar * hbar / 4.0) * s.F * s.F * bi2
-    if s.jet_order:
-        br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
-        br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
-        d_q = kq * gv + kv * gq + (0.5j * hbar) * (s.Fq * bracket + s.F * br_q)
-        d_p = kp * gv + kv * gp + (0.5j * hbar) * (s.Fp * bracket + s.F * br_p)
-        partials = {(1, 0): d_q, (0, 1): d_p}
-    return Field(s.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
+    def commutator(self, k: Field, g: Field, jets: bool = False) -> Field:
+        """(k *_f g - g *_f k) / hbar."""
+        kg = self.product(k, g, jets)
+        gk = self.product(g, k, jets)
+        partials = None
+        if jets:
+            partials = {key: (partial_field(kg, *key) - partial_field(gk, *key)) / self.hbar
+                        for key in ((1, 0), (0, 1))}
+        return Field(self.grid, (kg.values - gk.values) / self.hbar,
+                     label=f"[{k.label}, {g.label}]_f / hbar", partials=partials)
 
 
 def fstar_apply(k: Field, g: Field, spec: DeformationSpec, hbar: float | None = None,
@@ -128,19 +143,11 @@ def fstar_apply(k: Field, g: Field, spec: DeformationSpec, hbar: float | None = 
     jet_order=1 additionally attaches exact first partials of the result,
     computed by the product rule from the operands' second partials.
     """
-    return _fstar(k, g, ProductSetup(k, g, spec, hbar, order, jet_order))
+    return ProductSetup((k, g), spec, hbar, order, jet_order).product(k, g, bool(jet_order))
 
 
 def star_commutator(k: Field, g: Field, spec: DeformationSpec,
                     hbar: float | None = None, order: str = "first",
                     jet_order: int = 0) -> Field:
     """(k *_f g - g *_f k) / hbar."""
-    s = ProductSetup(k, g, spec, hbar, order, jet_order)
-    kg = _fstar(k, g, s)
-    gk = _fstar(g, k, s)
-    partials = None
-    if jet_order:
-        partials = {key: (partial_field(kg, *key) - partial_field(gk, *key)) / s.hbar
-                    for key in ((1, 0), (0, 1))}
-    return Field(s.grid, (kg.values - gk.values) / s.hbar,
-                 label=f"[{k.label}, {g.label}]_f / hbar", partials=partials)
+    return ProductSetup((k, g), spec, hbar, order, jet_order).commutator(k, g, bool(jet_order))

@@ -18,7 +18,7 @@ from .genvalue import (associativity_defect, build_hamiltonian, commutator_repor
                        genvalue_residual)
 from .phasespace import (PhaseGrid, derivative, fcs_wigner, field_from_poly, fock_wigner,
                          integrate, mesh, partial_field)
-from .starproduct import fstar_apply, moyal_apply
+from .starproduct import ProductSetup, moyal_apply
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
 
@@ -75,23 +75,25 @@ def check_imag_vanishing(quick: bool) -> dict:
     worst = 0.0
     worst_at = ""
 
-    def imag_of(spec, ham, n):
+    def imag_of(ham, setup, n):
         w = fock_wigner(n, grid)
-        if spec.kind == "identity":
+        if setup is None:
             h_sym = PolySymbol({(2, 0): 0.5, (0, 2): 0.5})
             star = moyal_apply(h_sym, w)
         else:
-            star = fstar_apply(ham.field, w, spec)
+            star = setup.product(ham.field, w)
         return float(np.max(np.abs(star.values.imag)))
 
     for spec in registry_specs():
-        ham = None if spec.kind == "identity" else build_hamiltonian(spec, grid)
-        if ham is not None:
-            # every task reads these: filled here, no task races on an unlocked cache
+        ham = setup = None
+        if spec.kind != "identity":
+            # every task reads these: built here, no task writes shared state
+            ham = build_hamiltonian(spec, grid)
             partial_field(ham.field, 1, 0)
             partial_field(ham.field, 0, 1)
+            setup = ProductSetup((ham.field,), spec)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            vals = list(pool.map(lambda n: imag_of(spec, ham, n), range(n_top + 1)))
+            vals = list(pool.map(lambda n: imag_of(ham, setup, n), range(n_top + 1)))
         local = max(vals)
         if local > worst:
             worst = local

@@ -1,15 +1,19 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, associativity_defect, bracket_term,
-                    build_hamiltonian, commutator_deviation, commutator_report,
-                    energy_level, expr_spec, field_from_poly, fock_wigner,
-                    genvalue_residual, identity_spec, integrate, ladder_fields,
-                    mesh, parse_symbol, qdef_spec, registry_specs, spec_to_text,
-                    spectrum, sqrt_n_spec)
+from fstarq import (NonPositiveValue, PhaseGrid, PolySymbol, associativity_defect,
+                    bracket_term, build_hamiltonian, commutator_deviation,
+                    commutator_report, deformation, energy_level, expr_spec,
+                    field_from_poly, fock_wigner, fstar_apply, genvalue_residual,
+                    identity_spec, integrate, ladder_fields, mesh, parse_symbol,
+                    qdef_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec)
 from fstarq.phasespace import partial_field, field_from_values
+from fstarq.starproduct import ProductSetup
+from fstarq.verify import check_imag_vanishing
 
 REGISTRY = registry_specs()
 REGISTRY_IDS = [spec_to_text(s) for s in REGISTRY]
@@ -24,6 +28,23 @@ GOLDEN_SQRT_N_RESIDUALS = {
     2: (11.970234506997565, 10.476607266586369),
     3: (23.91755351366767, 20.570034312596484),
 }
+
+
+@pytest.fixture
+def amplitude_samples(monkeypatch):
+    """Counts of amplitude_F and amplitude_F_deriv calls, wherever fstarq binds them."""
+    counts = {"F": 0, "dF": 0}
+    for key, name in (("F", "amplitude_F"), ("dF", "amplitude_F_deriv")):
+        original = getattr(deformation, name)
+
+        def counted(*args, _key=key, _fn=original, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "fstarq" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +71,15 @@ def test_hamiltonian_sqrt_n_value_at_unit_excitation():
     ham = build_hamiltonian(sqrt_n_spec(), g)
     # n = 1 there: (2 * f(2)^2 + 1 * f(1)^2)/2 = (4 + 1)/2
     assert ham.field.values[0, 0].real == pytest.approx(2.5, rel=1e-14)
+
+
+def test_negative_expr_f_refused_by_hamiltonian_and_residual(grid513):
+    # f = 1 - 0.1 n < 0 for n > 10: squaring f must not hide its sign
+    spec = expr_spec("1-0.1*n")
+    for call in (lambda: build_hamiltonian(spec, grid513),
+                 lambda: genvalue_residual(spec, 3, grid513)):
+        with pytest.raises(NonPositiveValue, match=r"at n = 64\.750244140625 for kind 'expr'"):
+            call()
 
 
 def test_hamiltonian_origin_value(origin_grid):
@@ -166,6 +196,48 @@ def test_commutator_sqrt_n_matches_closed_form(grid513):
     assert dev_field.values.shape == (grid513.n_q, grid513.n_p)
 
 
+def test_commutator_deviation_samples_amplitude_once(grid257, amplitude_samples):
+    # the closed form reuses the commutator's F(n) samples
+    commutator_deviation(sqrt_n_spec(), grid257)
+    assert amplitude_samples == {"F": 1, "dF": 0}
+
+
+def test_imag_vanishing_check_samples_amplitude_once_per_spec(amplitude_samples):
+    # one setup per non-identity registry spec, shared by the pool's products
+    check_imag_vanishing(quick=True)
+    assert sum(s.kind != "identity" for s in REGISTRY) == 3
+    assert amplitude_samples == {"F": 3, "dF": 0}
+
+
+def test_shared_setup_is_only_read_by_pool_threads():
+    # the imag-vanishing pattern with more threads than cores and a short
+    # switch interval: pooled products match serial ones, and neither the
+    # setup nor the Hamiltonian's known partials are written by the tasks
+    grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, 65, 65, hbar=1.0, offset=0.5)
+    spec = sqrt_n_spec()
+    ham = build_hamiltonian(spec, grid)
+    partial_field(ham.field, 1, 0)
+    partial_field(ham.field, 0, 1)
+    setup = ProductSetup((ham.field,), spec)
+    known = dict(ham.field._cache)
+    F = setup.F.copy()
+    serial = [setup.product(ham.field, fock_wigner(n, grid)).values.tobytes()
+              for n in range(16)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda n: setup.product(
+                ham.field, fock_wigner(n, grid)).values.tobytes(), n) for n in range(16)]
+            pooled = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert pooled == serial
+    assert ham.field._cache.keys() == known.keys()
+    assert all(ham.field._cache[k] is v for k, v in known.items())
+    assert setup.F.tobytes() == F.tobytes()
+
+
 def test_commutator_ladder_fields_sampled_correctly(grid257):
     A, Abar = ladder_fields(sqrt_n_spec(), grid257)
     Q, P = mesh(grid257)
@@ -190,6 +262,33 @@ def test_small_deformation_sweep():
 
 # ---------------------------------------------------------------------------
 # associativity scaling
+
+
+def assoc_operands(grid):
+    return (field_from_poly(PolySymbol.q(), grid), field_from_poly(PolySymbol.p(), grid),
+            field_from_poly(PolySymbol.q() + PolySymbol.p(), grid))
+
+
+def test_associativity_samples_amplitude_once_per_hbar(grid257, amplitude_samples):
+    associativity_defect(*assoc_operands(grid257), sqrt_n_spec(), [1e-1, 1e-2, 1e-3])
+    assert amplitude_samples == {"F": 3, "dF": 3}
+
+
+@pytest.mark.parametrize("spec", [sqrt_n_spec(), expr_spec("sqrt(1+0.5*n)")],
+                         ids=spec_to_text)
+def test_associativity_shared_setup_matches_independent_products(grid257, spec):
+    hbars = [1e-1, 1e-2, 1e-3]
+    result = associativity_defect(*assoc_operands(grid257), spec, hbars)
+    expected = []
+    for hbar in hbars:
+        k, g, h = assoc_operands(grid257)
+        kg = fstar_apply(k, g, spec, hbar, jet_order=1)
+        gh = fstar_apply(g, h, spec, hbar, jet_order=1)
+        diff = fstar_apply(kg, h, spec, hbar).values - fstar_apply(k, gh, spec, hbar).values
+        expected.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2)
+                                             * grid257.dq * grid257.dp))))
+    assert (np.array(result.points).view(np.int64).tolist()
+            == np.array(expected).view(np.int64).tolist())
 
 
 def test_associativity_identity_exact_zero(grid257):

@@ -238,16 +238,18 @@ def test_cli_assoc_csv(tmp_path):
 
 
 def test_cli_refused_qdef_assoc_prints_only_the_error():
-    # F(n) overflows far inside the default grid; the refusal must not be
-    # preceded by numpy's overflow warnings
+    # F(n) (q = 1.2) or dF/dn (q = 0.9, 1.1) overflows far inside the default
+    # grid; the refusal names the point and is not preceded by numpy warnings
     root = pathlib.Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from fstarq.cli import main; "
-         "sys.exit(main(['assoc', '--spec', 'qdef:q=1.2']))"],
-        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: F(n) singular at n = 6375.0244140625 for kind 'qdef'\n"
+    for q, quantity in (("0.9", "dF/dn"), ("1.1", "dF/dn"), ("1.2", "F(n)")):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fstarq.cli import main; "
+             f"sys.exit(main(['assoc', '--spec', 'qdef:q={q}']))"],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {quantity} singular at n = 6375.0244140625 "
+                               "for kind 'qdef'\n")
 
 
 @pytest.mark.parametrize("argv", [

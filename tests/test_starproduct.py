@@ -9,6 +9,7 @@ from fstarq import (PhaseGrid, PolySymbol, amplitude_F, annihilation_symbol,
                     parse_symbol, partial_field, qdef_spec, sqrt_n_spec,
                     star_commutator)
 from fstarq.errors import SingularAmplitude
+from fstarq.starproduct import ProductSetup
 
 SQRT2 = math.sqrt(2.0)
 
@@ -127,6 +128,16 @@ def test_fstar_invalid_options(grid):
     for kwargs in bad_hbar:
         with pytest.raises(ValueError, match="hbar must be a positive finite real"):
             moyal_apply(PolySymbol.q(), k, **kwargs)
+
+
+def test_shared_setup_refuses_foreign_grid_and_missing_jets(grid):
+    k = field_from_poly(PolySymbol.q(), grid)
+    other = field_from_poly(PolySymbol.p(), PhaseGrid(-2, 2, -2, 2, 17, 17))
+    setup = ProductSetup((k,), identity_spec())
+    with pytest.raises(ValueError, match="setup's grid"):
+        setup.product(k, other)
+    with pytest.raises(ValueError, match="jet_order=1"):
+        setup.product(k, k, jets=True)
 
 
 def test_fstar_second_order_formula(grid):
