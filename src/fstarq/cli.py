@@ -42,7 +42,6 @@ class RunConfig:
     zeta_abs2: float = 1.0
     n: int | None = None
     n_max: int | None = None
-    order: str = "first"
     out: str | None = None
     tol: float = 1e-14
     quick: bool = False
@@ -92,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deformation mini-language (default: identity)")
         sp.add_argument("--hbar", default="1.0",
                         help="hbar (assoc accepts a comma-separated list)")
-        sp.add_argument("--omega", type=float, default=1.0)
-        sp.add_argument("--tol", type=float, default=1e-14,
-                        help="series truncation tolerance")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         if with_grid:
             sp.add_argument("--grid", default="-8,8,-8,8,513,513",
@@ -103,10 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="level energies as CSV")
     add_common(sp, with_grid=False)
+    sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
 
     sp = sub.add_parser("wigner", help="Wigner field as CSV")
     add_common(sp)
+    sp.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
     sp.add_argument("--n", type=int, default=None,
                     help="number state (omits the coherent mixture)")
     sp.add_argument("--zeta2", type=float, default=1.0, dest="zeta_abs2",
@@ -114,13 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("residual", help="star-genvalue residual report as JSON")
     add_common(sp)
+    sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--order", choices=("first", "second"), default="first")
     sp.add_argument("--r-cut", type=float, default=4.0, dest="r_cut")
 
     sp = sub.add_parser("commutator", help="commutator correspondence report")
     add_common(sp)
-    sp.add_argument("--order", choices=("first", "second"), default="first")
 
     sp = sub.add_parser("assoc", help="associativity defect scaling")
     add_common(sp)
@@ -149,14 +146,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         hbar = hbars[0]
     else:
         hbar = 1.0
-    for flag, value in (("--omega", args.omega), ("--tol", args.tol)):
+    # --omega and --tol are registered only on the commands that read them
+    numbers = {name: getattr(args, name) for name in ("omega", "tol") if hasattr(args, name)}
+    for name, value in numbers.items():
         if not math.isfinite(value) or value <= 0:
-            raise ConfigError(f"{flag}: must be a positive finite real")
+            raise ConfigError(f"--{name}: must be a positive finite real")
     grid = _parse_grid(args.grid, hbar) if hasattr(args, "grid") else None
     cfg = RunConfig(
-        command=args.command, spec=spec, grid=grid, hbar=hbar, omega=args.omega,
-        out=args.out, tol=args.tol,
-        hbar_list=hbar_list if hbar_list is not None else DEFAULT_HBARS,
+        command=args.command, spec=spec, grid=grid, hbar=hbar, out=args.out,
+        hbar_list=hbar_list if hbar_list is not None else DEFAULT_HBARS, **numbers,
     )
     if hasattr(args, "n_max"):
         if args.n_max < 0:
@@ -170,11 +168,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.zeta_abs2 < 0 or not math.isfinite(args.zeta_abs2):
             raise ConfigError("--zeta2: must be a finite real >= 0")
         cfg.zeta_abs2 = args.zeta_abs2
-    if hasattr(args, "order"):
-        cfg.order = args.order
     if hasattr(args, "r_cut"):
-        if args.r_cut <= 0:
-            raise ConfigError("--r-cut: must be > 0")
+        if not 0.0 < args.r_cut < math.inf:
+            raise ConfigError("--r-cut: must be a positive finite real")
         cfg.r_cut = args.r_cut
     return cfg
 
@@ -203,11 +199,11 @@ def run(cfg: RunConfig) -> int:
         return 0
     if cfg.command == "residual":
         report = genvalue_residual(cfg.spec, cfg.n, cfg.grid, omega=cfg.omega,
-                                   order=cfg.order, r_cut=cfg.r_cut)
+                                   r_cut=cfg.r_cut)
         _emit(report_to_json(report), cfg.out)
         return 0
     if cfg.command == "commutator":
-        dev_field, report = commutator_deviation(cfg.spec, cfg.grid, order=cfg.order)
+        dev_field, report = commutator_deviation(cfg.spec, cfg.grid)
         _emit(report_to_json(report), cfg.out)
         if cfg.out is not None:
             stem = cfg.out

@@ -144,6 +144,8 @@ def _region_norms(residual: np.ndarray, grid: PhaseGrid,
         masked = absr
     else:
         inside = (Q * Q + P * P) <= r_cut * r_cut
+        if not inside.any():
+            raise ValueError(f"r_cut = {r_cut!r}: no grid sample lies inside the disc")
         masked = np.where(inside, absr, -1.0)
     flat = int(np.argmax(masked))  # first occurrence: lowest q index, then p index
     iq, ip = np.unravel_index(flat, absr.shape)
@@ -168,17 +170,18 @@ def energy_level(spec: DeformationSpec, n: int, hbar: float, omega: float) -> fl
 
 
 def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = None,
-                      omega: float = 1.0, order: str = "first",
-                      r_cut: float = DEFAULT_R_CUT) -> ResidualReport:
+                      omega: float = 1.0, r_cut: float = DEFAULT_R_CUT) -> ResidualReport:
     """Residual of the star-genvalue equation H star W_n = E_n W_n.
 
     Identity deformation: exact Moyal product with the harmonic symbol
-    (w/2)(q^2+p^2).  Other deformations: first- (or second-) order f-star
-    product with the deformed Hamiltonian field; the report records the
-    mismatch rather than asserting it away.
+    (w/2)(q^2+p^2).  Other deformations: first-order f-star product with the
+    deformed Hamiltonian field; the report records the mismatch rather than
+    asserting it away.  The norms cover the disc q^2 + p^2 <= r_cut^2.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not 0.0 < r_cut < math.inf:
+        raise ValueError("r_cut must be a positive finite real")
     if grid is None:
         grid = default_grid()
     hbar = grid.hbar
@@ -191,8 +194,8 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
         path = "moyal_exact"
     else:
         ham = build_hamiltonian(spec, grid, omega)
-        star = fstar_apply(ham.field, w, spec, hbar, order=order)
-        path = f"fstar_{order}"
+        star = fstar_apply(ham.field, w, spec, hbar)
+        path = "fstar_first"
     residual = star.values - e_n * w.values
     max_abs, l2, witness = _region_norms(residual, grid, r_cut)
     imag_max = float(np.max(np.abs(residual.imag)))
@@ -202,7 +205,7 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
         max_abs=max_abs, l2=l2, imag_max=imag_max, witness=witness,
         params={
             "spec": spec_to_text(spec), "n": n, "hbar": hbar, "omega": omega,
-            "order": order, "path": path, "r_cut": r_cut, "grid": grid,
+            "order": "first", "path": path, "r_cut": r_cut, "grid": grid,
             "energy": e_n, "energy_crosscheck": e_crosscheck,
             "phase_space_average_re": float(avg.real),
             "phase_space_average_im": float(avg.imag),
@@ -221,8 +224,8 @@ def bracket_term(h: Field, w: Field, spec: DeformationSpec,
     return Field(s.grid, vals, label=f"bracket({h.label}, {w.label})")
 
 
-def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid | None = None,
-                         order: str = "first") -> tuple[Field, ResidualReport]:
+def commutator_deviation(spec: DeformationSpec,
+                         grid: PhaseGrid | None = None) -> tuple[Field, ResidualReport]:
     """Deviation of (1/hbar)[A, Abar]_f from the target (n+1)f(n+1)^2 - n f(n)^2.
 
     Also evaluates the closed-form first-order prediction
@@ -234,7 +237,7 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid | None = None,
         grid = default_grid()
     hbar = grid.hbar
     A, Abar = ladder_fields(spec, grid)
-    s = ProductSetup((A, Abar), spec, hbar, order)
+    s = ProductSetup((A, Abar), spec, hbar)
     comm = s.commutator(A, Abar)
     Q, P = mesh(grid)
     nfield = (Q * Q + P * P) / (2.0 * hbar)
@@ -249,7 +252,7 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid | None = None,
         max_abs=max_abs, l2=l2, imag_max=imag_max, witness=witness,
         params={
             "spec": spec_to_text(spec), "n": None, "hbar": hbar, "omega": None,
-            "order": order, "grid": grid,
+            "order": "first", "grid": grid,
             "closed_form_match": float(np.max(np.abs(comm.values - closed))),
             "closed_form_vs_target_max": float(np.max(np.abs(closed - target))),
         })
@@ -257,9 +260,8 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid | None = None,
     return dev_field, report
 
 
-def commutator_report(spec: DeformationSpec, grid: PhaseGrid | None = None,
-                      order: str = "first") -> ResidualReport:
-    return commutator_deviation(spec, grid, order)[1]
+def commutator_report(spec: DeformationSpec, grid: PhaseGrid | None = None) -> ResidualReport:
+    return commutator_deviation(spec, grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +285,13 @@ EXACT_ZERO_FLOOR = 1e-14
 
 
 def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
-                         hbar_list, order: str = "first") -> AssocScaling:
+                         hbar_list) -> AssocScaling:
     """L2 norm of (k *_f g) *_f h - k *_f (g *_f h) across hbar values.
 
     The defect is defined for the first-order product. Identity-deformation
     polynomial inputs route through the exact Moyal product, where the
     defect vanishes identically.
     """
-    if order != "first":
-        raise ValueError("the associativity defect is defined at order='first'")
     hbars = [float(x) for x in hbar_list]
     if len(set(hbars)) < 3:
         raise ValueError("need at least 3 distinct hbar values")
@@ -309,7 +309,7 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
             right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
             diff = (left - right).eval_grid(q, p)
         else:
-            s = ProductSetup((k, g, h), spec, hbar, order, jet_order=1)
+            s = ProductSetup((k, g, h), spec, hbar, jet_order=1)
             kg = s.product(k, g, jets=True)
             gh = s.product(g, h, jets=True)
             diff = s.product(kg, h).values - s.product(k, gh).values

@@ -2,16 +2,13 @@
 
 ``moyal_apply`` multiplies a polynomial symbol onto a field through the full
 Moyal bidifferential series (exact, since the polynomial truncates it).
-``fstar_apply`` is the deformed product
+``fstar_apply`` is the deformed product, truncated at first order in hbar,
 
-    k *_f g = k g + (i hbar / 2) F(n) {k, g}              (order "first")
-            - (hbar^2 / 4) F(n)^2 B2(k, g)                (order "second")
+    k *_f g = k g + (i hbar / 2) F(n) {k, g}
 
-with n = (q^2 + p^2) / (2 hbar) evaluated pointwise, {.,.} the Poisson
-bracket, and B2 the second bidifferential power with F held constant under
-the inner derivatives.  The second-order term keeps the printed prefactor
-of the construction it implements and is considered experimental; the
-first-order product is the supported path.
+with n = (q^2 + p^2) / (2 hbar) evaluated pointwise and {.,.} the Poisson
+bracket.  At f = 1 (F = 1) it is Moyal's product without its hbar^2 and
+higher terms.
 
 Products can optionally propagate exact first partials of the result
 ("jets") when the operands supply exact second partials; nested products
@@ -31,8 +28,6 @@ import numpy as np
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv
 from .phasespace import Field, mesh, partial_field
 from .symbols import PolySymbol
-
-ORDERS = ("first", "second")
 
 
 def _checked_hbar(grid, hbar: float | None) -> float:
@@ -72,20 +67,15 @@ class ProductSetup:
     through the setup; whether a product propagates jets is chosen per product."""
 
     def __init__(self, fields, spec: DeformationSpec, hbar: float | None = None,
-                 order: str = "first", jet_order: int = 0):
+                 jet_order: int = 0):
         grid = fields[0].grid
         if any(f.grid != grid for f in fields):
             raise ValueError("fields must share a grid")
         hbar = _checked_hbar(grid, hbar)
-        if order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}")
         if jet_order not in (0, 1):
             raise ValueError("jet_order must be 0 or 1")
-        if jet_order == 1 and order == "second":
-            raise ValueError("jet propagation is only supported at order='first'")
         self.grid = grid
         self.hbar = hbar
-        self.order = order
         Q, P = mesh(grid)
         n = (Q * Q + P * P) / (2.0 * hbar)
         self.F = amplitude_F(spec, n)
@@ -110,13 +100,9 @@ class ProductSetup:
         bracket = kq * gp - kp * gq
         out = kv * gv + (0.5j * hbar) * self.F * bracket
         partials = None
-        if self.order == "second" or jets:
+        if jets:
             kqq, kqp, kpp, gqq, gqp, gpp = (partial_field(f, *key) for f in (k, g)
                                             for key in ((2, 0), (1, 1), (0, 2)))
-        if self.order == "second":
-            bi2 = kqq * gpp - 2.0 * kqp * gqp + kpp * gqq
-            out = out - (hbar * hbar / 4.0) * self.F * self.F * bi2
-        if jets:
             br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
             br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
             d_q = kq * gv + kv * gq + (0.5j * hbar) * (self.Fq * bracket + self.F * br_q)
@@ -137,17 +123,16 @@ class ProductSetup:
 
 
 def fstar_apply(k: Field, g: Field, spec: DeformationSpec, hbar: float | None = None,
-                order: str = "first", jet_order: int = 0) -> Field:
+                jet_order: int = 0) -> Field:
     """Truncated f-star product of two fields sharing a grid.
 
     jet_order=1 additionally attaches exact first partials of the result,
     computed by the product rule from the operands' second partials.
     """
-    return ProductSetup((k, g), spec, hbar, order, jet_order).product(k, g, bool(jet_order))
+    return ProductSetup((k, g), spec, hbar, jet_order).product(k, g, bool(jet_order))
 
 
 def star_commutator(k: Field, g: Field, spec: DeformationSpec,
-                    hbar: float | None = None, order: str = "first",
-                    jet_order: int = 0) -> Field:
+                    hbar: float | None = None, jet_order: int = 0) -> Field:
     """(k *_f g - g *_f k) / hbar."""
-    return ProductSetup((k, g), spec, hbar, order, jet_order).commutator(k, g, bool(jet_order))
+    return ProductSetup((k, g), spec, hbar, jet_order).commutator(k, g, bool(jet_order))

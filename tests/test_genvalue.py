@@ -140,13 +140,26 @@ def test_imag_vanishing_per_spec(grid257, spec):
     assert rep.imag_max <= 1e-10
 
 
-def test_genvalue_second_order_runs(grid257):
-    # experimental path: second-order term is real, so Im still vanishes
-    rep = genvalue_residual(sqrt_n_spec(), 2, grid257, order="second")
-    assert rep.params["order"] == "second"
-    assert rep.imag_max <= 1e-10
-    first = genvalue_residual(sqrt_n_spec(), 2, grid257, order="first")
-    assert rep.max_abs != first.max_abs  # the extra term actually contributes
+def test_diagnostics_take_no_order_option(grid257):
+    # the f-star product is first order only, so no diagnostic takes an order
+    for call in (lambda: genvalue_residual(sqrt_n_spec(), 2, grid257, order="first"),
+                 lambda: commutator_deviation(sqrt_n_spec(), grid257, order="first"),
+                 lambda: commutator_report(sqrt_n_spec(), grid257, order="first")):
+        with pytest.raises(TypeError, match="order"):
+            call()
+
+
+@pytest.mark.parametrize("r_cut", [-1.0, 0.0, math.nan, math.inf])
+def test_residual_rejects_bad_r_cut(r_cut):
+    with pytest.raises(ValueError, match="r_cut must be a positive finite real"):
+        genvalue_residual(identity_spec(), 1, PhaseGrid(-2, 2, -2, 2, 17, 17), r_cut=r_cut)
+
+
+def test_residual_refuses_a_disc_without_samples():
+    # the nearest sample of this grid lies 0.18 from the origin
+    grid = PhaseGrid(-2, 2, -2, 2, 17, 17)
+    with pytest.raises(ValueError, match=r"r_cut = 0\.01: no grid sample"):
+        genvalue_residual(sqrt_n_spec(), 1, grid, r_cut=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +340,6 @@ def test_associativity_validation(grid257):
         associativity_defect(k, k, k, sqrt_n_spec(), [1e-1, 1e-2])
     with pytest.raises(ValueError):
         associativity_defect(k, k, k, sqrt_n_spec(), [1e-1, 2e-1, 3e-1])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="order"):
         associativity_defect(k, k, k, sqrt_n_spec(), [1e-1, 1e-2, 1e-3],
-                             order="second")
+                             order="first")

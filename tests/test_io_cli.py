@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, canonical_json, fcs_wigner, field_from_values,
-                    field_report, field_to_csv, genvalue_residual, identity_spec,
-                    read_field_csv, report_to_dict, report_to_json, spectrum,
-                    spectrum_to_csv, sqrt_n_spec)
+from fstarq import (PhaseGrid, canonical_json, commutator_report, fcs_wigner,
+                    field_from_values, field_report, field_to_csv, genvalue_residual,
+                    identity_spec, read_field_csv, report_to_dict, report_to_json,
+                    spectrum, spectrum_to_csv, sqrt_n_spec)
 from fstarq.cli import main
 from fstarq.io import format_float
 from fstarq.verify import worker_count
@@ -165,6 +165,14 @@ def test_report_schema_keys(grid257):
     assert json.loads(text)["identity"] == "genvalue"
 
 
+def test_reports_record_the_first_order_product(grid257):
+    residual = report_to_dict(genvalue_residual(sqrt_n_spec(), 1, grid257))
+    assert residual["order"] == "first"
+    assert residual["extra"]["path"] == "fstar_first"
+    commutator = report_to_dict(commutator_report(sqrt_n_spec(), grid257))
+    assert commutator["order"] == "first"
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -259,12 +267,45 @@ def test_cli_refused_qdef_assoc_prints_only_the_error():
     ("residual", "--spec", "identity", "--n", "1", "--grid=1,2,3"),
     ("residual", "--spec", "identity", "--n", "1", "--grid=-1,1,-1,1,3,3"),
     ("wigner", "--n", "1"),  # missing --out for a field dump
+    ("spectrum", "--n-max", "2", "--omega", "nan"),
+    ("residual", "--n", "1", "--omega", "-1", "--grid=-2,2,-2,2,17,17"),
+    ("wigner", "--n", "1", "--tol", "inf", "--out", os.devnull),
     ("spectrum",),  # missing required --n-max
     ("bogus-command",),
 ])
 def test_cli_config_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
     capsys.readouterr()
+
+
+REQUIRED_ARGS = {"spectrum": ("--n-max", "2"), "residual": ("--n", "1"),
+                 "wigner": ("--n", "1", "--out", os.devnull)}
+
+
+# flags a command would ignore are not registered on it, and the first-order
+# product has no --order to choose
+@pytest.mark.parametrize("command, flag, value", [
+    ("commutator", "--omega", "0.5"), ("assoc", "--omega", "0.5"), ("wigner", "--omega", "0.5"),
+    ("spectrum", "--tol", "0.5"), ("residual", "--tol", "0.5"), ("commutator", "--tol", "0.5"),
+    ("assoc", "--tol", "0.5"), ("residual", "--order", "first"), ("commutator", "--order", "first"),
+])
+def test_cli_rejects_unregistered_flags(command, flag, value, capsys):
+    assert run_cli(command, *REQUIRED_ARGS.get(command, ()), flag, value) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_r_cut_must_be_positive_finite(value, capsys):
+    assert run_cli("residual", "--n", "1", "--r-cut", value,
+                   "--grid=-2,2,-2,2,17,17") == 2
+    assert "--r-cut: must be a positive finite real" in capsys.readouterr().err
+
+
+def test_cli_residual_refuses_an_empty_disc(capsys):
+    assert run_cli("residual", "--spec", "sqrt_n", "--n", "1", "--r-cut", "0.01",
+                   "--grid=-2,2,-2,2,17,17") == 2
+    assert capsys.readouterr().err == ("error: r_cut = 0.01: no grid sample lies "
+                                       "inside the disc\n")
 
 
 def test_cli_error_names_flag(capsys):

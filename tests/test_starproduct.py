@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, amplitude_F, annihilation_symbol,
-                    bracket_term, creation_symbol, field_from_poly, field_from_values,
-                    fock_wigner, fstar_apply, identity_spec, mesh, moyal_apply,
-                    parse_symbol, partial_field, qdef_spec, sqrt_n_spec,
-                    star_commutator)
+from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, bracket_term,
+                    creation_symbol, field_from_poly, field_from_values, fock_wigner,
+                    fstar_apply, identity_spec, mesh, moyal_apply, moyal_exact,
+                    parse_symbol, partial_field, sqrt_n_spec, star_commutator)
 from fstarq.errors import SingularAmplitude
 from fstarq.starproduct import ProductSetup
 
@@ -118,13 +117,18 @@ def test_fstar_grid_mismatch(grid):
 def test_fstar_invalid_options(grid):
     k = field_from_poly(PolySymbol.q(), grid)
     bad_hbar = [{"hbar": -1.0}, {"hbar": 0.0}, {"hbar": math.nan}]
-    bad_product = bad_hbar + [{"order": "third"}, {"order": "second", "jet_order": 1},
-                              {"jet_order": 2}]
+    bad_product = bad_hbar + [{"jet_order": 2}]
     for entry, cases in ((fstar_apply, bad_product), (star_commutator, bad_product),
                          (bracket_term, bad_hbar)):
         for kwargs in cases:
             with pytest.raises(ValueError):
                 entry(k, k, identity_spec(), **kwargs)
+    # the product is first order only; the removed order option is not accepted
+    for entry in (fstar_apply, star_commutator):
+        with pytest.raises(TypeError, match="order"):
+            entry(k, k, identity_spec(), order="first")
+    with pytest.raises(TypeError, match="order"):
+        ProductSetup((k,), identity_spec(), order="first")
     for kwargs in bad_hbar:
         with pytest.raises(ValueError, match="hbar must be a positive finite real"):
             moyal_apply(PolySymbol.q(), k, **kwargs)
@@ -140,20 +144,15 @@ def test_shared_setup_refuses_foreign_grid_and_missing_jets(grid):
         setup.product(k, k, jets=True)
 
 
-def test_fstar_second_order_formula(grid):
-    # k = q^2, g = p^2: bidifferential square gives d2q k * d2p g = 4, so
-    # k *_f g = q^2 p^2 + 2 i hbar F q p - (hbar^2 / 4) F^2 * 4
-    hbar = 0.5
-    spec = qdef_spec(1.3)
-    k = field_from_poly(parse_symbol("q^2"), grid)
-    g = field_from_poly(parse_symbol("p^2"), grid)
-    out = fstar_apply(k, g, spec, hbar=hbar, order="second")
-    Q, P = mesh(grid)
-    n = (Q**2 + P**2) / (2 * hbar)
-    F = amplitude_F(spec, n)
-    expected = (Q * P) ** 2 + 0.5j * hbar * F * (2 * Q) * (2 * P) \
-        - (hbar**2 / 4.0) * F**2 * 4.0
-    assert np.max(np.abs(out.values - expected)) <= 1e-12
+def test_fstar_identity_truncates_moyal_second_order_term(grid):
+    # q^2 * p^2 = q^2 p^2 + 2 i hbar q p - hbar^2 / 2 under Moyal's product; at
+    # f = 1 the f-star product keeps the first two terms, so the difference to
+    # moyal_exact is the dropped +hbar^2 / 2 = 0.5 at every sample (hbar = 1)
+    k2, p2 = parse_symbol("q^2"), parse_symbol("p^2")
+    out = fstar_apply(field_from_poly(k2, grid), field_from_poly(p2, grid), identity_spec())
+    exact = moyal_exact(k2, p2, grid.hbar).eval_grid(*grid.axes())
+    assert grid.hbar == 1.0
+    assert np.max(np.abs(out.values - exact - 0.5)) <= 1e-12
 
 
 def test_fstar_jet_partials_match_polynomial_truth(grid):
@@ -203,12 +202,3 @@ def test_commutator_identity_ladder(grid):
     abar = field_from_poly(creation_symbol(), grid)
     out = star_commutator(a, abar, identity_spec(), hbar=0.7)
     assert np.max(np.abs(out.values - 1.0)) <= 1e-10
-
-
-def test_commutator_second_order_term_cancels(grid):
-    spec = qdef_spec(1.2)
-    k = field_from_poly(parse_symbol("q^2"), grid)
-    g = field_from_poly(parse_symbol("p^2"), grid)
-    first = star_commutator(k, g, spec, order="first")
-    second = star_commutator(k, g, spec, order="second")
-    assert np.max(np.abs(first.values - second.values)) <= 1e-11
