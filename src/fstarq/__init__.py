@@ -12,7 +12,7 @@ from .deformation import (DeformationSpec, FFactorialTable, SpectrumRow,
                           normalization_Nf, parse_deformation, qdef_spec,
                           registry_specs, spec_to_text, spectrum, sqrt_n_spec)
 from .errors import (FStarError, NonPositiveValue, OutOfRange, ParseError,
-                     ProfileUnavailable, SeriesDivergence, SingularAmplitude)
+                     SeriesDivergence, SingularAmplitude)
 from .genvalue import (AssocScaling, HamiltonianField, ResidualReport, Witness,
                        associativity_defect, bracket_term, build_hamiltonian,
                        commutator_deviation, commutator_report, energy_level,
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AssocScaling", "DeformationSpec", "FFactorialTable",
     "FStarError", "Field", "HamiltonianField", "NonPositiveValue", "OutOfRange",
-    "ParseError", "PhaseGrid", "PolySymbol", "ProfileUnavailable",
-    "ResidualReport", "SeriesDivergence", "SingularAmplitude", "SpectrumRow",
+    "ParseError", "PhaseGrid", "PolySymbol", "ResidualReport",
+    "SeriesDivergence", "SingularAmplitude", "SpectrumRow",
     "WignerWeights", "Witness", "amplitude_F", "amplitude_F_deriv",
     "annihilation_symbol", "associativity_defect", "bracket_term",
     "build_f_factorial_table", "build_hamiltonian", "canonical_json",

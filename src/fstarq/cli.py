@@ -102,12 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
 
+    # the mixture flags default to None, so config_from_args can tell they were given
     sp = sub.add_parser("wigner", help="Wigner field as CSV")
     add_common(sp)
-    sp.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
+    sp.set_defaults(spec=None)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="series truncation tolerance (default 1e-14)")
     sp.add_argument("--n", type=int, default=None,
-                    help="number state (omits the coherent mixture)")
-    sp.add_argument("--zeta2", type=float, default=1.0, dest="zeta_abs2",
+                    help="number state (omits the coherent mixture and refuses its flags)")
+    sp.add_argument("--zeta2", type=float, default=None, dest="zeta_abs2",
                     help="|zeta|^2 of the coherent mixture (default 1.0)")
 
     sp = sub.add_parser("residual", help="star-genvalue residual report as JSON")
@@ -134,6 +137,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         return RunConfig(command="verify", spec=DeformationSpec("identity"),
                          grid=PhaseGrid(-8, 8, -8, 8, 513, 513), quick=args.quick,
                          out=args.out)
+    if args.command == "wigner":  # the coherent-mixture flags, with their defaults
+        for flag, name, default in (("--spec", "spec", "identity"), ("--zeta2", "zeta_abs2", 1.0),
+                                    ("--tol", "tol", 1e-14)):
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif args.n is not None:
+                raise ConfigError(f"{flag}: a number state's W_n does not depend on f; "
+                                  "give it without --n")
     try:
         spec = parse_deformation(args.spec)
     except ParseError as exc:

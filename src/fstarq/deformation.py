@@ -345,13 +345,20 @@ class SpectrumRow:
     energy: float
 
 
+def require_positive(name: str, value: float) -> float:
+    """value, once 0 < value < inf; NaN and inf fail with a ValueError naming it."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite real")
+    return value
+
+
 def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
              omega: float = 1.0) -> list[SpectrumRow]:
     """Level energies E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2), n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if hbar <= 0 or omega <= 0:
-        raise ValueError("hbar and omega must be > 0")
+    require_positive("hbar", hbar)
+    require_positive("omega", omega)
     ns = np.arange(0, n_max + 1, dtype=float)
     eval_f(spec, np.arange(0, n_max + 2, dtype=float))  # NonPositiveValue names the bad n
     # assembled via the commutator target plus 2 n f(n)^2; the genvalue module

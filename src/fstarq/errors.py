@@ -35,7 +35,3 @@ class SeriesDivergence(FStarError):
 
 class OutOfRange(FStarError):
     """Index exceeds a precomputed table."""
-
-
-class ProfileUnavailable(FStarError):
-    """Analytic radial derivatives requested on a field without a registered profile."""

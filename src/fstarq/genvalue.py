@@ -16,15 +16,15 @@ first-order f-star equation is measured and reported, not asserted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .deformation import (DeformationSpec, commutator_target, deriv_f,
-                          eval_f, f_squared, f_squared_deriv, spec_to_text, spectrum)
+from .deformation import (DeformationSpec, commutator_target, deriv_f, eval_f,
+                          f_squared, f_squared_deriv, require_positive, spec_to_text,
+                          spectrum)
 from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, default_grid,
-                         fock_wigner, integrate, mesh, partial_field)
+                         fock_wigner, integrate, mesh)
 from .starproduct import ProductSetup, fstar_apply, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
@@ -93,8 +93,7 @@ class HamiltonianField:
 def build_hamiltonian(spec: DeformationSpec, grid: PhaseGrid,
                       omega: float = 1.0) -> HamiltonianField:
     """Sample the deformed Hamiltonian on a grid, with analytic derivatives."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
+    require_positive("omega", omega)
     structure = AnalyticStructure(HamiltonianProfile(spec, grid.hbar, omega),
                                   scale=2.0 * grid.hbar)
     label = f"H[{spec_to_text(spec)}]"
@@ -180,8 +179,8 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not 0.0 < r_cut < math.inf:
-        raise ValueError("r_cut must be a positive finite real")
+    require_positive("omega", omega)
+    require_positive("r_cut", r_cut)
     if grid is None:
         grid = default_grid()
     hbar = grid.hbar
@@ -214,14 +213,9 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
 
 def bracket_term(h: Field, w: Field, spec: DeformationSpec,
                  hbar: float | None = None) -> Field:
-    """(i hbar / 2) F(n) (dh/dq dw/dp - dh/dp dw/dq), analytic where possible."""
-    s = ProductSetup((h, w), spec, hbar)
-    hq = partial_field(h, 1, 0)
-    hp = partial_field(h, 0, 1)
-    wq = partial_field(w, 1, 0)
-    wp = partial_field(w, 0, 1)
-    vals = (0.5j * s.hbar) * s.F * (hq * wp - hp * wq)
-    return Field(s.grid, vals, label=f"bracket({h.label}, {w.label})")
+    """(i hbar / 2) F(n) {h, w} as a field (``ProductSetup.bracket``), analytic where possible."""
+    return Field(h.grid, ProductSetup(h.grid, spec, hbar).bracket(h, w),
+                 label=f"bracket({h.label}, {w.label})")
 
 
 def commutator_deviation(spec: DeformationSpec,
@@ -237,7 +231,7 @@ def commutator_deviation(spec: DeformationSpec,
         grid = default_grid()
     hbar = grid.hbar
     A, Abar = ladder_fields(spec, grid)
-    s = ProductSetup((A, Abar), spec, hbar)
+    s = ProductSetup(grid, spec, hbar)
     comm = s.commutator(A, Abar)
     Q, P = mesh(grid)
     nfield = (Q * Q + P * P) / (2.0 * hbar)
@@ -309,7 +303,7 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
             right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
             diff = (left - right).eval_grid(q, p)
         else:
-            s = ProductSetup((k, g, h), spec, hbar, jet_order=1)
+            s = ProductSetup(grid, spec, hbar, jets=True)
             kg = s.product(k, g, jets=True)
             gh = s.product(g, h, jets=True)
             diff = s.product(kg, h).values - s.product(k, gh).values

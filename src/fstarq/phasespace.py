@@ -1,7 +1,8 @@
 """Phase-space grids, fields, Wigner functions, derivatives, quadrature.
 
 Fields are complex arrays sampled on a rectangular (q, p) grid.
-``partial_field`` serves each partial from the first source that has it:
+``partial_field`` is the one route to a derivative (``gradient`` pairs its
+two first partials); it serves each partial from the first source that has it:
 
 * known partials -- seeded with precomputed partials (the product-rule
   jets of an f-star product); every partial computed later joins them;
@@ -22,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .deformation import DeformationSpec, series_terms, spec_to_text
-from .errors import ProfileUnavailable
+from .deformation import DeformationSpec, require_positive, series_terms, spec_to_text
 from .symbols import PolySymbol
 
 # ---------------------------------------------------------------------------
@@ -57,8 +57,7 @@ class PhaseGrid:
         if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)
                 and math.isfinite(self.p_min) and math.isfinite(self.p_max)):
             raise ValueError("grid bounds must be finite")
-        if self.hbar <= 0 or not math.isfinite(self.hbar):
-            raise ValueError("hbar must be a positive finite real")
+        require_positive("hbar", self.hbar)
         if self.offset != 0.0 and (0.0 in self.q_values()) and (0.0 in self.p_values()):
             raise ValueError("offset grid still hits the exact origin; adjust bounds")
 
@@ -208,10 +207,6 @@ class AnalyticStructure:
         self.terms = terms if terms is not None else {0: PolySymbol.constant(1.0)}
 
     @property
-    def is_radial(self) -> bool:
-        return all(c.is_constant() for c in self.terms.values())
-
-    @property
     def order_needed(self) -> int:
         return max(self.terms, default=0)
 
@@ -356,32 +351,9 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     return arr
 
 
-def derivative(field: Field, axis: int, method: str = "fd4") -> Field:
-    """First derivative of a field along one axis (0: d/dq, 1: d/dp).
-
-    ``fd4``: 4th-order stencils (one-sided at the boundary rows).
-    ``analytic_radial``: exact chain rule through the registered radial
-    profile; raises ProfileUnavailable when the field has none.
-    """
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 (q) or 1 (p), got {axis!r}")
-    grid = field.grid
-    label = f"d({field.label})/d{'qp'[axis]}"
-    if method == "fd4":
-        h = grid.dq if axis == 0 else grid.dp
-        return Field(grid, _fd4_axis(field.values, h, axis), label=label)
-    if method == "analytic_radial":
-        if field.analytic is None or not field.analytic.is_radial:
-            raise ProfileUnavailable(
-                f"field {field.label!r} has no registered radial profile")
-        structure = field.analytic.partial(axis)
-        return Field(grid, structure.evaluate(grid), label=label, analytic=structure)
-    raise ValueError(f"unknown gradient method {method!r}")
-
-
-def gradient(field: Field, method: str = "fd4") -> tuple[Field, Field]:
-    """Gradient (d/dq, d/dp) of a field; see ``derivative`` for the methods."""
-    return derivative(field, 0, method), derivative(field, 1, method)
+def gradient(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dq, d/dp) of the samples, each from ``partial_field``."""
+    return partial_field(field, 1, 0), partial_field(field, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ with n = (q^2 + p^2) / (2 hbar) evaluated pointwise and {.,.} the Poisson
 bracket.  At f = 1 (F = 1) it is Moyal's product without its hbar^2 and
 higher terms.
 
-Products can optionally propagate exact first partials of the result
-("jets") when the operands supply exact second partials; nested products
-in the associativity study rely on this to stay above the fd4 noise floor.
-The jets seed the result's known partials, which ``partial_field`` serves.
-``ProductSetup`` validates the options of ``fstar_apply``, ``star_commutator``
-and ``genvalue.bracket_term`` in one place, and one setup samples F(n) once
-for every product taken at its (spec, grid, hbar).
+``ProductSetup(grid, spec, hbar)`` samples F(n) once for every product taken
+through it and holds the one copy of the bracket term, ``bracket``, which
+``product`` and ``genvalue.bracket_term`` share.  A setup built with
+``jets=True`` also samples the gradient of F, so that ``product(k, g,
+jets=True)`` can attach exact first partials of the result ("jets") from the
+operands' exact second partials; nested products in the associativity study
+rely on this to stay above the fd4 noise floor.  The jets seed the result's
+known partials, which ``partial_field`` serves.
 """
 
 from __future__ import annotations
@@ -25,18 +26,9 @@ import math
 
 import numpy as np
 
-from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv
+from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
 from .phasespace import Field, mesh, partial_field
 from .symbols import PolySymbol
-
-
-def _checked_hbar(grid, hbar: float | None) -> float:
-    """hbar, or the grid's when None, once it is a positive finite real."""
-    if hbar is None:
-        hbar = grid.hbar
-    if not 0.0 < hbar < math.inf:
-        raise ValueError("hbar must be a positive finite real")
-    return hbar
 
 
 def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
@@ -46,7 +38,7 @@ def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
     available source (analytic profile preferred, else fd4 stencils).
     """
     grid = w.grid
-    hbar = _checked_hbar(grid, hbar)
+    hbar = require_positive("hbar", grid.hbar if hbar is None else hbar)
     q, p = grid.axes()
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
     for m in range(h.degree + 1):
@@ -63,76 +55,65 @@ def moyal_apply(h: PolySymbol, w: Field, hbar: float | None = None) -> Field:
 
 class ProductSetup:
     """Validated options of f-star products among fields on one grid, with F(n)
-    (and, for jet_order=1, its gradient) sampled once for every product taken
+    (and, when jets=True, its gradient) sampled once for every product taken
     through the setup; whether a product propagates jets is chosen per product."""
 
-    def __init__(self, fields, spec: DeformationSpec, hbar: float | None = None,
-                 jet_order: int = 0):
-        grid = fields[0].grid
-        if any(f.grid != grid for f in fields):
-            raise ValueError("fields must share a grid")
-        hbar = _checked_hbar(grid, hbar)
-        if jet_order not in (0, 1):
-            raise ValueError("jet_order must be 0 or 1")
+    def __init__(self, grid, spec: DeformationSpec, hbar: float | None = None,
+                 jets: bool = False):
+        hbar = require_positive("hbar", grid.hbar if hbar is None else hbar)
         self.grid = grid
         self.hbar = hbar
         Q, P = mesh(grid)
         n = (Q * Q + P * P) / (2.0 * hbar)
         self.F = amplitude_F(spec, n)
         self.Fq = self.Fp = None
-        if jet_order:
+        if jets:
             dF = amplitude_F_deriv(spec, n)
             self.Fq = dF * Q / hbar
             self.Fp = dF * P / hbar
 
-    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
-        """k *_f g; jets=True attaches its exact first partials."""
+    def _bracket(self, k: Field, g: Field):
+        """The bracket term, the Poisson bracket {k, g} and the operands' first partials."""
         if k.grid != self.grid or g.grid != self.grid:
             raise ValueError("fields must share the setup's grid")
+        kq, kp, gq, gp = (partial_field(f, *key) for f in (k, g) for key in ((1, 0), (0, 1)))
+        poisson = kq * gp - kp * gq
+        return (0.5j * self.hbar) * self.F * poisson, poisson, (kq, kp, gq, gp)
+
+    def bracket(self, k: Field, g: Field) -> np.ndarray:
+        """(i hbar / 2) F(n) {k, g}, the first-order term of k *_f g."""
+        return self._bracket(k, g)[0]
+
+    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
+        """k *_f g; jets=True attaches its exact first partials."""
         if jets and self.Fq is None:
-            raise ValueError("jets need a setup built with jet_order=1")
-        hbar = self.hbar
+            raise ValueError("jets need a setup built with jets=True")
+        term, poisson, (kq, kp, gq, gp) = self._bracket(k, g)
         kv, gv = k.values, g.values
-        kq = partial_field(k, 1, 0)
-        kp = partial_field(k, 0, 1)
-        gq = partial_field(g, 1, 0)
-        gp = partial_field(g, 0, 1)
-        bracket = kq * gp - kp * gq
-        out = kv * gv + (0.5j * hbar) * self.F * bracket
+        out = kv * gv + term
         partials = None
         if jets:
             kqq, kqp, kpp, gqq, gqp, gpp = (partial_field(f, *key) for f in (k, g)
                                             for key in ((2, 0), (1, 1), (0, 2)))
             br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
             br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
-            d_q = kq * gv + kv * gq + (0.5j * hbar) * (self.Fq * bracket + self.F * br_q)
-            d_p = kp * gv + kv * gp + (0.5j * hbar) * (self.Fp * bracket + self.F * br_p)
+            d_q = kq * gv + kv * gq + (0.5j * self.hbar) * (self.Fq * poisson + self.F * br_q)
+            d_p = kp * gv + kv * gp + (0.5j * self.hbar) * (self.Fp * poisson + self.F * br_p)
             partials = {(1, 0): d_q, (0, 1): d_p}
         return Field(self.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
 
-    def commutator(self, k: Field, g: Field, jets: bool = False) -> Field:
+    def commutator(self, k: Field, g: Field) -> Field:
         """(k *_f g - g *_f k) / hbar."""
-        kg = self.product(k, g, jets)
-        gk = self.product(g, k, jets)
-        partials = None
-        if jets:
-            partials = {key: (partial_field(kg, *key) - partial_field(gk, *key)) / self.hbar
-                        for key in ((1, 0), (0, 1))}
-        return Field(self.grid, (kg.values - gk.values) / self.hbar,
-                     label=f"[{k.label}, {g.label}]_f / hbar", partials=partials)
+        diff = self.product(k, g).values - self.product(g, k).values
+        return Field(self.grid, diff / self.hbar, label=f"[{k.label}, {g.label}]_f / hbar")
 
 
-def fstar_apply(k: Field, g: Field, spec: DeformationSpec, hbar: float | None = None,
-                jet_order: int = 0) -> Field:
-    """Truncated f-star product of two fields sharing a grid.
-
-    jet_order=1 additionally attaches exact first partials of the result,
-    computed by the product rule from the operands' second partials.
-    """
-    return ProductSetup((k, g), spec, hbar, jet_order).product(k, g, bool(jet_order))
+def fstar_apply(k: Field, g: Field, spec: DeformationSpec, hbar: float | None = None) -> Field:
+    """Truncated f-star product of two fields sharing a grid."""
+    return ProductSetup(k.grid, spec, hbar).product(k, g)
 
 
 def star_commutator(k: Field, g: Field, spec: DeformationSpec,
-                    hbar: float | None = None, jet_order: int = 0) -> Field:
+                    hbar: float | None = None) -> Field:
     """(k *_f g - g *_f k) / hbar."""
-    return ProductSetup((k, g), spec, hbar, jet_order).commutator(k, g, bool(jet_order))
+    return ProductSetup(k.grid, spec, hbar).commutator(k, g)

@@ -16,8 +16,8 @@ import numpy as np
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
 from .genvalue import (associativity_defect, build_hamiltonian, commutator_report,
                        genvalue_residual)
-from .phasespace import (PhaseGrid, derivative, fcs_wigner, field_from_poly, fock_wigner,
-                         integrate, mesh, partial_field)
+from .phasespace import (PhaseGrid, fcs_wigner, field_from_poly, field_from_values,
+                         fock_wigner, integrate, mesh, partial_field)
 from .starproduct import ProductSetup, moyal_apply
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
@@ -91,7 +91,7 @@ def check_imag_vanishing(quick: bool) -> dict:
             ham = build_hamiltonian(spec, grid)
             partial_field(ham.field, 1, 0)
             partial_field(ham.field, 0, 1)
-            setup = ProductSetup((ham.field,), spec)
+            setup = ProductSetup(grid, spec)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             vals = list(pool.map(lambda n: imag_of(ham, setup, n), range(n_top + 1)))
         local = max(vals)
@@ -184,14 +184,15 @@ def check_spectrum_closed_form(quick: bool) -> dict:
 def check_derivative_crosscheck(quick: bool) -> dict:
     # fd4 truncation is (h^4/30) |d^5 W_4| with max |d^5 W_4| ~ 5.28e3 on [-6,6]^2,
     # so the differentiated axis needs h <= 8.7e-3 to get under 1e-6:
-    # 1537 samples there (h = 1/128, floor ~6.6e-7), 65 across it.
+    # 1537 samples there (h = 1/128, floor ~6.6e-7), 65 across it.  A samples-only
+    # copy of W_4 has no derivative metadata, so partial_field takes fd4 on it.
     worst = 0.0
-    for axis in (0, 1):
-        n_q, n_p = (1537, 65) if axis == 0 else (65, 1537)
+    for key in ((1, 0), (0, 1)):
+        n_q, n_p = (1537, 65) if key == (1, 0) else (65, 1537)
         grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p, hbar=1.0, offset=0.5)
         w4 = fock_wigner(4, grid)
-        diff = (derivative(w4, axis, "fd4").values
-                - derivative(w4, axis, "analytic_radial").values)
+        diff = (partial_field(field_from_values(grid, w4.values), *key)
+                - partial_field(w4, *key))
         worst = max(worst, float(np.abs(diff[2:-2, 2:-2]).max()))
     return _check("derivative_crosscheck", worst, 1e-6,
                   detail="W_4 on [-6,6]^2, h = 1/128 along the differentiated axis "

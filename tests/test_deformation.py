@@ -177,6 +177,14 @@ def test_spectrum_rejects_nonpositive_f(text, n_max, bad_n):
         spectrum(parse_deformation(text), n_max)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["hbar", "omega"])
+def test_spectrum_rejects_nonfinite_hbar_and_omega(name, value):
+    # NaN passes a plain "<= 0" test and would come back as energy = nan
+    with pytest.raises(ValueError, match=f"^{name} must be a positive finite real$"):
+        spectrum(identity_spec(), 1, **{"hbar": 1.0, "omega": 1.0, name: value})
+
+
 def test_expr_derivatives_are_symbolic():
     spec = expr_spec("sqrt(1+0.1*n)")
     n = 4.0

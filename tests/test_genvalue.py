@@ -11,6 +11,7 @@ from fstarq import (NonPositiveValue, PhaseGrid, PolySymbol, associativity_defec
                     field_from_poly, fock_wigner, fstar_apply, genvalue_residual,
                     identity_spec, integrate, ladder_fields, mesh, parse_symbol,
                     qdef_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec)
+from fstarq import genvalue
 from fstarq.phasespace import partial_field, field_from_values
 from fstarq.starproduct import ProductSetup
 from fstarq.verify import check_imag_vanishing
@@ -155,6 +156,21 @@ def test_residual_rejects_bad_r_cut(r_cut):
         genvalue_residual(identity_spec(), 1, PhaseGrid(-2, 2, -2, 2, 17, 17), r_cut=r_cut)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_nonfinite_omega_is_refused_before_grid_work(monkeypatch, omega):
+    # named up front; a NaN omega would otherwise fail late, at "field values must be finite"
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work before the omega check")
+    for name in ("AnalyticStructure", "fock_wigner", "default_grid"):
+        monkeypatch.setattr(genvalue, name, no_grid_work)
+    grid = PhaseGrid(-2, 2, -2, 2, 17, 17)
+    with pytest.raises(ValueError, match="^omega must be a positive finite real$"):
+        build_hamiltonian(identity_spec(), grid, omega=omega)
+    for g in (grid, None):
+        with pytest.raises(ValueError, match="^omega must be a positive finite real$"):
+            genvalue_residual(identity_spec(), 1, g, omega=omega)
+
+
 def test_residual_refuses_a_disc_without_samples():
     # the nearest sample of this grid lies 0.18 from the origin
     grid = PhaseGrid(-2, 2, -2, 2, 17, 17)
@@ -231,7 +247,7 @@ def test_shared_setup_is_only_read_by_pool_threads():
     ham = build_hamiltonian(spec, grid)
     partial_field(ham.field, 1, 0)
     partial_field(ham.field, 0, 1)
-    setup = ProductSetup((ham.field,), spec)
+    setup = ProductSetup(grid, spec)
     known = dict(ham.field._cache)
     F = setup.F.copy()
     serial = [setup.product(ham.field, fock_wigner(n, grid)).values.tobytes()
@@ -295,8 +311,8 @@ def test_associativity_shared_setup_matches_independent_products(grid257, spec):
     expected = []
     for hbar in hbars:
         k, g, h = assoc_operands(grid257)
-        kg = fstar_apply(k, g, spec, hbar, jet_order=1)
-        gh = fstar_apply(g, h, spec, hbar, jet_order=1)
+        kg = ProductSetup(grid257, spec, hbar, jets=True).product(k, g, jets=True)
+        gh = ProductSetup(grid257, spec, hbar, jets=True).product(g, h, jets=True)
         diff = fstar_apply(kg, h, spec, hbar).values - fstar_apply(k, gh, spec, hbar).values
         expected.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2)
                                              * grid257.dq * grid257.dp))))

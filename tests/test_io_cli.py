@@ -203,6 +203,18 @@ def test_cli_wigner_fock(tmp_path):
     assert field.grid.n_q == 65
 
 
+@pytest.mark.parametrize("flag, value", [("--spec", "sqrt_n"), ("--zeta2", "3"),
+                                         ("--tol", "0.5")])
+def test_cli_wigner_number_state_refuses_mixture_flags(tmp_path, capsys, flag, value):
+    # W_n does not depend on f, so the number state would drop these flags unseen
+    path = tmp_path / "w.csv"
+    assert run_cli("wigner", "--n", "2", flag, value, "--grid=-4,4,-4,4,17,17",
+                   "--out", str(path)) == 2
+    assert capsys.readouterr().err == (f"error: {flag}: a number state's W_n does not "
+                                       "depend on f; give it without --n\n")
+    assert not path.exists()
+
+
 def test_cli_wigner_coherent(tmp_path):
     path = tmp_path / "wf.csv"
     code = run_cli("wigner", "--spec", "qdef:q=1.2", "--zeta2", "0.5",

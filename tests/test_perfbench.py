@@ -1,15 +1,31 @@
-"""Smoke tests of the benchmark.  One traced diagnostics deck must run, pass
-its output checks, move no reported number, and see no fd4 fallback; the
-tracer wraps fstarq's layers by name, so a rename in the package shows up
-here.  One untraced field-io deck must write the reference CSV bytes and
-read them back bit-exact."""
+"""Smoke tests of the benchmark.  The names the tracer wraps, and those
+fstarq exports, must resolve on the package, so that a rename fails here
+with the name and not inside a deck.  One traced diagnostics deck must run,
+pass its output checks, move no reported number, and see no fd4 fallback.
+One untraced field-io deck must write the reference CSV bytes and read them
+back bit-exact."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
 
+import fstarq
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_traced_and_exported_names_resolve():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # reads the lists; installs nothing
+    missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.FUNCTIONS
+               if not hasattr(getattr(fstarq, mod, None), attr)]
+    missing += [f"{mod}.{cls}.{meth}" for mod, cls, meth, _ in tracing.METHODS
+                if not hasattr(getattr(getattr(fstarq, mod, None), cls, None), meth)]
+    missing += [name for name in fstarq.__all__ if not hasattr(fstarq, name)]
+    assert missing == []
 
 
 def test_traced_diagnostics_deck(tmp_path):

@@ -6,13 +6,12 @@ from scipy.special import eval_laguerre
 
 from fstarq import (Field, PhaseGrid, PolySymbol, default_grid, fcs_wigner,
                     field_from_function, field_from_poly, field_from_values,
-                    fock_wigner, fstar_apply, gradient, identity_spec, integrate,
-                    laguerre, mesh, moyal_apply, parse_symbol, partial_field,
-                    qdef_spec, registry_specs, spec_to_text, sqrt_n_spec,
-                    wigner_weights)
-from fstarq.errors import ProfileUnavailable
+                    fock_wigner, gradient, identity_spec, integrate, laguerre, mesh,
+                    moyal_apply, parse_symbol, partial_field, qdef_spec, registry_specs,
+                    spec_to_text, sqrt_n_spec, wigner_weights)
 from fstarq.genvalue import HamiltonianProfile
-from fstarq.phasespace import AnalyticStructure, FockWignerProfile, derivative, laguerre_series
+from fstarq.phasespace import AnalyticStructure, FockWignerProfile, _fd4_axis, laguerre_series
+from fstarq.starproduct import ProductSetup
 
 REGISTRY = registry_specs()
 REGISTRY_IDS = [spec_to_text(s) for s in REGISTRY]
@@ -154,68 +153,59 @@ def test_integrate_is_complex():
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# gradients: partial_field is the one route; a samples-only field gets fd4
 
 
 def test_fd4_exact_on_linear(grid257):
     f = field_from_values(grid257, mesh(grid257)[0] + 0j)  # plain samples of q
-    gq, gp = gradient(f, "fd4")
-    assert np.max(np.abs(gq.values - 1.0)) <= 1e-12
-    assert np.max(np.abs(gp.values)) <= 1e-12
+    gq, gp = gradient(f)
+    assert np.max(np.abs(gq - 1.0)) <= 1e-12
+    assert np.max(np.abs(gp)) <= 1e-12
 
 
 def test_fd4_needs_five_points():
     g = PhaseGrid(-1, 1, -1, 1, 4, 9)
     f = field_from_values(g, np.zeros((4, 9)))
     with pytest.raises(ValueError):
-        gradient(f, "fd4")
+        gradient(f)
 
 
 def test_analytic_gradient_of_vacuum(origin_grid):
     # d/dq [2 e^{-(q^2+p^2)}] = -4 q e^{-(q^2+p^2)}; at (1, 0) this is -4/e
     w0 = fock_wigner(0, origin_grid)
-    gq, _ = gradient(w0, "analytic_radial")
+    gq, _ = gradient(w0)
     iq = list(origin_grid.q_values()).index(1.0)
     ip = list(origin_grid.p_values()).index(0.0)
-    assert gq.values[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-13)
+    assert gq[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-13)
     # fd4 agrees at its truncation level on this coarse (dq = 1/16) grid
-    fq, _ = gradient(w0, "fd4")
-    assert fq.values[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-4)
+    fq, _ = gradient(field_from_values(origin_grid, w0.values))
+    assert fq[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-4)
 
 
-def test_profile_unavailable():
-    g = PhaseGrid(-2, 2, -2, 2, 17, 17)
-    f = field_from_values(g, np.zeros((17, 17)))
-    with pytest.raises(ProfileUnavailable):
-        gradient(f, "analytic_radial")
-    with pytest.raises(ValueError):
-        gradient(f, "bogus")
-
-
-def test_derivative_is_one_gradient_component():
+def test_partial_field_sources_match_fd4_and_the_profile_bitwise():
+    # a samples-only copy gets the bare fd4 stencil, and the Wigner field the
+    # chain rule through its profile, bit for bit
     g = PhaseGrid(-6, 6, -6, 6, 97, 33, offset=0.5)
     w4 = fock_wigner(4, g)
-    for method in ("fd4", "analytic_radial"):
-        pair = gradient(w4, method)
-        for axis in (0, 1):
-            d = derivative(w4, axis, method)
-            assert np.array_equal(d.values, pair[axis].values)
-            assert d.label == pair[axis].label
-    with pytest.raises(ValueError):
-        derivative(w4, 2, "fd4")
+    raw = field_from_values(g, w4.values)
+    for axis, key, h in ((0, (1, 0), g.dq), (1, (0, 1), g.dp)):
+        assert _same_bits(partial_field(raw, *key), _fd4_axis(w4.values, h, axis))
+        assert _same_bits(partial_field(w4, *key), w4.analytic.partial(axis).evaluate(g))
+    gq, gp = gradient(w4)
+    assert gq is partial_field(w4, 1, 0) and gp is partial_field(w4, 0, 1)
 
 
 def test_fd4_vs_analytic_crosscheck_is_fourth_order():
-    # the two methods agree at the fd4 truncation level, which shrinks 16x
+    # the two sources agree at the fd4 truncation level, which shrinks 16x
     # per grid halving (confirming the stencil order)
     def crosscheck(n_samples):
         g = PhaseGrid(-6, 6, -6, 6, n_samples, n_samples, offset=0.5)
         w4 = fock_wigner(4, g)
-        fq, fp = gradient(w4, "fd4")
-        aq, ap = gradient(w4, "analytic_radial")
+        fq, fp = gradient(field_from_values(g, w4.values))
+        aq, ap = gradient(w4)
         inner = np.s_[2:-2, 2:-2]
-        return max(float(np.max(np.abs((fq.values - aq.values)[inner]))),
-                   float(np.max(np.abs((fp.values - ap.values)[inner]))))
+        return max(float(np.max(np.abs((fq - aq)[inner]))),
+                   float(np.max(np.abs((fp - ap)[inner]))))
 
     d257 = crosscheck(257)
     d513 = crosscheck(513)
@@ -306,10 +296,9 @@ def test_field_finite_guard(grid257):
 
 def test_analytic_structure_radial_flag(grid257):
     w = fock_wigner(2, grid257)
-    assert w.analytic.is_radial
-    assert not w.analytic.partial(0).is_radial
     sq = w.analytic.partial(0)
     assert isinstance(sq, AnalyticStructure)
+    assert set(sq.terms) == {1}  # the chain rule lifts w to w', times 2q / scale
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +339,7 @@ def test_radial_derivatives_computed_once_per_key(grid257):
     # six partials of W_3, orders 0..2 of its profile
     moyal_apply(PolySymbol({(2, 0): 0.5, (0, 2): 0.5}), w)
     # jets ask for the second partials of both operands too
-    fstar_apply(h, w, spec, jet_order=1)
+    ProductSetup(grid257, spec, jets=True).product(h, w, jets=True)
     assert sorted(fock.orders) == [0, 1, 2]
     assert sorted(ham.orders) == [0, 1, 2]
     Q, P = mesh(grid257)

@@ -117,18 +117,18 @@ def test_fstar_grid_mismatch(grid):
 def test_fstar_invalid_options(grid):
     k = field_from_poly(PolySymbol.q(), grid)
     bad_hbar = [{"hbar": -1.0}, {"hbar": 0.0}, {"hbar": math.nan}]
-    bad_product = bad_hbar + [{"jet_order": 2}]
-    for entry, cases in ((fstar_apply, bad_product), (star_commutator, bad_product),
-                         (bracket_term, bad_hbar)):
-        for kwargs in cases:
+    for entry in (fstar_apply, star_commutator, bracket_term):
+        for kwargs in bad_hbar:
             with pytest.raises(ValueError):
                 entry(k, k, identity_spec(), **kwargs)
-    # the product is first order only; the removed order option is not accepted
-    for entry in (fstar_apply, star_commutator):
+    # the product is first order only, and only a setup chooses jets: the
+    # removed order and jet_order options are not accepted
+    for option in ({"order": "first"}, {"jet_order": 1}):
+        for entry in (fstar_apply, star_commutator):
+            with pytest.raises(TypeError, match="order"):
+                entry(k, k, identity_spec(), **option)
         with pytest.raises(TypeError, match="order"):
-            entry(k, k, identity_spec(), order="first")
-    with pytest.raises(TypeError, match="order"):
-        ProductSetup((k,), identity_spec(), order="first")
+            ProductSetup(grid, identity_spec(), **option)
     for kwargs in bad_hbar:
         with pytest.raises(ValueError, match="hbar must be a positive finite real"):
             moyal_apply(PolySymbol.q(), k, **kwargs)
@@ -137,11 +137,25 @@ def test_fstar_invalid_options(grid):
 def test_shared_setup_refuses_foreign_grid_and_missing_jets(grid):
     k = field_from_poly(PolySymbol.q(), grid)
     other = field_from_poly(PolySymbol.p(), PhaseGrid(-2, 2, -2, 2, 17, 17))
-    setup = ProductSetup((k,), identity_spec())
+    setup = ProductSetup(grid, identity_spec())
     with pytest.raises(ValueError, match="setup's grid"):
         setup.product(k, other)
-    with pytest.raises(ValueError, match="jet_order=1"):
+    with pytest.raises(ValueError, match="setup's grid"):
+        setup.bracket(other, k)
+    with pytest.raises(ValueError, match="jets=True"):
         setup.product(k, k, jets=True)
+
+
+def test_product_and_bracket_term_share_the_setup_bracket(grid):
+    # k *_f g is k g plus ProductSetup.bracket, and bracket_term is that bracket
+    spec = sqrt_n_spec()
+    k = field_from_poly(parse_symbol("q^2 + p"), grid)
+    g = field_from_poly(parse_symbol("q*p"), grid)
+    setup = ProductSetup(grid, spec, 0.5)
+    term = setup.bracket(k, g)
+    assert (setup.product(k, g).values.tobytes()
+            == (k.values * g.values + term).tobytes())
+    assert bracket_term(k, g, spec, 0.5).values.tobytes() == term.tobytes()
 
 
 def test_fstar_identity_truncates_moyal_second_order_term(grid):
@@ -159,7 +173,7 @@ def test_fstar_jet_partials_match_polynomial_truth(grid):
     # identity spec on q, p: the product is qp + i hbar/2, whose gradient is (p, q)
     k = field_from_poly(PolySymbol.q(), grid)
     g = field_from_poly(PolySymbol.p(), grid)
-    out = fstar_apply(k, g, identity_spec(), jet_order=1)
+    out = ProductSetup(grid, identity_spec(), jets=True).product(k, g, jets=True)
     Q, P = mesh(grid)
     assert np.max(np.abs(partial_field(out, 1, 0) - P)) <= 1e-12
     assert np.max(np.abs(partial_field(out, 0, 1) - Q)) <= 1e-12
@@ -176,7 +190,7 @@ def test_fstar_jet_partials_match_fd(grid):
     spec = sqrt_n_spec()
     k = field_from_poly(parse_symbol("q^2 + p"), grid)
     g = field_from_poly(parse_symbol("q*p"), grid)
-    out = fstar_apply(k, g, spec, jet_order=1)
+    out = ProductSetup(grid, spec, jets=True).product(k, g, jets=True)
     raw = field_from_values(grid, out.values)
     Q, P = mesh(grid)
     mask = (Q**2 + P**2) >= 1.0
