@@ -379,10 +379,11 @@ def series_terms(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_S
     Accumulated by term ratios t_n / t_{n-1} = |zeta|^2 / (n f(n)^2), which
     stays stable where explicit factorials would overflow.
     """
-    if zeta_abs2 < 0:
-        raise ValueError("zeta_abs2 must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 <= zeta_abs2 < math.inf:
+        raise ValueError("zeta_abs2 must be a finite real >= 0")
+    require_positive("tol", tol)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     terms = [1.0]
     total = 1.0
     t = 1.0

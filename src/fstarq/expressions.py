@@ -11,6 +11,9 @@ Grammar (whitespace insensitive)::
 Parsed expressions evaluate on scalars or numpy arrays and support exact
 symbolic differentiation (used for the analytic derivative chains in the
 star-product machinery).
+
+``_Parser`` is the package's one recursive-descent parser; ``symbols``
+overrides its five build hooks to read polynomials in q, p and i.
 """
 
 from __future__ import annotations
@@ -173,8 +176,15 @@ class Call(Node):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent that builds its result only through the hooks
+    ``number``, ``name``, ``negate``, ``binary`` and ``exponent``."""
+
+    ATOM_EXPECTED = {"number", "name", "("}
+
+    def __init__(self, text: str):
+        if not text.strip():
+            raise ParseError("empty expression", 0, expected=self.ATOM_EXPECTED)
+        self.tokens = tokenize(text)
         self.i = 0
 
     def peek(self) -> Token:
@@ -192,71 +202,83 @@ class _Parser:
                              tok.pos, expected={kind})
         return self.take()
 
-    def parse(self) -> Node:
+    def parse(self):
         node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.pos, expected={"end"})
         return node
 
-    def expr(self) -> Node:
+    def expr(self):
         node = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            node = BinOp(op, node, self.term())
+            tok = self.take()
+            node = self.binary(tok, node, self.term())
         return node
 
-    def term(self) -> Node:
+    def term(self):
         node = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            node = BinOp(op, node, self.factor())
+            tok = self.take()
+            node = self.binary(tok, node, self.factor())
         return node
 
-    def factor(self) -> Node:
+    def factor(self):
         tok = self.peek()
         if tok.kind == "+":
             self.take()
             return self.factor()
         if tok.kind == "-":
             self.take()
-            return BinOp("-", Num(0.0), self.factor())
+            return self.negate(self.factor())
         return self.power()
 
-    def power(self) -> Node:
+    def power(self):
         base = self.atom()
         if self.peek().kind == "^":
             self.take()
-            return BinOp("^", base, self.factor())
+            return self.exponent(base)
         return base
 
-    def atom(self) -> Node:
+    def atom(self):
         tok = self.peek()
         if tok.kind == "number":
             self.take()
-            return Num(float(tok.text))
+            return self.number(tok)
         if tok.kind == "name":
             self.take()
-            if tok.text == "n":
-                return Var()
-            if tok.text in FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Call(tok.text, arg)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos,
-                             expected={"n", *FUNCTIONS})
+            return self.name(tok)
         if tok.kind == "(":
             self.take()
             node = self.expr()
             self.expect(")")
             return node
         raise ParseError(f"unexpected {tok.kind or 'end of input'}", tok.pos,
-                         expected={"number", "name", "("})
+                         expected=self.ATOM_EXPECTED)
+
+    def number(self, tok: Token) -> Node:
+        return Num(float(tok.text))
+
+    def name(self, tok: Token) -> Node:
+        if tok.text == "n":
+            return Var()
+        if tok.text in FUNCTIONS:
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return Call(tok.text, arg)
+        raise ParseError(f"unknown name {tok.text!r}", tok.pos, expected={"n", *FUNCTIONS})
+
+    def negate(self, node: Node) -> Node:
+        return BinOp("-", Num(0.0), node)
+
+    def binary(self, tok: Token, left: Node, right: Node) -> Node:
+        return BinOp(tok.kind, left, right)
+
+    def exponent(self, base: Node) -> Node:
+        return BinOp("^", base, self.factor())
 
 
 def parse_scalar_expr(text: str) -> Node:
     """Parse an expression in the variable n into an evaluable AST."""
-    if not text.strip():
-        raise ParseError("empty expression", 0, expected={"number", "name", "("})
-    return _Parser(tokenize(text)).parse()
+    return _Parser(text).parse()

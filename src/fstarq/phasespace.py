@@ -11,7 +11,9 @@ two first partials); it serves each partial from the first source that has it:
   coefficients c_k and a radial profile w of v = (q^2 + p^2) / scale;
   this family is closed under partial derivatives, so mixed partials of
   any order come out exact within the profile's own derivative budget; each
-  profile memoizes w^(k)(v) by (grid, scale, k) for as long as it lives;
+  profile memoizes w^(k)(v) by (grid, scale, k) for as long as it lives.
+  Number-state and coherent-state Wigner profiles share one Laguerre
+  recurrence: a number state W_n is the mixture with one-hot weights;
 * 4th-order finite-difference stencils, for everything else.
 """
 
@@ -58,6 +60,8 @@ class PhaseGrid:
                 and math.isfinite(self.p_min) and math.isfinite(self.p_max)):
             raise ValueError("grid bounds must be finite")
         require_positive("hbar", self.hbar)
+        if not math.isfinite(self.offset):
+            raise ValueError("grid offset must be finite")
         if self.offset != 0.0 and (0.0 in self.q_values()) and (0.0 in self.p_values()):
             raise ValueError("offset grid still hits the exact origin; adjust bounds")
 
@@ -99,39 +103,34 @@ def mesh(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def laguerre(n: int, x):
-    """L_n(x) by the three-term recurrence
-    (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, with L_0 = 1, L_1 = 1 - x."""
+    """L_n(x), the one-hot series of ``laguerre_series``."""
+    out = laguerre_series(0, _one_hot(n), x)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def _one_hot(n: int) -> np.ndarray:
+    """Weights 0, ..., 0, 1 that pick out the n-th term of a series."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    if n == 0:
-        out = np.ones_like(arr)
-    else:
-        lkm1 = np.ones_like(arr)
-        lk = 1.0 - arr
-        for k in range(1, n):
-            lkm1, lk = lk, ((2.0 * k + 1.0 - arr) * lk - k * lkm1) / (k + 1.0)
-        out = lk
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    weights = np.zeros(n + 1)
+    weights[n] = 1.0
+    return weights
 
 
 def laguerre_series(alpha: int, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] L_k^(alpha)(x), accumulated in one recurrence sweep."""
+    """sum_k coeffs[k] L_k^(alpha)(x), accumulated in one recurrence sweep
+    k L_k = (2k-1+alpha-x) L_{k-1} - (k-1+alpha) L_{k-2}, L_0 = 1, L_1 = 1+alpha-x.
+    Zero coefficients are skipped: adding 0 L_k to the sum changes no bit."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    if len(coeffs) == 0:
-        return out
-    lkm1 = np.ones_like(x)
-    out += coeffs[0] * lkm1
-    if len(coeffs) == 1:
-        return out
-    lk = 1.0 + alpha - x
-    out += coeffs[1] * lk
-    for k in range(1, len(coeffs) - 1):
-        lkm1, lk = lk, ((2.0 * k + 1.0 + alpha - x) * lk - (k + alpha) * lkm1) / (k + 1.0)
-        out += coeffs[k + 1] * lk
+    lk = np.ones_like(x)
+    for k, c in enumerate(coeffs):
+        if k == 1:
+            lkm1, lk = lk, 1.0 + alpha - x
+        elif k:
+            lkm1, lk = lk, ((2.0 * k - 1.0 + alpha - x) * lk - (k - 1 + alpha) * lkm1) / k
+        if c != 0:
+            out += c * lk
     return out
 
 
@@ -156,28 +155,6 @@ class RadialProfile:
         return memo[grid, scale, k]
 
 
-class FockWignerProfile(RadialProfile):
-    """w(v) = 2 (-1)^n e^{-v} L_n(2v); derivatives of every order."""
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        self.n = n
-
-    def deriv(self, v: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return 2.0 * (-1.0) ** self.n * np.exp(-v) * laguerre(self.n, 2.0 * v)
-        # d^m/dv^m [e^{-v} L_n(2v)] = (-1)^m e^{-v} sum_j C(m,j) 2^j L_{n-j}^{(j)}(2v)
-        x = 2.0 * np.asarray(v, dtype=float)
-        acc = np.zeros_like(x)
-        for j in range(0, min(order, self.n) + 1):
-            coeffs = np.zeros(self.n - j + 1)
-            coeffs[self.n - j] = 1.0
-            acc += math.comb(order, j) * (2.0 ** j) * laguerre_series(j, coeffs, x)
-        sign = 2.0 * (-1.0) ** self.n * (-1.0) ** order
-        return sign * np.exp(-v) * acc
-
-
 class MixtureWignerProfile(RadialProfile):
     """Weighted sum of Fock Wigner profiles: w(v) = sum_n c_n W_n-profile(v)."""
 
@@ -185,6 +162,7 @@ class MixtureWignerProfile(RadialProfile):
         self.weights = np.asarray(weights, dtype=float)
 
     def deriv(self, v: np.ndarray, order: int) -> np.ndarray:
+        # d^m/dv^m [e^{-v} L_n(2v)] = (-1)^m e^{-v} sum_j C(m,j) 2^j L_{n-j}^{(j)}(2v)
         x = 2.0 * np.asarray(v, dtype=float)
         nmax = len(self.weights) - 1
         acc = np.zeros_like(x)
@@ -194,6 +172,15 @@ class MixtureWignerProfile(RadialProfile):
             coeffs = 2.0 * ((-1.0) ** (ks + j)) * self.weights[ks + j]
             acc += math.comb(order, j) * (2.0 ** j) * laguerre_series(j, coeffs, x)
         return (-1.0) ** order * np.exp(-v) * acc
+
+
+class FockWignerProfile(MixtureWignerProfile):
+    """w(v) = 2 (-1)^n e^{-v} L_n(2v), the mixture with all weight on n; it
+    differs from the direct formula by exact factors +-1, +-2, so no bit moves."""
+
+    def __init__(self, n: int):
+        super().__init__(_one_hot(n))
+        self.n = n
 
 
 class AnalyticStructure:

@@ -3,6 +3,8 @@
 A PolySymbol stores a canonical expanded polynomial as a map from
 (q-degree, p-degree) to a complex coefficient.  On polynomials the Moyal
 bidifferential series terminates, so the star product is computed exactly.
+``parse_symbol`` reads the polynomial text form with the expression grammar's
+one parser (``expressions._Parser``), whose hooks here build PolySymbols.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ParseError
-from .expressions import Token, tokenize
+from .expressions import Token, _Parser
 
 
 class PolySymbol:
@@ -188,104 +190,49 @@ def _as_poly(x) -> PolySymbol:
 # closed under general quotients).
 
 
-class _SymbolParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+class _SymbolParser(_Parser):
+    ATOM_EXPECTED = {"number", "q", "p", "i", "("}
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def number(self, tok: Token) -> PolySymbol:
+        return PolySymbol.constant(float(tok.text))
 
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def name(self, tok: Token) -> PolySymbol:
+        if tok.text == "q":
+            return PolySymbol.q()
+        if tok.text == "p":
+            return PolySymbol.p()
+        if tok.text == "i":
+            return PolySymbol.constant(1j)
+        raise ParseError(f"unknown name {tok.text!r}", tok.pos, expected={"q", "p", "i"})
 
-    def parse(self) -> PolySymbol:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos, expected={"end"})
-        return node
+    def negate(self, node: PolySymbol) -> PolySymbol:
+        return -node
 
-    def expr(self) -> PolySymbol:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def term(self) -> PolySymbol:
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            tok = self.take()
-            rhs = self.factor()
-            if tok.kind == "*":
-                node = node * rhs
-            else:
-                if not rhs.is_constant():
-                    raise ParseError("divisor must be a constant", tok.pos)
-                c = rhs.constant_value()
-                if c == 0:
-                    raise ParseError("division by zero", tok.pos)
-                node = node * (1.0 / c)
-        return node
-
-    def factor(self) -> PolySymbol:
-        tok = self.peek()
+    def binary(self, tok: Token, left: PolySymbol, right: PolySymbol) -> PolySymbol:
         if tok.kind == "+":
-            self.take()
-            return self.factor()
+            return left + right
         if tok.kind == "-":
-            self.take()
-            return -self.factor()
-        return self.power()
+            return left - right
+        if tok.kind == "*":
+            return left * right
+        if not right.is_constant():
+            raise ParseError("divisor must be a constant", tok.pos)
+        c = right.constant_value()
+        if c == 0:
+            raise ParseError("division by zero", tok.pos)
+        return left * (1.0 / c)
 
-    def power(self) -> PolySymbol:
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.peek()
-            if tok.kind != "number" or not tok.text.isdigit():
-                raise ParseError("exponent must be a nonnegative integer literal",
-                                 tok.pos, expected={"integer"})
-            self.take()
-            return base ** int(tok.text)
-        return base
-
-    def atom(self) -> PolySymbol:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            return PolySymbol.constant(float(tok.text))
-        if tok.kind == "name":
-            self.take()
-            if tok.text == "q":
-                return PolySymbol.q()
-            if tok.text == "p":
-                return PolySymbol.p()
-            if tok.text == "i":
-                return PolySymbol.constant(1j)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos, expected={"q", "p", "i"})
-        if tok.kind == "(":
-            self.take()
-            node = self.expr()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError(f"unexpected {closing.kind or 'end of input'}",
-                                 closing.pos, expected={")"})
-            self.take()
-            return node
-        raise ParseError(f"unexpected {tok.kind or 'end of input'}", tok.pos,
-                         expected={"number", "q", "p", "i", "("})
+    def exponent(self, base: PolySymbol) -> PolySymbol:
+        tok = self.take()
+        if tok.kind != "number" or not tok.text.isdigit():
+            raise ParseError("exponent must be a nonnegative integer literal",
+                             tok.pos, expected={"integer"})
+        return base ** int(tok.text)
 
 
 def parse_symbol(text: str) -> PolySymbol:
     """Parse a polynomial expression in q, p, i into canonical expanded form."""
-    if not text.strip():
-        raise ParseError("empty expression", 0, expected={"number", "q", "p", "i", "("})
-    return _SymbolParser(tokenize(text)).parse()
+    return _SymbolParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

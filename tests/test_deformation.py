@@ -12,6 +12,7 @@ from fstarq import (DeformationSpec, amplitude_F, amplitude_F_deriv,
                     identity_spec, normalization_Nf, parse_deformation, qdef_spec,
                     registry_specs, spec_to_text, spectrum, sqrt_n_spec)
 from fstarq.deformation import series_terms
+from fstarq.phasespace import PhaseGrid, fcs_wigner, wigner_weights
 from fstarq.errors import (NonPositiveValue, OutOfRange, ParseError,
                            SeriesDivergence, SingularAmplitude)
 
@@ -271,6 +272,35 @@ def test_series_divergence():
     spec = expr_spec("1/(n+1)")
     with pytest.raises(SeriesDivergence):
         series_terms(spec, 1.0, n_max=60)
+
+
+SERIES_ENTRIES = {
+    "series_terms": series_terms,
+    "normalization_Nf": normalization_Nf,
+    "wigner_weights": wigner_weights,
+    "fcs_wigner": lambda spec, zeta_abs2, tol=1e-14: fcs_wigner(
+        spec, zeta_abs2, PhaseGrid(-2, 2, -2, 2, 17, 17), tol=tol),
+}
+BAD_SERIES_INPUTS = [
+    (dict(zeta_abs2=math.nan), "^zeta_abs2 must be a finite real >= 0$"),
+    (dict(zeta_abs2=math.inf), "^zeta_abs2 must be a finite real >= 0$"),
+    (dict(zeta_abs2=-1.0), "^zeta_abs2 must be a finite real >= 0$"),
+    (dict(tol=math.nan), "^tol must be a positive finite real$"),
+    (dict(tol=math.inf), "^tol must be a positive finite real$"),
+    (dict(tol=0.0), "^tol must be a positive finite real$"),
+    (dict(n_max=-3), "^n_max must be >= 0$"),
+]
+
+
+# a NaN or inf input used to run all n_max terms and then report divergence
+@pytest.mark.parametrize("entry, bad, message", [
+    pytest.param(entry, bad, message, id=f"{entry}-{','.join(f'{k}={v}' for k, v in bad.items())}")
+    for entry in SERIES_ENTRIES for bad, message in BAD_SERIES_INPUTS
+    if not (entry == "fcs_wigner" and "n_max" in bad)])  # fcs_wigner has no n_max
+def test_series_inputs_rejected_by_name(entry, bad, message):
+    kwargs = {"zeta_abs2": 1.0, **bad}
+    with pytest.raises(ValueError, match=message):
+        SERIES_ENTRIES[entry](sqrt_n_spec(), **kwargs)
 
 
 def test_f_factorial_out_of_range():

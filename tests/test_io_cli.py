@@ -272,22 +272,46 @@ def test_cli_refused_qdef_assoc_prints_only_the_error():
                                "for kind 'qdef'\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("spectrum", "--spec", "bogus", "--n-max", "2"),
-    ("spectrum", "--spec", "identity", "--n-max", "-3"),
-    ("spectrum", "--spec", "expr:sqrt(", "--n-max", "2"),
-    ("residual", "--spec", "identity", "--n", "1", "--grid=1,2,3"),
-    ("residual", "--spec", "identity", "--n", "1", "--grid=-1,1,-1,1,3,3"),
-    ("wigner", "--n", "1"),  # missing --out for a field dump
-    ("spectrum", "--n-max", "2", "--omega", "nan"),
-    ("residual", "--n", "1", "--omega", "-1", "--grid=-2,2,-2,2,17,17"),
-    ("wigner", "--n", "1", "--tol", "inf", "--out", os.devnull),
-    ("spectrum",),  # missing required --n-max
-    ("bogus-command",),
-])
-def test_cli_config_errors_exit_2(argv, capsys):
+# each refusal's error line; where several flags are bad, the line names the
+# one that wins (argparse prints its usage above its line)
+CLI_REFUSALS = [
+    (("spectrum", "--spec", "bogus", "--n-max", "2"),
+     "error: --spec: unknown deformation 'bogus' at position 0 "
+     "(expected: expr:, identity, qdef:, sqrt_n)"),
+    (("spectrum", "--spec", "identity", "--n-max", "-3"), "error: --n-max: must be >= 0"),
+    (("spectrum", "--spec", "expr:sqrt(", "--n-max", "2"),
+     "error: --spec: unexpected end at position 10 (expected: (, name, number)"),
+    (("residual", "--spec", "identity", "--n", "1", "--grid=1,2,3"),
+     "error: --grid: expected 'qmin,qmax,pmin,pmax,nq,np[,offset]'"),
+    (("residual", "--spec", "identity", "--n", "1", "--grid=-1,1,-1,1,3,3"),
+     "error: --grid: sample counts must be >= 5"),
+    (("wigner", "--n", "1"),  # missing --out for a field dump
+     "error: --out: wigner writes a field CSV; give a path"),
+    (("spectrum", "--n-max", "2", "--omega", "nan"),
+     "error: --omega: must be a positive finite real"),
+    (("residual", "--n", "1", "--omega", "-1", "--grid=-2,2,-2,2,17,17"),
+     "error: --omega: must be a positive finite real"),
+    (("wigner", "--n", "1", "--tol", "inf", "--out", os.devnull),
+     "error: --tol: a number state's W_n does not depend on f; give it without --n"),
+    (("spectrum",),  # missing required --n-max
+     "fstarq spectrum: error: the following arguments are required: --n-max"),
+    (("bogus-command",),
+     "fstarq: error: argument command: invalid choice: 'bogus-command' (choose from "
+     "'spectrum', 'wigner', 'residual', 'commutator', 'assoc', 'verify')"),
+    (("wigner", "--n", "1", "--grid=-2,2,-2,2,17,17,nan", "--out", os.devnull),
+     "error: --grid: grid offset must be finite"),
+    (("wigner", "--n", "1", "--grid=-2,2,-2,2,17,17,inf", "--out", os.devnull),
+     "error: --grid: grid offset must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, line", CLI_REFUSALS,
+                         ids=[f"argv{i}" for i in range(len(CLI_REFUSALS))])
+def test_cli_config_errors_exit_2(argv, line, capsys):
     assert run_cli(*argv) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == line
+    assert err == line + "\n" or line.startswith("fstarq")
 
 
 REQUIRED_ARGS = {"spectrum": ("--n-max", "2"), "residual": ("--n", "1"),

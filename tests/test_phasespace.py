@@ -39,6 +39,8 @@ def test_grid_origin_present_without_offset(origin_grid):
     dict(q_min=1, q_max=-1, p_min=-1, p_max=1, n_q=9, n_p=9),
     dict(q_min=-1, q_max=1, p_min=-1, p_max=1, n_q=1, n_p=9),
     dict(q_min=-1, q_max=1, p_min=-1, p_max=1, n_q=9, n_p=9, hbar=-1.0),
+    dict(q_min=-1, q_max=1, p_min=-1, p_max=1, n_q=9, n_p=9, offset=math.nan),
+    dict(q_min=-1, q_max=1, p_min=-1, p_max=1, n_q=9, n_p=9, offset=math.inf),
 ])
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
@@ -77,6 +79,68 @@ def test_laguerre_series_accumulates():
     coeffs = np.array([0.3, -1.2, 0.0, 2.5])
     direct = sum(c * eval_laguerre(k, x) for k, c in enumerate(coeffs))
     assert np.allclose(laguerre_series(0, coeffs, x), direct, rtol=1e-12, atol=1e-12)
+
+
+# The number-state profile is the one-hot mixture, and the Laguerre series is
+# one recurrence loop; these are the direct formulas they replaced, kept here
+# as the bit-exact reference.
+
+
+def _reference_laguerre(n, x):
+    lkm1 = np.ones_like(x)
+    if n == 0:
+        return lkm1
+    lk = 1.0 - x
+    for k in range(1, n):
+        lkm1, lk = lk, ((2.0 * k + 1.0 - x) * lk - k * lkm1) / (k + 1.0)
+    return lk
+
+
+def _reference_laguerre_series(alpha, coeffs, x):
+    out = np.zeros_like(x)
+    lkm1 = np.ones_like(x)
+    out += coeffs[0] * lkm1
+    if len(coeffs) == 1:
+        return out
+    lk = 1.0 + alpha - x
+    out += coeffs[1] * lk
+    for k in range(1, len(coeffs) - 1):
+        lkm1, lk = lk, ((2.0 * k + 1.0 + alpha - x) * lk - (k + alpha) * lkm1) / (k + 1.0)
+        out += coeffs[k + 1] * lk
+    return out
+
+
+def _reference_fock_deriv(n, v, order):
+    if order == 0:
+        return 2.0 * (-1.0) ** n * np.exp(-v) * _reference_laguerre(n, 2.0 * v)
+    x = 2.0 * v
+    acc = np.zeros_like(x)
+    for j in range(0, min(order, n) + 1):
+        coeffs = np.zeros(n - j + 1)
+        coeffs[n - j] = 1.0
+        acc += math.comb(order, j) * (2.0 ** j) * _reference_laguerre_series(j, coeffs, x)
+    sign = 2.0 * (-1.0) ** n * (-1.0) ** order
+    return sign * np.exp(-v) * acc
+
+
+def test_fock_profile_bit_identical_to_direct_formula(grid513):
+    Q, P = mesh(grid513)
+    v = Q * Q + P * P
+    for n in range(13):
+        assert _same_bits(laguerre(n, 2.0 * v), _reference_laguerre(n, 2.0 * v))
+        profile = FockWignerProfile(n)
+        for order in range(4):
+            assert _same_bits(profile.deriv(v, order), _reference_fock_deriv(n, v, order))
+
+
+def test_laguerre_series_bit_identical_to_direct_sweep(grid513, rng):
+    Q, P = mesh(grid513)
+    x = 2.0 * (Q * Q + P * P)
+    for alpha in range(4):
+        for length in (1, 2, 3, 13):
+            coeffs = rng.standard_normal(length)
+            assert _same_bits(laguerre_series(alpha, coeffs, x),
+                              _reference_laguerre_series(alpha, coeffs, x))
 
 
 def test_fock_profile_derivative_matches_finite_difference():

@@ -29,10 +29,28 @@ def test_parse_cancellation_drops_zero_terms():
     assert parse_symbol("q - q").to_string() == "0"
 
 
-@pytest.mark.parametrize("text", ["q/p", "1/(q+p)", "q^p", "q^(2)", "q^-1", "2^^3", "(q"])
-def test_parse_rejections(text):
-    with pytest.raises(ParseError):
+# position and accepted token kinds of each rejection; the symbol grammar
+# shares the expression grammar's parser, so these pin what its hooks keep
+PARSE_REJECTIONS = [
+    ("q/p", 1, ()),
+    ("1/(q+p)", 1, ()),
+    ("q^p", 2, ("integer",)),
+    ("q^(2)", 2, ("integer",)),
+    ("q^-1", 2, ("integer",)),
+    ("2^^3", 2, ("integer",)),
+    ("(q", 2, (")",)),
+    ("sqrt(q)", 0, ("i", "p", "q")),
+    ("q p", 2, ("end",)),
+]
+
+
+@pytest.mark.parametrize("text, position, expected", PARSE_REJECTIONS,
+                         ids=[case[0] for case in PARSE_REJECTIONS])
+def test_parse_rejections(text, position, expected):
+    with pytest.raises(ParseError) as err:
         parse_symbol(text)
+    assert err.value.position == position
+    assert err.value.expected == expected
 
 
 def test_parse_error_position():
