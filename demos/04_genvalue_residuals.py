@@ -4,13 +4,14 @@ far it drifts under deformation.
 For the identity deformation the harmonic symbol (q^2+p^2)/2 satisfies
 H * W_n = (n + 1/2) W_n exactly (Moyal product, analytic derivatives); the
 residual is pure roundoff.  For deformed cases the first-order equation
-leaves a real, radial residual that the report quantifies: the imaginary
-part (the bracket term) still vanishes for radial pairs.
+leaves a real, radial residual that the report quantifies.  The imaginary
+part is the bracket term (i hbar / 2) F(n) {H, W_n}, and it is roundoff: H and
+W_n are both radial, so their Poisson bracket vanishes and the deformation
+never enters the residual through it.
 """
 
-from fstarq import (bracket_term, build_hamiltonian, default_grid, fock_wigner,
-                    genvalue_residual, identity_spec, report_to_json,
-                    sqrt_n_spec)
+from fstarq import (build_hamiltonian, default_grid, fock_wigner, fstar_apply,
+                    genvalue_residual, identity_spec, report_to_json, sqrt_n_spec)
 
 grid = default_grid()
 
@@ -29,11 +30,10 @@ for n in (0, 1, 2):
     print(f"        E_n = {rep.params['energy']:.1f}, "
           f"phase-space average of H*W = {rep.params['phase_space_average_re']:.4f}")
 
-# the imaginary part vanishes because H and W_n are both radial
-ham = build_hamiltonian(sqrt_n_spec(), grid)
-w = fock_wigner(2, grid)
-br = bracket_term(ham.field, w, sqrt_n_spec())
-print(f"\nbracket term max |.| for radial H, W_2: {abs(br.values).max():.3e}")
+# Im(H *_f W_2) is the bracket term: roundoff, because H and W_2 are both radial
+star = fstar_apply(build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(2, grid), sqrt_n_spec())
+print(f"\nmax |Im(H *_f W_2)| = {abs(star.values.imag).max():.3e} "
+      "(roundoff: H and W_2 are both radial)")
 
 rep = genvalue_residual(sqrt_n_spec(), 1, grid)
 print("\nfull JSON report for sqrt_n, n=1:")

@@ -9,9 +9,7 @@ roundoff, while its deviation from the operator-algebra target is a real,
 structural effect that shrinks with the deformation strength.
 """
 
-import numpy as np
-
-from fstarq import (PolySymbol, associativity_defect, commutator_report,
+from fstarq import (PolySymbol, associativity_defect, commutator_deviation,
                     default_grid, expr_spec, field_from_poly, identity_spec,
                     spec_to_text, sqrt_n_spec)
 
@@ -36,7 +34,7 @@ print("\ncommutator correspondence (1/hbar) [A, Abar]_f vs (n+1)f(n+1)^2 - n f(n
 for text in ("identity", "sqrt_n", "expr:1+0.01*n", "expr:1+0.005*n"):
     spec = {"identity": identity_spec(), "sqrt_n": sqrt_n_spec()}.get(text) \
         or expr_spec(text.split(":", 1)[1])
-    rep = commutator_report(spec, grid)
+    rep = commutator_deviation(spec, grid)[1]
     print(f"  {text:16s} deviation max = {rep.max_abs:.6e}, "
           f"closed-form match = {rep.params['closed_form_match']:.2e}")
 

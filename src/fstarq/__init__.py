@@ -5,24 +5,20 @@ star-genvalue, commutator-correspondence and associativity diagnostics on
 desk-scale grids.
 """
 
-from .deformation import (DeformationSpec, FFactorialTable, SpectrumRow,
-                          amplitude_F, amplitude_F_deriv, build_f_factorial_table,
-                          commutator_target, deriv_f, eval_f, expr_spec,
-                          f_factorial, f_squared, f_squared_deriv, identity_spec,
-                          normalization_Nf, parse_deformation, qdef_spec,
-                          registry_specs, spec_to_text, spectrum, sqrt_n_spec)
-from .errors import (FStarError, NonPositiveValue, OutOfRange, ParseError,
-                     SeriesDivergence, SingularAmplitude)
-from .genvalue import (AssocScaling, HamiltonianField, ResidualReport, Witness,
-                       associativity_defect, bracket_term, build_hamiltonian,
-                       commutator_deviation, commutator_report, energy_level,
+from .deformation import (DeformationSpec, SpectrumRow, amplitude_F, amplitude_F_deriv,
+                          commutator_target, deriv_f, eval_f, expr_spec, f_squared,
+                          f_squared_deriv, identity_spec, normalization_Nf,
+                          parse_deformation, qdef_spec, registry_specs, spec_to_text,
+                          spectrum, sqrt_n_spec)
+from .errors import FStarError, NonPositiveValue, ParseError, SeriesDivergence, SingularAmplitude
+from .genvalue import (AssocScaling, ResidualReport, Witness, associativity_defect,
+                       build_hamiltonian, commutator_deviation, energy_level,
                        genvalue_residual, ladder_fields)
 from .io import (canonical_json, field_report, field_to_csv, read_field_csv,
                  report_to_dict, report_to_json, spectrum_to_csv)
-from .phasespace import (Field, PhaseGrid, WignerWeights, default_grid,
-                         fcs_wigner, field_from_function, field_from_poly,
-                         field_from_values, fock_wigner, gradient, integrate,
-                         laguerre, mesh, partial_field, wigner_weights)
+from .phasespace import (Field, PhaseGrid, WignerWeights, default_grid, fcs_wigner,
+                         field_from_poly, field_from_values, fock_wigner, gradient,
+                         integrate, laguerre, mesh, partial_field, wigner_weights)
 from .starproduct import fstar_apply, moyal_apply, star_commutator
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol,
                       moyal_exact, parse_symbol, poisson_bracket,
@@ -32,17 +28,14 @@ from .verify import run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssocScaling", "DeformationSpec", "FFactorialTable",
-    "FStarError", "Field", "HamiltonianField", "NonPositiveValue", "OutOfRange",
+    "AssocScaling", "DeformationSpec", "FStarError", "Field", "NonPositiveValue",
     "ParseError", "PhaseGrid", "PolySymbol", "ResidualReport",
     "SeriesDivergence", "SingularAmplitude", "SpectrumRow",
     "WignerWeights", "Witness", "amplitude_F", "amplitude_F_deriv",
-    "annihilation_symbol", "associativity_defect", "bracket_term",
-    "build_f_factorial_table", "build_hamiltonian", "canonical_json",
-    "commutator_deviation", "commutator_report", "commutator_target",
+    "annihilation_symbol", "associativity_defect", "build_hamiltonian",
+    "canonical_json", "commutator_deviation", "commutator_target",
     "creation_symbol", "default_grid", "deriv_f", "energy_level", "eval_f",
-    "expr_spec", "f_factorial", "f_squared", "f_squared_deriv", "fcs_wigner",
-    "field_from_function",
+    "expr_spec", "f_squared", "f_squared_deriv", "fcs_wigner",
     "field_from_poly", "field_from_values", "field_report", "field_to_csv",
     "fock_wigner", "fstar_apply", "genvalue_residual", "gradient",
     "identity_spec", "integrate", "ladder_fields", "laguerre", "mesh",

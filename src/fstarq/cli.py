@@ -22,7 +22,7 @@ import argparse
 import math
 import sys
 
-from .deformation import DeformationSpec, parse_deformation, spectrum
+from .deformation import DEFAULT_SERIES_TOL, DeformationSpec, parse_deformation, spectrum
 from .errors import FStarError, ParseError
 from .genvalue import associativity_defect, commutator_deviation, genvalue_residual
 from .io import canonical_json, field_to_csv, format_float, report_to_json, spectrum_to_csv
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, _wigner)
     sp.set_defaults(spec=None)
     sp.add_argument("--tol", type=float, default=None,
-                    help="series truncation tolerance (default 1e-14)")
+                    help=f"series truncation tolerance (default {DEFAULT_SERIES_TOL:g})")
     sp.add_argument("--n", type=int, default=None,
                     help="number state (omits the coherent mixture and refuses its flags)")
     sp.add_argument("--zeta2", type=float, default=None, dest="zeta_abs2",
@@ -163,7 +163,7 @@ def _spectrum(args) -> int:
 
 def _wigner(args) -> int:
     for flag, name, default in (("--spec", "spec", "identity"), ("--zeta2", "zeta_abs2", 1.0),
-                                ("--tol", "tol", 1e-14)):
+                                ("--tol", "tol", DEFAULT_SERIES_TOL)):
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif args.n is not None:
@@ -173,13 +173,13 @@ def _wigner(args) -> int:
     tol = _positive("--tol", args.tol)
     grid = _parse_grid(args.grid, hbar)
     if args.n is not None:
-        field = fock_wigner(_count("--n", args.n), grid)
-    else:
-        if not 0.0 <= args.zeta_abs2 < math.inf:
-            raise ConfigError("--zeta2: must be a finite real >= 0")
-        field = fcs_wigner(spec, args.zeta_abs2, grid, tol=tol)
+        _count("--n", args.n)
+    elif not 0.0 <= args.zeta_abs2 < math.inf:
+        raise ConfigError("--zeta2: must be a finite real >= 0")
     if args.out is None:
         raise ConfigError("--out: wigner writes a field CSV; give a path")
+    field = (fock_wigner(args.n, grid) if args.n is not None
+             else fcs_wigner(spec, args.zeta_abs2, grid, tol=tol))
     field_to_csv(field, args.out)
     return 0
 

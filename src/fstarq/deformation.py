@@ -1,12 +1,14 @@
 """Deformation functions f(n) and the quantities derived from them.
 
 A deformation is a positive function f of the (continuous) excitation number
-n.  Everything downstream is built from four derived quantities:
+n.  Everything downstream is built from three derived quantities:
 
-* the f-factorial  f(n)! = f(1) f(2) ... f(n)
 * the star amplitude  F(n) = ((n+1) f(n+1)^2 - n f(n)^2) / (f(n) f(n+1))
 * the commutator target  (n+1) f(n+1)^2 - n f(n)^2
 * the level energies  E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2)
+
+The f-factorial f(n)! = f(1) f(2) ... f(n) enters only the coherent-state
+normalization, whose series is summed by term ratios.
 
 Built-in kinds: ``identity`` (f = 1), ``sqrt_n`` (f = sqrt(n)), ``qdef``
 (f = sqrt([n]_q / n) with the symmetric q-bracket) and ``expr`` (a parsed
@@ -22,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NonPositiveValue, OutOfRange, ParseError, SeriesDivergence, SingularAmplitude
+from .errors import NonPositiveValue, ParseError, SeriesDivergence, SingularAmplitude
 from .expressions import parse_scalar_expr
 
 KINDS = ("identity", "sqrt_n", "qdef", "expr")
@@ -241,43 +243,6 @@ def f_squared_deriv(spec: DeformationSpec, n, order: int = 1):
     if np.ndim(n) == 0:
         return float(out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# f-factorial
-
-
-@dataclass(frozen=True)
-class FFactorialTable:
-    """Cumulative log f-factorials: log_values[k] = sum_{j<=k} ln f(j)."""
-
-    spec: DeformationSpec
-    log_values: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.log_values) - 1
-
-
-def build_f_factorial_table(spec: DeformationSpec, n_max: int = DEFAULT_SERIES_NMAX) -> FFactorialTable:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    logs = np.zeros(n_max + 1)
-    if n_max >= 1:
-        fs = eval_f(spec, np.arange(1, n_max + 1, dtype=float))
-        logs[1:] = np.cumsum(np.log(fs))
-    if not np.all(np.isfinite(logs)):
-        raise NonPositiveValue(f"f-factorial overflows for kind {spec.kind!r}")
-    return FFactorialTable(spec, logs)
-
-
-def f_factorial(table: FFactorialTable, n: int) -> float:
-    """f(n)! = f(1) f(2) ... f(n), with f(0)! = 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > table.n_max:
-        raise OutOfRange(f"n = {n} exceeds table n_max = {table.n_max}")
-    return float(math.exp(table.log_values[n]))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,3 @@ class SingularAmplitude(FStarError):
 
 class SeriesDivergence(FStarError):
     """A normalization series failed to meet its truncation criterion."""
-
-
-class OutOfRange(FStarError):
-    """Index exceeds a precomputed table."""

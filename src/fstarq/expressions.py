@@ -198,7 +198,7 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.kind or 'end of input'} {tok.text!r}",
+            raise ParseError(f"unexpected {tok.kind} {tok.text!r}",
                              tok.pos, expected={kind})
         return self.take()
 
@@ -253,7 +253,7 @@ class _Parser:
             node = self.expr()
             self.expect(")")
             return node
-        raise ParseError(f"unexpected {tok.kind or 'end of input'}", tok.pos,
+        raise ParseError(f"unexpected {tok.kind}", tok.pos,
                          expected=self.ATOM_EXPECTED)
 
     def number(self, tok: Token) -> Node:

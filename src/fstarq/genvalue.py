@@ -82,24 +82,13 @@ class DeformationProfile(RadialProfile):
 # Hamiltonian field
 
 
-@dataclass(frozen=True)
-class HamiltonianField:
-    field: Field
-    spec: DeformationSpec
-    hbar: float
-    omega: float
-
-
-def build_hamiltonian(spec: DeformationSpec, grid: PhaseGrid,
-                      omega: float = 1.0) -> HamiltonianField:
+def build_hamiltonian(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0) -> Field:
     """Sample the deformed Hamiltonian on a grid, with analytic derivatives."""
     require_positive("omega", omega)
     structure = AnalyticStructure(HamiltonianProfile(spec, grid.hbar, omega),
                                   scale=2.0 * grid.hbar)
-    label = f"H[{spec_to_text(spec)}]"
-    return HamiltonianField(Field(grid, structure.evaluate(grid), label=label,
-                                  analytic=structure),
-                            spec, grid.hbar, omega)
+    return Field(grid, structure.evaluate(grid), label=f"H[{spec_to_text(spec)}]",
+                 analytic=structure)
 
 
 def ladder_fields(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field, Field]:
@@ -192,8 +181,7 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
         star = moyal_apply(h_sym, w, hbar)
         path = "moyal_exact"
     else:
-        ham = build_hamiltonian(spec, grid, omega)
-        star = fstar_apply(ham.field, w, spec, hbar)
+        star = fstar_apply(build_hamiltonian(spec, grid, omega), w, spec, hbar)
         path = "fstar_first"
     residual = star.values - e_n * w.values
     max_abs, l2, witness = _region_norms(residual, grid, r_cut)
@@ -209,13 +197,6 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
             "phase_space_average_re": float(avg.real),
             "phase_space_average_im": float(avg.imag),
         })
-
-
-def bracket_term(h: Field, w: Field, spec: DeformationSpec,
-                 hbar: float | None = None) -> Field:
-    """(i hbar / 2) F(n) {h, w} as a field (``ProductSetup.bracket``), analytic where possible."""
-    return Field(h.grid, ProductSetup(h.grid, spec, hbar).bracket(h, w),
-                 label=f"bracket({h.label}, {w.label})")
 
 
 def commutator_deviation(spec: DeformationSpec,
@@ -252,10 +233,6 @@ def commutator_deviation(spec: DeformationSpec,
         })
     dev_field = Field(grid, deviation, label=f"commutator deviation[{spec_to_text(spec)}]")
     return dev_field, report
-
-
-def commutator_report(spec: DeformationSpec, grid: PhaseGrid | None = None) -> ResidualReport:
-    return commutator_deviation(spec, grid)[1]
 
 
 # ---------------------------------------------------------------------------

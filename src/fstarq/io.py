@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -131,14 +130,11 @@ def field_report(field: Field) -> dict:
     }
 
 
-def spectrum_to_csv(rows, path=None) -> str:
+def spectrum_to_csv(rows) -> str:
     lines = ["n,energy"]
     for row in rows:
         lines.append(f"{row.n},{format_float(row.energy)}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +165,5 @@ def report_to_dict(report: ResidualReport) -> dict:
     return doc
 
 
-def report_to_json(report: ResidualReport, path=None) -> str:
-    text = canonical_json(report_to_dict(report))
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+def report_to_json(report: ResidualReport) -> str:
+    return canonical_json(report_to_dict(report))

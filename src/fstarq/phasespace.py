@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .deformation import DeformationSpec, require_positive, series_terms, spec_to_text
+from .deformation import (DEFAULT_SERIES_NMAX, DEFAULT_SERIES_TOL, DeformationSpec,
+                          require_positive, series_terms, spec_to_text)
 from .symbols import PolySymbol
 
 # ---------------------------------------------------------------------------
@@ -284,11 +285,6 @@ def field_from_poly(poly: PolySymbol, grid: PhaseGrid, label: str = "") -> Field
                  poly=poly)
 
 
-def field_from_function(fn, grid: PhaseGrid, label: str = "") -> Field:
-    Q, P = mesh(grid)
-    return Field(grid, np.asarray(fn(Q, P), dtype=complex), label=label)
-
-
 # ---------------------------------------------------------------------------
 # Finite differences (4th order)
 
@@ -378,15 +374,15 @@ class WignerWeights:
     truncation_n: int
 
 
-def wigner_weights(spec: DeformationSpec, zeta_abs2: float, tol: float = 1e-14,
-                   n_max: int = 1000) -> WignerWeights:
+def wigner_weights(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_SERIES_TOL,
+                   n_max: int = DEFAULT_SERIES_NMAX) -> WignerWeights:
     terms = series_terms(spec, zeta_abs2, tol, n_max)
     weights = terms / float(np.sum(terms))
     return WignerWeights(spec, float(zeta_abs2), weights, len(terms) - 1)
 
 
 def fcs_wigner(spec: DeformationSpec, zeta_abs2: float, grid: PhaseGrid,
-               tol: float = 1e-14) -> Field:
+               tol: float = DEFAULT_SERIES_TOL) -> Field:
     """Wigner function of an f-deformed coherent state (diagonal mixture)."""
     ww = wigner_weights(spec, zeta_abs2, tol)
     structure = AnalyticStructure(MixtureWignerProfile(ww.weights), scale=grid.hbar)

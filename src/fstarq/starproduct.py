@@ -11,13 +11,12 @@ bracket.  At f = 1 (F = 1) it is Moyal's product without its hbar^2 and
 higher terms.
 
 ``ProductSetup(grid, spec, hbar)`` samples F(n) once for every product taken
-through it and holds the one copy of the bracket term, ``bracket``, which
-``product`` and ``genvalue.bracket_term`` share.  A setup built with
-``jets=True`` also samples the gradient of F, so that ``product(k, g,
-jets=True)`` can attach exact first partials of the result ("jets") from the
-operands' exact second partials; nested products in the associativity study
-rely on this to stay above the fd4 noise floor.  The jets seed the result's
-known partials, which ``partial_field`` serves.
+through it, and ``product`` is the one place the bracket term is formed.  A
+setup built with ``jets=True`` also samples the gradient of F, so that
+``product(k, g, jets=True)`` can attach exact first partials of the result
+("jets") from the operands' exact second partials; nested products in the
+associativity study rely on this to stay above the fd4 noise floor.  The jets
+seed the result's known partials, which ``partial_field`` serves.
 """
 
 from __future__ import annotations
@@ -72,25 +71,17 @@ class ProductSetup:
             self.Fq = dF * Q / hbar
             self.Fp = dF * P / hbar
 
-    def _bracket(self, k: Field, g: Field):
-        """The bracket term, the Poisson bracket {k, g} and the operands' first partials."""
+    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
+        """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
+        exact first partials."""
+        if jets and self.Fq is None:
+            raise ValueError("jets need a setup built with jets=True")
         if k.grid != self.grid or g.grid != self.grid:
             raise ValueError("fields must share the setup's grid")
         kq, kp, gq, gp = (partial_field(f, *key) for f in (k, g) for key in ((1, 0), (0, 1)))
         poisson = kq * gp - kp * gq
-        return (0.5j * self.hbar) * self.F * poisson, poisson, (kq, kp, gq, gp)
-
-    def bracket(self, k: Field, g: Field) -> np.ndarray:
-        """(i hbar / 2) F(n) {k, g}, the first-order term of k *_f g."""
-        return self._bracket(k, g)[0]
-
-    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
-        """k *_f g; jets=True attaches its exact first partials."""
-        if jets and self.Fq is None:
-            raise ValueError("jets need a setup built with jets=True")
-        term, poisson, (kq, kp, gq, gp) = self._bracket(k, g)
         kv, gv = k.values, g.values
-        out = kv * gv + term
+        out = kv * gv + (0.5j * self.hbar) * self.F * poisson
         partials = None
         if jets:
             kqq, kqp, kpp, gqq, gqp, gpp = (partial_field(f, *key) for f in (k, g)

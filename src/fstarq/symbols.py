@@ -10,7 +10,7 @@ one parser (``expressions._Parser``), whose hooks here build PolySymbols.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 

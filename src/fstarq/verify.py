@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
-from .genvalue import (associativity_defect, build_hamiltonian, commutator_report,
+from .genvalue import (associativity_defect, build_hamiltonian, commutator_deviation,
                        genvalue_residual)
 from .phasespace import (PhaseGrid, fcs_wigner, field_from_poly, field_from_values,
                          fock_wigner, integrate, mesh, partial_field)
@@ -81,7 +81,7 @@ def check_imag_vanishing(quick: bool) -> dict:
             h_sym = PolySymbol({(2, 0): 0.5, (0, 2): 0.5})
             star = moyal_apply(h_sym, w)
         else:
-            star = setup.product(ham.field, w)
+            star = setup.product(ham, w)
         return float(np.max(np.abs(star.values.imag)))
 
     for spec in registry_specs():
@@ -89,8 +89,8 @@ def check_imag_vanishing(quick: bool) -> dict:
         if spec.kind != "identity":
             # every task reads these: built here, no task writes shared state
             ham = build_hamiltonian(spec, grid)
-            partial_field(ham.field, 1, 0)
-            partial_field(ham.field, 0, 1)
+            partial_field(ham, 1, 0)
+            partial_field(ham, 0, 1)
             setup = ProductSetup(grid, spec)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             vals = list(pool.map(lambda n: imag_of(ham, setup, n), range(n_top + 1)))
@@ -139,8 +139,8 @@ def check_moyal_algebra(quick: bool) -> dict:
 
 def check_commutator_correspondence(quick: bool) -> dict:
     grid = _grid(quick)
-    rep_id = commutator_report(identity_spec(), grid)
-    rep_sq = commutator_report(sqrt_n_spec(), grid)
+    rep_id = commutator_deviation(identity_spec(), grid)[1]
+    rep_sq = commutator_deviation(sqrt_n_spec(), grid)[1]
     ok_id = rep_id.max_abs <= 1e-10
     match = rep_sq.params["closed_form_match"]
     ok_sq = match <= 1e-8

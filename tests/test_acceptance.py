@@ -12,9 +12,6 @@ the observed error is ~6.4e-7.  See README ("Verification suite").
 
 import time
 
-import numpy as np
-import pytest
-
 from fstarq import canonical_json, run_verification
 from fstarq.verify import (check_associativity_scaling, check_commutator_correspondence,
                            check_derivative_crosscheck, check_imag_vanishing,

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import iv
 
 from fstarq import (DeformationSpec, amplitude_F, amplitude_F_deriv,
-                    build_f_factorial_table, commutator_target, deriv_f, eval_f,
-                    expr_spec, f_factorial, f_squared, f_squared_deriv,
-                    identity_spec, normalization_Nf, parse_deformation, qdef_spec,
-                    registry_specs, spec_to_text, spectrum, sqrt_n_spec)
+                    commutator_target, deriv_f, eval_f, expr_spec, f_squared,
+                    f_squared_deriv, identity_spec, normalization_Nf,
+                    parse_deformation, qdef_spec, registry_specs, spec_to_text,
+                    spectrum, sqrt_n_spec)
 from fstarq.deformation import series_terms
 from fstarq.phasespace import PhaseGrid, fcs_wigner, wigner_weights
-from fstarq.errors import (NonPositiveValue, OutOfRange, ParseError,
-                           SeriesDivergence, SingularAmplitude)
+from fstarq.errors import NonPositiveValue, ParseError, SeriesDivergence, SingularAmplitude
 
 REGISTRY = registry_specs()
 REGISTRY_IDS = [spec_to_text(s) for s in REGISTRY]
@@ -28,8 +27,6 @@ def test_identity_is_exact():
     spec = identity_spec()
     assert eval_f(spec, 7.3) == 1.0
     assert np.all(eval_f(spec, np.linspace(0, 40, 17)) == 1.0)
-    table = build_f_factorial_table(spec, 50)
-    assert all(f_factorial(table, n) == 1.0 for n in range(51))
     assert amplitude_F(spec, 12.75) == 1.0
     assert commutator_target(spec, 9.0) == 1.0
     rows = spectrum(spec, 12)
@@ -51,12 +48,6 @@ def test_sqrt_n_values():
     spec = sqrt_n_spec()
     assert eval_f(spec, 4.0) == 2.0
     assert eval_f(spec, 0.0) == 0.0
-    # f(1) f(2) f(3) f(4) = 1 * sqrt2 * sqrt3 * 2, multiplied out independently
-    oracle = 1.0 * math.sqrt(2.0) * math.sqrt(3.0) * 2.0
-    table = build_f_factorial_table(spec, 10)
-    assert f_factorial(table, 4) == pytest.approx(oracle, rel=1e-14)
-    assert f_factorial(table, 4) == pytest.approx(math.sqrt(24.0), rel=1e-14)
-    assert f_factorial(table, 0) == 1.0
 
 
 def test_sqrt_n_amplitude():
@@ -203,22 +194,6 @@ def test_eval_f_rejects_negative_n():
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
-def test_factorial_ratio_is_f(spec):
-    # qdef factorials overflow float range past n ~ 150; stay within it
-    table = build_f_factorial_table(spec, 60)
-    for n in (1, 2, 7, 25, 60):
-        ratio = f_factorial(table, n) / f_factorial(table, n - 1)
-        assert ratio == pytest.approx(eval_f(spec, float(n)), rel=1e-12)
-
-
-def test_factorial_ratio_large_n():
-    for spec in (identity_spec(), sqrt_n_spec()):
-        table = build_f_factorial_table(spec, 200)
-        ratio = f_factorial(table, 200) / f_factorial(table, 199)
-        assert ratio == pytest.approx(eval_f(spec, 200.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
 @pytest.mark.parametrize("n", [1, 3, 10, 137, 1000])
 def test_telescoping_sum(spec, n):
     # sum_{k<n} [(k+1)f(k+1)^2 - k f(k)^2] telescopes to n f(n)^2
@@ -301,14 +276,6 @@ def test_series_inputs_rejected_by_name(entry, bad, message):
     kwargs = {"zeta_abs2": 1.0, **bad}
     with pytest.raises(ValueError, match=message):
         SERIES_ENTRIES[entry](sqrt_n_spec(), **kwargs)
-
-
-def test_f_factorial_out_of_range():
-    table = build_f_factorial_table(identity_spec(), 10)
-    with pytest.raises(OutOfRange):
-        f_factorial(table, 11)
-    with pytest.raises(ValueError):
-        f_factorial(table, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from fstarq import (NonPositiveValue, PhaseGrid, PolySymbol, associativity_defect,
-                    bracket_term, build_hamiltonian, commutator_deviation,
-                    commutator_report, deformation, energy_level, expr_spec,
-                    field_from_poly, fock_wigner, fstar_apply, genvalue_residual,
-                    identity_spec, integrate, ladder_fields, mesh, parse_symbol,
+                    build_hamiltonian, commutator_deviation, deformation, energy_level,
+                    expr_spec, field_from_poly, fock_wigner, fstar_apply,
+                    genvalue_residual, identity_spec, ladder_fields, mesh, parse_symbol,
                     qdef_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec)
 from fstarq import genvalue
-from fstarq.phasespace import partial_field, field_from_values
+from fstarq.phasespace import partial_field
 from fstarq.starproduct import ProductSetup
 from fstarq.verify import check_imag_vanishing
 
@@ -56,12 +55,12 @@ def test_hamiltonian_identity_pointwise(origin_grid):
     ham = build_hamiltonian(identity_spec(), origin_grid)
     Q, P = mesh(origin_grid)
     expected = (Q**2 + P**2) / 2.0 + 0.5
-    assert np.max(np.abs(ham.field.values - expected)) <= 1e-14
+    assert np.max(np.abs(ham.values - expected)) <= 1e-14
 
 
 def test_hamiltonian_radial_symmetry(origin_grid):
     ham = build_hamiltonian(qdef_spec(1.2), origin_grid)
-    vals = ham.field.values
+    vals = ham.values
     assert np.max(np.abs(vals - vals[::-1, :])) <= 1e-12
     assert np.max(np.abs(vals - vals[:, ::-1])) <= 1e-12
     assert np.max(np.abs(vals.imag)) == 0.0
@@ -71,7 +70,7 @@ def test_hamiltonian_sqrt_n_value_at_unit_excitation():
     g = PhaseGrid(SQRT2, SQRT2 + 1.0, 0.0, 1.0, 9, 9, hbar=1.0, offset=0.0)
     ham = build_hamiltonian(sqrt_n_spec(), g)
     # n = 1 there: (2 * f(2)^2 + 1 * f(1)^2)/2 = (4 + 1)/2
-    assert ham.field.values[0, 0].real == pytest.approx(2.5, rel=1e-14)
+    assert ham.values[0, 0].real == pytest.approx(2.5, rel=1e-14)
 
 
 def test_negative_expr_f_refused_by_hamiltonian_and_residual(grid513):
@@ -86,7 +85,7 @@ def test_negative_expr_f_refused_by_hamiltonian_and_residual(grid513):
 def test_hamiltonian_origin_value(origin_grid):
     ham = build_hamiltonian(identity_spec(), origin_grid)
     i0 = list(origin_grid.q_values()).index(0.0)
-    assert ham.field.values[i0, i0].real == pytest.approx(0.5, rel=1e-14)
+    assert ham.values[i0, i0].real == pytest.approx(0.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
@@ -144,8 +143,7 @@ def test_imag_vanishing_per_spec(grid257, spec):
 def test_diagnostics_take_no_order_option(grid257):
     # the f-star product is first order only, so no diagnostic takes an order
     for call in (lambda: genvalue_residual(sqrt_n_spec(), 2, grid257, order="first"),
-                 lambda: commutator_deviation(sqrt_n_spec(), grid257, order="first"),
-                 lambda: commutator_report(sqrt_n_spec(), grid257, order="first")):
+                 lambda: commutator_deviation(sqrt_n_spec(), grid257, order="first")):
         with pytest.raises(TypeError, match="order"):
             call()
 
@@ -179,30 +177,37 @@ def test_residual_refuses_a_disc_without_samples():
 
 
 # ---------------------------------------------------------------------------
-# bracket term
+# bracket term: for real fields, i Im(h *_f w) is (i hbar / 2) F(n) {h, w}
+
+
+def bracket_of(h, w, spec, hbar=None):
+    return 1j * fstar_apply(h, w, spec, hbar).values.imag
 
 
 def test_bracket_radial_pair_vanishes(grid257):
-    h = build_hamiltonian(sqrt_n_spec(), grid257).field
+    h = build_hamiltonian(sqrt_n_spec(), grid257)
     w = fock_wigner(4, grid257)
-    out = bracket_term(h, w, sqrt_n_spec())
-    assert np.max(np.abs(out.values)) <= 1e-12
+    out = bracket_of(h, w, sqrt_n_spec())
+    assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_bracket_q_p_constant(origin_grid):
     h = field_from_poly(PolySymbol.q(), origin_grid)
     w = field_from_poly(PolySymbol.p(), origin_grid)
-    out = bracket_term(h, w, identity_spec(), hbar=0.9)
-    assert np.max(np.abs(out.values - 0.5j * 0.9)) <= 1e-13
+    out = bracket_of(h, w, identity_spec(), hbar=0.9)
+    assert np.max(np.abs(out - 0.5j * 0.9)) <= 1e-13
+    # the rest of the product is h w itself
+    real = fstar_apply(h, w, identity_spec(), 0.9).values.real
+    assert np.array_equal(real, (h.values * w.values).real)
 
 
 def test_bracket_quadratic_example(origin_grid):
     # h = q^2, w = p^2: (i hbar / 2) * (2q)(2p) = 2 i hbar q p -> 2 i at (1,1)
     h = field_from_poly(parse_symbol("q^2"), origin_grid)
     w = field_from_poly(parse_symbol("p^2"), origin_grid)
-    out = bracket_term(h, w, identity_spec())
+    out = bracket_of(h, w, identity_spec())
     iq = list(origin_grid.q_values()).index(1.0)
-    assert out.values[iq, iq] == pytest.approx(2.0j, rel=1e-13)
+    assert out[iq, iq] == pytest.approx(2.0j, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +215,7 @@ def test_bracket_quadratic_example(origin_grid):
 
 
 def test_commutator_identity_is_one(grid513):
-    rep = commutator_report(identity_spec(), grid513)
+    rep = commutator_deviation(identity_spec(), grid513)[1]
     assert rep.max_abs <= 1e-10
     assert rep.imag_max <= 1e-10
 
@@ -245,25 +250,25 @@ def test_shared_setup_is_only_read_by_pool_threads():
     grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, 65, 65, hbar=1.0, offset=0.5)
     spec = sqrt_n_spec()
     ham = build_hamiltonian(spec, grid)
-    partial_field(ham.field, 1, 0)
-    partial_field(ham.field, 0, 1)
+    partial_field(ham, 1, 0)
+    partial_field(ham, 0, 1)
     setup = ProductSetup(grid, spec)
-    known = dict(ham.field._cache)
+    known = dict(ham._cache)
     F = setup.F.copy()
-    serial = [setup.product(ham.field, fock_wigner(n, grid)).values.tobytes()
+    serial = [setup.product(ham, fock_wigner(n, grid)).values.tobytes()
               for n in range(16)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(lambda n: setup.product(
-                ham.field, fock_wigner(n, grid)).values.tobytes(), n) for n in range(16)]
+                ham, fock_wigner(n, grid)).values.tobytes(), n) for n in range(16)]
             pooled = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(old)
     assert pooled == serial
-    assert ham.field._cache.keys() == known.keys()
-    assert all(ham.field._cache[k] is v for k, v in known.items())
+    assert ham._cache.keys() == known.keys()
+    assert all(ham._cache[k] is v for k, v in known.items())
     assert setup.F.tobytes() == F.tobytes()
 
 
@@ -281,7 +286,7 @@ def test_small_deformation_sweep():
     eps_values = [0.01, 0.005, 0.0025]
     devs = []
     for eps in eps_values:
-        rep = commutator_report(expr_spec(f"1+{eps}*n"), grid)
+        rep = commutator_deviation(expr_spec(f"1+{eps}*n"), grid)[1]
         assert rep.params["closed_form_match"] <= 1e-10
         devs.append(rep.max_abs)
     assert devs[0] > devs[1] > devs[2]

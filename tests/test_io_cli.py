@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, canonical_json, commutator_report, fcs_wigner,
+from fstarq import (PhaseGrid, canonical_json, commutator_deviation, fcs_wigner,
                     field_from_values, field_report, field_to_csv, genvalue_residual,
                     identity_spec, read_field_csv, report_to_dict, report_to_json,
                     spectrum, spectrum_to_csv, sqrt_n_spec)
+from fstarq import cli
 from fstarq.cli import main
 from fstarq.io import format_float
 from fstarq.verify import worker_count
@@ -169,7 +170,7 @@ def test_reports_record_the_first_order_product(grid257):
     residual = report_to_dict(genvalue_residual(sqrt_n_spec(), 1, grid257))
     assert residual["order"] == "first"
     assert residual["extra"]["path"] == "fstar_first"
-    commutator = report_to_dict(commutator_report(sqrt_n_spec(), grid257))
+    commutator = report_to_dict(commutator_deviation(sqrt_n_spec(), grid257)[1])
     assert commutator["order"] == "first"
 
 
@@ -312,6 +313,17 @@ def test_cli_config_errors_exit_2(argv, line, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == line
     assert err == line + "\n" or line.startswith("fstarq")
+
+
+def test_wigner_refuses_a_missing_out_before_sampling(monkeypatch, capsys):
+    # a refused dump must not first build the whole field
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("field sampled before the --out check")
+    for name in ("fock_wigner", "fcs_wigner"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    for argv in (("wigner", "--n", "1"), ("wigner", "--spec", "sqrt_n")):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: --out: wigner writes a field CSV; give a path\n"
 
 
 REQUIRED_ARGS = {"spectrum": ("--n-max", "2"), "residual": ("--n", "1"),

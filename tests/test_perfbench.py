@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import fstarq
+import fstarq.cli  # tracing.FUNCTIONS wraps cli.main; the package does not import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from fstarq import (Field, PhaseGrid, PolySymbol, default_grid, fcs_wigner,
-                    field_from_function, field_from_poly, field_from_values,
-                    fock_wigner, gradient, identity_spec, integrate, laguerre, mesh,
-                    moyal_apply, parse_symbol, partial_field, qdef_spec, registry_specs,
-                    spec_to_text, sqrt_n_spec, wigner_weights)
+from fstarq import (Field, PhaseGrid, PolySymbol, fcs_wigner, field_from_poly,
+                    field_from_values, fock_wigner, gradient, identity_spec, integrate,
+                    laguerre, mesh, moyal_apply, parse_symbol, partial_field, qdef_spec,
+                    registry_specs, spec_to_text, sqrt_n_spec, wigner_weights)
 from fstarq.genvalue import HamiltonianProfile
 from fstarq.phasespace import AnalyticStructure, FockWignerProfile, _fd4_axis, laguerre_series
 from fstarq.starproduct import ProductSetup
@@ -204,13 +203,14 @@ def test_integrate_constant():
 
 
 def test_integrate_gaussian(grid513):
-    f = field_from_function(lambda Q, P: 2.0 * np.exp(-(Q**2 + P**2)), grid513)
+    Q, P = mesh(grid513)
+    f = field_from_values(grid513, 2.0 * np.exp(-(Q**2 + P**2)))
     assert integrate(f).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_integrate_is_complex():
     g = PhaseGrid(-1, 1, -1, 1, 17, 17)
-    f = field_from_function(lambda Q, P: 1j * np.ones_like(Q), g)
+    f = field_from_values(g, 1j * np.ones((17, 17)))
     val = integrate(f)
     assert val.real == pytest.approx(0.0, abs=1e-15)
     assert val.imag > 0

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, bracket_term,
-                    creation_symbol, field_from_poly, field_from_values, fock_wigner,
-                    fstar_apply, identity_spec, mesh, moyal_apply, moyal_exact,
-                    parse_symbol, partial_field, sqrt_n_spec, star_commutator)
+from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, creation_symbol,
+                    field_from_poly, field_from_values, fock_wigner, fstar_apply,
+                    identity_spec, mesh, moyal_apply, moyal_exact, parse_symbol,
+                    partial_field, sqrt_n_spec, star_commutator)
 from fstarq.errors import SingularAmplitude
 from fstarq.starproduct import ProductSetup
 
@@ -117,7 +117,7 @@ def test_fstar_grid_mismatch(grid):
 def test_fstar_invalid_options(grid):
     k = field_from_poly(PolySymbol.q(), grid)
     bad_hbar = [{"hbar": -1.0}, {"hbar": 0.0}, {"hbar": math.nan}]
-    for entry in (fstar_apply, star_commutator, bracket_term):
+    for entry in (fstar_apply, star_commutator):
         for kwargs in bad_hbar:
             with pytest.raises(ValueError):
                 entry(k, k, identity_spec(), **kwargs)
@@ -141,21 +141,9 @@ def test_shared_setup_refuses_foreign_grid_and_missing_jets(grid):
     with pytest.raises(ValueError, match="setup's grid"):
         setup.product(k, other)
     with pytest.raises(ValueError, match="setup's grid"):
-        setup.bracket(other, k)
+        setup.product(other, k)
     with pytest.raises(ValueError, match="jets=True"):
         setup.product(k, k, jets=True)
-
-
-def test_product_and_bracket_term_share_the_setup_bracket(grid):
-    # k *_f g is k g plus ProductSetup.bracket, and bracket_term is that bracket
-    spec = sqrt_n_spec()
-    k = field_from_poly(parse_symbol("q^2 + p"), grid)
-    g = field_from_poly(parse_symbol("q*p"), grid)
-    setup = ProductSetup(grid, spec, 0.5)
-    term = setup.bracket(k, g)
-    assert (setup.product(k, g).values.tobytes()
-            == (k.values * g.values + term).tobytes())
-    assert bracket_term(k, g, spec, 0.5).values.tobytes() == term.tobytes()
 
 
 def test_fstar_identity_truncates_moyal_second_order_term(grid):
