@@ -6,10 +6,9 @@ desk-scale grids.
 """
 
 from .deformation import (DeformationSpec, SpectrumRow, amplitude_F, amplitude_F_deriv,
-                          commutator_target, deriv_f, eval_f, expr_spec, f_squared,
-                          f_squared_deriv, identity_spec, normalization_Nf,
-                          parse_deformation, qdef_spec, registry_specs, spec_to_text,
-                          spectrum, sqrt_n_spec)
+                          commutator_target, eval_f, expr_spec, f_squared, identity_spec,
+                          normalization_Nf, parse_deformation, qdef_spec, registry_specs,
+                          spec_to_text, spectrum, sqrt_n_spec)
 from .errors import FStarError, NonPositiveValue, ParseError, SeriesDivergence, SingularAmplitude
 from .genvalue import (AssocScaling, ResidualReport, Witness, associativity_defect,
                        build_hamiltonian, commutator_deviation, energy_level,
@@ -34,8 +33,8 @@ __all__ = [
     "WignerWeights", "Witness", "amplitude_F", "amplitude_F_deriv",
     "annihilation_symbol", "associativity_defect", "build_hamiltonian",
     "canonical_json", "commutator_deviation", "commutator_target",
-    "creation_symbol", "default_grid", "deriv_f", "energy_level", "eval_f",
-    "expr_spec", "f_squared", "f_squared_deriv", "fcs_wigner",
+    "creation_symbol", "default_grid", "energy_level", "eval_f",
+    "expr_spec", "f_squared", "fcs_wigner",
     "field_from_poly", "field_from_values", "field_report", "field_to_csv",
     "fock_wigner", "fstar_apply", "genvalue_residual", "gradient",
     "identity_spec", "integrate", "ladder_fields", "laguerre", "mesh",

@@ -84,33 +84,22 @@ def _expr_asts(source: str):
 # which extends smoothly through n = 0.  Series fallbacks keep g, g', g''
 # accurate for small |t|.
 
-def _sinhc(t):
+def _sinhc(t, order):
+    """g(t) = sinh(t)/t (order 0) or its order-th derivative (1 or 2)."""
     t = np.asarray(t, dtype=float)
     small = np.abs(t) < 0.25
     ts = np.where(small, t, 1.0)
-    series = 1.0 + ts * ts / 6.0 + ts**4 / 120.0 + ts**6 / 5040.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direct = np.sinh(t) / np.where(small, 1.0, t)
-    return np.where(small, series, direct)
-
-
-def _sinhc_d1(t):
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.25
-    ts = np.where(small, t, 1.0)
-    series = ts / 3.0 + ts**3 / 30.0 + ts**5 / 840.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direct = (t * np.cosh(t) - np.sinh(t)) / np.where(small, 1.0, t * t)
-    return np.where(small, series, direct)
-
-
-def _sinhc_d2(t):
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.25
-    ts = np.where(small, t, 1.0)
-    series = 1.0 / 3.0 + ts * ts / 10.0 + ts**4 / 168.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direct = ((t * t + 2.0) * np.sinh(t) - 2.0 * t * np.cosh(t)) / np.where(small, 1.0, t**3)
+        if order == 0:
+            series = 1.0 + ts * ts / 6.0 + ts**4 / 120.0 + ts**6 / 5040.0
+            direct = np.sinh(t) / np.where(small, 1.0, t)
+        elif order == 1:
+            series = ts / 3.0 + ts**3 / 30.0 + ts**5 / 840.0
+            direct = (t * np.cosh(t) - np.sinh(t)) / np.where(small, 1.0, t * t)
+        else:
+            series = 1.0 / 3.0 + ts * ts / 10.0 + ts**4 / 168.0
+            direct = (((t * t + 2.0) * np.sinh(t) - 2.0 * t * np.cosh(t))
+                      / np.where(small, 1.0, t**3))
     return np.where(small, series, direct)
 
 
@@ -126,145 +115,124 @@ def _qdef_lambda(spec: DeformationSpec) -> tuple[float, float]:
 def _qdef_s(spec, n, order):
     """s(n) = f(n)^2 for qdef and its first two n-derivatives."""
     lam, pref = _qdef_lambda(spec)
-    t = lam * np.asarray(n, dtype=float)
-    if order == 0:
-        return pref * _sinhc(t)
-    if order == 1:
-        return pref * lam * _sinhc_d1(t)
-    return pref * lam * lam * _sinhc_d2(t)
+    t = lam * n
+    return (pref, pref * lam, pref * lam * lam)[order] * _sinhc(t, order)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation.  _f and _s hold the one per-kind dispatch: f and s = f^2 with
+# their n-derivatives, order in {0, 1, 2}, on a float array n, unchecked.
 
 
-def _f_raw(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
+def _f(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
     if spec.kind == "identity":
-        return np.ones_like(n)
+        return np.ones_like(n) if order == 0 else np.zeros_like(n)
     if spec.kind == "sqrt_n":
-        return np.sqrt(n)
+        if order == 0:
+            return np.sqrt(n)
+        with np.errstate(divide="ignore"):
+            return 0.5 * n**-0.5 if order == 1 else -0.25 * n**-1.5
     if spec.kind == "qdef":
-        return np.sqrt(_qdef_s(spec, n, 0))
-    ast, _, _ = _expr_asts(spec.expr_source)
-    return np.asarray(ast(n), dtype=float)
+        f = np.sqrt(_qdef_s(spec, n, 0))
+        if order == 0:
+            return f
+        s1 = _qdef_s(spec, n, 1)
+        if order == 1:
+            return s1 / (2.0 * f)
+        return _qdef_s(spec, n, 2) / (2.0 * f) - s1 * s1 / (4.0 * f**3)
+    return np.asarray(_expr_asts(spec.expr_source)[order](n), dtype=float)
 
 
-def _checked_f(spec: DeformationSpec, arr: np.ndarray) -> np.ndarray:
-    """f on arr; NonPositiveValue names the first n where f is non-finite,
+def _s(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
+    """s = f^2 in closed form where the square is the natural primitive
+    (n for sqrt_n).  An expr f is checked first at order 0, so squaring
+    cannot hide its sign."""
+    if spec.kind == "identity":
+        return _f(spec, n, order)
+    if spec.kind == "sqrt_n":
+        if order == 0:
+            return n.copy()
+        return np.ones_like(n) if order == 1 else np.zeros_like(n)
+    if spec.kind == "qdef":
+        return _qdef_s(spec, n, order)
+    if order == 0:
+        f = _checked_f(spec, n)
+        return f * f
+    f, d1 = _f(spec, n, 0), _f(spec, n, 1)
+    if order == 1:
+        return 2.0 * f * d1
+    return 2.0 * (d1 * d1 + f * _f(spec, n, 2))
+
+
+def _first_bad(n: np.ndarray, bad: np.ndarray) -> float:
+    """The first n, in flat order, where bad holds."""
+    return float(n[bad].flat[0]) if n.ndim else float(n)
+
+
+def _like_n(n, out):
+    """out as a float for a scalar n, else the array itself."""
+    return float(out) if np.ndim(n) == 0 else out
+
+
+def _checked_f(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
+    """f on n; NonPositiveValue names the first n where f is non-finite,
     or <= 0 with n > 0 (f(0) = 0 is legitimate, e.g. for sqrt_n)."""
-    vals = _f_raw(spec, arr)
-    bad = ~np.isfinite(vals) | ((vals <= 0) & (arr > 0))
+    vals = _f(spec, n, 0)
+    bad = ~np.isfinite(vals) | ((vals <= 0) & (n > 0))
     if np.any(bad):
-        witness = float(arr[bad].flat[0]) if arr.ndim else float(arr)
-        raise NonPositiveValue(
-            f"f(n) is not a finite positive value at n = {witness} for kind {spec.kind!r}")
+        raise NonPositiveValue(f"f(n) is not a finite positive value at n = "
+                               f"{_first_bad(n, bad)} for kind {spec.kind!r}")
     return vals
 
 
-def eval_f(spec: DeformationSpec, n):
-    """Evaluate f at a real (scalar or array) excitation number n >= 0.
-
-    Raises NonPositiveValue if f comes out non-finite, or <= 0 at any
-    probed point with n > 0.
-    """
+def _n_array(n, order: int) -> np.ndarray:
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     arr = np.asarray(n, dtype=float)
     if np.any(arr < 0):
         raise ValueError("n must be >= 0")
-    vals = _checked_f(spec, arr)
-    if np.ndim(n) == 0:
-        return float(vals)
-    return vals
+    return arr
 
 
-def deriv_f(spec: DeformationSpec, n, order: int = 1):
-    """Analytic derivative d^order f / dn^order, order in {1, 2}."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    arr = np.asarray(n, dtype=float)
-    if spec.kind == "identity":
-        out = np.zeros_like(arr)
-    elif spec.kind == "sqrt_n":
-        with np.errstate(divide="ignore"):
-            out = 0.5 * arr**-0.5 if order == 1 else -0.25 * arr**-1.5
-    elif spec.kind == "qdef":
-        f = np.sqrt(_qdef_s(spec, arr, 0))
-        s1 = _qdef_s(spec, arr, 1)
-        if order == 1:
-            out = s1 / (2.0 * f)
-        else:
-            s2 = _qdef_s(spec, arr, 2)
-            out = s2 / (2.0 * f) - s1 * s1 / (4.0 * f**3)
-    else:
-        _, d1, d2 = _expr_asts(spec.expr_source)
-        out = np.asarray((d1 if order == 1 else d2)(arr), dtype=float)
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+def eval_f(spec: DeformationSpec, n, order: int = 0):
+    """f or its n-derivative of the given order (0, 1 or 2) at a real n >= 0,
+    scalar or array.
+
+    At order 0, raises NonPositiveValue if f comes out non-finite, or <= 0
+    at any probed point with n > 0.
+    """
+    arr = _n_array(n, order)
+    return _like_n(n, _checked_f(spec, arr) if order == 0 else _f(spec, arr, order))
 
 
-def f_squared(spec: DeformationSpec, n):
-    """f(n)^2 in closed form (avoids the sqrt-then-square rounding where the
-    square itself is the natural primitive, e.g. n for sqrt_n).  An expr f
-    is checked as in eval_f first, so squaring cannot hide its sign."""
-    arr = np.asarray(n, dtype=float)
-    if spec.kind == "identity":
-        out = np.ones_like(arr)
-    elif spec.kind == "sqrt_n":
-        out = arr.copy()
-    elif spec.kind == "qdef":
-        out = _qdef_s(spec, arr, 0)
-    else:
-        f = _checked_f(spec, arr)
-        out = f * f
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
-
-
-def f_squared_deriv(spec: DeformationSpec, n, order: int = 1):
-    """d^order (f^2) / dn^order, order in {1, 2}."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    arr = np.asarray(n, dtype=float)
-    if spec.kind == "identity":
-        out = np.zeros_like(arr)
-    elif spec.kind == "sqrt_n":
-        out = np.ones_like(arr) if order == 1 else np.zeros_like(arr)
-    elif spec.kind == "qdef":
-        out = _qdef_s(spec, arr, order)
-    else:
-        f = _f_raw(spec, arr)
-        d1 = deriv_f(spec, arr, 1)
-        if order == 1:
-            out = 2.0 * f * d1
-        else:
-            d2 = deriv_f(spec, arr, 2)
-            out = 2.0 * (d1 * d1 + f * d2)
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+def f_squared(spec: DeformationSpec, n, order: int = 0):
+    """f(n)^2 or its n-derivative of the given order (0, 1 or 2) at a real
+    n >= 0, in closed form.  An expr f is checked as in eval_f at order 0."""
+    return _like_n(n, _s(spec, _n_array(n, order), order))
 
 
 # ---------------------------------------------------------------------------
 # Amplitude, commutator target, spectrum
 
 
+def _target(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
+    return (n + 1.0) * _s(spec, n + 1.0, 0) - n * _s(spec, n, 0)
+
+
 def amplitude_F(spec: DeformationSpec, n):
     """F(n) = ((n+1) f(n+1)^2 - n f(n)^2) / (f(n) f(n+1))."""
     arr = np.asarray(n, dtype=float)
-    f0 = _f_raw(spec, arr)
-    f1 = _f_raw(spec, arr + 1.0)
+    f0 = _f(spec, arr, 0)
+    f1 = _f(spec, arr + 1.0, 0)
     den = f0 * f1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        num = (arr + 1.0) * f_squared(spec, arr + 1.0) - arr * f_squared(spec, arr)
+        num = _target(spec, arr)  # kept to the end: freeing it early adds page faults
         out = num / den
     bad = (den == 0) | ~np.isfinite(out)
     if np.any(bad):
-        witness = float(arr[bad].flat[0]) if arr.ndim else float(arr)
-        raise SingularAmplitude(f"F(n) singular at n = {witness} for kind {spec.kind!r}")
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+        raise SingularAmplitude(f"F(n) singular at n = {_first_bad(arr, bad)} "
+                                f"for kind {spec.kind!r}")
+    return _like_n(n, out)
 
 
 def amplitude_F_deriv(spec: DeformationSpec, n):
@@ -273,35 +241,29 @@ def amplitude_F_deriv(spec: DeformationSpec, n):
     Raises SingularAmplitude at the first n where it is not finite.  For qdef
     that refusal is as false as amplitude_F's: the quotient overflows first."""
     arr = np.asarray(n, dtype=float)
-    f0 = _f_raw(spec, arr)
-    f1 = _f_raw(spec, arr + 1.0)
-    g0 = deriv_f(spec, arr, 1)
-    g1 = deriv_f(spec, arr + 1.0, 1)
-    s0 = f_squared(spec, arr)
-    s1 = f_squared(spec, arr + 1.0)
-    num = (arr + 1.0) * s1 - arr * s0
-    dnum = (s1 + (arr + 1.0) * f_squared_deriv(spec, arr + 1.0, 1)
-            - s0 - arr * f_squared_deriv(spec, arr, 1))
-    den = f0 * f1
-    dden = g0 * f1 + f0 * g1
+    f0 = _f(spec, arr, 0)
+    f1 = _f(spec, arr + 1.0, 0)
+    g0 = _f(spec, arr, 1)
+    g1 = _f(spec, arr + 1.0, 1)
+    s0 = _s(spec, arr, 0)
+    s1 = _s(spec, arr + 1.0, 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        num = (arr + 1.0) * s1 - arr * s0
+        dnum = (s1 + (arr + 1.0) * _s(spec, arr + 1.0, 1)
+                - s0 - arr * _s(spec, arr, 1))
+        den = f0 * f1
+        dden = g0 * f1 + f0 * g1
         out = (dnum * den - num * dden) / (den * den)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        witness = float(arr[bad].flat[0]) if arr.ndim else float(arr)
-        raise SingularAmplitude(f"dF/dn singular at n = {witness} for kind {spec.kind!r}")
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+        raise SingularAmplitude(f"dF/dn singular at n = {_first_bad(arr, bad)} "
+                                f"for kind {spec.kind!r}")
+    return _like_n(n, out)
 
 
 def commutator_target(spec: DeformationSpec, n):
     """(n+1) f(n+1)^2 - n f(n)^2, the deformed commutation-relation value."""
-    arr = np.asarray(n, dtype=float)
-    out = (arr + 1.0) * f_squared(spec, arr + 1.0) - arr * f_squared(spec, arr)
-    if np.ndim(n) == 0:
-        return float(out)
-    return out
+    return _like_n(n, _target(spec, np.asarray(n, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -375,10 +337,8 @@ def normalization_Nf(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAU
 
 def parse_deformation(text: str) -> DeformationSpec:
     body = text.strip()
-    if body == "identity":
-        return identity_spec()
-    if body == "sqrt_n":
-        return sqrt_n_spec()
+    if body in ("identity", "sqrt_n"):
+        return DeformationSpec(body)
     if body.startswith("qdef:"):
         rest = body[len("qdef:"):]
         if not rest.startswith("q="):
@@ -407,13 +367,11 @@ def parse_deformation(text: str) -> DeformationSpec:
 
 
 def spec_to_text(spec: DeformationSpec) -> str:
-    if spec.kind == "identity":
-        return "identity"
-    if spec.kind == "sqrt_n":
-        return "sqrt_n"
     if spec.kind == "qdef":
         return f"qdef:q={spec.params['q']!r}"
-    return f"expr:{spec.expr_source}"
+    if spec.kind == "expr":
+        return f"expr:{spec.expr_source}"
+    return spec.kind
 
 
 def registry_specs() -> list[DeformationSpec]:

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .deformation import (DeformationSpec, commutator_target, deriv_f, eval_f,
-                          f_squared, f_squared_deriv, require_positive, spec_to_text,
-                          spectrum)
+from .deformation import (DeformationSpec, commutator_target, eval_f, f_squared,
+                          require_positive, spec_to_text, spectrum)
 from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, default_grid,
                          fock_wigner, integrate, mesh)
 from .starproduct import ProductSetup, fstar_apply, moyal_apply
@@ -49,10 +48,10 @@ class HamiltonianProfile(RadialProfile):
         # g(x) = x f(x)^2 and its first two derivatives, via s = f^2
         if order == 0:
             return x * f_squared(self.spec, x)
-        s1 = f_squared_deriv(self.spec, x, 1)
+        s1 = f_squared(self.spec, x, 1)
         if order == 1:
             return f_squared(self.spec, x) + x * s1
-        return 2.0 * s1 + x * f_squared_deriv(self.spec, x, 2)
+        return 2.0 * s1 + x * f_squared(self.spec, x, 2)
 
     def deriv(self, n, order: int):
         if order > self.max_order:
@@ -71,11 +70,9 @@ class DeformationProfile(RadialProfile):
         self.spec = spec
 
     def deriv(self, n, order: int):
-        if order == 0:
-            return eval_f(self.spec, n)
         if order > self.max_order:
             raise ValueError("deformation profile carries two derivatives only")
-        return deriv_f(self.spec, n, order)
+        return eval_f(self.spec, n, order)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def commutator_deviation(spec: DeformationSpec,
     nfield = (Q * Q + P * P) / (2.0 * hbar)
     target = commutator_target(spec, nfield)
     # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'; s.F is F(nfield)
-    closed = s.F * (f_squared(spec, nfield) + nfield * f_squared_deriv(spec, nfield, 1))
+    closed = s.F * (f_squared(spec, nfield) + nfield * f_squared(spec, nfield, 1))
     deviation = comm.values - target
     max_abs, l2, witness = _region_norms(deviation, grid, r_cut=None)
     imag_max = float(np.max(np.abs(comm.values.imag)))

@@ -31,8 +31,10 @@ def worker_count() -> int:
         try:
             cap = int(env)
         except ValueError:
-            raise ValueError("FSTAR_THREADS must be an integer") from None
-        return max(1, min(ncpu, cap))
+            cap = 0  # refused below, with the caps under 1
+        if cap < 1:
+            raise ValueError("FSTAR_THREADS must be an integer >= 1")
+        return min(ncpu, cap)
     return min(ncpu, 8)
 
 
@@ -51,9 +53,9 @@ def _check(name: str, observed: float, tolerance: float, larger_is_better: bool 
     return entry
 
 
-def _grid(quick: bool, hbar: float = 1.0) -> PhaseGrid:
+def _grid(quick: bool) -> PhaseGrid:
     n = 257 if quick else 513
-    return PhaseGrid(-8.0, 8.0, -8.0, 8.0, n, n, hbar=hbar, offset=0.5)
+    return PhaseGrid(-8.0, 8.0, -8.0, 8.0, n, n, hbar=1.0, offset=0.5)
 
 
 def check_moyal_genvalue(quick: bool) -> dict:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import iv
 
 from fstarq import (DeformationSpec, amplitude_F, amplitude_F_deriv,
-                    commutator_target, deriv_f, eval_f, expr_spec, f_squared,
-                    f_squared_deriv, identity_spec, normalization_Nf,
+                    commutator_target, eval_f, expr_spec, f_squared,
+                    identity_spec, normalization_Nf,
                     parse_deformation, qdef_spec, registry_specs, spec_to_text,
                     spectrum, sqrt_n_spec)
 from fstarq.deformation import series_terms
@@ -122,11 +122,11 @@ def test_qdef_derivatives_match_finite_differences(n):
     spec = qdef_spec(1.3)
     h = 1e-5
     fd1 = (eval_f(spec, n + h) - eval_f(spec, n - h)) / (2 * h)
-    assert deriv_f(spec, n, 1) == pytest.approx(fd1, rel=1e-7)
+    assert eval_f(spec, n, 1) == pytest.approx(fd1, rel=1e-7)
     # second differences are roundoff-limited below h ~ 1e-3
     h = 1e-3
     fd2 = (eval_f(spec, n + h) - 2 * eval_f(spec, n) + eval_f(spec, n - h)) / h**2
-    assert deriv_f(spec, n, 2) == pytest.approx(fd2, rel=1e-5)
+    assert eval_f(spec, n, 2) == pytest.approx(fd2, rel=1e-5)
 
 
 def test_qdef_requires_positive_q():
@@ -181,7 +181,7 @@ def test_expr_derivatives_are_symbolic():
     spec = expr_spec("sqrt(1+0.1*n)")
     n = 4.0
     f = eval_f(spec, n)
-    assert deriv_f(spec, n, 1) == pytest.approx(0.05 / f, rel=1e-13)
+    assert eval_f(spec, n, 1) == pytest.approx(0.05 / f, rel=1e-13)
 
 
 def test_eval_f_rejects_negative_n():
@@ -224,7 +224,7 @@ def test_f_squared_deriv_matches_finite_difference(spec):
     h = 1e-5
     for n in (0.7, 2.0, 11.3):
         fd = (f_squared(spec, n + h) - f_squared(spec, n - h)) / (2 * h)
-        assert f_squared_deriv(spec, n, 1) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        assert f_squared(spec, n, 1) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)

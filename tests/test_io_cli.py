@@ -365,9 +365,10 @@ def test_cli_error_names_flag(capsys):
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("FSTAR_THREADS", "2")
     assert worker_count() == 2
-    monkeypatch.setenv("FSTAR_THREADS", "not-a-number")
-    with pytest.raises(ValueError):
-        worker_count()
+    for bad in ("not-a-number", "0", "-4"):
+        monkeypatch.setenv("FSTAR_THREADS", bad)
+        with pytest.raises(ValueError, match=r"^FSTAR_THREADS must be an integer >= 1$"):
+            worker_count()
     monkeypatch.delenv("FSTAR_THREADS")
     assert worker_count() >= 1
 

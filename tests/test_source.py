@@ -1,5 +1,7 @@
 """Static checks of the package source.  Every name a module imports is used
-in that module; ``__init__`` is exempt, since it imports to re-export."""
+in that module; ``__init__`` is exempt, since it imports to re-export.  Every
+private top-level function, class and constant is referenced somewhere in
+the package, so a folded helper cannot linger beside its replacement."""
 
 import ast
 import pathlib
@@ -7,7 +9,8 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fstarq"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +36,46 @@ def test_unused_import_is_caught():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """'module line N: name' for each private top-level name that no module
+    loads, either bare or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return [f"{module} line {line}: {name}"
+            for module, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in loaded]
+
+
+def test_unreferenced_private_is_caught():
+    sources = {
+        "a": "_USED = 1\n_UNUSED = 2\ndef _helper():\n    return _USED\n"
+             "class _Spare:\n    pass\n",
+        "b": "from a import _helper\nx = _helper()\n",
+    }
+    assert unreferenced_privates(sources) == ["a line 2: _UNUSED", "a line 5: _Spare"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_privates(sources) == []
