@@ -5,17 +5,17 @@ continuous excitation number n = (q^2 + p^2) / (2 hbar):
 
     H(q, p) = (hbar w / 2) [ (n+1) f(n+1)^2 + n f(n)^2 ]
 
-For the identity deformation the genvalue residual is anchored to the exact
-harmonic identity (w/2)(q^2 + p^2) star W_n = hbar w (n + 1/2) W_n computed
-with the exact Moyal product; the substituted Hamiltonian field differs
-from that harmonic symbol by the constant hbar w / 2 and satisfies the same
-equation with eigenvalue hbar w (n + 1), so the exact anchor uses the
-harmonic symbol.  For every other deformation the residual of the
-first-order f-star equation is measured and reported, not asserted.
+``hamiltonian_star`` chooses the product for H star W.  For the identity
+deformation it is the exact Moyal product with the harmonic symbol, anchored
+to (w/2)(q^2 + p^2) star W_n = hbar w (n + 1/2) W_n; the substituted field
+above differs from that symbol by the constant hbar w / 2.  For every other
+deformation it is the first-order f-star product with the deformed
+Hamiltonian, whose residual is measured and reported, not asserted.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from .deformation import (DeformationSpec, commutator_target, eval_f, f_squared,
                           require_positive, spec_to_text, spectrum)
 from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, default_grid,
-                         fock_wigner, integrate, mesh)
-from .starproduct import ProductSetup, fstar_apply, moyal_apply
+                         fock_wigner, integrate, partial_field)
+from .starproduct import ProductSetup, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
 DEFAULT_R_CUT = 4.0
@@ -45,17 +45,12 @@ class HamiltonianProfile(RadialProfile):
         self.omega = omega
 
     def _g(self, x, order):
-        # g(x) = x f(x)^2 and its first two derivatives, via s = f^2
+        # g(x) = x s(x) with s = f^2, and g^(k) = k s^(k-1) + x s^(k)
         if order == 0:
             return x * f_squared(self.spec, x)
-        s1 = f_squared(self.spec, x, 1)
-        if order == 1:
-            return f_squared(self.spec, x) + x * s1
-        return 2.0 * s1 + x * f_squared(self.spec, x, 2)
+        return order * f_squared(self.spec, x, order - 1) + x * f_squared(self.spec, x, order)
 
     def deriv(self, n, order: int):
-        if order > self.max_order:
-            raise ValueError("Hamiltonian profile carries two derivatives only")
         pref = 0.5 * self.hbar * self.omega
         return pref * (self._g(np.asarray(n, dtype=float) + 1.0, order)
                        + self._g(np.asarray(n, dtype=float), order))
@@ -70,8 +65,6 @@ class DeformationProfile(RadialProfile):
         self.spec = spec
 
     def deriv(self, n, order: int):
-        if order > self.max_order:
-            raise ValueError("deformation profile carries two derivatives only")
         return eval_f(self.spec, n, order)
 
 
@@ -86,6 +79,20 @@ def build_hamiltonian(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0
                                   scale=2.0 * grid.hbar)
     return Field(grid, structure.evaluate(grid), label=f"H[{spec_to_text(spec)}]",
                  analytic=structure)
+
+
+def hamiltonian_star(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0):
+    """(star, path) with star(w) = H star w.  For a deformed spec, the
+    Hamiltonian's first partials and F(n) are filled here, so that threads
+    sharing star only read them."""
+    if spec.kind == "identity":
+        h_sym = PolySymbol({(2, 0): 0.5 * omega, (0, 2): 0.5 * omega})
+        return functools.partial(moyal_apply, h_sym), "moyal_exact"
+    ham = build_hamiltonian(spec, grid, omega)
+    setup = ProductSetup(grid, spec)
+    partial_field(ham, 1, 0)
+    partial_field(ham, 0, 1)
+    return functools.partial(setup.product, ham), "fstar_first"
 
 
 def ladder_fields(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field, Field]:
@@ -123,12 +130,11 @@ class ResidualReport:
 
 def _region_norms(residual: np.ndarray, grid: PhaseGrid,
                   r_cut: float | None) -> tuple[float, float, Witness]:
-    Q, P = mesh(grid)
     absr = np.abs(residual)
     if r_cut is None:
         masked = absr
     else:
-        inside = (Q * Q + P * P) <= r_cut * r_cut
+        inside = grid.radial(lambda v: v <= r_cut * r_cut)
         if not inside.any():
             raise ValueError(f"r_cut = {r_cut!r}: no grid sample lies inside the disc")
         masked = np.where(inside, absr, -1.0)
@@ -139,29 +145,24 @@ def _region_norms(residual: np.ndarray, grid: PhaseGrid,
         l2 = float(np.sqrt(np.sum(absr * absr) * grid.dq * grid.dp))
     else:
         l2 = float(np.sqrt(np.sum((absr * absr)[inside]) * grid.dq * grid.dp))
-    witness = Witness(float(Q[iq, ip]), float(P[iq, ip]), complex(residual[iq, ip]))
+    witness = Witness(float(grid.q_values()[iq]), float(grid.p_values()[ip]),
+                      complex(residual[iq, ip]))
     return max_abs, l2, witness
 
 
 def energy_level(spec: DeformationSpec, n: int, hbar: float, omega: float) -> float:
-    """E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2), assembled directly.
-
-    Intentionally a separate code path from deformation.spectrum (which goes
-    through the commutator target) so the two can be cross-checked.
-    """
-    s1 = f_squared(spec, float(n) + 1.0)
-    s0 = f_squared(spec, float(n))
-    return 0.5 * hbar * omega * ((n + 1) * s1 + n * s0)
+    """E_n = h(n), the Hamiltonian profile at n.  A separate path from
+    deformation.spectrum (via the commutator target), so the two cross-check."""
+    return float(HamiltonianProfile(spec, hbar, omega).deriv(float(n), 0))
 
 
 def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = None,
                       omega: float = 1.0, r_cut: float = DEFAULT_R_CUT) -> ResidualReport:
     """Residual of the star-genvalue equation H star W_n = E_n W_n.
 
-    Identity deformation: exact Moyal product with the harmonic symbol
-    (w/2)(q^2+p^2).  Other deformations: first-order f-star product with the
-    deformed Hamiltonian field; the report records the mismatch rather than
-    asserting it away.  The norms cover the disc q^2 + p^2 <= r_cut^2.
+    The product is ``hamiltonian_star``'s; for a deformed spec the report
+    records the mismatch rather than asserting it away.  The norms cover the
+    disc q^2 + p^2 <= r_cut^2.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -173,13 +174,8 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
     w = fock_wigner(n, grid)
     e_n = energy_level(spec, n, hbar, omega)
     e_crosscheck = spectrum(spec, n, hbar, omega)[n].energy
-    if spec.kind == "identity":
-        h_sym = PolySymbol({(2, 0): 0.5 * omega, (0, 2): 0.5 * omega})
-        star = moyal_apply(h_sym, w, hbar)
-        path = "moyal_exact"
-    else:
-        star = fstar_apply(build_hamiltonian(spec, grid, omega), w, spec, hbar)
-        path = "fstar_first"
+    h_star, path = hamiltonian_star(spec, grid, omega)
+    star = h_star(w)
     residual = star.values - e_n * w.values
     max_abs, l2, witness = _region_norms(residual, grid, r_cut)
     imag_max = float(np.max(np.abs(residual.imag)))
@@ -211,11 +207,10 @@ def commutator_deviation(spec: DeformationSpec,
     A, Abar = ladder_fields(spec, grid)
     s = ProductSetup(grid, spec, hbar)
     comm = s.commutator(A, Abar)
-    Q, P = mesh(grid)
-    nfield = (Q * Q + P * P) / (2.0 * hbar)
-    target = commutator_target(spec, nfield)
-    # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'; s.F is F(nfield)
-    closed = s.F * (f_squared(spec, nfield) + nfield * f_squared(spec, nfield, 1))
+    target = grid.radial(functools.partial(commutator_target, spec), 2.0 * hbar)
+    # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'; s.F is F(n)
+    closed = s.F * grid.radial(lambda n: f_squared(spec, n) + n * f_squared(spec, n, 1),
+                               2.0 * hbar)
     deviation = comm.values - target
     max_abs, l2, witness = _region_norms(deviation, grid, r_cut=None)
     imag_max = float(np.max(np.abs(comm.values.imag)))

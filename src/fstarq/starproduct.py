@@ -21,12 +21,13 @@ seed the result's known partials, which ``partial_field`` serves.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
-from .phasespace import Field, mesh, partial_field
+from .phasespace import Field, partial_field
 from .symbols import PolySymbol
 
 
@@ -62,14 +63,13 @@ class ProductSetup:
         hbar = require_positive("hbar", grid.hbar if hbar is None else hbar)
         self.grid = grid
         self.hbar = hbar
-        Q, P = mesh(grid)
-        n = (Q * Q + P * P) / (2.0 * hbar)
-        self.F = amplitude_F(spec, n)
+        self.F = grid.radial(functools.partial(amplitude_F, spec), 2.0 * hbar)
         self.Fq = self.Fp = None
         if jets:
-            dF = amplitude_F_deriv(spec, n)
-            self.Fq = dF * Q / hbar
-            self.Fp = dF * P / hbar
+            dF = grid.radial(functools.partial(amplitude_F_deriv, spec), 2.0 * hbar)
+            q, p = grid.axes()
+            self.Fq = dF * q / hbar
+            self.Fp = dF * p / hbar
 
     def product(self, k: Field, g: Field, jets: bool = False) -> Field:
         """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its

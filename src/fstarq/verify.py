@@ -14,11 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
-from .genvalue import (associativity_defect, build_hamiltonian, commutator_deviation,
-                       genvalue_residual)
+from .genvalue import (associativity_defect, commutator_deviation, genvalue_residual,
+                       hamiltonian_star)
 from .phasespace import (PhaseGrid, fcs_wigner, field_from_poly, field_from_values,
-                         fock_wigner, integrate, mesh, partial_field)
-from .starproduct import ProductSetup, moyal_apply
+                         fock_wigner, integrate, partial_field)
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
 
@@ -62,7 +61,6 @@ def check_moyal_genvalue(quick: bool) -> dict:
     grid = _grid(quick)
     spec = identity_spec()
     n_top = 3 if quick else 10
-    mesh(grid)  # built here: lru_cache lets pool threads that miss together each build it
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         reports = list(pool.map(
             lambda n: genvalue_residual(spec, n, grid, omega=1.0), range(n_top + 1)))
@@ -76,26 +74,12 @@ def check_imag_vanishing(quick: bool) -> dict:
     n_top = 3 if quick else 10
     worst = 0.0
     worst_at = ""
-
-    def imag_of(ham, setup, n):
-        w = fock_wigner(n, grid)
-        if setup is None:
-            h_sym = PolySymbol({(2, 0): 0.5, (0, 2): 0.5})
-            star = moyal_apply(h_sym, w)
-        else:
-            star = setup.product(ham, w)
-        return float(np.max(np.abs(star.values.imag)))
-
     for spec in registry_specs():
-        ham = setup = None
-        if spec.kind != "identity":
-            # every task reads these: built here, no task writes shared state
-            ham = build_hamiltonian(spec, grid)
-            partial_field(ham, 1, 0)
-            partial_field(ham, 0, 1)
-            setup = ProductSetup(grid, spec)
+        star = hamiltonian_star(spec, grid)[0]  # the tasks only read what it shares
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            vals = list(pool.map(lambda n: imag_of(ham, setup, n), range(n_top + 1)))
+            vals = list(pool.map(
+                lambda n: float(np.max(np.abs(star(fock_wigner(n, grid)).values.imag))),
+                range(n_top + 1)))
         local = max(vals)
         if local > worst:
             worst = local

@@ -11,8 +11,8 @@ from fstarq import (NonPositiveValue, PhaseGrid, PolySymbol, associativity_defec
                     genvalue_residual, identity_spec, ladder_fields, mesh, parse_symbol,
                     qdef_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec)
 from fstarq import genvalue
-from fstarq.phasespace import partial_field
-from fstarq.starproduct import ProductSetup
+from fstarq.genvalue import hamiltonian_star
+from fstarq.starproduct import ProductSetup, moyal_apply
 from fstarq.verify import check_imag_vanishing
 
 REGISTRY = registry_specs()
@@ -96,6 +96,18 @@ def test_energy_level_matches_spectrum(spec, n):
     assert direct == pytest.approx(via_rows, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
+@pytest.mark.parametrize("hbar, omega", [(1.0, 1.0), (0.7, 1.3)])
+def test_energy_level_is_the_old_direct_formula_bit_for_bit(spec, hbar, omega):
+    # energy_level reads the Hamiltonian profile; it kept the bits of the direct
+    # sum it replaced
+    for n in range(11):
+        s1 = deformation.f_squared(spec, float(n) + 1.0)
+        s0 = deformation.f_squared(spec, float(n))
+        old = 0.5 * hbar * omega * ((n + 1) * s1 + n * s0)
+        assert energy_level(spec, n, hbar, omega).hex() == old.hex()
+
+
 # ---------------------------------------------------------------------------
 # genvalue residuals
 
@@ -138,6 +150,20 @@ def test_witness_lies_on_grid(grid513):
 def test_imag_vanishing_per_spec(grid257, spec):
     rep = genvalue_residual(spec, 5, grid257)
     assert rep.imag_max <= 1e-10
+
+
+@pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
+def test_hamiltonian_star_is_the_direct_product_bit_for_bit(spec):
+    grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, 65, 65, hbar=1.0, offset=0.5)
+    star, path = hamiltonian_star(spec, grid)
+    w = fock_wigner(3, grid)
+    if spec.kind == "identity":
+        direct = moyal_apply(PolySymbol({(2, 0): 0.5, (0, 2): 0.5}), w)
+        assert path == "moyal_exact"
+    else:
+        direct = fstar_apply(build_hamiltonian(spec, grid), w, spec)
+        assert path == "fstar_first"
+    assert star(w).values.tobytes() == direct.values.tobytes()
 
 
 def test_diagnostics_take_no_order_option(grid257):
@@ -244,25 +270,23 @@ def test_imag_vanishing_check_samples_amplitude_once_per_spec(amplitude_samples)
 
 
 def test_shared_setup_is_only_read_by_pool_threads():
-    # the imag-vanishing pattern with more threads than cores and a short
-    # switch interval: pooled products match serial ones, and neither the
-    # setup nor the Hamiltonian's known partials are written by the tasks
+    # hamiltonian_star's product, as the imag-vanishing check shares it, with more
+    # threads than cores and a short switch interval: pooled products match serial
+    # ones, and neither the setup nor the Hamiltonian's known partials are written
     grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, 65, 65, hbar=1.0, offset=0.5)
-    spec = sqrt_n_spec()
-    ham = build_hamiltonian(spec, grid)
-    partial_field(ham, 1, 0)
-    partial_field(ham, 0, 1)
-    setup = ProductSetup(grid, spec)
+    star, _ = hamiltonian_star(sqrt_n_spec(), grid)
+    ham, setup = star.args[0], star.func.__self__
+    assert isinstance(setup, ProductSetup)
+    assert {(1, 0), (0, 1)} <= ham._cache.keys()
     known = dict(ham._cache)
     F = setup.F.copy()
-    serial = [setup.product(ham, fock_wigner(n, grid)).values.tobytes()
-              for n in range(16)]
+    serial = [star(fock_wigner(n, grid)).values.tobytes() for n in range(16)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda n: setup.product(
-                ham, fock_wigner(n, grid)).values.tobytes(), n) for n in range(16)]
+            futures = [pool.submit(lambda n: star(fock_wigner(n, grid)).values.tobytes(), n)
+                       for n in range(16)]
             pooled = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(old)

@@ -273,6 +273,20 @@ def test_cli_refused_qdef_assoc_prints_only_the_error():
                                "for kind 'qdef'\n")
 
 
+def test_cli_names_a_nan_partial_without_numpy_warnings():
+    # f = 1 + sqrt(n) has f'(0) = inf, so the chain rule puts 0 * inf at the origin
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from fstarq.cli import main; "
+         "sys.exit(main(['commutator', '--spec', 'expr:1+sqrt(n)', "
+         "'--grid=-4,4,-4,4,129,129,0']))"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: partial (1, 0) of A[expr:1+sqrt(n)] is not finite "
+                           "at (q, p) = (0.0, 0.0)\n")
+
+
 # each refusal's error line; where several flags are bad, the line names the
 # one that wins (argparse prints its usage above its line)
 CLI_REFUSALS = [

@@ -7,7 +7,7 @@ from scipy.special import eval_laguerre
 from fstarq import (Field, PhaseGrid, PolySymbol, fcs_wigner, field_from_poly,
                     field_from_values, fock_wigner, gradient, identity_spec, integrate,
                     laguerre, mesh, moyal_apply, parse_symbol, partial_field, qdef_spec,
-                    registry_specs, spec_to_text, sqrt_n_spec, wigner_weights)
+                    ladder_fields, registry_specs, spec_to_text, sqrt_n_spec, wigner_weights)
 from fstarq.genvalue import HamiltonianProfile
 from fstarq.phasespace import AnalyticStructure, FockWignerProfile, _fd4_axis, laguerre_series
 from fstarq.starproduct import ProductSetup
@@ -416,11 +416,31 @@ def test_radial_derivatives_computed_once_per_key(grid257):
 
 
 def test_radial_memo_keys_on_grid_and_scale(grid257, origin_grid):
+    # the n_q != n_p grid fails if the q and p axes of the sampling are swapped
+    oblong = PhaseGrid(-4.0, 4.0, -3.0, 3.0, 33, 17, hbar=1.0, offset=0.5)
     profile = CountingFock(2)
-    for grid, scale in ((grid257, 1.0), (origin_grid, 1.0), (grid257, 2.0)):
+    for grid, scale in ((grid257, 1.0), (origin_grid, 1.0), (grid257, 2.0), (oblong, 1.0)):
         Q, P = mesh(grid)
         direct = FockWignerProfile(2).deriv((Q * Q + P * P) / scale, 1)
         assert _same_bits(profile.on_grid(grid, scale, 1), direct)
     with pytest.raises(ValueError):
         profile.on_grid(grid257, 1.0, 1)[0, 0] = 0.0
-    assert profile.orders == [1, 1, 1]
+    assert profile.orders == [1, 1, 1, 1]
+
+
+def test_on_grid_enforces_the_derivative_budget(grid257):
+    profile = CountingHamiltonian(sqrt_n_spec(), 1.0, 1.0)
+    with pytest.raises(ValueError, match="CountingHamiltonian carries 2 derivatives only"):
+        profile.on_grid(grid257, 2.0, 3)
+    assert "orders" not in profile.__dict__  # refused before any sample
+
+
+def test_nan_partial_at_the_origin_is_named(origin_grid):
+    # a * f(n) for f = sqrt(n): the chain rule puts 0 * f'(0) = 0 * inf at the
+    # origin; the refusal names the partial, the field and the point, with no
+    # numpy warning first (pytest turns RuntimeWarning into an error)
+    A = ladder_fields(sqrt_n_spec(), origin_grid)[0]
+    with pytest.raises(ValueError, match=r"^partial \(1, 0\) of A\[sqrt_n\] is not finite "
+                                         r"at \(q, p\) = \(0\.0, 0\.0\)$"):
+        partial_field(A, 1, 0)
+    assert (1, 0) not in A._cache

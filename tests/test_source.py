@@ -1,7 +1,9 @@
 """Static checks of the package source.  Every name a module imports is used
 in that module; ``__init__`` is exempt, since it imports to re-export.  Every
 private top-level function, class and constant is referenced somewhere in
-the package, so a folded helper cannot linger beside its replacement."""
+the package, so a folded helper cannot linger beside its replacement.  No
+module other than ``__init__`` refers to ``mesh`` beyond defining it: radial
+functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``."""
 
 import ast
 import pathlib
@@ -79,3 +81,29 @@ def test_unreferenced_private_is_caught():
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unreferenced_privates(sources) == []
+
+
+def mesh_references(source: str) -> list[int]:
+    """Lines that import, call or otherwise load ``mesh``; its definition is none."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == "mesh")
+                or (isinstance(node, ast.Attribute) and node.attr == "mesh")
+                or (isinstance(node, ast.ImportFrom)
+                    and any(alias.name == "mesh" for alias in node.names))):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_mesh_reference_is_caught():
+    source = ("from .phasespace import axes, mesh\n"
+              "def mesh(grid):\n    return grid\n"
+              "Q, P = mesh(g)\n"
+              "x = phasespace.mesh\n"
+              "meshes = grid.axes()\n")
+    assert mesh_references(source) == [1, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_samples_no_full_mesh(path):
+    assert mesh_references(path.read_text(encoding="utf-8")) == []
