@@ -125,22 +125,22 @@ def _qdef_s(spec, n, order):
 
 
 def _f(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
-    if spec.kind == "identity":
-        return np.ones_like(n) if order == 0 else np.zeros_like(n)
-    if spec.kind == "sqrt_n":
-        if order == 0:
-            return np.sqrt(n)
-        with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.kind == "identity":
+            return np.ones_like(n) if order == 0 else np.zeros_like(n)
+        if spec.kind == "sqrt_n":
+            if order == 0:
+                return np.sqrt(n)
             return 0.5 * n**-0.5 if order == 1 else -0.25 * n**-1.5
-    if spec.kind == "qdef":
-        f = np.sqrt(_qdef_s(spec, n, 0))
-        if order == 0:
-            return f
-        s1 = _qdef_s(spec, n, 1)
-        if order == 1:
-            return s1 / (2.0 * f)
-        return _qdef_s(spec, n, 2) / (2.0 * f) - s1 * s1 / (4.0 * f**3)
-    return np.asarray(_expr_asts(spec.expr_source)[order](n), dtype=float)
+        if spec.kind == "qdef":
+            f = np.sqrt(_qdef_s(spec, n, 0))
+            if order == 0:
+                return f
+            s1 = _qdef_s(spec, n, 1)
+            if order == 1:
+                return s1 / (2.0 * f)
+            return _qdef_s(spec, n, 2) / (2.0 * f) - s1 * s1 / (4.0 * f**3)
+        return np.asarray(_expr_asts(spec.expr_source)[order](n), dtype=float)
 
 
 def _s(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
@@ -155,13 +155,14 @@ def _s(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
         return np.ones_like(n) if order == 1 else np.zeros_like(n)
     if spec.kind == "qdef":
         return _qdef_s(spec, n, order)
-    if order == 0:
-        f = _checked_f(spec, n)
-        return f * f
-    f, d1 = _f(spec, n, 0), _f(spec, n, 1)
-    if order == 1:
-        return 2.0 * f * d1
-    return 2.0 * (d1 * d1 + f * _f(spec, n, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order == 0:
+            f = _checked_f(spec, n)
+            return f * f
+        f, d1 = _f(spec, n, 0), _f(spec, n, 1)
+        if order == 1:
+            return 2.0 * f * d1
+        return 2.0 * (d1 * d1 + f * _f(spec, n, 2))
 
 
 def _first_bad(n: np.ndarray, bad: np.ndarray) -> float:
@@ -216,7 +217,8 @@ def f_squared(spec: DeformationSpec, n, order: int = 0):
 
 
 def _target(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
-    return (n + 1.0) * _s(spec, n + 1.0, 0) - n * _s(spec, n, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (n + 1.0) * _s(spec, n + 1.0, 0) - n * _s(spec, n, 0)
 
 
 def amplitude_F(spec: DeformationSpec, n):
@@ -224,8 +226,8 @@ def amplitude_F(spec: DeformationSpec, n):
     arr = np.asarray(n, dtype=float)
     f0 = _f(spec, arr, 0)
     f1 = _f(spec, arr + 1.0, 0)
-    den = f0 * f1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = f0 * f1
         num = _target(spec, arr)  # kept to the end: freeing it early adds page faults
         out = num / den
     bad = (den == 0) | ~np.isfinite(out)
@@ -281,7 +283,10 @@ def require_positive(name: str, value: float) -> float:
 
 def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
              omega: float = 1.0) -> list[SpectrumRow]:
-    """Level energies E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2), n <= n_max."""
+    """Level energies E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2), n <= n_max.
+
+    Raises NonPositiveValue at the first n where f is not finite and
+    positive, or where E_n overflows."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     require_positive("hbar", hbar)
@@ -290,8 +295,13 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
     eval_f(spec, np.arange(0, n_max + 2, dtype=float))  # NonPositiveValue names the bad n
     # assembled via the commutator target plus 2 n f(n)^2; the genvalue module
     # recomputes E_n from the raw formula as an independent cross-check
-    energies = 0.5 * hbar * omega * (commutator_target(spec, ns)
-                                     + 2.0 * ns * f_squared(spec, ns))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = 0.5 * hbar * omega * (commutator_target(spec, ns)
+                                         + 2.0 * ns * f_squared(spec, ns))
+    bad = ~np.isfinite(energies)
+    if np.any(bad):
+        raise NonPositiveValue(f"E_n is not finite at n = {_first_bad(ns, bad)} "
+                               f"for kind {spec.kind!r}")
     return [SpectrumRow(int(k), float(e)) for k, e in zip(range(n_max + 1), energies)]
 
 

@@ -8,8 +8,12 @@ Grammar (whitespace insensitive)::
     power   := atom ('^' factor)?
     atom    := NUMBER | 'n' | ('sqrt'|'exp'|'ln') '(' expr ')' | '(' expr ')'
 
-Parsed expressions evaluate on scalars or numpy arrays and support exact
-symbolic differentiation (used for the analytic derivative chains in the
+Parsed expressions evaluate through numpy alone: a scalar n gives a numpy
+float, bit-identical to the same n inside an array.  Domain errors,
+division by zero and overflow give inf or NaN, never an exception or a
+warning; ln of x <= 0 is NaN.  Callers such as ``deformation.eval_f``
+refuse such values by name.  Expressions also support exact symbolic
+differentiation (used for the analytic derivative chains in the
 star-product machinery).
 
 ``_Parser`` is the package's one recursive-descent parser; ``symbols``
@@ -18,7 +22,6 @@ overrides its five build hooks to read polynomials in q, p and i.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -81,7 +84,7 @@ class Num(Node):
     value: float
 
     def __call__(self, n):
-        return self.value * np.ones_like(np.asarray(n, dtype=float)) if np.ndim(n) else self.value
+        return self.value * np.ones_like(np.asarray(n, dtype=float))
 
     def diff(self):
         return Num(0.0)
@@ -90,7 +93,7 @@ class Num(Node):
 @dataclass(frozen=True)
 class Var(Node):
     def __call__(self, n):
-        return np.asarray(n, dtype=float) if np.ndim(n) else float(n)
+        return np.asarray(n, dtype=float)
 
     def diff(self):
         return Num(1.0)
@@ -105,19 +108,16 @@ class BinOp(Node):
     def __call__(self, n):
         a = self.left(n)
         b = self.right(n)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
+            if self.op == "+":
+                return a + b
+            if self.op == "-":
+                return a - b
+            if self.op == "*":
+                return a * b
+            if self.op == "/":
                 return a / b
-        # power; guard the 0**negative and negative-base cases to NaN rather
-        # than raising so that domain checks happen at the eval_f level
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.power(a, b) if np.ndim(a) or np.ndim(b) else _scalar_pow(a, b)
+            return np.power(a, b)
 
     def diff(self):
         u, v = self.left, self.right
@@ -140,14 +140,6 @@ class BinOp(Node):
                                       BinOp("*", v, BinOp("/", du, u))))
 
 
-def _scalar_pow(a, b):
-    try:
-        r = math.pow(a, b)
-    except (ValueError, OverflowError):
-        return math.nan
-    return r
-
-
 @dataclass(frozen=True)
 class Call(Node):
     fn: str
@@ -155,12 +147,12 @@ class Call(Node):
 
     def __call__(self, n):
         x = self.arg(n)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
             if self.fn == "sqrt":
-                return np.sqrt(x) if np.ndim(x) else (math.sqrt(x) if x >= 0 else math.nan)
+                return np.sqrt(x)
             if self.fn == "exp":
-                return np.exp(x) if np.ndim(x) else math.exp(x)
-            return np.log(x) if np.ndim(x) else (math.log(x) if x > 0 else math.nan)
+                return np.exp(x)
+            return np.log(np.where(x > 0, x, np.nan))
 
     def diff(self):
         dx = self.arg.diff()

@@ -252,6 +252,15 @@ class AnalyticStructure:
 # Field
 
 
+def _require_finite(grid: PhaseGrid, arr: np.ndarray, what: str) -> None:
+    """A ValueError naming ``what`` and the first non-finite (q, p) of arr in
+    mesh order, if there is one."""
+    if not np.isfinite(arr).all():
+        iq, ip = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{what} is not finite at (q, p) = "
+                         f"({float(grid.q_values()[iq])!r}, {float(grid.p_values()[ip])!r})")
+
+
 class Field:
     """Complex-valued samples on a PhaseGrid, with optional exact-derivative
     metadata (polynomial backing, analytic radial structure) and the known
@@ -268,8 +277,7 @@ class Field:
         if arr.shape != (grid.n_q, grid.n_p):
             raise ValueError(f"values shape {arr.shape} does not match grid "
                              f"({grid.n_q}, {grid.n_p})")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field values must be finite")
+        _require_finite(grid, arr, f"field {label}" if label else "an unnamed field")
         self.grid = grid
         self.values = arr
         self.label = label
@@ -349,11 +357,8 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
             arr = _fd4_axis(arr, field.grid.dq, 0)
         for _ in range(j):
             arr = _fd4_axis(arr, field.grid.dp, 1)
-    if not np.isfinite(arr).all():
-        iq, ip = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"partial ({i}, {j}) of {field.label or 'an unnamed field'} is not "
-                         f"finite at (q, p) = ({float(field.grid.q_values()[iq])!r}, "
-                         f"{float(field.grid.p_values()[ip])!r})")
+    _require_finite(field.grid, arr,
+                    f"partial ({i}, {j}) of {field.label or 'an unnamed field'}")
     field._cache[key] = arr
     return arr
 

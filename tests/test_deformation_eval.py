@@ -7,15 +7,22 @@ helpers and the f check they used, copied verbatim.  Every order of f and f^2
 must keep their bits.  Past n ~ 710 / |ln q| the qdef values overflow to inf
 and NaN; those bits are compared too, with floating-point warnings silenced
 on both sides.
+
+An `expr` f has one evaluator, so a scalar n gives the bits of the same n
+inside an array.
 """
+
+import functools
+import warnings
 
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, amplitude_F_deriv, eval_f, expr_spec, f_squared, identity_spec,
-                    mesh, qdef_spec, sqrt_n_spec)
+from fstarq import (PhaseGrid, amplitude_F, amplitude_F_deriv, commutator_target, eval_f,
+                    expr_spec, f_squared, identity_spec, mesh, parse_deformation, qdef_spec,
+                    registry_specs, sqrt_n_spec)
 from fstarq.deformation import _expr_asts, _f, _qdef_lambda, _s
-from fstarq.errors import NonPositiveValue, SingularAmplitude
+from fstarq.errors import FStarError, NonPositiveValue, SingularAmplitude
 
 SPECS = [
     identity_spec(),
@@ -212,3 +219,43 @@ def test_amplitude_deriv_overflow_refused_without_warning(q):
     with pytest.raises(SingularAmplitude,
                        match=r"^dF/dn singular at n = 7000\.0 for kind 'qdef'$"):
         amplitude_F_deriv(qdef_spec(q), 7000.0)
+
+
+# ---------------------------------------------------------------------------
+# one evaluator for scalar and array n, and no floating-point warnings
+
+# dense below n = 1, where math.log once rounded ln(1+n) differently
+FOLD_N = np.concatenate([np.arange(0.0, 1.0, 0.0025), np.arange(1.0, 50.0, 0.125)])
+FOLD_SOURCES = ["exp(0.01*n)", "ln(1+n)", "(1+n)^0.3"] + [
+    spec.expr_source for spec in registry_specs() if spec.kind == "expr"]
+
+
+@pytest.mark.parametrize("source", FOLD_SOURCES)
+def test_scalar_n_bit_identical_to_array_n(source):
+    spec = expr_spec(source)
+    for fn in (eval_f, f_squared):
+        for order in (0, 1, 2):
+            scalars = np.array([fn(spec, float(n), order) for n in FOLD_N])
+            assert _same_bits(scalars, fn(spec, FOLD_N, order)), (fn.__name__, order)
+
+
+WARNING_SPECS = ["identity", "sqrt_n", "qdef:q=0.5", "qdef:q=1.2", "qdef:q=1e6", "expr:exp(n)",
+                 "expr:1/n", "expr:ln(n)", "expr:n^-1", "expr:(n-3)^0.5", "expr:sqrt(1+0.1*n)"]
+WARNING_CALLS = ([functools.partial(eval_f, order=k) for k in (0, 1, 2)]
+                 + [functools.partial(f_squared, order=k) for k in (0, 1, 2)]
+                 + [amplitude_F, amplitude_F_deriv, commutator_target])
+# exp(400) is finite but its square is not
+WARNING_N = [0.0, 400.0, 800.0, np.array([0.0, 0.5, 1.0, 5.0, 400.0, 800.0, 1e4])]
+
+
+@pytest.mark.parametrize("text", WARNING_SPECS)
+def test_deformation_layer_returns_or_refuses_without_warning(text):
+    spec = parse_deformation(text)
+    for call in WARNING_CALLS:
+        for n in WARNING_N:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    call(spec, n)
+                except (FStarError, ValueError):
+                    pass

@@ -258,16 +258,22 @@ def test_cli_assoc_csv(tmp_path):
     assert slope >= 1.9
 
 
+def _cli_process(*argv):
+    """The CLI run in a fresh interpreter with default warning filters, so a
+    numpy warning reaches stderr as it would for a user."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from fstarq.cli import main; "
+         f"sys.exit(main({list(argv)!r}))"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+
+
 def test_cli_refused_qdef_assoc_prints_only_the_error():
     # F(n) (q = 1.2) or dF/dn (q = 0.9, 1.1) overflows far inside the default
     # grid; the refusal names the point and is not preceded by numpy warnings
-    root = pathlib.Path(__file__).resolve().parents[1]
     for q, quantity in (("0.9", "dF/dn"), ("1.1", "dF/dn"), ("1.2", "F(n)")):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from fstarq.cli import main; "
-             f"sys.exit(main(['assoc', '--spec', 'qdef:q={q}']))"],
-            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-            capture_output=True, text=True, timeout=120)
+        proc = _cli_process("assoc", "--spec", f"qdef:q={q}")
         assert proc.returncode == 2
         assert proc.stderr == (f"error: {quantity} singular at n = 6375.0244140625 "
                                "for kind 'qdef'\n")
@@ -275,16 +281,32 @@ def test_cli_refused_qdef_assoc_prints_only_the_error():
 
 def test_cli_names_a_nan_partial_without_numpy_warnings():
     # f = 1 + sqrt(n) has f'(0) = inf, so the chain rule puts 0 * inf at the origin
-    root = pathlib.Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from fstarq.cli import main; "
-         "sys.exit(main(['commutator', '--spec', 'expr:1+sqrt(n)', "
-         "'--grid=-4,4,-4,4,129,129,0']))"],
-        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True, text=True, timeout=120)
+    proc = _cli_process("commutator", "--spec", "expr:1+sqrt(n)", "--grid=-4,4,-4,4,129,129,0")
     assert proc.returncode == 2
     assert proc.stderr == ("error: partial (1, 0) of A[expr:1+sqrt(n)] is not finite "
                            "at (q, p) = (0.0, 0.0)\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    # 1/0 and exp(801) are inf on the one numpy path, refused by name
+    (("residual", "--spec", "expr:1/n", "--n", "0", "--grid=-4,4,-4,4,33,33"),
+     "error: f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    (("residual", "--spec", "expr:exp(n)", "--n", "800", "--grid=-4,4,-4,4,33,33"),
+     "error: f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    (("spectrum", "--spec", "expr:exp(n)", "--n-max", "800"),
+     "error: f(n) is not a finite positive value at n = 710.0 for kind 'expr'"),
+    # f = exp(n) is finite up to n = 709, but E_n overflows from n = 351
+    (("spectrum", "--spec", "expr:exp(n)", "--n-max", "400"),
+     "error: E_n is not finite at n = 351.0 for kind 'expr'"),
+    # the Hamiltonian overflows in the grid's corners
+    (("residual", "--spec", "qdef:q=1e6", "--n", "1"),
+     "error: field H[qdef:q=1000000.0] is not finite at (q, p) = (-7.984375, -7.984375)"),
+], ids=["residual-inverse", "residual-exp", "spectrum-exp-f", "spectrum-exp-level",
+        "residual-qdef"])
+def test_cli_overflow_refusals_print_only_the_error(argv, line):
+    proc = _cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == line + "\n"
 
 
 # each refusal's error line; where several flags are bad, the line names the

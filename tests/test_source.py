@@ -3,7 +3,9 @@ in that module; ``__init__`` is exempt, since it imports to re-export.  Every
 private top-level function, class and constant is referenced somewhere in
 the package, so a folded helper cannot linger beside its replacement.  No
 module other than ``__init__`` refers to ``mesh`` beyond defining it: radial
-functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``."""
+functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``.
+``expressions`` neither imports ``math`` nor reads ``ndim``: its nodes have
+one numpy evaluator for scalar and array n."""
 
 import ast
 import pathlib
@@ -107,3 +109,29 @@ def test_mesh_reference_is_caught():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_samples_no_full_mesh(path):
     assert mesh_references(path.read_text(encoding="utf-8")) == []
+
+
+def scalar_branches(source: str) -> list[int]:
+    """Lines that import ``math`` or read ``ndim``, the marks of a scalar branch."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Import) and any(a.name == "math" for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "math")
+                or (isinstance(node, ast.Attribute) and node.attr == "ndim")
+                or (isinstance(node, ast.Name) and node.id == "ndim")):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scalar_branch_is_caught():
+    source = ("import math\n"
+              "from math import exp\n"
+              "import numpy as np\n"
+              "y = np.exp(x) if np.ndim(x) else exp(x)\n"
+              "z = x.ndim\n"
+              "w = np.sqrt(x)\n")
+    assert scalar_branches(source) == [1, 2, 4, 5]
+
+
+def test_expressions_have_one_numpy_evaluator():
+    assert scalar_branches((PACKAGE / "expressions.py").read_text(encoding="utf-8")) == []
