@@ -1,15 +1,22 @@
+import functools
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
-from fstarq import (Field, PhaseGrid, PolySymbol, fcs_wigner, field_from_poly,
-                    field_from_values, fock_wigner, gradient, identity_spec, integrate,
-                    laguerre, mesh, moyal_apply, parse_symbol, partial_field, qdef_spec,
-                    ladder_fields, registry_specs, spec_to_text, sqrt_n_spec, wigner_weights)
-from fstarq.genvalue import HamiltonianProfile
-from fstarq.phasespace import AnalyticStructure, FockWignerProfile, _fd4_axis, laguerre_series
+from fstarq import (FStarError, Field, NonPositiveValue, PhaseGrid, PolySymbol, amplitude_F,
+                    amplitude_F_deriv, commutator_target, default_grid, fcs_wigner,
+                    field_from_poly, field_from_values, fock_wigner, gradient, identity_spec,
+                    integrate, laguerre, mesh, moyal_apply, parse_symbol, partial_field,
+                    qdef_spec, ladder_fields, registry_specs, spec_to_text, sqrt_n_spec,
+                    wigner_weights)
+from fstarq.genvalue import DeformationProfile, HamiltonianProfile
+from fstarq.phasespace import (AnalyticStructure, FockWignerProfile, MixtureWignerProfile,
+                               _fd4_axis, laguerre_series)
 from fstarq.starproduct import ProductSetup
 
 REGISTRY = registry_specs()
@@ -444,3 +451,142 @@ def test_nan_partial_at_the_origin_is_named(origin_grid):
                                          r"at \(q, p\) = \(0\.0, 0\.0\)$"):
         partial_field(A, 1, 0)
     assert (1, 0) not in A._cache
+
+
+# ---------------------------------------------------------------------------
+# radial quotient: PhaseGrid.radial calls fn once per distinct q^2 + p^2 and
+# gathers the values back; every sample keeps the bits of the direct mesh
+# evaluation fn((q*q + p*p) / scale), and every refusal its message.
+
+QUOTIENT_GRIDS = {
+    "513": default_grid(),
+    "257": PhaseGrid(-8.0, 8.0, -8.0, 8.0, 257, 257, hbar=1.0, offset=0.5),
+    "oblong": PhaseGrid(-4.0, 4.0, -3.0, 3.0, 33, 17, hbar=1.0, offset=0.5),
+    # offset 0: v = 0 is a sample, the only one the r_cut = 0.0 disc keeps
+    "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129, hbar=1.0, offset=0.0),
+}
+AMPLITUDE_SPECS = REGISTRY + [qdef_spec(0.9), qdef_spec(1.1)]
+
+
+def _sample(sampler, fn):
+    """fn's samples, or the type and message of the toolkit error it raised."""
+    try:
+        return sampler(fn)
+    except FStarError as exc:
+        return type(exc), str(exc)
+
+
+def _direct(grid, scale):
+    Q, P = mesh(grid)
+    return lambda fn: fn((Q * Q + P * P) / scale)
+
+
+def _assert_quotient_exact(grid, fn, scale):
+    got = _sample(lambda f: grid.radial(f, scale), fn)
+    want = _sample(_direct(grid, scale), fn)
+    if isinstance(want, tuple):
+        assert got == want
+    elif want.dtype == bool:
+        assert got.dtype == bool and np.array_equal(got, want)
+    else:
+        assert _same_bits(got, want)
+
+
+def _profile_cases():
+    weights = np.random.default_rng(1401).standard_normal(40)
+    yield from ((MixtureWignerProfile(weights), 1.0, k) for k in range(4))
+    for spec in REGISTRY:
+        for k in range(3):
+            yield HamiltonianProfile(spec, 1.0, 1.0), 2.0, k
+            yield DeformationProfile(spec), 2.0, k
+
+
+@pytest.mark.parametrize("name", QUOTIENT_GRIDS)
+def test_radial_quotient_fock_profiles_bit_exact(name):
+    grid = QUOTIENT_GRIDS[name]
+    for n in range(21):
+        profile = FockWignerProfile(n)
+        for k in range(4):
+            _assert_quotient_exact(grid, lambda v: profile.deriv(v, k), 1.0)
+
+
+@pytest.mark.parametrize("name", QUOTIENT_GRIDS)
+def test_radial_quotient_profiles_bit_exact(name):
+    grid = QUOTIENT_GRIDS[name]
+    for profile, scale, k in _profile_cases():
+        _assert_quotient_exact(grid, lambda v: profile.deriv(v, k), scale)
+
+
+@pytest.mark.parametrize("name", QUOTIENT_GRIDS)
+def test_radial_quotient_amplitudes_and_mask_bit_exact(name):
+    grid = QUOTIENT_GRIDS[name]
+    for spec in AMPLITUDE_SPECS:
+        for fn in (amplitude_F, amplitude_F_deriv, commutator_target):
+            _assert_quotient_exact(grid, functools.partial(fn, spec), 2.0)
+    for r_cut in (0.0, 0.1, 2.5, 4.0, 7.9):
+        _assert_quotient_exact(grid, lambda v: v <= r_cut * r_cut, 1.0)
+
+
+@pytest.mark.parametrize("grid, distinct", [
+    (default_grid(), 20759),
+    (QUOTIENT_GRIDS["257"], 5553),
+    (PhaseGrid(-6.0, 6.0, -6.0, 6.0, 1537, 65, hbar=1.0, offset=0.5), 24223),
+], ids=["513", "257", "crosscheck"])
+def test_radial_calls_fn_once_per_distinct_radius(grid, distinct):
+    seen = []
+    out = grid.radial(lambda v: seen.append(v.copy()) or 3.0 * v, 2.0)
+    assert len(seen) == 1 and seen[0].shape == (distinct,)
+    assert np.unique(seen[0]).size == distinct
+    assert out.shape == (grid.n_q, grid.n_p)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (1.0, 2.0), (3.0, 3.5), (7.0, 9.0), (20.0, 25.0)])
+def test_radial_refusal_names_the_first_point_in_mesh_order(lo, hi):
+    # a refusal that names the first flagged element of its input names the
+    # first flagged point of the mesh, because fn sees first appearances in order
+    grid = QUOTIENT_GRIDS["oblong"]
+
+    def refuse(v):
+        bad = (v > lo) & (v < hi)
+        if bad.any():
+            raise NonPositiveValue(f"bad at v = {v[bad].flat[0]!r}")
+        return v
+
+    Q, P = mesh(grid)
+    v = Q * Q + P * P
+    first = v[(v > lo) & (v < hi)].flat[0]
+    with pytest.raises(NonPositiveValue, match=f"^bad at v = {re.escape(repr(first))}$"):
+        grid.radial(refuse)
+
+
+def test_radii_are_read_only(grid257):
+    r2u, idx = grid257._radii()
+    with pytest.raises(ValueError):
+        r2u[0] = 1.0
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+
+
+def test_radial_on_a_fresh_grid_from_threads():
+    grid = PhaseGrid(-5.5, 5.25, -4.75, 5.5, 211, 199, hbar=1.0, offset=0.5)
+    profile = FockWignerProfile(5)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        barrier.wait(timeout=10)
+        results[i] = grid.radial(lambda v: profile.deriv(v, 1), 1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = _direct(grid, 1.0)(lambda v: profile.deriv(v, 1))
+    assert all(_same_bits(r, want) for r in results)
