@@ -170,8 +170,14 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
     require_positive("r_cut", r_cut)
     if grid is None:
         grid = default_grid()
+    return _residual_report(spec, n, fock_wigner(n, grid), omega, r_cut)
+
+
+def _residual_report(spec: DeformationSpec, n: int, w: Field, omega: float,
+                     r_cut: float) -> ResidualReport:
+    """genvalue_residual's report for a W_n the caller has built."""
+    grid = w.grid
     hbar = grid.hbar
-    w = fock_wigner(n, grid)
     e_n = energy_level(spec, n, hbar, omega)
     e_crosscheck = spectrum(spec, n, hbar, omega)[n].energy
     h_star, path = hamiltonian_star(spec, grid, omega)

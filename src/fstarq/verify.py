@@ -4,18 +4,26 @@ Runs the battery of exactness, normalization, correspondence and scaling
 checks and returns a deterministic summary (same build, same bytes).
 ``quick`` shrinks grids and level counts for a fast smoke run; the full
 mode uses the canonical parameters.
+
+Checks 1-3 read the number-state Wigner functions W_n.  One pool pass per
+run (``fock_pass``) builds each W_n once and feeds all three, so its
+analytic partials and profile memo are shared by every check that reads
+it; the pass belongs to one ``run_verification`` call and is not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
-from .genvalue import (associativity_defect, commutator_deviation, genvalue_residual,
-                       hamiltonian_star)
+from .genvalue import (DEFAULT_R_CUT, _residual_report, associativity_defect,
+                       commutator_deviation, hamiltonian_star)
 from .phasespace import (PhaseGrid, fcs_wigner, field_from_poly, field_from_values,
                          fock_wigner, integrate, partial_field)
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
@@ -57,30 +65,59 @@ def _grid(quick: bool) -> PhaseGrid:
     return PhaseGrid(-8.0, 8.0, -8.0, 8.0, n, n, hbar=1.0, offset=0.5)
 
 
-def check_moyal_genvalue(quick: bool) -> dict:
+@dataclass(frozen=True)
+class FockPass:
+    """Floats from one pool pass over W_0..W_n_norm, indexed by n."""
+
+    residual: tuple[float, ...]          # identity genvalue max_abs, n <= n_top
+    imag: tuple[tuple[float, ...], ...]  # max |Im(H star W_n)| per registry spec, n <= n_top
+    norm: tuple[float, ...]              # |integral W_n - 1|, n <= n_norm
+
+
+def fock_pass(quick: bool) -> FockPass:
+    """One pool task per n builds W_n once and returns floats only.
+
+    Every n gives |integral W_n - 1| (check 3).  For n <= n_top the task also
+    takes the identity residual report on that W_n, whose max_abs is check 1's
+    and whose imag_max is check 2's identity row (W_n is real, so the
+    residual's imaginary part is the product's), then applies each deformed
+    registry star and drops the product at once.
+    """
     grid = _grid(quick)
-    spec = identity_spec()
-    n_top = 3 if quick else 10
+    n_top, n_norm = (3, 8) if quick else (10, 20)
+    identity = identity_spec()
+    # built before the pool, so the tasks only read the state the stars share
+    stars = [None if spec.kind == "identity" else hamiltonian_star(spec, grid)[0]
+             for spec in registry_specs()]
+
+    def task(n: int) -> tuple[float, float, tuple[float, ...]]:
+        w = fock_wigner(n, grid)
+        norm = abs(integrate(w).real - 1.0)
+        if n > n_top:
+            return norm, 0.0, ()
+        report = _residual_report(identity, n, w, 1.0, DEFAULT_R_CUT)
+        imag = tuple(report.imag_max if star is None
+                     else float(np.max(np.abs(star(w).values.imag))) for star in stars)
+        return norm, report.max_abs, imag
+
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        reports = list(pool.map(
-            lambda n: genvalue_residual(spec, n, grid, omega=1.0), range(n_top + 1)))
-    worst = max(r.max_abs for r in reports)
-    return _check("moyal_genvalue_identity", worst, 1e-8,
-                  detail=f"n<={n_top}, region r<=4")
+        rows = list(pool.map(task, range(n_norm + 1)))
+    norm, residual, imag = zip(*rows)
+    return FockPass(residual[:n_top + 1], imag[:n_top + 1], norm)
 
 
-def check_imag_vanishing(quick: bool) -> dict:
-    grid = _grid(quick)
-    n_top = 3 if quick else 10
+def check_moyal_genvalue(quick: bool, fock: Callable[[], FockPass]) -> dict:
+    residual = fock().residual
+    return _check("moyal_genvalue_identity", max(residual), 1e-8,
+                  detail=f"n<={len(residual) - 1}, region r<=4")
+
+
+def check_imag_vanishing(quick: bool, fock: Callable[[], FockPass]) -> dict:
+    imag = fock().imag
     worst = 0.0
     worst_at = ""
-    for spec in registry_specs():
-        star = hamiltonian_star(spec, grid)[0]  # the tasks only read what it shares
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            vals = list(pool.map(
-                lambda n: float(np.max(np.abs(star(fock_wigner(n, grid)).values.imag))),
-                range(n_top + 1)))
-        local = max(vals)
+    for k, spec in enumerate(registry_specs()):
+        local = max(row[k] for row in imag)
         if local > worst:
             worst = local
             worst_at = spec_to_text(spec)
@@ -88,20 +125,18 @@ def check_imag_vanishing(quick: bool) -> dict:
                   detail=f"worst registry spec: {worst_at}")
 
 
-def check_wigner_normalization(quick: bool) -> dict:
+def check_wigner_normalization(quick: bool, fock: Callable[[], FockPass]) -> dict:
     grid = _grid(quick)
-    n_top = 8 if quick else 20
-    worst = 0.0
-    for n in range(n_top + 1):
-        worst = max(worst, abs(integrate(fock_wigner(n, grid)).real - 1.0))
+    norm = fock().norm
+    worst = max(norm)
     for spec in registry_specs():
         for z2 in (0.5, 1.0, 2.0):
             worst = max(worst, abs(integrate(fcs_wigner(spec, z2, grid)).real - 1.0))
     return _check("wigner_normalization", worst, 1e-6,
-                  detail=f"fock n<={n_top} and registry coherent mixtures")
+                  detail=f"fock n<={len(norm) - 1} and registry coherent mixtures")
 
 
-def check_moyal_algebra(quick: bool) -> dict:
+def check_moyal_algebra(quick: bool, fock: Callable[[], FockPass]) -> dict:
     hbar = 1.0
     a = annihilation_symbol()
     abar = creation_symbol()
@@ -123,7 +158,7 @@ def check_moyal_algebra(quick: bool) -> dict:
                   detail=f"commutator dev {dev_comm:.3e}, assoc rel {worst_rel:.3e}")
 
 
-def check_commutator_correspondence(quick: bool) -> dict:
+def check_commutator_correspondence(quick: bool, fock: Callable[[], FockPass]) -> dict:
     grid = _grid(quick)
     rep_id = commutator_deviation(identity_spec(), grid)[1]
     rep_sq = commutator_deviation(sqrt_n_spec(), grid)[1]
@@ -144,7 +179,7 @@ def check_commutator_correspondence(quick: bool) -> dict:
     return entry
 
 
-def check_associativity_scaling(quick: bool) -> dict:
+def check_associativity_scaling(quick: bool, fock: Callable[[], FockPass]) -> dict:
     grid = _grid(quick)
     k = field_from_poly(PolySymbol.q(), grid, "q")
     g = field_from_poly(PolySymbol.p(), grid, "p")
@@ -156,7 +191,7 @@ def check_associativity_scaling(quick: bool) -> dict:
                   detail=f"defects {defects}")
 
 
-def check_spectrum_closed_form(quick: bool) -> dict:
+def check_spectrum_closed_form(quick: bool, fock: Callable[[], FockPass]) -> dict:
     rows_id = spectrum(identity_spec(), 100)
     worst = max(abs(row.energy - (row.n + 0.5)) for row in rows_id)
     rows_sq = spectrum(sqrt_n_spec(), 100)
@@ -167,7 +202,7 @@ def check_spectrum_closed_form(quick: bool) -> dict:
                   detail="identity exact half-integers; sqrt_n ((n+1)^2+n^2)/2, n<=100")
 
 
-def check_derivative_crosscheck(quick: bool) -> dict:
+def check_derivative_crosscheck(quick: bool, fock: Callable[[], FockPass]) -> dict:
     # fd4 truncation is (h^4/30) |d^5 W_4| with max |d^5 W_4| ~ 5.28e3 on [-6,6]^2,
     # so the differentiated axis needs h <= 8.7e-3 to get under 1e-6:
     # 1537 samples there (h = 1/128, floor ~6.6e-7), 65 across it.  A samples-only
@@ -185,6 +220,8 @@ def check_derivative_crosscheck(quick: bool) -> dict:
                          "(1537 x 65 per axis): fd4 floor h^4/30 max|d^5 W_4| ~ 6.6e-7")
 
 
+# Each check takes the run's mode and the run's Fock pass, a cached thunk that
+# check 1 calls first; the checks that read no W_n ignore it.
 ALL_CHECKS = (
     check_moyal_genvalue,
     check_imag_vanishing,
@@ -198,7 +235,8 @@ ALL_CHECKS = (
 
 
 def run_verification(quick: bool = False) -> dict:
-    checks = [fn(quick) for fn in ALL_CHECKS]
+    fock = functools.cache(functools.partial(fock_pass, quick))
+    checks = [fn(quick, fock) for fn in ALL_CHECKS]
     failures = sum(1 for c in checks if not c["passed"])
     return {
         "mode": "quick" if quick else "full",

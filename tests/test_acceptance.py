@@ -8,15 +8,20 @@ Criterion 8 (fd4 vs analytic gradients at 1e-6) samples the differentiated
 axis at h = 1/128 (1537 samples on [-6,6], 65 across it): the fd4 truncation
 floor h^4/30 * max|d^5 W_4| with max|d^5 W_4| ~ 5.28e3 is then ~6.6e-7, and
 the observed error is ~6.4e-7.  See README ("Verification suite").
+
+Criteria 1-3 read one full Fock pass, as a verify run does; the others read
+no W_n and are handed none.
 """
 
 import time
+
+import pytest
 
 from fstarq import canonical_json, run_verification
 from fstarq.verify import (check_associativity_scaling, check_commutator_correspondence,
                            check_derivative_crosscheck, check_imag_vanishing,
                            check_moyal_algebra, check_moyal_genvalue,
-                           check_spectrum_closed_form, check_wigner_normalization)
+                           check_spectrum_closed_form, check_wigner_normalization, fock_pass)
 
 
 def _report(criterion: str, check: dict, elapsed: float | None = None) -> bool:
@@ -27,32 +32,41 @@ def _report(criterion: str, check: dict, elapsed: float | None = None) -> bool:
     return check["passed"]
 
 
-def test_criterion_1_moyal_genvalue_exactness():
+@pytest.fixture(scope="module")
+def full_pass():
+    """The full Fock pass criteria 1-3 share, as a thunk, and its wall time."""
     t0 = time.time()
-    check = check_moyal_genvalue(quick=False)
-    elapsed = time.time() - t0
+    run = fock_pass(quick=False)
+    return (lambda: run), time.time() - t0
+
+
+def test_criterion_1_moyal_genvalue_exactness(full_pass):
+    fock, pass_s = full_pass
+    t0 = time.time()
+    check = check_moyal_genvalue(False, fock)
+    elapsed = pass_s + time.time() - t0
     ok = _report("criterion 1 (Moyal genvalue, identity, n<=10, 513^2)", check, elapsed)
     assert ok, check
     assert elapsed <= 10.0, f"runtime {elapsed:.1f}s exceeds the 10 s budget"
 
 
-def test_criterion_2_imaginary_part_vanishing():
-    check = check_imag_vanishing(quick=False)
+def test_criterion_2_imaginary_part_vanishing(full_pass):
+    check = check_imag_vanishing(False, full_pass[0])
     assert _report("criterion 2 (imag part of H star W_n, registry, n<=10)", check), check
 
 
-def test_criterion_3_wigner_normalization():
-    check = check_wigner_normalization(quick=False)
+def test_criterion_3_wigner_normalization(full_pass):
+    check = check_wigner_normalization(False, full_pass[0])
     assert _report("criterion 3 (Wigner normalization, n<=20 and mixtures)", check), check
 
 
 def test_criterion_4_moyal_algebra():
-    check = check_moyal_algebra(quick=False)
+    check = check_moyal_algebra(quick=False, fock=None)
     assert _report("criterion 4 (ladder commutator + exact associativity)", check), check
 
 
 def test_criterion_5_commutator_correspondence():
-    check = check_commutator_correspondence(quick=False)
+    check = check_commutator_correspondence(quick=False, fock=None)
     ok = _report("criterion 5 (commutator correspondence)", check)
     print("      " + check["detail"])
     assert ok, check
@@ -60,7 +74,7 @@ def test_criterion_5_commutator_correspondence():
 
 def test_criterion_6_associativity_scaling():
     t0 = time.time()
-    check = check_associativity_scaling(quick=False)
+    check = check_associativity_scaling(quick=False, fock=None)
     elapsed = time.time() - t0
     ok = _report("criterion 6 (associativity defect slope >= 1.9)", check, elapsed)
     assert ok, check
@@ -68,12 +82,12 @@ def test_criterion_6_associativity_scaling():
 
 
 def test_criterion_7_spectrum_closed_form():
-    check = check_spectrum_closed_form(quick=False)
+    check = check_spectrum_closed_form(quick=False, fock=None)
     assert _report("criterion 7 (spectrum closed forms, n<=100)", check), check
 
 
 def test_criterion_8_derivative_crosscheck():
-    check = check_derivative_crosscheck(quick=False)
+    check = check_derivative_crosscheck(quick=False, fock=None)
     ok = _report("criterion 8 (fd4 vs analytic gradients of W_4 at 1e-6)", check)
     print("      h = 1/128 along the differentiated axis (1537 x 65 per axis): "
           "fd4 floor h^4/30 * max|d^5 W_4| ~ 6.6e-7 with max|d^5 W_4| ~ 5.28e3; "

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 
 from fstarq import (NonPositiveValue, PhaseGrid, PolySymbol, associativity_defect,
-                    build_hamiltonian, commutator_deviation, deformation, energy_level,
-                    expr_spec, field_from_poly, fock_wigner, fstar_apply,
-                    genvalue_residual, identity_spec, ladder_fields, mesh, parse_symbol,
-                    qdef_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec)
+                    build_hamiltonian, canonical_json, commutator_deviation, deformation,
+                    energy_level, expr_spec, fcs_wigner, field_from_poly, fock_wigner,
+                    fstar_apply, genvalue_residual, identity_spec, integrate, ladder_fields,
+                    mesh, parse_symbol, qdef_spec, registry_specs, run_verification,
+                    spec_to_text, spectrum, sqrt_n_spec)
 from fstarq import genvalue
 from fstarq.genvalue import hamiltonian_star
 from fstarq.starproduct import ProductSetup, moyal_apply
-from fstarq.verify import check_imag_vanishing
+from fstarq.verify import FockPass, check_imag_vanishing, fock_pass
 
 REGISTRY = registry_specs()
 REGISTRY_IDS = [spec_to_text(s) for s in REGISTRY]
@@ -180,6 +182,20 @@ def test_residual_rejects_bad_r_cut(r_cut):
         genvalue_residual(identity_spec(), 1, PhaseGrid(-2, 2, -2, 2, 17, 17), r_cut=r_cut)
 
 
+def test_residual_refuses_at_the_level_before_the_spectrum_and_the_star():
+    # f = ln(n) is refused on each path at its own n: the level E_1 at n = 1,
+    # the spectrum cross-check at n = 0, the Hamiltonian field at n = 0.953125
+    grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 33, 33, hbar=1.0, offset=0.5)
+    spec = expr_spec("ln(n)")
+    line = "^f\\(n\\) is not a finite positive value at n = {} for kind 'expr'$"
+    with pytest.raises(NonPositiveValue, match=line.format(r"0\.0")):
+        spectrum(spec, 1)
+    with pytest.raises(NonPositiveValue, match=line.format(r"0\.953125")):
+        hamiltonian_star(spec, grid)
+    with pytest.raises(NonPositiveValue, match=line.format(r"1\.0")):
+        genvalue_residual(spec, 1, grid)
+
+
 @pytest.mark.parametrize("omega", [math.nan, math.inf])
 def test_nonfinite_omega_is_refused_before_grid_work(monkeypatch, omega):
     # named up front; a NaN omega would otherwise fail late, at "field values must be finite"
@@ -264,9 +280,100 @@ def test_commutator_deviation_samples_amplitude_once(grid257, amplitude_samples)
 
 def test_imag_vanishing_check_samples_amplitude_once_per_spec(amplitude_samples):
     # one setup per non-identity registry spec, shared by the pool's products
-    check_imag_vanishing(quick=True)
+    check_imag_vanishing(True, functools.partial(fock_pass, True))
     assert sum(s.kind != "identity" for s in REGISTRY) == 3
     assert amplitude_samples == {"F": 3, "dF": 0}
+
+
+# ---------------------------------------------------------------------------
+# verify's Fock pass: each W_n built once per run feeds checks 1-3
+
+
+@pytest.fixture
+def fock_builds(monkeypatch):
+    """(n, n_q, n_p) of each fock_wigner call, wherever fstarq binds it."""
+    calls = []
+    original = fock_wigner
+
+    def counted(n, grid):
+        calls.append((n, grid.n_q, grid.n_p))  # list.append is atomic across pool threads
+        return original(n, grid)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "fstarq" and getattr(mod, "fock_wigner", None) is original:
+            monkeypatch.setattr(mod, "fock_wigner", counted)
+    return calls
+
+
+def _separate_loops(quick: bool) -> tuple[FockPass, list[dict]]:
+    """The per-n table and checks 1-3 by the route they took before the shared
+    pass: a residual per n, a fresh W_n per (spec, n) under each star, a fresh
+    W_n per integral."""
+    size = 257 if quick else 513
+    grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, size, size, hbar=1.0, offset=0.5)
+    n_top, n_norm = (3, 8) if quick else (10, 20)
+    residual = tuple(genvalue_residual(identity_spec(), n, grid, omega=1.0).max_abs
+                     for n in range(n_top + 1))
+    stars = [hamiltonian_star(spec, grid)[0] for spec in REGISTRY]
+    imag = tuple(tuple(float(np.max(np.abs(star(fock_wigner(n, grid)).values.imag)))
+                       for star in stars) for n in range(n_top + 1))
+    norm = tuple(abs(integrate(fock_wigner(n, grid)).real - 1.0) for n in range(n_norm + 1))
+    worst_imag, worst_at = 0.0, ""
+    for k, spec in enumerate(REGISTRY):
+        local = max(row[k] for row in imag)
+        if local > worst_imag:
+            worst_imag, worst_at = local, spec_to_text(spec)
+    worst_norm = max(norm)
+    for spec in REGISTRY:
+        for z2 in (0.5, 1.0, 2.0):
+            worst_norm = max(worst_norm, abs(integrate(fcs_wigner(spec, z2, grid)).real - 1.0))
+
+    def entry(name, observed, tolerance, detail):
+        return {"name": name, "passed": observed <= tolerance, "observed": observed,
+                "tolerance": tolerance, "direction": "<=", "detail": detail}
+
+    return FockPass(residual, imag, norm), [
+        entry("moyal_genvalue_identity", max(residual), 1e-8, f"n<={n_top}, region r<=4"),
+        entry("imaginary_part_vanishing", worst_imag, 1e-10,
+              f"worst registry spec: {worst_at}"),
+        entry("wigner_normalization", worst_norm, 1e-6,
+              f"fock n<={n_norm} and registry coherent mixtures")]
+
+
+def test_fock_pass_equals_the_separate_loops_bytewise():
+    # every float of the table, the identity column of imag included, and the
+    # three summary entries; the floats are absolute values, so == is bitwise
+    table, entries = _separate_loops(quick=True)
+    assert fock_pass(True) == table
+    pooled = run_verification(quick=True)["checks"][:3]
+    assert canonical_json(pooled) == canonical_json(entries)
+
+
+def test_quick_verify_builds_each_fock_state_once_per_run(fock_builds, monkeypatch):
+    # W_0..W_8 once on 257^2, and W_4 on check 8's two crosscheck grids.  The
+    # second run, on one worker, builds them all again (nothing outlives a
+    # run) and writes the pooled run's bytes
+    monkeypatch.delenv("FSTAR_THREADS", raising=False)
+    summaries = []
+    for threads in (None, "1"):
+        if threads:
+            monkeypatch.setenv("FSTAR_THREADS", threads)
+        fock_builds.clear()
+        summaries.append(canonical_json(run_verification(quick=True)))
+        assert len(fock_builds) == 11
+        assert sorted(fock_builds) == sorted([(n, 257, 257) for n in range(9)]
+                                             + [(4, 65, 1537), (4, 1537, 65)])
+    assert summaries[0] == summaries[1]
+
+
+def test_identity_residual_imag_is_the_moyal_product_imag_bitwise(grid257):
+    # W_n is real, so residual.imag = star.imag - E_n * 0.0 = star.imag
+    star = hamiltonian_star(identity_spec(), grid257)[0]
+    for n in range(11):
+        w = fock_wigner(n, grid257)
+        assert not w.values.imag.view(np.int64).any()
+        expected = float(np.max(np.abs(star(w).values.imag)))
+        assert genvalue_residual(identity_spec(), n, grid257).imag_max.hex() == expected.hex()
 
 
 def test_shared_setup_is_only_read_by_pool_threads():
