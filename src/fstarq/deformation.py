@@ -175,10 +175,11 @@ def _like_n(n, out):
     return float(out) if np.ndim(n) == 0 else out
 
 
-def _checked_f(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
-    """f on n; NonPositiveValue names the first n where f is non-finite,
-    or <= 0 with n > 0 (f(0) = 0 is legitimate, e.g. for sqrt_n)."""
-    vals = _f(spec, n, 0)
+def _checked_f(spec: DeformationSpec, n: np.ndarray, vals=None) -> np.ndarray:
+    """f on n, or vals standing in for it; NonPositiveValue names the first n
+    where it is non-finite, or <= 0 with n > 0 (f(0) = 0 is legitimate, e.g.
+    for sqrt_n)."""
+    vals = _f(spec, n, 0) if vals is None else vals
     bad = ~np.isfinite(vals) | ((vals <= 0) & (n > 0))
     if np.any(bad):
         raise NonPositiveValue(f"f(n) is not a finite positive value at n = "
@@ -325,8 +326,11 @@ def series_terms(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_S
     total = 1.0
     t = 1.0
     for n in range(1, n_max + 1):
-        eval_f(spec, float(n))  # positivity probe along the series
-        t *= zeta_abs2 / (n * f_squared(spec, float(n)))
+        s = f_squared(spec, float(n))  # an expr f is checked in there
+        if spec.kind != "expr":
+            # f^2 is finite and > 0 exactly where f is, for the closed-form kinds
+            _checked_f(spec, np.float64(n), s)
+        t *= zeta_abs2 / (n * s)
         if t < tol * total:
             return np.array(terms)
         terms.append(t)

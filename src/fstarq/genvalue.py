@@ -23,7 +23,7 @@ import numpy as np
 from .deformation import (DeformationSpec, commutator_target, eval_f, f_squared,
                           require_positive, spec_to_text, spectrum)
 from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, default_grid,
-                         fock_wigner, integrate, partial_field)
+                         fock_wigner, integrate)
 from .starproduct import ProductSetup, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
@@ -45,10 +45,15 @@ class HamiltonianProfile(RadialProfile):
         self.omega = omega
 
     def _g(self, x, order):
-        # g(x) = x s(x) with s = f^2, and g^(k) = k s^(k-1) + x s^(k)
+        # g(x) = x s(x) with s = f^2, and g^(k) = k s^(k-1) + x s^(k).  At order
+        # 1, x s'(x) is its limit 0 at x = 0, which holds wherever s(0) is finite
+        # (s' diverges there for sqrt(n) growth); x s''(x) may diverge, so is kept
         if order == 0:
             return x * f_squared(self.spec, x)
-        return order * f_squared(self.spec, x, order - 1) + x * f_squared(self.spec, x, order)
+        ds = f_squared(self.spec, x, order)
+        if order == 1:
+            ds = np.where(x == 0, 0.0, ds)
+        return order * f_squared(self.spec, x, order - 1) + x * ds
 
     def deriv(self, n, order: int):
         pref = 0.5 * self.hbar * self.omega
@@ -82,17 +87,13 @@ def build_hamiltonian(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0
 
 
 def hamiltonian_star(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0):
-    """(star, path) with star(w) = H star w.  For a deformed spec, the
-    Hamiltonian's first partials and F(n) are filled here, so that threads
-    sharing star only read them."""
+    """(star, path) with star(w) = H star w.  For a deformed spec, H and F(n)
+    are sampled here once for every product taken through star."""
     if spec.kind == "identity":
         h_sym = PolySymbol({(2, 0): 0.5 * omega, (0, 2): 0.5 * omega})
         return functools.partial(moyal_apply, h_sym), "moyal_exact"
     ham = build_hamiltonian(spec, grid, omega)
-    setup = ProductSetup(grid, spec)
-    partial_field(ham, 1, 0)
-    partial_field(ham, 0, 1)
-    return functools.partial(setup.product, ham), "fstar_first"
+    return functools.partial(ProductSetup(grid, spec).product, ham), "fstar_first"
 
 
 def ladder_fields(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field, Field]:

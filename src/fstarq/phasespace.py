@@ -173,7 +173,7 @@ class RadialProfile:
     def on_grid(self, grid: PhaseGrid, scale: float, k: int) -> np.ndarray:
         """w^(k)(v), v = (q^2 + p^2) / scale, computed once per (grid, scale, k),
         once per distinct radius and then gathered (``PhaseGrid.radial``), and
-        kept read-only for the profile's life; unlocked, so fill before sharing."""
+        kept read-only for the profile's life."""
         if self.max_order is not None and k > self.max_order:
             raise ValueError(f"{type(self).__name__} carries {self.max_order} derivatives only")
         memo = self.__dict__.setdefault("_memo", {})

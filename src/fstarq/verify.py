@@ -5,18 +5,17 @@ checks and returns a deterministic summary (same build, same bytes).
 ``quick`` shrinks grids and level counts for a fast smoke run; the full
 mode uses the canonical parameters.
 
-Checks 1-3 read the number-state Wigner functions W_n.  One pool pass per
-run (``fock_pass``) builds each W_n once and feeds all three, so its
-analytic partials and profile memo are shared by every check that reads
-it; the pass belongs to one ``run_verification`` call and is not kept.
+Checks 1-3 read the number-state Wigner functions W_n.  One pass per run
+(``fock_pass``) builds each W_n once and feeds all three, so its analytic
+partials and profile memo are shared by every check that reads it; the pass
+belongs to one ``run_verification`` call and is not kept.  The suite runs on
+one thread.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,21 +27,6 @@ from .phasespace import (PhaseGrid, fcs_wigner, field_from_poly, field_from_valu
                          fock_wigner, integrate, partial_field)
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
-
-
-def worker_count() -> int:
-    """Worker cap honoring the FSTAR_THREADS environment variable."""
-    ncpu = os.cpu_count() or 1
-    env = os.environ.get("FSTAR_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0  # refused below, with the caps under 1
-        if cap < 1:
-            raise ValueError("FSTAR_THREADS must be an integer >= 1")
-        return min(ncpu, cap)
-    return min(ncpu, 8)
 
 
 def _check(name: str, observed: float, tolerance: float, larger_is_better: bool = False,
@@ -67,7 +51,7 @@ def _grid(quick: bool) -> PhaseGrid:
 
 @dataclass(frozen=True)
 class FockPass:
-    """Floats from one pool pass over W_0..W_n_norm, indexed by n."""
+    """Floats from one pass over W_0..W_n_norm, indexed by n."""
 
     residual: tuple[float, ...]          # identity genvalue max_abs, n <= n_top
     imag: tuple[tuple[float, ...], ...]  # max |Im(H star W_n)| per registry spec, n <= n_top
@@ -75,9 +59,9 @@ class FockPass:
 
 
 def fock_pass(quick: bool) -> FockPass:
-    """One pool task per n builds W_n once and returns floats only.
+    """Builds each W_n once, n = 0..n_norm, and keeps floats only.
 
-    Every n gives |integral W_n - 1| (check 3).  For n <= n_top the task also
+    Every n gives |integral W_n - 1| (check 3).  For n <= n_top the pass also
     takes the identity residual report on that W_n, whose max_abs is check 1's
     and whose imag_max is check 2's identity row (W_n is real, so the
     residual's imaginary part is the product's), then applies each deformed
@@ -86,24 +70,20 @@ def fock_pass(quick: bool) -> FockPass:
     grid = _grid(quick)
     n_top, n_norm = (3, 8) if quick else (10, 20)
     identity = identity_spec()
-    # built before the pool, so the tasks only read the state the stars share
+    # built once, before the loop, so every W_n reuses each star's H and F(n)
     stars = [None if spec.kind == "identity" else hamiltonian_star(spec, grid)[0]
              for spec in registry_specs()]
-
-    def task(n: int) -> tuple[float, float, tuple[float, ...]]:
+    residual, imag, norm = [], [], []
+    for n in range(n_norm + 1):
         w = fock_wigner(n, grid)
-        norm = abs(integrate(w).real - 1.0)
+        norm.append(abs(integrate(w).real - 1.0))
         if n > n_top:
-            return norm, 0.0, ()
+            continue
         report = _residual_report(identity, n, w, 1.0, DEFAULT_R_CUT)
-        imag = tuple(report.imag_max if star is None
-                     else float(np.max(np.abs(star(w).values.imag))) for star in stars)
-        return norm, report.max_abs, imag
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(task, range(n_norm + 1)))
-    norm, residual, imag = zip(*rows)
-    return FockPass(residual[:n_top + 1], imag[:n_top + 1], norm)
+        residual.append(report.max_abs)
+        imag.append(tuple(report.imag_max if star is None
+                          else float(np.max(np.abs(star(w).values.imag))) for star in stars))
+    return FockPass(tuple(residual), tuple(imag), tuple(norm))
 
 
 def check_moyal_genvalue(quick: bool, fock: Callable[[], FockPass]) -> dict:

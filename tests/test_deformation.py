@@ -11,6 +11,7 @@ from fstarq import (DeformationSpec, amplitude_F, amplitude_F_deriv,
                     identity_spec, normalization_Nf,
                     parse_deformation, qdef_spec, registry_specs, spec_to_text,
                     spectrum, sqrt_n_spec)
+from fstarq import deformation
 from fstarq.deformation import series_terms
 from fstarq.phasespace import PhaseGrid, fcs_wigner, wigner_weights
 from fstarq.errors import NonPositiveValue, ParseError, SeriesDivergence, SingularAmplitude
@@ -247,6 +248,22 @@ def test_series_divergence():
     spec = expr_spec("1/(n+1)")
     with pytest.raises(SeriesDivergence):
         series_terms(spec, 1.0, n_max=60)
+
+
+def test_series_terms_evaluates_f_once_per_term(monkeypatch):
+    # f_squared checks an expr f itself, so no separate positivity probe runs
+    calls = []
+    original = deformation._f
+
+    def counted(spec, n, order):
+        if order == 0:
+            calls.append(float(n))
+        return original(spec, n, order)
+
+    monkeypatch.setattr(deformation, "_f", counted)
+    terms = series_terms(expr_spec("sqrt(1+0.1*n)"), 4.0)
+    assert len(terms) == 21
+    assert calls == [float(n) for n in range(1, len(terms) + 1)]
 
 
 SERIES_ENTRIES = {

@@ -1,7 +1,6 @@
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from fstarq import (NonPositiveValue, PhaseGrid, PolySymbol, associativity_defec
                     build_hamiltonian, canonical_json, commutator_deviation, deformation,
                     energy_level, expr_spec, fcs_wigner, field_from_poly, fock_wigner,
                     fstar_apply, genvalue_residual, identity_spec, integrate, ladder_fields,
-                    mesh, parse_symbol, qdef_spec, registry_specs, run_verification,
-                    spec_to_text, spectrum, sqrt_n_spec)
+                    mesh, parse_symbol, partial_field, qdef_spec, registry_specs,
+                    run_verification, spec_to_text, spectrum, sqrt_n_spec)
 from fstarq import genvalue
 from fstarq.genvalue import hamiltonian_star
 from fstarq.starproduct import ProductSetup, moyal_apply
@@ -88,6 +87,24 @@ def test_hamiltonian_origin_value(origin_grid):
     ham = build_hamiltonian(identity_spec(), origin_grid)
     i0 = list(origin_grid.q_values()).index(0.0)
     assert ham.values[i0, i0].real == pytest.approx(0.5, rel=1e-14)
+
+
+def test_hamiltonian_slope_at_the_origin_is_the_limit():
+    # f = 1 + sqrt(n): s = f^2 has s'(0) = inf, yet x s'(x) -> 0, so
+    # h'(0) = (g'(1) + g'(0)) / 2 = ((4 + 2) + 1) / 2
+    profile = genvalue.HamiltonianProfile(expr_spec("1+sqrt(n)"), 1.0, 1.0)
+    assert profile.deriv(0.0, 1) == 3.5
+    assert profile.deriv(np.array([0.0, 1.0]), 1)[0] == 3.5
+
+
+def test_hamiltonian_curvature_at_the_origin_stays_refused():
+    # x s''(x) diverges at x = 0 for sqrt(n) growth, so h''(0) is not finite
+    grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129, hbar=1.0, offset=0.0)
+    ham = build_hamiltonian(expr_spec("1+sqrt(n)"), grid)
+    assert np.isfinite(partial_field(ham, 1, 0)).all()
+    with pytest.raises(ValueError, match=r"^partial \(2, 0\) of H\[expr:1\+sqrt\(n\)\] is "
+                                         r"not finite at \(q, p\) = \(0\.0, 0\.0\)$"):
+        partial_field(ham, 2, 0)
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
@@ -279,7 +296,7 @@ def test_commutator_deviation_samples_amplitude_once(grid257, amplitude_samples)
 
 
 def test_imag_vanishing_check_samples_amplitude_once_per_spec(amplitude_samples):
-    # one setup per non-identity registry spec, shared by the pool's products
+    # one setup per non-identity registry spec, shared by the pass's products
     check_imag_vanishing(True, functools.partial(fock_pass, True))
     assert sum(s.kind != "identity" for s in REGISTRY) == 3
     assert amplitude_samples == {"F": 3, "dF": 0}
@@ -296,7 +313,7 @@ def fock_builds(monkeypatch):
     original = fock_wigner
 
     def counted(n, grid):
-        calls.append((n, grid.n_q, grid.n_p))  # list.append is atomic across pool threads
+        calls.append((n, grid.n_q, grid.n_p))
         return original(n, grid)
 
     for modname, mod in list(sys.modules.items()):
@@ -345,19 +362,16 @@ def test_fock_pass_equals_the_separate_loops_bytewise():
     # three summary entries; the floats are absolute values, so == is bitwise
     table, entries = _separate_loops(quick=True)
     assert fock_pass(True) == table
-    pooled = run_verification(quick=True)["checks"][:3]
-    assert canonical_json(pooled) == canonical_json(entries)
+    checks = run_verification(quick=True)["checks"][:3]
+    assert canonical_json(checks) == canonical_json(entries)
 
 
-def test_quick_verify_builds_each_fock_state_once_per_run(fock_builds, monkeypatch):
+def test_quick_verify_builds_each_fock_state_once_per_run(fock_builds):
     # W_0..W_8 once on 257^2, and W_4 on check 8's two crosscheck grids.  The
-    # second run, on one worker, builds them all again (nothing outlives a
-    # run) and writes the pooled run's bytes
-    monkeypatch.delenv("FSTAR_THREADS", raising=False)
+    # second run builds them all again (nothing outlives a run) and writes the
+    # first run's bytes
     summaries = []
-    for threads in (None, "1"):
-        if threads:
-            monkeypatch.setenv("FSTAR_THREADS", threads)
+    for _ in range(2):
         fock_builds.clear()
         summaries.append(canonical_json(run_verification(quick=True)))
         assert len(fock_builds) == 11
@@ -374,33 +388,6 @@ def test_identity_residual_imag_is_the_moyal_product_imag_bitwise(grid257):
         assert not w.values.imag.view(np.int64).any()
         expected = float(np.max(np.abs(star(w).values.imag)))
         assert genvalue_residual(identity_spec(), n, grid257).imag_max.hex() == expected.hex()
-
-
-def test_shared_setup_is_only_read_by_pool_threads():
-    # hamiltonian_star's product, as the imag-vanishing check shares it, with more
-    # threads than cores and a short switch interval: pooled products match serial
-    # ones, and neither the setup nor the Hamiltonian's known partials are written
-    grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, 65, 65, hbar=1.0, offset=0.5)
-    star, _ = hamiltonian_star(sqrt_n_spec(), grid)
-    ham, setup = star.args[0], star.func.__self__
-    assert isinstance(setup, ProductSetup)
-    assert {(1, 0), (0, 1)} <= ham._cache.keys()
-    known = dict(ham._cache)
-    F = setup.F.copy()
-    serial = [star(fock_wigner(n, grid)).values.tobytes() for n in range(16)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda n: star(fock_wigner(n, grid)).values.tobytes(), n)
-                       for n in range(16)]
-            pooled = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(old)
-    assert pooled == serial
-    assert ham._cache.keys() == known.keys()
-    assert all(ham._cache[k] is v for k, v in known.items())
-    assert setup.F.tobytes() == F.tobytes()
 
 
 def test_commutator_ladder_fields_sampled_correctly(grid257):

@@ -15,7 +15,6 @@ from fstarq import (PhaseGrid, canonical_json, commutator_deviation, fcs_wigner,
 from fstarq import cli
 from fstarq.cli import main
 from fstarq.io import format_float
-from fstarq.verify import worker_count
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +286,15 @@ def test_cli_names_a_nan_partial_without_numpy_warnings():
                            "at (q, p) = (0.0, 0.0)\n")
 
 
+def test_cli_residual_serves_the_hamiltonian_slope_at_the_origin():
+    # f = 1 + sqrt(n) has s'(0) = inf, but dH/dq takes x s'(x) -> 0 at the origin
+    proc = _cli_process("residual", "--spec", "expr:1+sqrt(n)", "--n", "2",
+                        "--grid=-4,4,-4,4,129,129,0")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["max_abs"] == 30.049159094905647
+
+
 @pytest.mark.parametrize("argv,line", [
     # 1/0 and exp(801) are inf on the one numpy path, refused by name
     (("residual", "--spec", "expr:1/n", "--n", "0", "--grid=-4,4,-4,4,33,33"),
@@ -396,17 +404,6 @@ def test_cli_error_names_flag(capsys):
     run_cli("spectrum", "--spec", "bogus", "--n-max", "2")
     err = capsys.readouterr().err
     assert "--spec" in err
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("FSTAR_THREADS", "2")
-    assert worker_count() == 2
-    for bad in ("not-a-number", "0", "-4"):
-        monkeypatch.setenv("FSTAR_THREADS", bad)
-        with pytest.raises(ValueError, match=r"^FSTAR_THREADS must be an integer >= 1$"):
-            worker_count()
-    monkeypatch.delenv("FSTAR_THREADS")
-    assert worker_count() >= 1
 
 
 def test_cli_verify_quick_deterministic(tmp_path):

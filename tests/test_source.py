@@ -5,7 +5,9 @@ the package, so a folded helper cannot linger beside its replacement.  No
 module other than ``__init__`` refers to ``mesh`` beyond defining it: radial
 functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``.
 ``expressions`` neither imports ``math`` nor reads ``ndim``: its nodes have
-one numpy evaluator for scalar and array n."""
+one numpy evaluator for scalar and array n.  No module imports ``threading``
+or ``concurrent.futures``, or reads ``os.environ`` or ``os.getenv``: the
+library runs on one thread and takes no settings from the environment."""
 
 import ast
 import pathlib
@@ -135,3 +137,46 @@ def test_scalar_branch_is_caught():
 
 def test_expressions_have_one_numpy_evaluator():
     assert scalar_branches((PACKAGE / "expressions.py").read_text(encoding="utf-8")) == []
+
+
+THREAD_MODULES = ("threading", "concurrent.futures")
+ENVIRONMENT_READS = ("environ", "getenv")
+
+
+def threads_or_environment(source: str) -> list[int]:
+    """Lines that import a thread module or read the environment through ``os``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            if node.module == "os" and any(a.name in ENVIRONMENT_READS for a in node.names):
+                lines.add(node.lineno)
+        else:
+            names = []
+        if any(name == m or name.startswith(m + ".") for name in names for m in THREAD_MODULES):
+            lines.add(node.lineno)
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_thread_or_environment_use_is_caught():
+    source = ("import threading\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "from concurrent import futures\n"
+              "import concurrent.futures as cf\n"
+              "import os\n"
+              "cap = os.environ.get('FSTAR_THREADS')\n"
+              "cap = os.getenv('FSTAR_THREADS')\n"
+              "from os import environ\n"
+              "n = os.cpu_count()\n"
+              "import threadpoolctl\n")
+    assert threads_or_environment(source) == [1, 2, 3, 4, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_module_runs_on_one_thread_and_reads_no_environment(path):
+    assert threads_or_environment(path.read_text(encoding="utf-8")) == []
