@@ -330,6 +330,9 @@ def series_terms(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_S
         if spec.kind != "expr":
             # f^2 is finite and > 0 exactly where f is, for the closed-form kinds
             _checked_f(spec, np.float64(n), s)
+        elif s == 0.0:  # an expr f can be positive while its square underflows
+            raise NonPositiveValue(f"f(n)^2 underflows to 0 at n = {float(n)} "
+                                   f"for kind {spec.kind!r}")
         t *= zeta_abs2 / (n * s)
         if t < tol * total:
             return np.array(terms)

@@ -3,7 +3,8 @@
 CSV uses '.' decimals, '\\n' line endings and a header row; JSON is UTF-8
 with insertion-ordered keys.  Floats are printed as ``%.17g``: the same bytes
 every run, read back exactly.  A field CSV is written one q row per ``%`` over
-a template built once, and parsed back by ``numpy.loadtxt``.
+a template built once, with each distinct number formatted once, and parsed
+back by ``numpy.loadtxt``; its rows must come in q-outer, p-inner order.
 """
 
 from __future__ import annotations
@@ -75,16 +76,23 @@ def grid_to_dict(grid: PhaseGrid) -> dict:
 
 
 def field_to_csv(field: Field, path) -> None:
-    """Write rows q, p, re, im in row-major (q outer) order."""
+    """Write rows q, p, re, im in row-major (q outer) order.
+
+    Each distinct float64 bit pattern among the values is formatted once (so
+    -0.0 and 0.0 stay apart) and its text gathered into every place it sits.
+    """
     vals = field.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("cannot serialize non-finite numbers")
     leads = [format_float(q) + "," for q in field.grid.q_values()]
-    rests = [format_float(p) + ",%.17g,%.17g\n" for p in field.grid.p_values()]
-    pairs = np.stack([vals.real, vals.imag], -1).reshape(len(leads), -1).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
+    rests = [format_float(p) + ",%s,%s\n" for p in field.grid.p_values()]
+    pairs = np.stack([vals.real, vals.imag], -1)
+    bits, where = np.unique(pairs.view(np.int64), return_inverse=True)
+    texts = np.array([format_float(x) for x in bits.view(np.float64)], dtype=object)
+    rows = texts[where.reshape(len(leads), -1)].tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("q,p,re,im\n")
-        for lead, row in zip(leads, pairs):
+        for lead, row in zip(leads, rows):
             fh.write((lead + lead.join(rests)) % tuple(row))
 
 
@@ -92,7 +100,8 @@ def read_field_csv(path, hbar: float = 1.0, label: str = "") -> Field:
     """Rebuild a Field from its CSV export.
 
     The grid is reconstructed from the sample coordinates themselves (with
-    offset 0, since the written coordinates already include any shift).
+    offset 0, since the written coordinates already include any shift).  Rows
+    out of q-outer, p-inner order are refused, naming the first such line.
     """
     with open(path, encoding="utf-8") as fh:
         nonblank = ((i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln != "\n")
@@ -108,6 +117,12 @@ def read_field_csv(path, hbar: float = 1.0, label: str = "") -> Field:
     n_q, n_p = len(qs), len(ps)
     if n_q * n_p != len(q):
         raise ValueError("CSV rows do not form a complete rectangular grid")
+    misplaced = np.flatnonzero((q != np.repeat(qs, n_p)) | (p != np.tile(ps, n_q)))
+    if misplaced.size:  # name the file line of the first misplaced data row
+        with open(path, encoding="utf-8") as fh:
+            data = [i for i, ln in enumerate(fh, 1) if i > skip and ln != "\n"]
+        raise ValueError(f"CSV rows are not in q-outer, p-inner order at line "
+                         f"{data[misplaced[0]]}")
     grid = PhaseGrid(float(qs[0]), float(qs[-1]), float(ps[0]), float(ps[-1]),
                      n_q, n_p, hbar=hbar, offset=0.0)
     vals = np.stack([re, im], -1).view(complex).reshape(n_q, n_p)

@@ -266,6 +266,12 @@ def test_series_terms_evaluates_f_once_per_term(monkeypatch):
     assert calls == [float(n) for n in range(1, len(terms) + 1)]
 
 
+def test_series_terms_refuses_an_underflowing_f_squared():
+    # f(1) = 1e-200 is finite and positive, but its square is 0.0
+    with pytest.raises(NonPositiveValue, match=r"f\(n\)\^2 underflows to 0 at n = 1.0 "):
+        series_terms(expr_spec("1e-200*n"), 4.0)
+
+
 SERIES_ENTRIES = {
     "series_terms": series_terms,
     "normalization_Nf": normalization_Nf,

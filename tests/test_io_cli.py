@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -8,13 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, canonical_json, commutator_deviation, fcs_wigner,
-                    field_from_values, field_report, field_to_csv, genvalue_residual,
-                    identity_spec, read_field_csv, report_to_dict, report_to_json,
-                    spectrum, spectrum_to_csv, sqrt_n_spec)
+import fstarq.io
+from fstarq import (PhaseGrid, canonical_json, commutator_deviation, expr_spec, fcs_wigner,
+                    field_from_values, field_report, field_to_csv, fock_wigner,
+                    genvalue_residual, identity_spec, qdef_spec, read_field_csv,
+                    report_to_dict, report_to_json, spectrum, spectrum_to_csv, sqrt_n_spec)
 from fstarq import cli
 from fstarq.cli import main
 from fstarq.io import format_float
+from fstarq.phasespace import default_grid
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +420,109 @@ def test_cli_verify_quick_deterministic(tmp_path):
     failing = {c["name"] for c in summary["checks"] if not c["passed"]}
     assert failing == set()
     assert summary["all_pass"] and code1 == 0
+
+
+# ---------------------------------------------------------------------------
+# Field CSV: one format per distinct number, rows in q-outer order
+
+
+def template_field_csv(field, path) -> None:
+    """The earlier writer, which formatted every sample with %.17g: the byte oracle."""
+    vals = field.values
+    leads = [format_float(q) + "," for q in field.grid.q_values()]
+    rests = [format_float(p) + ",%.17g,%.17g\n" for p in field.grid.p_values()]
+    pairs = np.stack([vals.real, vals.imag], -1).reshape(len(leads), -1).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("q,p,re,im\n")
+        for lead, row in zip(leads, pairs):
+            fh.write((lead + lead.join(rests)) % tuple(row))
+
+
+def _signed_zero_field(grid):
+    rng = np.random.default_rng(18)
+    pool = np.array([-0.0, 0.0, 1.5, -2.25, 1 / 3, 5e-324, -5e-324, 0.1])
+    vals = np.empty((grid.n_q, grid.n_p), dtype=complex)
+    vals.real = rng.choice(pool, vals.shape)
+    vals.imag = rng.choice(pool, vals.shape)
+    return field_from_values(grid, vals, label="signed zeros")
+
+
+@functools.cache
+def _field_513(name):
+    grid = default_grid()
+    if name == "fock":
+        return fock_wigner(10, grid)
+    if name == "qdef_mixture":
+        return fcs_wigner(qdef_spec(1.2), 4.0, grid)
+    if name == "expr_commutator":
+        return commutator_deviation(expr_spec("sqrt(1+0.1*n)"), grid)[0]
+    return _signed_zero_field(grid)
+
+
+FIELDS_513 = ["fock", "qdef_mixture", "expr_commutator", "signed_zeros"]
+
+
+@pytest.mark.parametrize("name", FIELDS_513)
+def test_field_csv_matches_the_template_writer_at_513(tmp_path, name):
+    field = _field_513(name)
+    field_to_csv(field, tmp_path / "new.csv")
+    template_field_csv(field, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", FIELDS_513)
+def test_field_csv_formats_each_distinct_number_once(tmp_path, monkeypatch, name):
+    field = _field_513(name)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(fstarq.io, "format_float", counted)
+    field_to_csv(field, tmp_path / "f.csv")
+    pairs = np.stack([field.values.real, field.values.imag], -1)
+    distinct = len(np.unique(pairs.view(np.int64)))  # bits: -0.0 and 0.0 count twice
+    assert len(calls) == distinct + field.grid.n_q + field.grid.n_p
+    if name == "signed_zeros":
+        assert distinct == 8
+
+
+def _swap_rows(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+
+
+def _p_outer(lines):
+    rows = [ln.split(",") for ln in lines[1:-1]]
+    rows.sort(key=lambda r: (float(r[1]), float(r[0])))
+    lines[1:-1] = [",".join(r) for r in rows]
+
+
+def _swap_rows_among_blank_lines(lines):
+    _swap_rows(lines)
+    # blank, header, blank, then the misplaced row on line 4, a blank and the rest
+    lines[:] = ["", lines[0], "", lines[1], "", *lines[2:]]
+
+
+@pytest.mark.parametrize("edit, line", [(_swap_rows, 2), (_p_outer, 3),
+                                        (_swap_rows_among_blank_lines, 4)])
+def test_read_field_csv_refuses_rows_out_of_order(tmp_path, edit, line):
+    # square, so a p-outer file passes the rectangular count check
+    grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 3, offset=0.25)
+    field = field_from_values(grid, np.arange(9.0).reshape(3, 3) + 0.5j, label="ordered")
+    path = tmp_path / "f.csv"
+    field_to_csv(field, path)
+    lines = path.read_text().split("\n")
+    edit(lines)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"not in q-outer, p-inner order at line {line}$"):
+        read_field_csv(path)
+
+
+def test_cli_wigner_refuses_an_underflowing_f_squared(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    assert run_cli("wigner", "--spec", "expr:1e-200*n", "--zeta2", "4",
+                   "--grid=-4,4,-4,4,17,17", "--out", str(path)) == 2
+    assert capsys.readouterr().err == ("error: f(n)^2 underflows to 0 at n = 1.0 "
+                                       "for kind 'expr'\n")
+    assert not path.exists()
