@@ -18,9 +18,8 @@ closed-form expression in n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -38,15 +37,14 @@ class DeformationSpec:
     """A named, parameterized deformation function f(n)."""
 
     kind: str
-    params: Mapping[str, float] = field(default_factory=dict)
+    q: float | None = None
     expr_source: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown deformation kind {self.kind!r}; choose from {KINDS}")
         if self.kind == "qdef":
-            q = self.params.get("q")
-            if q is None or not math.isfinite(q) or q <= 0:
+            if self.q is None or not math.isfinite(self.q) or self.q <= 0:
                 raise ValueError("qdef requires a finite parameter q > 0")
         if self.kind == "expr":
             if not self.expr_source:
@@ -63,7 +61,7 @@ def sqrt_n_spec() -> DeformationSpec:
 
 
 def qdef_spec(q: float) -> DeformationSpec:
-    return DeformationSpec("qdef", params={"q": float(q)})
+    return DeformationSpec("qdef", q=float(q))
 
 
 def expr_spec(source: str) -> DeformationSpec:
@@ -104,7 +102,7 @@ def _sinhc(t, order):
 
 
 def _qdef_lambda(spec: DeformationSpec) -> tuple[float, float]:
-    lam = math.log(spec.params["q"])
+    lam = math.log(spec.q)
     if abs(lam) < 1e-8:
         pref = 1.0 / (1.0 + lam * lam / 6.0)
     else:
@@ -120,35 +118,18 @@ def _qdef_s(spec, n, order):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  _f and _s hold the one per-kind dispatch: f and s = f^2 with
-# their n-derivatives, order in {0, 1, 2}, on a float array n, unchecked.
-
-
-def _f(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if spec.kind == "identity":
-            return np.ones_like(n) if order == 0 else np.zeros_like(n)
-        if spec.kind == "sqrt_n":
-            if order == 0:
-                return np.sqrt(n)
-            return 0.5 * n**-0.5 if order == 1 else -0.25 * n**-1.5
-        if spec.kind == "qdef":
-            f = np.sqrt(_qdef_s(spec, n, 0))
-            if order == 0:
-                return f
-            s1 = _qdef_s(spec, n, 1)
-            if order == 1:
-                return s1 / (2.0 * f)
-            return _qdef_s(spec, n, 2) / (2.0 * f) - s1 * s1 / (4.0 * f**3)
-        return np.asarray(_expr_asts(spec.expr_source)[order](n), dtype=float)
+# Evaluation.  _s is the one per-kind table: s = f^2 and its n-derivatives,
+# order in {0, 1, 2}, on a float array n, unchecked.  _f derives f from it by
+# the chain rule, except that sqrt_n keeps its own f' and f'' (the derived
+# form moves them in the last bit) and an expr f is its own AST.
 
 
 def _s(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
     """s = f^2 in closed form where the square is the natural primitive
     (n for sqrt_n).  An expr f is checked first at order 0, so squaring
-    cannot hide its sign."""
+    cannot hide its sign; s itself may overflow."""
     if spec.kind == "identity":
-        return _f(spec, n, order)
+        return np.ones_like(n) if order == 0 else np.zeros_like(n)
     if spec.kind == "sqrt_n":
         if order == 0:
             return n.copy()
@@ -163,6 +144,21 @@ def _s(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
         if order == 1:
             return 2.0 * f * d1
         return 2.0 * (d1 * d1 + f * _f(spec, n, 2))
+
+
+def _f(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.kind == "expr":
+            return np.asarray(_expr_asts(spec.expr_source)[order](n), dtype=float)
+        if spec.kind == "sqrt_n" and order:
+            return 0.5 * n**-0.5 if order == 1 else -0.25 * n**-1.5
+        f = np.sqrt(_s(spec, n, 0))
+        if order == 0:
+            return f
+        s1 = _s(spec, n, 1)
+        if order == 1:
+            return s1 / (2.0 * f)
+        return _s(spec, n, 2) / (2.0 * f) - s1 * s1 / (4.0 * f**3)
 
 
 def _first_bad(n: np.ndarray, bad: np.ndarray) -> float:
@@ -209,8 +205,14 @@ def eval_f(spec: DeformationSpec, n, order: int = 0):
 
 def f_squared(spec: DeformationSpec, n, order: int = 0):
     """f(n)^2 or its n-derivative of the given order (0, 1 or 2) at a real
-    n >= 0, in closed form.  An expr f is checked as in eval_f at order 0."""
-    return _like_n(n, _s(spec, _n_array(n, order), order))
+    n >= 0, in closed form.  At order 0 an expr f is checked as in eval_f,
+    and NonPositiveValue names the first n where its square is not finite."""
+    arr = _n_array(n, order)
+    out = _s(spec, arr, order)
+    if order == 0 and spec.kind == "expr" and not np.isfinite(out).all():
+        raise NonPositiveValue(f"f(n)^2 is not finite at n = "
+                               f"{_first_bad(arr, ~np.isfinite(out))} for kind {spec.kind!r}")
+    return _like_n(n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
     # recomputes E_n from the raw formula as an independent cross-check
     with np.errstate(over="ignore", invalid="ignore"):
         energies = 0.5 * hbar * omega * (commutator_target(spec, ns)
-                                         + 2.0 * ns * f_squared(spec, ns))
+                                         + 2.0 * ns * _s(spec, ns, 0))
     bad = ~np.isfinite(energies)
     if np.any(bad):
         raise NonPositiveValue(f"E_n is not finite at n = {_first_bad(ns, bad)} "
@@ -310,9 +312,10 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
 # Coherent-state normalization series
 
 
-def series_terms(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_SERIES_TOL,
-                 n_max: int = DEFAULT_SERIES_NMAX) -> np.ndarray:
-    """Terms t_n = |zeta|^(2n) / (n! (f(n)!)^2), truncated at t < tol * sum.
+def series_terms(spec: DeformationSpec, zeta_abs2: float,
+                 tol: float = DEFAULT_SERIES_TOL) -> np.ndarray:
+    """Terms t_n = |zeta|^(2n) / (n! (f(n)!)^2), truncated at t < tol * sum,
+    n <= DEFAULT_SERIES_NMAX.
 
     Accumulated by term ratios t_n / t_{n-1} = |zeta|^2 / (n f(n)^2), which
     stays stable where explicit factorials would overflow.
@@ -320,16 +323,16 @@ def series_terms(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_S
     if not 0.0 <= zeta_abs2 < math.inf:
         raise ValueError("zeta_abs2 must be a finite real >= 0")
     require_positive("tol", tol)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     terms = [1.0]
     total = 1.0
     t = 1.0
-    for n in range(1, n_max + 1):
-        s = f_squared(spec, float(n))  # an expr f is checked in there
+    for n in range(1, DEFAULT_SERIES_NMAX + 1):
+        arr = np.asarray(float(n))
+        # an expr f is checked in _s; an f^2 that overflows ends the series
+        s = float(_s(spec, arr, 0))
         if spec.kind != "expr":
             # f^2 is finite and > 0 exactly where f is, for the closed-form kinds
-            _checked_f(spec, np.float64(n), s)
+            _checked_f(spec, arr, s)
         elif s == 0.0:  # an expr f can be positive while its square underflows
             raise NonPositiveValue(f"f(n)^2 underflows to 0 at n = {float(n)} "
                                    f"for kind {spec.kind!r}")
@@ -339,13 +342,13 @@ def series_terms(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_S
         terms.append(t)
         total += t
     raise SeriesDivergence(
-        f"normalization series not converged after {n_max} terms for kind {spec.kind!r}")
+        f"normalization series not converged after {DEFAULT_SERIES_NMAX} terms "
+        f"for kind {spec.kind!r}")
 
 
-def normalization_Nf(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_SERIES_TOL,
-                     n_max: int = DEFAULT_SERIES_NMAX) -> float:
+def normalization_Nf(spec: DeformationSpec, zeta_abs2: float) -> float:
     """Unit-norm prefactor N_f = [sum_n |zeta|^(2n) / (n! (f(n)!)^2)]^(-1/2)."""
-    return 1.0 / math.sqrt(float(np.sum(series_terms(spec, zeta_abs2, tol, n_max))))
+    return 1.0 / math.sqrt(float(np.sum(series_terms(spec, zeta_abs2))))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,7 @@ def parse_deformation(text: str) -> DeformationSpec:
 
 def spec_to_text(spec: DeformationSpec) -> str:
     if spec.kind == "qdef":
-        return f"qdef:q={spec.params['q']!r}"
+        return f"qdef:q={spec.q!r}"
     if spec.kind == "expr":
         return f"expr:{spec.expr_source}"
     return spec.kind

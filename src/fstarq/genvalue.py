@@ -22,8 +22,8 @@ import numpy as np
 
 from .deformation import (DeformationSpec, commutator_target, eval_f, f_squared,
                           require_positive, spec_to_text, spectrum)
-from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, default_grid,
-                         fock_wigner, integrate)
+from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, fock_wigner,
+                         integrate)
 from .starproduct import ProductSetup, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
@@ -157,7 +157,7 @@ def energy_level(spec: DeformationSpec, n: int, hbar: float, omega: float) -> fl
     return float(HamiltonianProfile(spec, hbar, omega).deriv(float(n), 0))
 
 
-def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = None,
+def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid,
                       omega: float = 1.0, r_cut: float = DEFAULT_R_CUT) -> ResidualReport:
     """Residual of the star-genvalue equation H star W_n = E_n W_n.
 
@@ -169,8 +169,6 @@ def genvalue_residual(spec: DeformationSpec, n: int, grid: PhaseGrid | None = No
         raise ValueError("n must be >= 0")
     require_positive("omega", omega)
     require_positive("r_cut", r_cut)
-    if grid is None:
-        grid = default_grid()
     return _residual_report(spec, n, fock_wigner(n, grid), omega, r_cut)
 
 
@@ -199,8 +197,7 @@ def _residual_report(spec: DeformationSpec, n: int, w: Field, omega: float,
         })
 
 
-def commutator_deviation(spec: DeformationSpec,
-                         grid: PhaseGrid | None = None) -> tuple[Field, ResidualReport]:
+def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field, ResidualReport]:
     """Deviation of (1/hbar)[A, Abar]_f from the target (n+1)f(n+1)^2 - n f(n)^2.
 
     Also evaluates the closed-form first-order prediction
@@ -208,11 +205,9 @@ def commutator_deviation(spec: DeformationSpec,
     computation tracks it (params key "closed_form_match").  Returns the
     pointwise deviation field together with the report.
     """
-    if grid is None:
-        grid = default_grid()
     hbar = grid.hbar
     A, Abar = ladder_fields(spec, grid)
-    s = ProductSetup(grid, spec, hbar)
+    s = ProductSetup(grid, spec)
     comm = s.commutator(A, Abar)
     target = grid.radial(functools.partial(commutator_target, spec), 2.0 * hbar)
     # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'; s.F is F(n)
@@ -279,7 +274,7 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
             right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
             diff = (left - right).eval_grid(q, p)
         else:
-            s = ProductSetup(grid, spec, hbar, jets=True)
+            s = ProductSetup(grid, spec, hbar)
             kg = s.product(k, g, jets=True)
             gh = s.product(g, h, jets=True)
             diff = s.product(kg, h).values - s.product(k, gh).values

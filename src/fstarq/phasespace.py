@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .deformation import (DEFAULT_SERIES_NMAX, DEFAULT_SERIES_TOL, DeformationSpec,
-                          require_positive, series_terms, spec_to_text)
+from .deformation import (DEFAULT_SERIES_TOL, DeformationSpec, require_positive,
+                          series_terms, spec_to_text)
 from .symbols import PolySymbol
 
 # ---------------------------------------------------------------------------
@@ -109,9 +109,9 @@ class PhaseGrid:
         return r2u, idx
 
 
-def default_grid(hbar: float = 1.0) -> PhaseGrid:
-    """[-8, 8]^2 at 513 x 513 with a half-cell offset."""
-    return PhaseGrid(-8.0, 8.0, -8.0, 8.0, 513, 513, hbar=hbar, offset=0.5)
+def default_grid() -> PhaseGrid:
+    """[-8, 8]^2 at 513 x 513, hbar = 1, with a half-cell offset."""
+    return PhaseGrid(-8.0, 8.0, -8.0, 8.0, 513, 513, hbar=1.0, offset=0.5)
 
 
 @lru_cache(maxsize=64)
@@ -414,9 +414,9 @@ class WignerWeights:
     truncation_n: int
 
 
-def wigner_weights(spec: DeformationSpec, zeta_abs2: float, tol: float = DEFAULT_SERIES_TOL,
-                   n_max: int = DEFAULT_SERIES_NMAX) -> WignerWeights:
-    terms = series_terms(spec, zeta_abs2, tol, n_max)
+def wigner_weights(spec: DeformationSpec, zeta_abs2: float,
+                   tol: float = DEFAULT_SERIES_TOL) -> WignerWeights:
+    terms = series_terms(spec, zeta_abs2, tol)
     weights = terms / float(np.sum(terms))
     return WignerWeights(spec, float(zeta_abs2), weights, len(terms) - 1)
 

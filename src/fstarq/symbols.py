@@ -278,14 +278,10 @@ def poisson_bracket(k: PolySymbol, g: PolySymbol) -> PolySymbol:
     return k.dq() * g.dp() - k.dp() * g.dq()
 
 
-def random_polynomial(rng: np.random.Generator, max_degree: int = 4,
-                      complex_coeffs: bool = True) -> PolySymbol:
-    """Dense random polynomial with O(1) coefficients, for property tests."""
+def random_polynomial(rng: np.random.Generator, max_degree: int = 4) -> PolySymbol:
+    """Dense random polynomial with O(1) complex coefficients, for property tests."""
     terms = {}
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
-            c = rng.standard_normal()
-            if complex_coeffs:
-                c = c + 1j * rng.standard_normal()
-            terms[(a, b)] = c
+            terms[(a, b)] = rng.standard_normal() + 1j * rng.standard_normal()
     return PolySymbol(terms)

@@ -247,7 +247,7 @@ def test_weights_normalize(z2):
 def test_series_divergence():
     spec = expr_spec("1/(n+1)")
     with pytest.raises(SeriesDivergence):
-        series_terms(spec, 1.0, n_max=60)
+        series_terms(spec, 1.0)
 
 
 def test_series_terms_evaluates_f_once_per_term(monkeypatch):
@@ -264,6 +264,18 @@ def test_series_terms_evaluates_f_once_per_term(monkeypatch):
     terms = series_terms(expr_spec("sqrt(1+0.1*n)"), 4.0)
     assert len(terms) == 21
     assert calls == [float(n) for n in range(1, len(terms) + 1)]
+
+
+def test_f_squared_refuses_an_expr_square_that_overflows():
+    # f = exp(n) is finite up to n = 709, but its square overflows from n = 355
+    spec = expr_spec("exp(n)")
+    assert math.isfinite(eval_f(spec, 400.0))
+    line = r"^f\(n\)\^2 is not finite at n = {} for kind 'expr'$"
+    with pytest.raises(NonPositiveValue, match=line.format(r"400\.0")):
+        f_squared(spec, 400.0)
+    with pytest.raises(NonPositiveValue, match=line.format(r"355\.0")):
+        f_squared(spec, np.array([354.0, 355.0, 400.0]))
+    assert f_squared(spec, 354.0) == eval_f(spec, 354.0) ** 2
 
 
 def test_series_terms_refuses_an_underflowing_f_squared():
@@ -286,7 +298,6 @@ BAD_SERIES_INPUTS = [
     (dict(tol=math.nan), "^tol must be a positive finite real$"),
     (dict(tol=math.inf), "^tol must be a positive finite real$"),
     (dict(tol=0.0), "^tol must be a positive finite real$"),
-    (dict(n_max=-3), "^n_max must be >= 0$"),
 ]
 
 
@@ -294,7 +305,7 @@ BAD_SERIES_INPUTS = [
 @pytest.mark.parametrize("entry, bad, message", [
     pytest.param(entry, bad, message, id=f"{entry}-{','.join(f'{k}={v}' for k, v in bad.items())}")
     for entry in SERIES_ENTRIES for bad, message in BAD_SERIES_INPUTS
-    if not (entry == "fcs_wigner" and "n_max" in bad)])  # fcs_wigner has no n_max
+    if not (entry == "normalization_Nf" and "tol" in bad)])  # normalization_Nf has no tol
 def test_series_inputs_rejected_by_name(entry, bad, message):
     kwargs = {"zeta_abs2": 1.0, **bad}
     with pytest.raises(ValueError, match=message):
@@ -325,7 +336,9 @@ def test_parse_deformation_round_trip():
 
 def test_parse_deformation_qdef_value():
     spec = parse_deformation("qdef:q=1.5")
-    assert spec.params["q"] == 1.5
+    assert spec.q == 1.5
+    # a spec is a plain frozen value, so equal specs hash equal
+    assert hash(qdef_spec(1.2)) == hash(parse_deformation("qdef:q=1.2"))
 
 
 def test_parse_deformation_expr_eval():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -218,14 +219,13 @@ def test_nonfinite_omega_is_refused_before_grid_work(monkeypatch, omega):
     # named up front; a NaN omega would otherwise fail late, at "field values must be finite"
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work before the omega check")
-    for name in ("AnalyticStructure", "fock_wigner", "default_grid"):
+    for name in ("AnalyticStructure", "fock_wigner"):
         monkeypatch.setattr(genvalue, name, no_grid_work)
     grid = PhaseGrid(-2, 2, -2, 2, 17, 17)
     with pytest.raises(ValueError, match="^omega must be a positive finite real$"):
         build_hamiltonian(identity_spec(), grid, omega=omega)
-    for g in (grid, None):
-        with pytest.raises(ValueError, match="^omega must be a positive finite real$"):
-            genvalue_residual(identity_spec(), 1, g, omega=omega)
+    with pytest.raises(ValueError, match="^omega must be a positive finite real$"):
+        genvalue_residual(identity_spec(), 1, grid, omega=omega)
 
 
 def test_residual_refuses_a_disc_without_samples():
@@ -239,8 +239,8 @@ def test_residual_refuses_a_disc_without_samples():
 # bracket term: for real fields, i Im(h *_f w) is (i hbar / 2) F(n) {h, w}
 
 
-def bracket_of(h, w, spec, hbar=None):
-    return 1j * fstar_apply(h, w, spec, hbar).values.imag
+def bracket_of(h, w, spec):
+    return 1j * fstar_apply(h, w, spec).values.imag
 
 
 def test_bracket_radial_pair_vanishes(grid257):
@@ -251,12 +251,13 @@ def test_bracket_radial_pair_vanishes(grid257):
 
 
 def test_bracket_q_p_constant(origin_grid):
-    h = field_from_poly(PolySymbol.q(), origin_grid)
-    w = field_from_poly(PolySymbol.p(), origin_grid)
-    out = bracket_of(h, w, identity_spec(), hbar=0.9)
+    grid = dataclasses.replace(origin_grid, hbar=0.9)
+    h = field_from_poly(PolySymbol.q(), grid)
+    w = field_from_poly(PolySymbol.p(), grid)
+    out = bracket_of(h, w, identity_spec())
     assert np.max(np.abs(out - 0.5j * 0.9)) <= 1e-13
     # the rest of the product is h w itself
-    real = fstar_apply(h, w, identity_spec(), 0.9).values.real
+    real = fstar_apply(h, w, identity_spec()).values.real
     assert np.array_equal(real, (h.values * w.values).real)
 
 
@@ -426,6 +427,19 @@ def test_associativity_samples_amplitude_once_per_hbar(grid257, amplitude_sample
     assert amplitude_samples == {"F": 3, "dF": 3}
 
 
+def test_setup_samples_the_amplitude_gradient_on_its_first_jets_product(grid257,
+                                                                        amplitude_samples):
+    # products without jets never sample dF/dn; two products with jets sample it once
+    k, g, h = assoc_operands(grid257)
+    setup = ProductSetup(grid257, sqrt_n_spec())
+    setup.product(k, g)
+    setup.commutator(g, h)
+    assert amplitude_samples == {"F": 1, "dF": 0}
+    setup.product(k, g, jets=True)
+    setup.product(g, h, jets=True)
+    assert amplitude_samples == {"F": 1, "dF": 1}
+
+
 @pytest.mark.parametrize("spec", [sqrt_n_spec(), expr_spec("sqrt(1+0.5*n)")],
                          ids=spec_to_text)
 def test_associativity_shared_setup_matches_independent_products(grid257, spec):
@@ -434,9 +448,10 @@ def test_associativity_shared_setup_matches_independent_products(grid257, spec):
     expected = []
     for hbar in hbars:
         k, g, h = assoc_operands(grid257)
-        kg = ProductSetup(grid257, spec, hbar, jets=True).product(k, g, jets=True)
-        gh = ProductSetup(grid257, spec, hbar, jets=True).product(g, h, jets=True)
-        diff = fstar_apply(kg, h, spec, hbar).values - fstar_apply(k, gh, spec, hbar).values
+        kg = ProductSetup(grid257, spec, hbar).product(k, g, jets=True)
+        gh = ProductSetup(grid257, spec, hbar).product(g, h, jets=True)
+        diff = (ProductSetup(grid257, spec, hbar).product(kg, h).values
+                - ProductSetup(grid257, spec, hbar).product(k, gh).values)
         expected.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2)
                                              * grid257.dq * grid257.dp))))
     assert (np.array(result.points).view(np.int64).tolist()

@@ -410,7 +410,7 @@ def test_radial_derivatives_computed_once_per_key(grid257):
     # six partials of W_3, orders 0..2 of its profile
     moyal_apply(PolySymbol({(2, 0): 0.5, (0, 2): 0.5}), w)
     # jets ask for the second partials of both operands too
-    ProductSetup(grid257, spec, jets=True).product(h, w, jets=True)
+    ProductSetup(grid257, spec).product(h, w, jets=True)
     assert sorted(fock.orders) == [0, 1, 2]
     assert sorted(ham.orders) == [0, 1, 2]
     Q, P = mesh(grid257)

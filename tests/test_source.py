@@ -7,12 +7,20 @@ functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``.
 ``expressions`` neither imports ``math`` nor reads ``ndim``: its nodes have
 one numpy evaluator for scalar and array n.  No module imports ``threading``
 or ``concurrent.futures``, or reads ``os.environ`` or ``os.getenv``: the
-library runs on one thread and takes no settings from the environment."""
+library runs on one thread and takes no settings from the environment.
+Every defaulted parameter of the public callables, and of ``ProductSetup``'s
+methods, is listed in ``DEFAULTED_PARAMETERS``, so a new option is entered
+there on purpose."""
 
 import ast
+import dataclasses
+import inspect
 import pathlib
 
 import pytest
+
+import fstarq
+from fstarq.starproduct import ProductSetup
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fstarq"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -180,3 +188,61 @@ def test_thread_or_environment_use_is_caught():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_module_runs_on_one_thread_and_reads_no_environment(path):
     assert threads_or_environment(path.read_text(encoding="utf-8")) == []
+
+
+# Every parameter with a default of a callable in fstarq.__all__ or a
+# ProductSetup method, by callable; callables without one are left out.
+DEFAULTED_PARAMETERS = {
+    "DeformationSpec": {"q": None, "expr_source": None},
+    "Field": {"label": "", "poly": None, "analytic": None, "partials": None},
+    "ParseError": {"expected": None},
+    "PhaseGrid": {"hbar": 1.0, "offset": 0.5},
+    "PolySymbol": {"terms": None},
+    "ResidualReport": {"params": "<factory>"},
+    "build_hamiltonian": {"omega": 1.0},
+    "eval_f": {"order": 0},
+    "f_squared": {"order": 0},
+    "fcs_wigner": {"tol": 1e-14},
+    "field_from_poly": {"label": ""},
+    "field_from_values": {"label": ""},
+    "genvalue_residual": {"omega": 1.0, "r_cut": 4.0},
+    "random_polynomial": {"max_degree": 4},
+    "read_field_csv": {"hbar": 1.0, "label": ""},
+    "run_verification": {"quick": False},
+    "spectrum": {"hbar": 1.0, "omega": 1.0},
+    "wigner_weights": {"tol": 1e-14},
+    "ProductSetup.__init__": {"hbar": None},
+    "ProductSetup.product": {"jets": False},
+}
+
+
+def defaulted_parameters(obj) -> dict:
+    """{name: default} of obj's parameters that have a default; a dataclass
+    field's default factory reads as "<factory>"."""
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except ValueError:  # a class with no Python-level __init__, e.g. an exception
+        return {}
+    factories = ({f.name for f in dataclasses.fields(obj)
+                  if f.default_factory is not dataclasses.MISSING}
+                 if dataclasses.is_dataclass(obj) else set())
+    return {p.name: "<factory>" if p.name in factories else p.default
+            for p in params if p.default is not p.empty}
+
+
+def test_defaulted_parameter_is_caught():
+    @dataclasses.dataclass
+    class Spec:
+        kind: str
+        extra: list = dataclasses.field(default_factory=list)
+
+    assert defaulted_parameters(lambda a, b=2, *, c=None: a) == {"b": 2, "c": None}
+    assert defaulted_parameters(Spec) == {"extra": "<factory>"}
+    assert defaulted_parameters(ValueError) == {}
+
+
+def test_defaulted_parameters_match_the_table():
+    found = {name: defaulted_parameters(getattr(fstarq, name)) for name in fstarq.__all__}
+    found.update((f"ProductSetup.{name}", defaulted_parameters(fn))
+                 for name, fn in inspect.getmembers(ProductSetup, inspect.isfunction))
+    assert {name: d for name, d in found.items() if d} == DEFAULTED_PARAMETERS

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, creation_symbol,
-                    field_from_poly, field_from_values, fock_wigner, fstar_apply,
-                    identity_spec, mesh, moyal_apply, moyal_exact, parse_symbol,
-                    partial_field, sqrt_n_spec, star_commutator)
+from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
+                    creation_symbol, default_grid, field_from_poly, field_from_values,
+                    fock_wigner, fstar_apply, genvalue_residual, identity_spec, mesh,
+                    moyal_apply, moyal_exact, normalization_Nf, parse_symbol, partial_field,
+                    random_polynomial, sqrt_n_spec, star_commutator, wigner_weights)
+from fstarq.deformation import series_terms
 from fstarq.errors import SingularAmplitude
 from fstarq.starproduct import ProductSetup
 
@@ -39,8 +42,9 @@ def test_moyal_apply_sho_genvalue_ground_state(grid):
 
 def test_moyal_apply_linear_symbol_two_terms(grid):
     # q star w = q w + (i hbar / 2) dw/dp: the degree-1 series, assembled by hand
+    grid = dataclasses.replace(grid, hbar=0.8)
     w0 = fock_wigner(0, grid)
-    out = moyal_apply(PolySymbol.q(), w0, hbar=0.8)
+    out = moyal_apply(PolySymbol.q(), w0)
     Q, _ = mesh(grid)
     expected = Q * w0.values + 0.5j * 0.8 * partial_field(w0, 0, 1)
     assert np.max(np.abs(out.values - expected)) <= 1e-13
@@ -59,9 +63,10 @@ def test_fstar_radial_pair_is_pointwise_product(grid):
 
 def test_fstar_identity_matches_moyal_first_order(grid):
     hbar = 0.6
+    grid = dataclasses.replace(grid, hbar=hbar)
     k = field_from_poly(parse_symbol("q^2"), grid)
     g = field_from_poly(parse_symbol("q*p + p^2"), grid)
-    out = fstar_apply(k, g, identity_spec(), hbar=hbar)
+    out = fstar_apply(k, g, identity_spec())
     Q, P = mesh(grid)
     kg = k.poly * g.poly
     bracket = k.poly.dq() * g.poly.dp() - k.poly.dp() * g.poly.dq()
@@ -115,26 +120,38 @@ def test_fstar_grid_mismatch(grid):
 
 
 def test_fstar_invalid_options(grid):
+    # the product is first order only and takes the grid's hbar; a product
+    # chooses its own jets; the diagnostics need a grid, the series its default
+    # length, and random polynomials are complex.  Removed options are not accepted
     k = field_from_poly(PolySymbol.q(), grid)
-    bad_hbar = [{"hbar": -1.0}, {"hbar": 0.0}, {"hbar": math.nan}]
-    for entry in (fstar_apply, star_commutator):
-        for kwargs in bad_hbar:
-            with pytest.raises(ValueError):
-                entry(k, k, identity_spec(), **kwargs)
-    # the product is first order only, and only a setup chooses jets: the
-    # removed order and jet_order options are not accepted
-    for option in ({"order": "first"}, {"jet_order": 1}):
-        for entry in (fstar_apply, star_commutator):
-            with pytest.raises(TypeError, match="order"):
-                entry(k, k, identity_spec(), **option)
-        with pytest.raises(TypeError, match="order"):
-            ProductSetup(grid, identity_spec(), **option)
-    for kwargs in bad_hbar:
+    spec = identity_spec()
+    removed = [(entry, (k, k, spec), option)
+               for entry in (fstar_apply, star_commutator)
+               for option in ({"order": "first"}, {"jet_order": 1}, {"hbar": 0.5})]
+    removed += [(ProductSetup, (grid, spec), option)
+                for option in ({"order": "first"}, {"jet_order": 1}, {"jets": True})]
+    removed += [
+        (moyal_apply, (PolySymbol.q(), k), {"hbar": 0.5}),
+        (genvalue_residual, (spec, 1), {}),
+        (commutator_deviation, (spec,), {}),
+        (default_grid, (), {"hbar": 0.5}),
+        (series_terms, (spec, 1.0), {"n_max": 10}),
+        (normalization_Nf, (spec, 1.0), {"n_max": 10}),
+        (normalization_Nf, (spec, 1.0), {"tol": 1e-10}),
+        (wigner_weights, (spec, 1.0), {"n_max": 10}),
+        (random_polynomial, (np.random.default_rng(0), 2), {"complex_coeffs": False}),
+    ]
+    for entry, args, option in removed:
+        name = next(iter(option), "grid")
+        with pytest.raises(TypeError, match=name):
+            entry(*args, **option)
+    # a setup that takes its own hbar still refuses a bad one (PhaseGrid refuses the grid's)
+    for bad in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="hbar must be a positive finite real"):
-            moyal_apply(PolySymbol.q(), k, **kwargs)
+            ProductSetup(grid, spec, bad)
 
 
-def test_shared_setup_refuses_foreign_grid_and_missing_jets(grid):
+def test_shared_setup_refuses_a_foreign_grid(grid):
     k = field_from_poly(PolySymbol.q(), grid)
     other = field_from_poly(PolySymbol.p(), PhaseGrid(-2, 2, -2, 2, 17, 17))
     setup = ProductSetup(grid, identity_spec())
@@ -142,8 +159,6 @@ def test_shared_setup_refuses_foreign_grid_and_missing_jets(grid):
         setup.product(k, other)
     with pytest.raises(ValueError, match="setup's grid"):
         setup.product(other, k)
-    with pytest.raises(ValueError, match="jets=True"):
-        setup.product(k, k, jets=True)
 
 
 def test_fstar_identity_truncates_moyal_second_order_term(grid):
@@ -161,7 +176,7 @@ def test_fstar_jet_partials_match_polynomial_truth(grid):
     # identity spec on q, p: the product is qp + i hbar/2, whose gradient is (p, q)
     k = field_from_poly(PolySymbol.q(), grid)
     g = field_from_poly(PolySymbol.p(), grid)
-    out = ProductSetup(grid, identity_spec(), jets=True).product(k, g, jets=True)
+    out = ProductSetup(grid, identity_spec()).product(k, g, jets=True)
     Q, P = mesh(grid)
     assert np.max(np.abs(partial_field(out, 1, 0) - P)) <= 1e-12
     assert np.max(np.abs(partial_field(out, 0, 1) - Q)) <= 1e-12
@@ -178,7 +193,7 @@ def test_fstar_jet_partials_match_fd(grid):
     spec = sqrt_n_spec()
     k = field_from_poly(parse_symbol("q^2 + p"), grid)
     g = field_from_poly(parse_symbol("q*p"), grid)
-    out = ProductSetup(grid, spec, jets=True).product(k, g, jets=True)
+    out = ProductSetup(grid, spec).product(k, g, jets=True)
     raw = field_from_values(grid, out.values)
     Q, P = mesh(grid)
     mask = (Q**2 + P**2) >= 1.0
@@ -200,7 +215,8 @@ def test_commutator_antisymmetry_and_self(grid):
 
 
 def test_commutator_identity_ladder(grid):
+    grid = dataclasses.replace(grid, hbar=0.7)
     a = field_from_poly(annihilation_symbol(), grid)
     abar = field_from_poly(creation_symbol(), grid)
-    out = star_commutator(a, abar, identity_spec(), hbar=0.7)
+    out = star_commutator(a, abar, identity_spec())
     assert np.max(np.abs(out.values - 1.0)) <= 1e-10
