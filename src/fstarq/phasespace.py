@@ -1,8 +1,10 @@
 """Phase-space grids, fields, Wigner functions, derivatives, quadrature.
 
-Fields are complex arrays sampled on a rectangular (q, p) grid.
+Field values are complex128 samples on a rectangular (q, p) grid; radial
+profiles, and the partials of fields with real coefficients, are float64.
 ``partial_field`` is the one route to a derivative (``gradient`` pairs its
-two first partials); it serves each partial from the first source that has it:
+two first partials); it serves each partial, in its source's dtype, from the
+first source that has it:
 
 * known partials -- seeded with precomputed partials (the product-rule
   jets of an f-star product); every partial computed later joins them;
@@ -246,17 +248,32 @@ class AnalyticStructure:
         return s
 
     def evaluate(self, grid: PhaseGrid) -> np.ndarray:
+        """The sum on the grid: float64 if every coefficient is real (profiles
+        are), else complex128, with the bits of the all-complex sum.  Each
+        coefficient array takes w^(k) in place, the first term becomes the sum
+        (+ 0 as in ``eval_grid``), and the first complex term promotes it."""
         q, p = grid.axes()
-        out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
+        out = None
         for k in sorted(self.terms):
             c = self.terms[k]
             if not c.terms:
                 continue
-            coeff = c.constant_value() if c.is_constant() else c.eval_grid(q, p)
+            term = c.constant_value() if c.is_constant() else c.eval_grid(q, p)
+            w = self.profile.on_grid(grid, self.scale, k)
             # 0 * inf (a zero coefficient on a singular w^(k)) is NaN; partial_field names it
             with np.errstate(invalid="ignore"):
-                out += coeff * self.profile.on_grid(grid, self.scale, k)
-        return out
+                if isinstance(term, np.ndarray):
+                    term *= w
+                else:
+                    term = (term.real if term.imag == 0 else term) * w
+                if out is None:
+                    out = term
+                    out += 0
+                elif np.can_cast(term.dtype, out.dtype):
+                    out += term
+                else:
+                    out = out + term
+        return np.zeros((grid.n_q, grid.n_p)) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +290,10 @@ def _require_finite(grid: PhaseGrid, arr: np.ndarray, what: str) -> None:
 
 
 class Field:
-    """Complex-valued samples on a PhaseGrid, with optional exact-derivative
-    metadata (polynomial backing, analytic radial structure) and the known
-    partials: a dict keyed by (i, j), seeded from ``partials`` and filled by
-    ``partial_field`` as it computes more."""
+    """complex128 samples on a PhaseGrid (input is checked, then cast once),
+    with optional exact-derivative metadata (polynomial backing, analytic
+    radial structure) and the known partials: a dict keyed by (i, j), seeded
+    from ``partials`` and filled by ``partial_field`` as it computes more."""
 
     __slots__ = ("grid", "values", "label", "poly", "analytic", "_cache")
 
@@ -284,18 +301,18 @@ class Field:
                  poly: PolySymbol | None = None,
                  analytic: AnalyticStructure | None = None,
                  partials: dict[tuple[int, int], np.ndarray] | None = None):
-        arr = np.asarray(values, dtype=complex)
+        arr = np.asarray(values)
         if arr.shape != (grid.n_q, grid.n_p):
             raise ValueError(f"values shape {arr.shape} does not match grid "
                              f"({grid.n_q}, {grid.n_p})")
         _require_finite(grid, arr, f"field {label}" if label else "an unnamed field")
         self.grid = grid
-        self.values = arr
+        self.values = arr.astype(complex, copy=False)
         self.label = label
         self.poly = poly
         self.analytic = analytic
         self._cache: dict[tuple[int, int], np.ndarray] = {
-            key: np.asarray(part, dtype=complex) for key, part in (partials or {}).items()}
+            key: np.asarray(part) for key, part in (partials or {}).items()}
 
     def conjugate(self) -> "Field":
         poly = self.poly.conjugate() if self.poly is not None else None
@@ -348,8 +365,11 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     Preference order: the field's known partials, exact polynomial,
     analytic radial structure within the profile's derivative budget,
     repeated fd4 stencils (which lose one order of accuracy per
-    application).  A computed partial joins the known partials once it is
-    finite; otherwise the ValueError names the first (q, p) in mesh order.
+    application).  The partial keeps its source's dtype: float64 from a
+    polynomial or structure with real coefficients, complex128 from complex
+    ones and from fd4 on the values.  A computed partial joins the known
+    partials once it is finite; otherwise the ValueError names the first
+    (q, p) in mesh order.
     """
     if i == 0 and j == 0:
         return field.values

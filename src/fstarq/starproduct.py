@@ -76,7 +76,9 @@ class ProductSetup:
 
     def product(self, k: Field, g: Field, jets: bool = False) -> Field:
         """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
-        exact first partials."""
+        exact first partials.  The bracket and its derivatives are formed in
+        the partials' dtype, so real operands keep them real, and only the
+        (i hbar / 2) F term is complex."""
         if k.grid != self.grid or g.grid != self.grid:
             raise ValueError("fields must share the setup's grid")
         kq, kp, gq, gp = (partial_field(f, *key) for f in (k, g) for key in ((1, 0), (0, 1)))

@@ -129,17 +129,27 @@ class PolySymbol:
     # -- evaluation and printing ---------------------------------------------
 
     def eval_grid(self, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """Evaluate on coordinate arrays (broadcasting), complex output."""
-        out = np.zeros(np.broadcast(Q, P).shape, dtype=complex)
+        """Evaluate on coordinate arrays (broadcasting): float64 if every
+        coefficient is real, else complex128, with the bits of the all-complex
+        sum.  The first term becomes the sum (+ 0 gives it the signed zeros of
+        a sum started at 0); later terms pass through one scratch array."""
+        real = all(c.imag == 0 for c in self.terms.values())
         qpow = {0: np.ones_like(Q, dtype=float)}
         ppow = {0: np.ones_like(P, dtype=float)}
+        out = scratch = None
         for (a, b), c in self.terms.items():
             if a not in qpow:
                 qpow[a] = Q**a
             if b not in ppow:
                 ppow[b] = P**b
-            out += c * qpow[a] * ppow[b]
-        return out
+            cq = (c.real if real else c) * qpow[a]
+            if out is None:
+                out = cq * ppow[b]
+                out += 0
+            else:
+                scratch = np.multiply(cq, ppow[b], out=scratch)
+                out += scratch
+        return np.zeros(np.broadcast(Q, P).shape) if out is None else out
 
     def __call__(self, q, p) -> complex:
         return complex(sum(c * q**a * p**b for (a, b), c in self.terms.items()))

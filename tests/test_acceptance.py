@@ -13,11 +13,13 @@ Criteria 1-3 read one full Fock pass, as a verify run does; the others read
 no W_n and are handed none.
 """
 
+import hashlib
 import time
 
 import pytest
 
 from fstarq import canonical_json, run_verification
+from fstarq.cli import main
 from fstarq.verify import (check_associativity_scaling, check_commutator_correspondence,
                            check_derivative_crosscheck, check_imag_vanishing,
                            check_moyal_algebra, check_moyal_genvalue,
@@ -107,3 +109,21 @@ def test_criterion_9_verify_determinism(tmp_path):
     p1.write_text(first, encoding="utf-8")
     p2.write_text(second, encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 of `fstarq verify` stdout, full and --quick: a speed-up counts only if
+# these bytes stay; a change that moves a number names it and re-pins the hash
+VERIFY_STDOUT_SHA256 = {
+    "full": "21b8983fb5971af1dc1110093d88b9f2ffe7291141ce3cef1658c891c221dc64",
+    "quick": "66b1df24bc7c0261e055471489cf7440adb3be17c16930b94245c5acf880e932",
+}
+
+
+@pytest.mark.parametrize("mode", VERIFY_STDOUT_SHA256)
+def test_criterion_9_verify_stdout_bytes(mode, capsys):
+    code = main(["verify"] + (["--quick"] if mode == "quick" else []))
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    print(f"{'PASS' if digest == VERIFY_STDOUT_SHA256[mode] else 'FAIL'} criterion 9 "
+          f"(verify {mode} stdout sha256 {digest[:8]}...)")
+    assert code == 0
+    assert digest == VERIFY_STDOUT_SHA256[mode]

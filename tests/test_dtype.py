@@ -1,0 +1,375 @@
+"""Real grid data stays float64 through the grid kernels, with the old bits.
+
+``PolySymbol.eval_grid`` and ``AnalyticStructure.evaluate`` return float64
+when every coefficient is real; ``partial_field`` keeps its source's dtype, so
+the Poisson bracket and the jets of ``ProductSetup.product`` stay real for real
+operands.  ``Field.values`` stays complex128.
+
+The oracles below are the all-complex formulas the kernels replaced, kept
+verbatim.  Results are compared as int64 views, so signed zeros count: a real
+result must equal the oracle's real part bit for bit, and the oracle's
+imaginary part must be +0.0 everywhere.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, build_hamiltonian,
+                    commutator_deviation, creation_symbol, default_grid, fcs_wigner,
+                    field_from_poly, field_to_csv, fock_wigner, identity_spec, ladder_fields,
+                    moyal_apply, parse_symbol, partial_field, qdef_spec, random_polynomial,
+                    read_field_csv, sqrt_n_spec)
+from fstarq.phasespace import AnalyticStructure, MixtureWignerProfile, _fd4_axis
+from fstarq.starproduct import ProductSetup
+
+GRIDS = {
+    "513": default_grid(),
+    # offset 0: the origin and both axes are samples
+    "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129, hbar=1.0, offset=0.0),
+    # criterion 8's grid along q
+    "1537x65": PhaseGrid(-6.0, 6.0, -6.0, 6.0, 1537, 65, hbar=1.0, offset=0.5),
+}
+
+
+# ---------------------------------------------------------------------------
+# the all-complex formulas, as they stood before real data stayed real
+
+
+def _eval_grid_before(poly, Q, P):
+    out = np.zeros(np.broadcast(Q, P).shape, dtype=complex)
+    qpow = {0: np.ones_like(Q, dtype=float)}
+    ppow = {0: np.ones_like(P, dtype=float)}
+    for (a, b), c in poly.terms.items():
+        if a not in qpow:
+            qpow[a] = Q**a
+        if b not in ppow:
+            ppow[b] = P**b
+        out += c * qpow[a] * ppow[b]
+    return out
+
+
+def _evaluate_before(structure, grid):
+    q, p = grid.axes()
+    out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
+    for k in sorted(structure.terms):
+        c = structure.terms[k]
+        if not c.terms:
+            continue
+        coeff = c.constant_value() if c.is_constant() else _eval_grid_before(c, q, p)
+        with np.errstate(invalid="ignore"):
+            out += coeff * structure.profile.on_grid(grid, structure.scale, k)
+    return out
+
+
+def _partial_before(field, i, j):
+    if (i, j) == (0, 0):
+        return field.values
+    if field.poly is not None:
+        return _eval_grid_before(field.poly.partial(i, j), *field.grid.axes())
+    analytic = field.analytic
+    if analytic is not None and (analytic.profile.max_order is None
+                                 or analytic.order_needed + i + j <= analytic.profile.max_order):
+        return _evaluate_before(analytic.mixed(i, j), field.grid)
+    if analytic is None and (i, j) in field._cache:
+        return np.asarray(field._cache[i, j], dtype=complex)  # the jets a product seeded
+    arr = field.values  # fd4 on the complex samples, as before
+    for _ in range(i):
+        arr = _fd4_axis(arr, field.grid.dq, 0)
+    for _ in range(j):
+        arr = _fd4_axis(arr, field.grid.dp, 1)
+    return arr
+
+
+def _moyal_apply_before(h, w):
+    grid = w.grid
+    q, p = grid.axes()
+    out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
+    for m in range(h.degree + 1):
+        pref = (0.5j * grid.hbar) ** m / math.factorial(m)
+        for j in range(m + 1):
+            hpart = h.partial(m - j, j)
+            if not hpart.terms:
+                continue
+            sign = -1.0 if j % 2 else 1.0
+            wpart = _partial_before(w, j, m - j)
+            out += (pref * sign * math.comb(m, j)) * _eval_grid_before(hpart, q, p) * wpart
+    return out
+
+
+def _product_before(setup, k, g, jets=False):
+    kq, kp, gq, gp = (_partial_before(f, *key) for f in (k, g) for key in ((1, 0), (0, 1)))
+    poisson = kq * gp - kp * gq
+    kv, gv = k.values, g.values
+    out = kv * gv + (0.5j * setup.hbar) * setup.F * poisson
+    if not jets:
+        return out, None
+    Fq, Fp = setup._F_gradient
+    kqq, kqp, kpp, gqq, gqp, gpp = (_partial_before(f, *key) for f in (k, g)
+                                    for key in ((2, 0), (1, 1), (0, 2)))
+    br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
+    br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
+    d_q = kq * gv + kv * gq + (0.5j * setup.hbar) * (Fq * poisson + setup.F * br_q)
+    d_p = kp * gv + kv * gp + (0.5j * setup.hbar) * (Fp * poisson + setup.F * br_p)
+    return out, {(1, 0): d_q, (0, 1): d_p}
+
+
+def _assert_same_bits(got, want):
+    """got keeps want's bits, signed zeros included; a real got stands for
+    got + 0j, so want's imaginary part must then be +0.0 everywhere."""
+    got = np.asarray(got)
+    assert got.dtype in (np.float64, np.complex128)
+    assert want.dtype == np.complex128 and got.shape == want.shape
+    got = np.ascontiguousarray(got.astype(complex, copy=False))
+    want = np.ascontiguousarray(want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# eval_grid
+
+POLYS = {
+    "real": "0.5*q^2 + 0.5*p^2 - 1.25*q*p + 3",
+    "negative": "-q - 2*p^3 - 0.75*q^2*p - 0.5",
+    "zero-crossing": "p - q",  # exactly 0 on the diagonal
+    "complex": "(q + i*p)^2 - 0.5*q + 2",
+    "imaginary": "2*i*q*p - 0.5*i*p^2",
+    "constant": "-2",
+    "zero": "0",
+}
+
+
+def _poly(name):
+    if name == "random":
+        return random_polynomial(np.random.default_rng(2101), 4)
+    return parse_symbol(POLYS[name])
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+@pytest.mark.parametrize("name", list(POLYS) + ["random"])
+def test_eval_grid_keeps_the_complex_bits(grid, name):
+    poly = _poly(name)
+    q, p = grid.axes()
+    got = poly.eval_grid(q, p)
+    real = all(c.imag == 0 for c in poly.terms.values())
+    assert got.dtype == (np.float64 if real else np.complex128)
+    assert got.shape == (grid.n_q, grid.n_p)
+    _assert_same_bits(got, _eval_grid_before(poly, q, p))
+
+
+# ---------------------------------------------------------------------------
+# evaluate and partial_field
+
+
+def _structures(grid):
+    weights = np.random.default_rng(2102).standard_normal(12)
+    A = ladder_fields(qdef_spec(1.2), grid)[0]
+    yield "W_3", fock_wigner(3, grid).analytic
+    yield "mixture", AnalyticStructure(MixtureWignerProfile(weights), scale=grid.hbar)
+    yield "H[qdef]", build_hamiltonian(qdef_spec(1.2), grid).analytic
+    yield "H[identity]", build_hamiltonian(identity_spec(), grid).analytic
+    yield "A[qdef]", A.analytic  # complex; its partials mix a real and a complex term
+    yield "conj", fock_wigner(2, grid).conjugate().analytic
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+def test_evaluate_and_partials_keep_the_complex_bits(grid):
+    for name, structure in _structures(grid):
+        real = all(c.imag == 0 for poly in structure.terms.values()
+                   for c in poly.terms.values())
+        for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            mixed = structure.mixed(i, j)
+            got = mixed.evaluate(grid)
+            assert got.dtype == (np.float64 if real else np.complex128), (name, i, j)
+            _assert_same_bits(got, _evaluate_before(mixed, grid))
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+def test_partial_field_keeps_its_source_dtype(grid):
+    w = fock_wigner(4, grid)
+    poly = field_from_poly(parse_symbol("q^2 - 3*q*p"), grid)
+    cpoly = field_from_poly(annihilation_symbol() ** 2, grid)
+    A = ladder_fields(qdef_spec(1.2), grid)[0]
+    for field, dtype in ((w, np.float64), (poly, np.float64), (cpoly, np.complex128),
+                         (A, np.complex128)):
+        for key in ((1, 0), (0, 1), (1, 1)):
+            got = partial_field(field, *key)
+            assert got.dtype == dtype
+            assert partial_field(field, *key) is got  # cached as served
+            _assert_same_bits(got, _partial_before(field, *key))
+    assert partial_field(w, 0, 0).dtype == np.complex128
+
+
+# ---------------------------------------------------------------------------
+# moyal_apply
+
+MOYAL_CASES = [
+    ("harmonic", lambda: parse_symbol("0.5*q^2 + 0.5*p^2"), "W_3"),
+    ("negative", lambda: parse_symbol("-q^2*p + 2*p - 1"), "mixture"),
+    ("annihilation", annihilation_symbol, "W_2"),
+    ("imaginary", lambda: parse_symbol("i*q*p"), "poly"),
+    ("random", lambda: random_polynomial(np.random.default_rng(2103), 3), "A"),
+]
+
+
+def _moyal_operand(name, grid):
+    if name == "mixture":
+        return fcs_wigner(qdef_spec(1.2), 1.5, grid)
+    if name == "poly":
+        return field_from_poly(parse_symbol("q^3 - q*p + 2"), grid)
+    if name == "A":
+        return ladder_fields(identity_spec(), grid)[0]
+    return fock_wigner(int(name[2:]), grid)
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+@pytest.mark.parametrize("name, symbol, operand", MOYAL_CASES,
+                         ids=[c[0] for c in MOYAL_CASES])
+def test_moyal_apply_keeps_the_complex_bits(grid, name, symbol, operand):
+    h = symbol()
+    w = _moyal_operand(operand, grid)
+    want = _moyal_apply_before(h, w)
+    got = moyal_apply(h, w).values
+    assert got.dtype == np.complex128
+    _assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the f-star product, with and without jets
+
+
+def _operands(kind, grid):
+    """(k, g) for a real x real, real x complex or complex x complex product."""
+    if kind == "H x W_3":
+        return build_hamiltonian(qdef_spec(1.2), grid), fock_wigner(3, grid)
+    if kind == "W_1 x W_1":
+        return fock_wigner(1, grid), fock_wigner(1, grid)
+    if kind == "q x p":
+        return field_from_poly(PolySymbol.q(), grid), field_from_poly(PolySymbol.p(), grid)
+    if kind == "poly x mixture":
+        return (field_from_poly(parse_symbol("-q^2 + 0.5*q*p - p"), grid),
+                fcs_wigner(identity_spec(), 2.0, grid))
+    if kind == "W_2 x A":
+        return fock_wigner(2, grid), ladder_fields(qdef_spec(1.2), grid)[0]
+    if kind == "poly x cpoly":
+        return (field_from_poly(parse_symbol("q^2 + p"), grid),
+                field_from_poly(creation_symbol() ** 2, grid))
+    if kind == "A x Abar":
+        return ladder_fields(qdef_spec(1.2), grid)
+    assert kind == "cpoly x cpoly"
+    rng = np.random.default_rng(2104)
+    return (field_from_poly(random_polynomial(rng, 3), grid),
+            field_from_poly(random_polynomial(rng, 2), grid))
+
+
+PRODUCT_KINDS = ["H x W_3", "W_1 x W_1", "q x p", "poly x mixture",   # real x real
+                 "W_2 x A", "poly x cpoly",                           # real x complex
+                 "A x Abar", "cpoly x cpoly"]                         # complex x complex
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_product_keeps_the_complex_bits(grid, kind):
+    # sqrt_n's F is singular at the origin, so the origin grid takes qdef
+    spec = qdef_spec(1.2) if grid is GRIDS["origin"] else sqrt_n_spec()
+    setup = ProductSetup(grid, spec, hbar=0.1)  # an hbar whose half is inexact
+    k, g = _operands(kind, grid)
+    want, _ = _product_before(setup, k, g)
+    got = setup.product(k, g)
+    assert got.values.dtype == np.complex128
+    _assert_same_bits(got.values, want)
+    # with jets, and one more product that reads them, as the associativity study does
+    want, want_jets = _product_before(setup, k, g, jets=True)
+    kg = setup.product(k, g, jets=True)
+    _assert_same_bits(kg.values, want)
+    for key, jet in want_jets.items():
+        _assert_same_bits(partial_field(kg, *key), jet)
+    _assert_same_bits(setup.product(kg, g).values, _product_before(setup, kg, g)[0])
+
+
+def test_real_bracket_differs_only_in_signed_zeros_where_kg_is_minus_zero():
+    # The one place the real bracket leaves the old bits: the complex bracket of
+    # real partials had a -0.0 imaginary part where kq, gp < 0 and not kp, gq < 0,
+    # and that zero decided the sign of Re(k *_f g) where k g is exactly -0.0.
+    # Here k = p - q is +0.0 on the diagonal, where g = 2q - p - 5 < 0.
+    grid = GRIDS["513"]
+    setup = ProductSetup(grid, sqrt_n_spec())
+    k = field_from_poly(parse_symbol("p - q"), grid)
+    g = field_from_poly(parse_symbol("2*q - p - 5"), grid)
+    want, _ = _product_before(setup, k, g)
+    got = setup.product(k, g).values
+    assert np.array_equal(got, want)  # as numbers, every sample agrees
+    moved = got.view(np.int64) != want.view(np.int64)
+    assert moved.any()
+    assert np.all(got.view(float)[moved] == 0.0)  # and only zeros change sign
+    diagonal = np.abs(got.real) == 0.0
+    assert np.all(diagonal == np.eye(grid.n_q, dtype=bool))
+
+
+def test_real_product_keeps_its_bracket_real():
+    grid = GRIDS["513"]
+    setup = ProductSetup(grid, sqrt_n_spec())
+    k, g = build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(3, grid)
+    kg = setup.product(k, g, jets=True)
+    assert all(partial_field(f, *key).dtype == np.float64 for f in (k, g)
+               for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    assert kg.values.dtype == np.complex128
+    assert all(jet.dtype == np.complex128 for jet in kg._cache.values())
+
+
+# ---------------------------------------------------------------------------
+# dtype contract
+
+
+def test_eval_grid_dtype_contract():
+    q, p = default_grid().axes()
+    assert parse_symbol("q^2 + 2*q*p - 1").eval_grid(q, p).dtype == np.float64
+    assert annihilation_symbol().eval_grid(q, p).dtype == np.complex128
+
+
+def test_field_values_stay_complex(tmp_path):
+    grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 65, 65, hbar=1.0, offset=0.5)
+    setup = ProductSetup(grid, sqrt_n_spec())
+    H = build_hamiltonian(sqrt_n_spec(), grid)
+    W = fock_wigner(3, grid)
+    path = tmp_path / "w.csv"
+    field_to_csv(W, str(path))
+    fields = [W, fcs_wigner(qdef_spec(1.2), 1.0, grid), H, *ladder_fields(sqrt_n_spec(), grid),
+              field_from_poly(parse_symbol("q^2 + p"), grid),
+              setup.product(H, W), setup.product(H, W, jets=True),
+              moyal_apply(parse_symbol("q^2 + p^2"), W),
+              commutator_deviation(sqrt_n_spec(), grid)[0], read_field_csv(str(path))]
+    for field in fields:
+        assert field.values.dtype == np.complex128, field.label
+
+
+# ---------------------------------------------------------------------------
+# allocation guard: peak bytes traced at 513^2, in units of one float64 grid
+
+
+def _peak_grids(fn, grid):
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (grid.n_q * grid.n_p * 8)
+
+
+def test_allocation_peaks_at_513():
+    grid = default_grid()
+    fock_wigner(0, grid)  # caches the grid's radii, so no call below pays for them
+    q, p = grid.axes()
+    poly = parse_symbol("0.5*q^2 + 0.5*p^2 - 1.25*q*p")
+    # the sum and one scratch grid; every term was a complex temporary
+    assert _peak_grids(lambda: poly.eval_grid(q, p), grid) <= 2.5
+    # the profile, one real term and the complex values
+    assert _peak_grids(lambda: fock_wigner(4, grid), grid) <= 4.5
+    setup = ProductSetup(grid, sqrt_n_spec())
+    H, W = build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(3, grid)
+    # four real partials and two profile derivatives, the bracket, the complex
+    # result and the complex bracket term
+    assert _peak_grids(lambda: setup.product(H, W), grid) <= 12.0
