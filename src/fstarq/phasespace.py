@@ -8,7 +8,8 @@ first source that has it:
 
 * known partials -- seeded with precomputed partials (the product-rule
   jets of an f-star product); every partial computed later joins them;
-* ``poly``      -- an exact PolySymbol backing the samples;
+* ``poly``      -- an exact PolySymbol backing the samples; a constant
+  partial (zero included) is one (1, 1) sample that broadcasts to the mesh;
 * ``analytic``  -- a sum  sum_k c_k(q, p) * w^(k)(v)  with polynomial
   coefficients c_k and a radial profile w of v = (q^2 + p^2) / scale;
   this family is closed under partial derivatives, so mixed partials of
@@ -334,6 +335,15 @@ def field_from_values(grid: PhaseGrid, values: np.ndarray, label: str = "") -> F
     return Field(grid, values, label=label)
 
 
+def _poly_samples(poly: PolySymbol, grid: PhaseGrid) -> np.ndarray:
+    """poly on the grid with ``eval_grid``'s bits; a constant (zero included)
+    is one (1, 1) sample, float64 when real, that broadcasts to the mesh."""
+    if not poly.is_constant():
+        return poly.eval_grid(*grid.axes())
+    c = poly.constant_value()
+    return np.full((1, 1), c.real if c.imag == 0 else c) + 0  # + 0: eval_grid's zeros
+
+
 def field_from_poly(poly: PolySymbol, grid: PhaseGrid, label: str = "") -> Field:
     return Field(grid, poly.eval_grid(*grid.axes()), label=label or poly.to_string(),
                  poly=poly)
@@ -367,17 +377,22 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     repeated fd4 stencils (which lose one order of accuracy per
     application).  The partial keeps its source's dtype: float64 from a
     polynomial or structure with real coefficients, complex128 from complex
-    ones and from fd4 on the values.  A computed partial joins the known
-    partials once it is finite; otherwise the ValueError names the first
-    (q, p) in mesh order.
+    ones and from fd4 on the values.  A constant polynomial partial (zero
+    included) is one (1, 1) sample that broadcasts to the mesh.  A computed
+    partial joins the known partials once it is finite; otherwise the
+    ValueError names the first (q, p) in mesh order.  Negative orders are
+    refused.
     """
+    if i < 0 or j < 0:
+        raise ValueError(f"partial ({i}, {j}) of {field.label or 'an unnamed field'}: "
+                         "orders must be >= 0")
     if i == 0 and j == 0:
         return field.values
     key = (i, j)
     if key in field._cache:
         return field._cache[key]
     if field.poly is not None:
-        arr = field.poly.partial(i, j).eval_grid(*field.grid.axes())
+        arr = _poly_samples(field.poly.partial(i, j), field.grid)
     elif field.analytic is not None and (
             field.analytic.profile.max_order is None
             or field.analytic.order_needed + i + j <= field.analytic.profile.max_order):

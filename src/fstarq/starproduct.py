@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
-from .phasespace import Field, partial_field
+from .phasespace import Field, _poly_samples, partial_field
 from .symbols import PolySymbol
 
 
@@ -40,7 +40,6 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
     available source (analytic profile preferred, else fd4 stencils).
     """
     grid = w.grid
-    q, p = grid.axes()
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
     for m in range(h.degree + 1):
         pref = (0.5j * grid.hbar) ** m / math.factorial(m)
@@ -50,7 +49,7 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
                 continue
             sign = -1.0 if j % 2 else 1.0
             wpart = partial_field(w, j, m - j)
-            out += (pref * sign * math.comb(m, j)) * hpart.eval_grid(q, p) * wpart
+            out += (pref * sign * math.comb(m, j)) * _poly_samples(hpart, grid) * wpart
     return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
 
 

@@ -127,3 +127,42 @@ def test_criterion_9_verify_stdout_bytes(mode, capsys):
           f"(verify {mode} stdout sha256 {digest[:8]}...)")
     assert code == 0
     assert digest == VERIFY_STDOUT_SHA256[mode]
+
+
+# exit code and sha256 of stdout and stderr of `fstarq assoc --spec <spec>` on the
+# default grid, for the 12 catalogue specs: the 4 registry specs, 4 qdef and 4 expr
+# (the qdef ones are refused: F(n) or dF/dn is singular on the 513^2 grid)
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+ASSOC_BYTES = {
+    "identity": (0, "2ca1a47b98bf4256f3f8ca87bd0706c417fd9fb13550e58f08690d7984f72c3b", _EMPTY),
+    "sqrt_n": (0, "bbdbfb91a1df49a03c26d29c1cc444de9f446b39cb84f783718e0ce81ea822de", _EMPTY),
+    "qdef:q=1.2": (2, _EMPTY,
+                   "afbfd680771d09dd3a77b3b8a4969dc53efaccd9edbcaa10e64e114a3e436cd3"),
+    "expr:sqrt(1+0.1*n)": (
+        0, "fcbcf7d888c5578c7b92acaf14db4dabdcd05ff485a62697fda50fd3a4f09029", _EMPTY),
+    "qdef:q=0.9": (2, _EMPTY,
+                   "4ce0d25a5b17c4ad1dfbe6250849077478a24d5dfbd81ca841949bbbce34ba31"),
+    "qdef:q=0.95": (2, _EMPTY,
+                    "403f2f5f774c45369ed4ef66d24a5dc859e243e96f874b33db7196e4a758ec34"),
+    "qdef:q=1.05": (2, _EMPTY,
+                    "403f2f5f774c45369ed4ef66d24a5dc859e243e96f874b33db7196e4a758ec34"),
+    "qdef:q=1.1": (2, _EMPTY,
+                   "4ce0d25a5b17c4ad1dfbe6250849077478a24d5dfbd81ca841949bbbce34ba31"),
+    "expr:sqrt(1+0.05*n)": (
+        0, "43a9f1e27b8847acb109d8eda07706d6f0d5452da335cbd122ce42ffd2cc558f", _EMPTY),
+    "expr:sqrt(1+0.2*n)": (
+        0, "757e3bb7ac26fa3cd1f3b9025be97f6519546f20f3601122770606a457626129", _EMPTY),
+    "expr:sqrt(1+0.5*n)": (
+        0, "9056e30544106d0c7c568670a799cf01458837afc36d536444140864d002db07", _EMPTY),
+    "expr:sqrt(1+1.0*n)": (
+        0, "a363239ffddb9b98e65b2d08883048f3727eceb4c0d4d53feab7e35a44af9c78", _EMPTY),
+}
+
+
+@pytest.mark.parametrize("spec", ASSOC_BYTES)
+def test_assoc_bytes(spec, capsys):
+    code = main(["assoc", "--spec", spec])
+    captured = capsys.readouterr()
+    got = (code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
+           hashlib.sha256(captured.err.encode("utf-8")).hexdigest())
+    assert got == ASSOC_BYTES[spec], captured.err

@@ -3,7 +3,8 @@
 ``PolySymbol.eval_grid`` and ``AnalyticStructure.evaluate`` return float64
 when every coefficient is real; ``partial_field`` keeps its source's dtype, so
 the Poisson bracket and the jets of ``ProductSetup.product`` stay real for real
-operands.  ``Field.values`` stays complex128.
+operands.  ``Field.values`` stays complex128.  A constant polynomial partial
+is one (1, 1) sample, compared through ``np.broadcast_to``.
 
 The oracles below are the all-complex formulas the kernels replaced, kept
 verbatim.  Results are compared as int64 views, so signed zeros count: a real
@@ -17,11 +18,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, build_hamiltonian,
-                    commutator_deviation, creation_symbol, default_grid, fcs_wigner,
-                    field_from_poly, field_to_csv, fock_wigner, identity_spec, ladder_fields,
-                    moyal_apply, parse_symbol, partial_field, qdef_spec, random_polynomial,
-                    read_field_csv, sqrt_n_spec)
+from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, associativity_defect,
+                    build_hamiltonian, commutator_deviation, creation_symbol, default_grid,
+                    fcs_wigner, field_from_poly, field_to_csv, fock_wigner, identity_spec,
+                    ladder_fields, moyal_apply, parse_symbol, partial_field, qdef_spec,
+                    random_polynomial, read_field_csv, sqrt_n_spec)
 from fstarq.phasespace import AnalyticStructure, MixtureWignerProfile, _fd4_axis
 from fstarq.starproduct import ProductSetup
 
@@ -188,6 +189,17 @@ def test_evaluate_and_partials_keep_the_complex_bits(grid):
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
 def test_partial_field_keeps_its_source_dtype(grid):
+    def check(field, key, dtype, compact):
+        got = partial_field(field, *key)
+        want = _partial_before(field, *key)
+        assert got.shape == ((1, 1) if compact else want.shape)
+        assert got.dtype == dtype
+        assert partial_field(field, *key) is got  # cached as served
+        _assert_same_bits(np.broadcast_to(got, want.shape), want)
+
+    # a constant polynomial partial (zero included) is one (1, 1) sample that
+    # broadcasts to the mesh: the (1, 1) partials of q^2 - 3 q p (-3) and of
+    # a^2 (i), and every partial of q, p and q + p
     w = fock_wigner(4, grid)
     poly = field_from_poly(parse_symbol("q^2 - 3*q*p"), grid)
     cpoly = field_from_poly(annihilation_symbol() ** 2, grid)
@@ -195,10 +207,11 @@ def test_partial_field_keeps_its_source_dtype(grid):
     for field, dtype in ((w, np.float64), (poly, np.float64), (cpoly, np.complex128),
                          (A, np.complex128)):
         for key in ((1, 0), (0, 1), (1, 1)):
-            got = partial_field(field, *key)
-            assert got.dtype == dtype
-            assert partial_field(field, *key) is got  # cached as served
-            _assert_same_bits(got, _partial_before(field, *key))
+            check(field, key, dtype, compact=field.poly is not None and key == (1, 1))
+    for text in ("q", "p", "q + p"):
+        field = field_from_poly(parse_symbol(text), grid)
+        for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            check(field, key, np.float64, compact=True)
     assert partial_field(w, 0, 0).dtype == np.complex128
 
 
@@ -359,7 +372,7 @@ def _peak_grids(fn, grid):
     return peak / (grid.n_q * grid.n_p * 8)
 
 
-def test_allocation_peaks_at_513():
+def test_allocation_peaks_at_513(monkeypatch):
     grid = default_grid()
     fock_wigner(0, grid)  # caches the grid's radii, so no call below pays for them
     q, p = grid.axes()
@@ -373,3 +386,21 @@ def test_allocation_peaks_at_513():
     # four real partials and two profile derivatives, the bracket, the complex
     # result and the complex bracket term
     assert _peak_grids(lambda: setup.product(H, W), grid) <= 12.0
+
+    calls = []
+    eval_grid = PolySymbol.eval_grid
+
+    def counted(self, Q, P):
+        calls.append(self)
+        return eval_grid(self, Q, P)
+    monkeypatch.setattr(PolySymbol, "eval_grid", counted)
+
+    def assoc():
+        k, g, h = (field_from_poly(parse_symbol(text), grid) for text in ("q", "p", "q + p"))
+        associativity_defect(k, g, h, sqrt_n_spec(), [0.1, 0.01, 0.001])
+    # the three fields' samples and no grid for their constant partials; each
+    # hbar holds one product with jets at a time and frees its grids before the
+    # next (50.07 grids and 18 eval_grid calls when every partial was a grid
+    # and both jets products were alive at once)
+    assert _peak_grids(assoc, grid) <= 26.0
+    assert len(calls) == 3

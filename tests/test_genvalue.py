@@ -1,12 +1,13 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from fstarq import (NonPositiveValue, PhaseGrid, PolySymbol, associativity_defect,
+from fstarq import (FStarError, NonPositiveValue, PhaseGrid, PolySymbol, associativity_defect,
                     build_hamiltonian, canonical_json, commutator_deviation, deformation,
                     energy_level, expr_spec, fcs_wigner, field_from_poly, fock_wigner,
                     fstar_apply, genvalue_residual, identity_spec, integrate, ladder_fields,
@@ -456,6 +457,51 @@ def test_associativity_shared_setup_matches_independent_products(grid257, spec):
                                              * grid257.dq * grid257.dp))))
     assert (np.array(result.points).view(np.int64).tolist()
             == np.array(expected).view(np.int64).tolist())
+
+
+def _associativity_before(k, g, h, spec, hbars):
+    """associativity_defect as it took each hbar's products before the nested
+    pairs: k g and g h (both with jets), then (k g) h and k (g h)."""
+    grid = k.grid
+    points = []
+    for hbar in hbars:
+        s = ProductSetup(grid, spec, hbar)
+        kg = s.product(k, g, jets=True)
+        gh = s.product(g, h, jets=True)
+        diff = s.product(kg, h).values - s.product(k, gh).values
+        points.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dq * grid.dp))))
+    if all(norm < genvalue.EXACT_ZERO_FLOOR for _, norm in points):
+        return tuple(points), None
+    logs_h = np.log([p[0] for p in points])
+    logs_d = np.log([max(p[1], 1e-300) for p in points])
+    return tuple(points), float(np.polyfit(logs_h, logs_d, 1)[0])
+
+
+ASSOC_TRIPLES = {
+    "q, p, q+p": assoc_operands,
+    "W_1, W_2, H": lambda grid: (fock_wigner(1, grid), fock_wigner(2, grid),
+                                 build_hamiltonian(sqrt_n_spec(), grid)),
+}
+ASSOC_GRIDS = {
+    "513": PhaseGrid(-8.0, 8.0, -8.0, 8.0, 513, 513, hbar=1.0, offset=0.5),
+    "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129, hbar=1.0, offset=0.0),
+}
+
+
+@pytest.mark.parametrize("grid", ASSOC_GRIDS.values(), ids=ASSOC_GRIDS)
+@pytest.mark.parametrize("triple", ASSOC_TRIPLES)
+@pytest.mark.parametrize("spec", [sqrt_n_spec(), expr_spec("sqrt(1+0.5*n)")],
+                         ids=spec_to_text)
+def test_associativity_nested_pairs_match_the_old_order(grid, triple, spec):
+    hbars = [1e-1, 1e-2, 1e-3]
+    try:
+        want = _associativity_before(*ASSOC_TRIPLES[triple](grid), spec, hbars)
+    except FStarError as exc:  # sqrt_n's F is singular at the origin sample
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            associativity_defect(*ASSOC_TRIPLES[triple](grid), spec, hbars)
+        return
+    result = associativity_defect(*ASSOC_TRIPLES[triple](grid), spec, hbars)
+    assert (result.points, result.slope) == want
 
 
 def test_associativity_identity_exact_zero(grid257):

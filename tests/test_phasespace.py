@@ -294,6 +294,18 @@ def test_partial_field_poly_and_fallback(grid257):
     assert np.max(np.abs((partial_field(raw, 1, 1) - 2 * Q)[inner])) <= 1e-9
 
 
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-1, 2), (2, -3)], ids=str)
+def test_partial_field_refuses_negative_orders(grid257, key):
+    # analytic, poly and fd4 sources alike; nothing joins the known partials
+    fields = (fock_wigner(1, grid257), field_from_poly(parse_symbol("q^2*p"), grid257),
+              field_from_values(grid257, np.ones((257, 257)), label="ones"))
+    for field in fields:
+        with pytest.raises(ValueError, match=re.escape(f"partial {key} of {field.label}: "
+                                                       "orders must be >= 0")):
+            partial_field(field, *key)
+        assert key not in field._cache
+
+
 def test_mixed_partials_of_radial_match_fd(grid257):
     # repeated fd4 loses one order per application; agreement is coarse
     w = fock_wigner(3, grid257)
