@@ -25,7 +25,7 @@ for spec in (identity_spec(), sqrt_n_spec()):
     print(f"\n  {spec_to_text(spec)}:")
     for hbar, defect in result.points:
         print(f"    hbar = {hbar:g}: L2 defect = {defect:.6e}")
-    if result.exact_zero:
+    if result.slope is None:
         print("    exact-zero case (Moyal products of polynomials associate exactly)")
     else:
         print(f"    fitted log-log slope = {result.slope:.3f} (>= 1.9 expected)")

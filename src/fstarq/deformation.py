@@ -13,6 +13,10 @@ normalization, whose series is summed by term ratios.
 Built-in kinds: ``identity`` (f = 1), ``sqrt_n`` (f = sqrt(n)), ``qdef``
 (f = sqrt([n]_q / n) with the symmetric q-bracket) and ``expr`` (a parsed
 closed-form expression in n).
+
+The five functions of n (eval_f, f_squared, amplitude_F, amplitude_F_deriv,
+commutator_target) take a real n >= 0, scalar or array; a negative or NaN n
+is a ValueError.  Every refusal of a value names the first bad n.
 """
 
 from __future__ import annotations
@@ -161,9 +165,10 @@ def _f(spec: DeformationSpec, n: np.ndarray, order: int) -> np.ndarray:
         return _s(spec, n, 2) / (2.0 * f) - s1 * s1 / (4.0 * f**3)
 
 
-def _first_bad(n: np.ndarray, bad: np.ndarray) -> float:
-    """The first n, in flat order, where bad holds."""
-    return float(n[bad].flat[0]) if n.ndim else float(n)
+def _refuse(error, what: str, spec: DeformationSpec, n: np.ndarray, bad) -> None:
+    """Raise error(what ...) naming the first n, in flat order, where bad holds."""
+    if np.any(bad):
+        raise error(f"{what} at n = {float(n[bad].flat[0])} for kind {spec.kind!r}")
 
 
 def _like_n(n, out):
@@ -176,25 +181,24 @@ def _checked_f(spec: DeformationSpec, n: np.ndarray, vals=None) -> np.ndarray:
     where it is non-finite, or <= 0 with n > 0 (f(0) = 0 is legitimate, e.g.
     for sqrt_n)."""
     vals = _f(spec, n, 0) if vals is None else vals
-    bad = ~np.isfinite(vals) | ((vals <= 0) & (n > 0))
-    if np.any(bad):
-        raise NonPositiveValue(f"f(n) is not a finite positive value at n = "
-                               f"{_first_bad(n, bad)} for kind {spec.kind!r}")
+    _refuse(NonPositiveValue, "f(n) is not a finite positive value", spec, n,
+            ~np.isfinite(vals) | ((vals <= 0) & (n > 0)))
     return vals
 
 
-def _n_array(n, order: int) -> np.ndarray:
+def _n_array(n, order: int = 0) -> np.ndarray:
+    """n as a float array: the one way n enters.  NaN fails as n < 0 does."""
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     arr = np.asarray(n, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("n must be >= 0")
     return arr
 
 
 def eval_f(spec: DeformationSpec, n, order: int = 0):
     """f or its n-derivative of the given order (0, 1 or 2) at a real n >= 0,
-    scalar or array.
+    scalar or array; NaN is refused.
 
     At order 0, raises NonPositiveValue if f comes out non-finite, or <= 0
     at any probed point with n > 0.
@@ -205,13 +209,13 @@ def eval_f(spec: DeformationSpec, n, order: int = 0):
 
 def f_squared(spec: DeformationSpec, n, order: int = 0):
     """f(n)^2 or its n-derivative of the given order (0, 1 or 2) at a real
-    n >= 0, in closed form.  At order 0 an expr f is checked as in eval_f,
-    and NonPositiveValue names the first n where its square is not finite."""
+    n >= 0 (NaN is refused), in closed form.  At order 0 an expr f is checked
+    as in eval_f, and NonPositiveValue names the first n where its square is
+    not finite."""
     arr = _n_array(n, order)
     out = _s(spec, arr, order)
-    if order == 0 and spec.kind == "expr" and not np.isfinite(out).all():
-        raise NonPositiveValue(f"f(n)^2 is not finite at n = "
-                               f"{_first_bad(arr, ~np.isfinite(out))} for kind {spec.kind!r}")
+    if order == 0 and spec.kind == "expr":
+        _refuse(NonPositiveValue, "f(n)^2 is not finite", spec, arr, ~np.isfinite(out))
     return _like_n(n, out)
 
 
@@ -225,27 +229,27 @@ def _target(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
 
 
 def amplitude_F(spec: DeformationSpec, n):
-    """F(n) = ((n+1) f(n+1)^2 - n f(n)^2) / (f(n) f(n+1))."""
-    arr = np.asarray(n, dtype=float)
+    """F(n) = ((n+1) f(n+1)^2 - n f(n)^2) / (f(n) f(n+1)) at a real n >= 0
+    (NaN is refused); SingularAmplitude names the first n where it is not
+    finite."""
+    arr = _n_array(n)
     f0 = _f(spec, arr, 0)
     f1 = _f(spec, arr + 1.0, 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = f0 * f1
         num = _target(spec, arr)  # kept to the end: freeing it early adds page faults
         out = num / den
-    bad = (den == 0) | ~np.isfinite(out)
-    if np.any(bad):
-        raise SingularAmplitude(f"F(n) singular at n = {_first_bad(arr, bad)} "
-                                f"for kind {spec.kind!r}")
+    _refuse(SingularAmplitude, "F(n) singular", spec, arr, (den == 0) | ~np.isfinite(out))
     return _like_n(n, out)
 
 
 def amplitude_F_deriv(spec: DeformationSpec, n):
-    """dF/dn by the quotient rule, using the analytic derivatives.
+    """dF/dn by the quotient rule, using the analytic derivatives, at a real
+    n >= 0 (NaN is refused).
 
     Raises SingularAmplitude at the first n where it is not finite.  For qdef
     that refusal is as false as amplitude_F's: the quotient overflows first."""
-    arr = np.asarray(n, dtype=float)
+    arr = _n_array(n)
     f0 = _f(spec, arr, 0)
     f1 = _f(spec, arr + 1.0, 0)
     g0 = _f(spec, arr, 1)
@@ -259,16 +263,14 @@ def amplitude_F_deriv(spec: DeformationSpec, n):
         den = f0 * f1
         dden = g0 * f1 + f0 * g1
         out = (dnum * den - num * dden) / (den * den)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        raise SingularAmplitude(f"dF/dn singular at n = {_first_bad(arr, bad)} "
-                                f"for kind {spec.kind!r}")
+    _refuse(SingularAmplitude, "dF/dn singular", spec, arr, ~np.isfinite(out))
     return _like_n(n, out)
 
 
 def commutator_target(spec: DeformationSpec, n):
-    """(n+1) f(n+1)^2 - n f(n)^2, the deformed commutation-relation value."""
-    return _like_n(n, _target(spec, np.asarray(n, dtype=float)))
+    """(n+1) f(n+1)^2 - n f(n)^2, the deformed commutation-relation value, at
+    a real n >= 0 (NaN is refused)."""
+    return _like_n(n, _target(spec, _n_array(n)))
 
 
 @dataclass(frozen=True)
@@ -301,10 +303,7 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
     with np.errstate(over="ignore", invalid="ignore"):
         energies = 0.5 * hbar * omega * (commutator_target(spec, ns)
                                          + 2.0 * ns * _s(spec, ns, 0))
-    bad = ~np.isfinite(energies)
-    if np.any(bad):
-        raise NonPositiveValue(f"E_n is not finite at n = {_first_bad(ns, bad)} "
-                               f"for kind {spec.kind!r}")
+    _refuse(NonPositiveValue, "E_n is not finite", spec, ns, ~np.isfinite(energies))
     return [SpectrumRow(int(k), float(e)) for k, e in zip(range(n_max + 1), energies)]
 
 
@@ -333,9 +332,8 @@ def series_terms(spec: DeformationSpec, zeta_abs2: float,
         if spec.kind != "expr":
             # f^2 is finite and > 0 exactly where f is, for the closed-form kinds
             _checked_f(spec, arr, s)
-        elif s == 0.0:  # an expr f can be positive while its square underflows
-            raise NonPositiveValue(f"f(n)^2 underflows to 0 at n = {float(n)} "
-                                   f"for kind {spec.kind!r}")
+        else:  # an expr f can be positive while its square underflows
+            _refuse(NonPositiveValue, "f(n)^2 underflows to 0", spec, arr, s == 0.0)
         t *= zeta_abs2 / (n * s)
         if t < tol * total:
             return np.array(terms)
@@ -380,8 +378,7 @@ def parse_deformation(text: str) -> DeformationSpec:
         try:
             return expr_spec(source)
         except ParseError as exc:
-            raise ParseError(str(exc).split(" at position")[0],
-                             offset + exc.position, exc.expected or None) from None
+            raise ParseError(exc.message, offset + exc.position, exc.expected or None) from None
     raise ParseError(f"unknown deformation {body!r}", 0,
                      expected={"identity", "sqrt_n", "qdef:", "expr:"})
 

@@ -13,6 +13,7 @@ class ParseError(FStarError):
     """
 
     def __init__(self, message, position, expected=None):
+        self.message = message
         self.position = position
         self.expected = tuple(sorted(expected)) if expected else ()
         detail = f"{message} at position {position}"

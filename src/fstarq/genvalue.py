@@ -213,6 +213,9 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field,
     # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'; s.F is F(n)
     closed = s.F * grid.radial(lambda n: f_squared(spec, n) + n * f_squared(spec, n, 1),
                                2.0 * hbar)
+    # measured before the deviation grid exists, so the peak is the commutator's own
+    match = float(np.max(np.abs(comm.values - closed)))
+    closed_vs_target = float(np.max(np.abs(closed - target)))
     deviation = comm.values - target
     max_abs, l2, witness = _region_norms(deviation, grid, r_cut=None)
     imag_max = float(np.max(np.abs(comm.values.imag)))
@@ -222,8 +225,7 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field,
         params={
             "spec": spec_to_text(spec), "n": None, "hbar": hbar, "omega": None,
             "order": "first", "grid": grid,
-            "closed_form_match": float(np.max(np.abs(comm.values - closed))),
-            "closed_form_vs_target_max": float(np.max(np.abs(closed - target))),
+            "closed_form_match": match, "closed_form_vs_target_max": closed_vs_target,
         })
     dev_field = Field(grid, deviation, label=f"commutator deviation[{spec_to_text(spec)}]")
     return dev_field, report
@@ -238,12 +240,11 @@ class AssocScaling:
     """Defect norms per hbar plus the fitted log-log slope.
 
     When every defect sits below the 1e-14 roundoff floor the fit is
-    degenerate; slope is None and exact_zero is set instead.
+    degenerate, and slope is None.
     """
 
     points: tuple[tuple[float, float], ...]
     slope: float | None
-    exact_zero: bool
 
 
 EXACT_ZERO_FLOOR = 1e-14
@@ -269,11 +270,11 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
         raise ValueError("fields must share a grid")
     points = [(hbar, _defect_norm(k, g, h, spec, hbar)) for hbar in hbars]
     if all(norm < EXACT_ZERO_FLOOR for _, norm in points):
-        return AssocScaling(tuple(points), slope=None, exact_zero=True)
+        return AssocScaling(tuple(points), slope=None)
     logs_h = np.log([p[0] for p in points])
     logs_d = np.log([max(p[1], 1e-300) for p in points])
     slope = float(np.polyfit(logs_h, logs_d, 1)[0])
-    return AssocScaling(tuple(points), slope=slope, exact_zero=False)
+    return AssocScaling(tuple(points), slope=slope)
 
 
 def _defect_norm(k: Field, g: Field, h: Field, spec: DeformationSpec, hbar: float) -> float:

@@ -96,7 +96,7 @@ def field_to_csv(field: Field, path) -> None:
             fh.write((lead + lead.join(rests)) % tuple(row))
 
 
-def read_field_csv(path, hbar: float = 1.0, label: str = "") -> Field:
+def read_field_csv(path, hbar: float = 1.0) -> Field:
     """Rebuild a Field from its CSV export.
 
     The grid is reconstructed from the sample coordinates themselves (with
@@ -126,7 +126,7 @@ def read_field_csv(path, hbar: float = 1.0, label: str = "") -> Field:
     grid = PhaseGrid(float(qs[0]), float(qs[-1]), float(ps[0]), float(ps[-1]),
                      n_q, n_p, hbar=hbar, offset=0.0)
     vals = np.stack([re, im], -1).view(complex).reshape(n_q, n_p)
-    return field_from_values(grid, vals, label=label)
+    return field_from_values(grid, vals)
 
 
 def field_report(field: Field) -> dict:

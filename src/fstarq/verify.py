@@ -142,20 +142,13 @@ def check_commutator_correspondence(quick: bool, fock: Callable[[], FockPass]) -
     grid = _grid(quick)
     rep_id = commutator_deviation(identity_spec(), grid)[1]
     rep_sq = commutator_deviation(sqrt_n_spec(), grid)[1]
-    ok_id = rep_id.max_abs <= 1e-10
     match = rep_sq.params["closed_form_match"]
-    ok_sq = match <= 1e-8
-    entry = {
-        "name": "commutator_correspondence",
-        "passed": bool(ok_id and ok_sq),
-        "observed": float(max(rep_id.max_abs, match)),
-        "tolerance": 1e-8,
-        "direction": "<=",
-        "detail": (f"identity dev {rep_id.max_abs:.3e} (tol 1e-10); "
-                   f"sqrt_n closed-form match {match:.3e} (tol 1e-8); "
-                   f"sqrt_n deviation from (2n+1) target {rep_sq.max_abs:.6e} "
-                   "reported, not asserted"),
-    }
+    entry = _check("commutator_correspondence", max(rep_id.max_abs, match), 1e-8,
+                   detail=(f"identity dev {rep_id.max_abs:.3e} (tol 1e-10); "
+                           f"sqrt_n closed-form match {match:.3e} (tol 1e-8); "
+                           f"sqrt_n deviation from (2n+1) target {rep_sq.max_abs:.6e} "
+                           "reported, not asserted"))
+    entry["passed"] = bool(rep_id.max_abs <= 1e-10 and match <= 1e-8)
     return entry
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -310,6 +311,276 @@ def test_series_inputs_rejected_by_name(entry, bad, message):
     kwargs = {"zeta_abs2": 1.0, **bad}
     with pytest.raises(ValueError, match=message):
         SERIES_ENTRIES[entry](sqrt_n_spec(), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the one n guard and the one refusal
+
+
+N_FUNCTIONS = {
+    "eval_f:0": lambda spec, n: eval_f(spec, n),
+    "eval_f:1": lambda spec, n: eval_f(spec, n, 1),
+    "eval_f:2": lambda spec, n: eval_f(spec, n, 2),
+    "f_squared:0": lambda spec, n: f_squared(spec, n),
+    "f_squared:1": lambda spec, n: f_squared(spec, n, 1),
+    "f_squared:2": lambda spec, n: f_squared(spec, n, 2),
+    "amplitude_F": amplitude_F,
+    "amplitude_F_deriv": amplitude_F_deriv,
+    "commutator_target": commutator_target,
+}
+N_PROBES = {"0": 0.0, "1": 1.0, "12": 12.0, "400": 400.0, "801": 801.0, "7000": 7000.0,
+            "arr": np.array([0.0, 0.5, 3.0, 12.0, 64.75, 400.0, 801.0, 7000.0])}
+REFUSAL_SPECS = REGISTRY_IDS + ["expr:1-0.1*n", "expr:ln(n)", "expr:exp(n)", "expr:1e-200*n"]
+
+
+def refusal_calls():
+    """{(call, argument): thunk on a spec} over the five n-functions at every
+    probe, spectrum at four n_max and series_terms at four |zeta|^2."""
+    calls = {(name, key): functools.partial(fn, n=n)
+             for name, fn in N_FUNCTIONS.items() for key, n in N_PROBES.items()}
+    calls.update((("spectrum", str(n_max)), functools.partial(spectrum, n_max=n_max))
+                 for n_max in (5, 20, 400, 5000))
+    calls.update((("series_terms", str(z)), functools.partial(series_terms, zeta_abs2=z))
+                 for z in (1.0, 4.0, 50.0, 5000.0))
+    return calls
+
+
+# Every refusal of refusal_calls() on REFUSAL_SPECS, by type and full text;
+# every other call returns.  The texts were recorded from the hand-written
+# refusals that _refuse replaced.
+REFUSALS = {
+    ("identity", "series_terms", "5000.0"): (SeriesDivergence,
+        "normalization series not converged after 1000 terms for kind 'identity'"),
+    ("sqrt_n", "amplitude_F", "0"): (SingularAmplitude,
+        "F(n) singular at n = 0.0 for kind 'sqrt_n'"),
+    ("sqrt_n", "amplitude_F", "arr"): (SingularAmplitude,
+        "F(n) singular at n = 0.0 for kind 'sqrt_n'"),
+    ("sqrt_n", "amplitude_F_deriv", "0"): (SingularAmplitude,
+        "dF/dn singular at n = 0.0 for kind 'sqrt_n'"),
+    ("sqrt_n", "amplitude_F_deriv", "arr"): (SingularAmplitude,
+        "dF/dn singular at n = 0.0 for kind 'sqrt_n'"),
+    ("qdef:q=1.2", "eval_f:0", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "eval_f:0", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "amplitude_F", "7000"): (SingularAmplitude,
+        "F(n) singular at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "amplitude_F", "arr"): (SingularAmplitude,
+        "F(n) singular at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "amplitude_F_deriv", "7000"): (SingularAmplitude,
+        "dF/dn singular at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "amplitude_F_deriv", "arr"): (SingularAmplitude,
+        "dF/dn singular at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "spectrum", "5000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 3897.0 for kind 'qdef'"),
+    ("expr:1-0.1*n", "eval_f:0", "12"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 12.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "eval_f:0", "400"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 400.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "eval_f:0", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "eval_f:0", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "eval_f:0", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 12.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "f_squared:0", "12"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 12.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "f_squared:0", "400"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 400.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "f_squared:0", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "f_squared:0", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "f_squared:0", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 12.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F", "12"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 13.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F", "400"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 401.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 802.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7001.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 13.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F_deriv", "12"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 12.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F_deriv", "400"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 400.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F_deriv", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F_deriv", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "amplitude_F_deriv", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 12.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "commutator_target", "12"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 13.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "commutator_target", "400"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 401.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "commutator_target", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 802.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "commutator_target", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7001.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "commutator_target", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 13.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "spectrum", "20"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 10.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "spectrum", "400"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 10.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "spectrum", "5000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 10.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "series_terms", "1.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 10.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "series_terms", "4.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 10.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "series_terms", "50.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 10.0 for kind 'expr'"),
+    ("expr:1-0.1*n", "series_terms", "5000.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 10.0 for kind 'expr'"),
+    ("expr:ln(n)", "eval_f:0", "0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "eval_f:0", "1"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "eval_f:0", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "f_squared:0", "0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "f_squared:0", "1"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "f_squared:0", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "amplitude_F", "0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "amplitude_F", "1"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "amplitude_F", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "amplitude_F_deriv", "0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "amplitude_F_deriv", "1"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "amplitude_F_deriv", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "commutator_target", "0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "commutator_target", "1"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "commutator_target", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "spectrum", "5"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "spectrum", "20"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "spectrum", "400"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "spectrum", "5000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 0.0 for kind 'expr'"),
+    ("expr:ln(n)", "series_terms", "1.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "series_terms", "4.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "series_terms", "50.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:ln(n)", "series_terms", "5000.0"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 1.0 for kind 'expr'"),
+    ("expr:exp(n)", "eval_f:0", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:exp(n)", "eval_f:0", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'expr'"),
+    ("expr:exp(n)", "eval_f:0", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:exp(n)", "f_squared:0", "400"): (NonPositiveValue,
+        "f(n)^2 is not finite at n = 400.0 for kind 'expr'"),
+    ("expr:exp(n)", "f_squared:0", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:exp(n)", "f_squared:0", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'expr'"),
+    ("expr:exp(n)", "f_squared:0", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F", "400"): (SingularAmplitude,
+        "F(n) singular at n = 400.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 802.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7001.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 802.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F_deriv", "400"): (SingularAmplitude,
+        "dF/dn singular at n = 400.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F_deriv", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F_deriv", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7000.0 for kind 'expr'"),
+    ("expr:exp(n)", "amplitude_F_deriv", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:exp(n)", "commutator_target", "801"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 802.0 for kind 'expr'"),
+    ("expr:exp(n)", "commutator_target", "7000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 7001.0 for kind 'expr'"),
+    ("expr:exp(n)", "commutator_target", "arr"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 802.0 for kind 'expr'"),
+    ("expr:exp(n)", "spectrum", "400"): (NonPositiveValue,
+        "E_n is not finite at n = 351.0 for kind 'expr'"),
+    ("expr:exp(n)", "spectrum", "5000"): (NonPositiveValue,
+        "f(n) is not a finite positive value at n = 710.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F", "0"): (SingularAmplitude,
+        "F(n) singular at n = 0.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F", "1"): (SingularAmplitude,
+        "F(n) singular at n = 1.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F", "12"): (SingularAmplitude,
+        "F(n) singular at n = 12.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F", "400"): (SingularAmplitude,
+        "F(n) singular at n = 400.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F", "801"): (SingularAmplitude,
+        "F(n) singular at n = 801.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F", "7000"): (SingularAmplitude,
+        "F(n) singular at n = 7000.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F", "arr"): (SingularAmplitude,
+        "F(n) singular at n = 0.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F_deriv", "0"): (SingularAmplitude,
+        "dF/dn singular at n = 0.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F_deriv", "1"): (SingularAmplitude,
+        "dF/dn singular at n = 1.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F_deriv", "12"): (SingularAmplitude,
+        "dF/dn singular at n = 12.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F_deriv", "400"): (SingularAmplitude,
+        "dF/dn singular at n = 400.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F_deriv", "801"): (SingularAmplitude,
+        "dF/dn singular at n = 801.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F_deriv", "7000"): (SingularAmplitude,
+        "dF/dn singular at n = 7000.0 for kind 'expr'"),
+    ("expr:1e-200*n", "amplitude_F_deriv", "arr"): (SingularAmplitude,
+        "dF/dn singular at n = 0.0 for kind 'expr'"),
+    ("expr:1e-200*n", "series_terms", "1.0"): (NonPositiveValue,
+        "f(n)^2 underflows to 0 at n = 1.0 for kind 'expr'"),
+    ("expr:1e-200*n", "series_terms", "4.0"): (NonPositiveValue,
+        "f(n)^2 underflows to 0 at n = 1.0 for kind 'expr'"),
+    ("expr:1e-200*n", "series_terms", "50.0"): (NonPositiveValue,
+        "f(n)^2 underflows to 0 at n = 1.0 for kind 'expr'"),
+    ("expr:1e-200*n", "series_terms", "5000.0"): (NonPositiveValue,
+        "f(n)^2 underflows to 0 at n = 1.0 for kind 'expr'"),
+}
+
+
+@pytest.mark.parametrize("text", REFUSAL_SPECS)
+def test_refusals_keep_their_type_and_text(text):
+    spec = parse_deformation(text)
+    found = {}
+    for (call, arg), run in refusal_calls().items():
+        try:
+            run(spec)
+        except Exception as exc:  # the table pins which calls refuse, and how
+            found[text, call, arg] = (type(exc), str(exc))
+    assert found == {key: want for key, want in REFUSALS.items() if key[0] == text}
+
+
+@pytest.mark.parametrize("name", N_FUNCTIONS)
+@pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
+def test_n_functions_refuse_negative_and_nan_n(spec, name):
+    # amplitude_F(identity, -3) gave 1.0 and eval_f(identity, nan) gave 1.0
+    for n in (-3.0, math.nan, np.array([1.0, -3.0]), np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            N_FUNCTIONS[name](spec, n)
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,9 @@ def test_allocation_peaks_at_513(monkeypatch):
     # four real partials and two profile derivatives, the bracket, the complex
     # result and the complex bracket term
     assert _peak_grids(lambda: setup.product(H, W), grid) <= 12.0
+    # A, Abar and their partials are freed before the target and the closed
+    # form are sampled (24.0 grids while the ladder fields were kept alive)
+    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 23.5
 
     calls = []
     eval_grid = PolySymbol.eval_grid

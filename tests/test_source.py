@@ -5,7 +5,8 @@ the package, so a folded helper cannot linger beside its replacement.  No
 module other than ``__init__`` refers to ``mesh`` beyond defining it: radial
 functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``.
 ``expressions`` neither imports ``math`` nor reads ``ndim``: its nodes have
-one numpy evaluator for scalar and array n.  No module imports ``threading``
+one numpy evaluator for scalar and array n.  ``deformation`` raises
+``NonPositiveValue`` and ``SingularAmplitude`` only inside ``_refuse``.  No module imports ``threading``
 or ``concurrent.futures``, or reads ``os.environ`` or ``os.getenv``: the
 library runs on one thread and takes no settings from the environment.
 Every defaulted parameter of the public callables, and of ``ProductSetup``'s
@@ -147,6 +148,40 @@ def test_expressions_have_one_numpy_evaluator():
     assert scalar_branches((PACKAGE / "expressions.py").read_text(encoding="utf-8")) == []
 
 
+REFUSAL_ERRORS = ("NonPositiveValue", "SingularAmplitude")
+
+
+def refusals_outside_helper(source: str) -> list[int]:
+    """Lines that raise one of ``REFUSAL_ERRORS`` outside the function ``_refuse``."""
+    lines = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.Raise) and not inside:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in REFUSAL_ERRORS:
+                lines.append(node.lineno)
+        inside = inside or (isinstance(node, ast.FunctionDef) and node.name == "_refuse")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_refusal_outside_helper_is_caught():
+    source = ("def _refuse(error, what, bad):\n"
+              "    if bad:\n        raise error(what)\n"
+              "def f(n):\n"
+              "    if n < 0:\n        raise NonPositiveValue('n')\n"
+              "    raise SingularAmplitude\n"
+              "def g():\n    raise ValueError('other')\n")
+    assert refusals_outside_helper(source) == [6, 7]
+
+
+def test_deformation_refuses_through_one_helper():
+    source = (PACKAGE / "deformation.py").read_text(encoding="utf-8")
+    assert refusals_outside_helper(source) == []
+
+
 THREAD_MODULES = ("threading", "concurrent.futures")
 ENVIRONMENT_READS = ("environ", "getenv")
 
@@ -207,7 +242,7 @@ DEFAULTED_PARAMETERS = {
     "field_from_values": {"label": ""},
     "genvalue_residual": {"omega": 1.0, "r_cut": 4.0},
     "random_polynomial": {"max_degree": 4},
-    "read_field_csv": {"hbar": 1.0, "label": ""},
+    "read_field_csv": {"hbar": 1.0},
     "run_verification": {"quick": False},
     "spectrum": {"hbar": 1.0, "omega": 1.0},
     "wigner_weights": {"tol": 1e-14},
