@@ -10,10 +10,13 @@ one parser (``expressions._Parser``), whose hooks here build PolySymbols.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from typing import Mapping
 
 import numpy as np
 
+from .deformation import require_positive
 from .errors import ParseError
 from .expressions import Token, _Parser
 
@@ -25,13 +28,11 @@ class PolySymbol:
 
     def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
         self.terms: dict[tuple[int, int], complex] = {}
-        if terms:
-            for (dq, dp), c in terms.items():
-                if dq < 0 or dp < 0:
-                    raise ValueError("degrees must be >= 0")
-                c = complex(c)
-                if c != 0:
-                    self.terms[(int(dq), int(dp))] = c
+        for (dq, dp), c in (terms or {}).items():
+            key = (_count(dq, "degrees must be >= 0"), _count(dp, "degrees must be >= 0"))
+            c = complex(c)
+            if c != 0:
+                self.terms[key] = c
 
     # -- constructors -------------------------------------------------------
 
@@ -47,6 +48,13 @@ class PolySymbol:
     def p() -> "PolySymbol":
         return PolySymbol({(0, 1): 1.0})
 
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int], complex]) -> "PolySymbol":
+        """Trusted constructor for terms made from clean ones: it only drops zeros."""
+        out = cls.__new__(cls)
+        out.terms = {k: c for k, c in terms.items() if c != 0}
+        return out
+
     # -- basic algebra -------------------------------------------------------
 
     def __add__(self, other) -> "PolySymbol":
@@ -54,12 +62,12 @@ class PolySymbol:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0.0) + c
-        return PolySymbol(out)
+        return PolySymbol._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolySymbol":
-        return PolySymbol({k: -c for k, c in self.terms.items()})
+        return PolySymbol._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "PolySymbol":
         return self + (-_as_poly(other))
@@ -68,23 +76,22 @@ class PolySymbol:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "PolySymbol":
-        if isinstance(other, (int, float, complex)):
-            return PolySymbol({k: c * other for k, c in self.terms.items()})
+        if isinstance(other, numbers.Number):
+            other = other if type(other) in (int, float, complex) else complex(other)
+            return PolySymbol._of({k: c * other for k, c in self.terms.items()})
         other = _as_poly(other)
         out: dict[tuple[int, int], complex] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0.0) + c1 * c2
-        return PolySymbol(out)
+        return PolySymbol._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PolySymbol":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
         out = PolySymbol.constant(1.0)
-        for _ in range(k):
+        for _ in range(_count(k, "polynomial powers must be nonnegative integers")):
             out = out * self
         return out
 
@@ -97,21 +104,22 @@ class PolySymbol:
     # -- calculus ------------------------------------------------------------
 
     def dq(self) -> "PolySymbol":
-        return PolySymbol({(a - 1, b): c * a for (a, b), c in self.terms.items() if a > 0})
+        return PolySymbol._of({(a - 1, b): c * a for (a, b), c in self.terms.items() if a > 0})
 
     def dp(self) -> "PolySymbol":
-        return PolySymbol({(a, b - 1): c * b for (a, b), c in self.terms.items() if b > 0})
+        return PolySymbol._of({(a, b - 1): c * b for (a, b), c in self.terms.items() if b > 0})
 
     def partial(self, i: int, j: int) -> "PolySymbol":
+        orders = f"partial ({i}, {j}): orders must be >= 0"
         out = self
-        for _ in range(i):
+        for _ in range(_count(i, orders)):
             out = out.dq()
-        for _ in range(j):
+        for _ in range(_count(j, orders)):
             out = out.dp()
         return out
 
     def conjugate(self) -> "PolySymbol":
-        return PolySymbol({k: c.conjugate() for k, c in self.terms.items()})
+        return PolySymbol._of({k: c.conjugate() for k, c in self.terms.items()})
 
     @property
     def degree(self) -> int:
@@ -189,9 +197,17 @@ class PolySymbol:
 def _as_poly(x) -> PolySymbol:
     if isinstance(x, PolySymbol):
         return x
-    if isinstance(x, (int, float, complex)):
+    if isinstance(x, numbers.Number):
         return PolySymbol.constant(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to PolySymbol")
+
+
+def _count(value, message: str) -> int:
+    """value through operator.index (TypeError if no integer); ValueError(message) if < 0."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(message)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +283,34 @@ def moyal_exact(k: PolySymbol, g: PolySymbol, hbar: float) -> PolySymbol:
     k * g = sum_m (i hbar / 2)^m / m! *
             sum_j (-1)^j C(m, j) (d_q^(m-j) d_p^j k) (d_p^(m-j) d_q^j g)
     """
-    out = PolySymbol()
+    hbar = require_positive("hbar", hbar)
     top = min(k.degree, g.degree)
+    dk, dg = [k], [g]
+    out: dict[tuple[int, int], complex] = {}
     for m in range(top + 1):
+        if m:  # the next anti-diagonal; each partial once, by partial's dq-then-dp steps
+            dk = [dk[0].dq()] + [d.dp() for d in dk]  # dk[j] = k.partial(m - j, j)
+            dg = [d.dp() for d in dg] + [dg[-1].dq()]  # dg[j] = g.partial(j, m - j)
         pref = (0.5j * hbar) ** m / math.factorial(m)
-        acc = PolySymbol()
-        for j in range(m + 1):
-            sign = -1.0 if j % 2 else 1.0
-            left = k.partial(m - j, j)
-            right = g.partial(j, m - j)
-            if not left.terms or not right.terms:
-                continue
-            acc = acc + sign * math.comb(m, j) * (left * right)
-        out = out + pref * acc
-    return out
+        acc: dict[tuple[int, int], complex] = {}
+        for j, (left, right) in enumerate(zip(dk, dg)):
+            if left.terms and right.terms:
+                sign = -1.0 if j % 2 else 1.0
+                _add_scaled(acc, (left * right).terms, sign * math.comb(m, j))
+        _add_scaled(out, acc, pref)
+    return PolySymbol._of(out)
+
+
+def _add_scaled(acc: dict[tuple[int, int], complex], terms: dict, scale) -> None:
+    """acc += scale * terms in place, with the zero drops, order and bits of PolySymbol's."""
+    for key, c in terms.items():
+        c = c * scale
+        if c != 0:
+            c = acc.get(key, 0.0) + c
+            if c != 0:
+                acc[key] = c
+            else:
+                del acc[key]
 
 
 def poisson_bracket(k: PolySymbol, g: PolySymbol) -> PolySymbol:

@@ -6,9 +6,12 @@ module other than ``__init__`` refers to ``mesh`` beyond defining it: radial
 functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``.
 ``expressions`` neither imports ``math`` nor reads ``ndim``: its nodes have
 one numpy evaluator for scalar and array n.  ``deformation`` raises
-``NonPositiveValue`` and ``SingularAmplitude`` only inside ``_refuse``.  No module imports ``threading``
-or ``concurrent.futures``, or reads ``os.environ`` or ``os.getenv``: the
-library runs on one thread and takes no settings from the environment.
+``NonPositiveValue`` and ``SingularAmplitude`` only inside ``_refuse``.
+``symbols.moyal_exact`` neither calls ``.partial`` nor builds a validated
+``PolySymbol(...)``: it takes each partial once and sums terms in place.  No
+module imports ``threading`` or ``concurrent.futures``, or reads
+``os.environ`` or ``os.getenv``: the library runs on one thread and takes no
+settings from the environment.
 Every defaulted parameter of the public callables, and of ``ProductSetup``'s
 methods, is listed in ``DEFAULTED_PARAMETERS``, so a new option is entered
 there on purpose."""
@@ -180,6 +183,33 @@ def test_refusal_outside_helper_is_caught():
 def test_deformation_refuses_through_one_helper():
     source = (PACKAGE / "deformation.py").read_text(encoding="utf-8")
     assert refusals_outside_helper(source) == []
+
+
+def per_step_calls(source: str, function: str) -> list[int]:
+    """Lines in ``function`` that call ``.partial`` or the validating ``PolySymbol(...)``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and (
+                        (isinstance(call.func, ast.Attribute) and call.func.attr == "partial")
+                        or (isinstance(call.func, ast.Name) and call.func.id == "PolySymbol")):
+                    lines.add(call.lineno)
+    return sorted(lines)
+
+
+def test_per_step_call_is_caught():
+    source = ("def moyal_exact(k, g, hbar):\n"
+              "    out = PolySymbol()\n"
+              "    left = k.partial(1, 0)\n"
+              "    return PolySymbol._of(out.terms)\n"
+              "def other(k):\n    return PolySymbol(k.partial(0, 1).terms)\n")
+    assert per_step_calls(source, "moyal_exact") == [2, 3]
+
+
+def test_moyal_exact_builds_no_per_step_symbols():
+    source = (PACKAGE / "symbols.py").read_text(encoding="utf-8")
+    assert per_step_calls(source, "moyal_exact") == []
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")

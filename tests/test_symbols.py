@@ -1,8 +1,11 @@
 
+import math
+
 import numpy as np
 import pytest
 
-from fstarq import (PolySymbol, annihilation_symbol, creation_symbol, mesh, moyal_exact,
+from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, associativity_defect,
+                    creation_symbol, field_from_poly, identity_spec, mesh, moyal_exact,
                     parse_symbol, poisson_bracket, random_polynomial)
 from fstarq.errors import ParseError
 
@@ -197,3 +200,159 @@ def test_pow_and_degree():
     assert poly.terms[(2, 1)] == 3.0 + 0j
     with pytest.raises(ValueError):
         PolySymbol.q() ** -1
+
+
+def test_partial_refuses_negative_orders():
+    poly = parse_symbol("q^2*p")
+    for i, j in ((-1, 0), (0, -1), (-2, -3)):
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            poly.partial(i, j)
+    with pytest.raises(TypeError):
+        poly.partial(1.5, 0)
+
+
+def test_integer_inputs_go_through_index():
+    q = PolySymbol.q()
+    with pytest.raises(TypeError):
+        PolySymbol({(1.5, 0): 1.0})
+    with pytest.raises(ValueError, match="degrees must be >= 0"):
+        PolySymbol({(0, -1): 1.0})
+    poly = PolySymbol({(np.int64(2), np.int32(1)): 1.0})
+    assert poly == parse_symbol("q^2*p")
+    assert all(type(a) is int and type(b) is int for a, b in poly.terms)
+    assert q ** np.int64(2) == parse_symbol("q^2")
+    with pytest.raises(TypeError):
+        q ** 1.5
+    # a scalar that is not exactly a Python int, float or complex is taken
+    # through complex(), so every coefficient stays a Python complex
+    poly = random_polynomial(np.random.default_rng(3), 3)
+    for scalar in (np.int64(2), np.int32(-3), np.float32(0.5), np.complex128(0.3 - 1.7j)):
+        plain = complex(scalar)
+        assert coefficient_bits((poly * scalar).terms) == coefficient_bits((poly * plain).terms)
+        assert coefficient_bits((poly + scalar).terms) == coefficient_bits((poly + plain).terms)
+        assert {type(c) for c in (poly * scalar).terms.values()} == {complex}
+    with pytest.raises(TypeError):
+        poly * "2"
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+def test_moyal_exact_refuses_hbar(hbar):
+    with pytest.raises(ValueError, match="hbar must be a positive finite real"):
+        moyal_exact(PolySymbol.q(), PolySymbol.p(), hbar)
+
+
+def test_associativity_identity_route_refuses_nan_hbar():
+    grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 33, 33, hbar=1.0, offset=0.5)
+    k, g, h = (field_from_poly(parse_symbol(t), grid) for t in ("q", "p", "q + p"))
+    with pytest.raises(ValueError, match="hbar must be a positive finite real"):
+        associativity_defect(k, g, h, identity_spec(), [float("nan"), 1e-2, 1.0, 10.0])
+
+
+# ---------------------------------------------------------------------------
+# moyal_exact against the step-by-step PolySymbol algorithm, frozen here on
+# plain dicts: each step builds a clean polynomial (complex coefficients,
+# zeros dropped), and every partial is taken from scratch.
+
+
+def _clean(terms):
+    return {k: complex(c) for k, c in terms.items() if complex(c) != 0}
+
+
+def _partial(terms, i, j):
+    for _ in range(i):
+        terms = _clean({(a - 1, b): c * a for (a, b), c in terms.items() if a > 0})
+    for _ in range(j):
+        terms = _clean({(a, b - 1): c * b for (a, b), c in terms.items() if b > 0})
+    return terms
+
+
+def _product(x, y):
+    out = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return _clean(out)
+
+
+def _sum(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0.0) + c
+    return _clean(out)
+
+
+def moyal_reference(k, g, hbar):
+    """Terms of k * g, as each Moyal term was once scaled and summed as a PolySymbol."""
+    top = min(max((a + b for a, b in t), default=0) for t in (k, g))
+    out = {}
+    for m in range(top + 1):
+        pref = (0.5j * hbar) ** m / math.factorial(m)
+        acc = {}
+        for j in range(m + 1):
+            sign = -1.0 if j % 2 else 1.0
+            left = _partial(k, m - j, j)
+            right = _partial(g, j, m - j)
+            if not left or not right:
+                continue
+            scale = sign * math.comb(m, j)
+            acc = _sum(acc, _clean({key: c * scale for key, c in _product(left, right).items()}))
+        out = _sum(out, _clean({key: c * pref for key, c in acc.items()}))
+    return out
+
+
+def coefficient_bits(terms):
+    """Keys in order, and the int64 views of the real and imaginary parts."""
+    values = np.array(list(terms.values()), dtype=np.complex128)
+    return list(terms), values.real.view(np.int64).tolist(), values.imag.view(np.int64).tolist()
+
+
+def assert_moyal_bits(k, g, hbar):
+    got = moyal_exact(k, g, hbar)
+    assert coefficient_bits(got.terms) == coefficient_bits(moyal_reference(k.terms, g.terms, hbar))
+    return got
+
+
+def test_moyal_bits_on_the_verify_inputs():
+    # verify's moyal_algebra check: the ladder commutator, then 20 trials of
+    # both nestings (its quick pass takes the first 8)
+    a, abar = annihilation_symbol(), creation_symbol()
+    assert_moyal_bits(a, abar, 1.0)
+    assert_moyal_bits(abar, a, 1.0)
+    rng = np.random.default_rng(20250810)
+    for _ in range(20):
+        k, g, h = (random_polynomial(rng, 4) for _ in range(3))
+        assert_moyal_bits(assert_moyal_bits(k, g, 1.0), h, 1.0)
+        assert_moyal_bits(k, assert_moyal_bits(g, h, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.3, 1e-3])
+def test_moyal_bits_on_random_polynomials(hbar):
+    rng = np.random.default_rng(24)
+    for dk in range(7):
+        for dg in range(7):
+            assert_moyal_bits(random_polynomial(rng, dk), random_polynomial(rng, dg), hbar)
+
+
+def test_moyal_bits_with_cancellations_zero_and_constants():
+    a, abar = annihilation_symbol(), creation_symbol()
+    # signed zeros, and subnormal coefficients that a scaling takes to zero
+    signed = PolySymbol({(1, 0): complex(-0.0, 1.0), (0, 1): complex(2.0, -0.0),
+                         (1, 1): complex(-0.0, -0.0) + 1.0})
+    polys = [a, abar, a * abar, abar * a, a ** 2 * abar, (a - abar) ** 3,
+             parse_symbol("q - q + p"), parse_symbol("q^2 - p^2"), signed,
+             PolySymbol(), PolySymbol.constant(0.0), PolySymbol.constant(2.5),
+             PolySymbol.constant(-1j), PolySymbol({(1, 0): 5e-324, (0, 1): 5e-324j})]
+    for hbar in (1.0, 0.3, 1e-3):
+        for k in polys:
+            for g in polys:
+                assert_moyal_bits(k, g, hbar)
+    # small exact coefficients: a term often cancels to zero and a later term
+    # brings its key back, at the end of the insertion order
+    rng = np.random.default_rng(11)
+    exact = [0, 1, -1, 1j, -1j, 2, -0.5, 0.5j]
+    for trial in range(400):
+        k, g = (PolySymbol({(a, b): exact[rng.integers(len(exact))]
+                            for a in range(d + 1) for b in range(d + 1 - a)})
+                for d in rng.integers(1, 4, size=2))
+        assert_moyal_bits(k, g, 2.0 if trial % 2 else 1.0)
