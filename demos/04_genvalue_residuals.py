@@ -19,7 +19,7 @@ print("identity deformation (exact anchor):")
 for n in (0, 3, 10):
     rep = genvalue_residual(identity_spec(), n, grid)
     print(f"  n={n:2d}: max|R| = {rep.max_abs:.3e}, max|Im| = {rep.imag_max:.3e}, "
-          f"E_n = {rep.params['energy']:.1f}")
+          f"E_n = {rep.extra['energy']:.1f}")
 
 print("\nsqrt_n deformation (residual reported, not asserted):")
 for n in (0, 1, 2):
@@ -27,8 +27,8 @@ for n in (0, 1, 2):
     print(f"  n={n}: max|R| = {rep.max_abs:.6f} at "
           f"(q,p)=({rep.witness.q:+.4f},{rep.witness.p:+.4f}), "
           f"max|Im| = {rep.imag_max:.3e}")
-    print(f"        E_n = {rep.params['energy']:.1f}, "
-          f"phase-space average of H*W = {rep.params['phase_space_average_re']:.4f}")
+    print(f"        E_n = {rep.extra['energy']:.1f}, "
+          f"phase-space average of H*W = {rep.extra['phase_space_average_re']:.4f}")
 
 # Im(H *_f W_2) is the bracket term: roundoff, because H and W_2 are both radial
 star = fstar_apply(build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(2, grid), sqrt_n_spec())

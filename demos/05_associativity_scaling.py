@@ -36,7 +36,7 @@ for text in ("identity", "sqrt_n", "expr:1+0.01*n", "expr:1+0.005*n"):
         or expr_spec(text.split(":", 1)[1])
     rep = commutator_deviation(spec, grid)[1]
     print(f"  {text:16s} deviation max = {rep.max_abs:.6e}, "
-          f"closed-form match = {rep.params['closed_form_match']:.2e}")
+          f"closed-form match = {rep.extra['closed_form_match']:.2e}")
 
 print("\nthe deviation shrinks with the deformation parameter (close to "
       "proportionally; the grid corners sit at n ~ 64 where eps*n corrections "

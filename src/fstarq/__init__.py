@@ -16,8 +16,8 @@ from .genvalue import (AssocScaling, ResidualReport, Witness, associativity_defe
 from .io import (canonical_json, field_report, field_to_csv, read_field_csv,
                  report_to_dict, report_to_json, spectrum_to_csv)
 from .phasespace import (Field, PhaseGrid, WignerWeights, default_grid, fcs_wigner,
-                         field_from_poly, field_from_values, fock_wigner, gradient,
-                         integrate, laguerre, mesh, partial_field, wigner_weights)
+                         field_from_poly, fock_wigner, gradient, integrate, laguerre,
+                         mesh, partial_field, wigner_weights)
 from .starproduct import fstar_apply, moyal_apply, star_commutator
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol,
                       moyal_exact, parse_symbol, poisson_bracket,
@@ -35,7 +35,7 @@ __all__ = [
     "canonical_json", "commutator_deviation", "commutator_target",
     "creation_symbol", "default_grid", "energy_level", "eval_f",
     "expr_spec", "f_squared", "fcs_wigner",
-    "field_from_poly", "field_from_values", "field_report", "field_to_csv",
+    "field_from_poly", "field_report", "field_to_csv",
     "fock_wigner", "fstar_apply", "genvalue_residual", "gradient",
     "identity_spec", "integrate", "ladder_fields", "laguerre", "mesh",
     "moyal_apply", "moyal_exact", "normalization_Nf", "parse_deformation",

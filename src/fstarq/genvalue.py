@@ -16,7 +16,7 @@ Hamiltonian, whose residual is measured and reported, not asserted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,11 +122,15 @@ class Witness:
 @dataclass(frozen=True)
 class ResidualReport:
     identity_name: str
+    spec: str            # spec_to_text of the deformation
+    n: int | None        # n and omega are None for the commutator
+    omega: float | None
+    grid: PhaseGrid      # the report's hbar is grid.hbar
     max_abs: float
     l2: float
     imag_max: float
     witness: Witness
-    params: dict = dc_field(default_factory=dict)
+    extra: dict          # the identity's own numbers, by name
 
 
 def _region_norms(residual: np.ndarray, grid: PhaseGrid,
@@ -149,6 +153,16 @@ def _region_norms(residual: np.ndarray, grid: PhaseGrid,
     witness = Witness(float(grid.q_values()[iq]), float(grid.p_values()[ip]),
                       complex(residual[iq, ip]))
     return max_abs, l2, witness
+
+
+def _report(identity_name: str, residual: np.ndarray, grid: PhaseGrid, disc: float | None,
+            spec: DeformationSpec, n: int | None, omega: float | None,
+            **extra) -> ResidualReport:
+    """residual's report: norms over the disc r <= disc (None: all), then max |Im|."""
+    max_abs, l2, witness = _region_norms(residual, grid, disc)
+    imag_max = float(np.max(np.abs(residual.imag)))
+    return ResidualReport(identity_name, spec_to_text(spec), n, omega, grid,
+                          max_abs, l2, imag_max, witness, extra)
 
 
 def energy_level(spec: DeformationSpec, n: int, hbar: float, omega: float) -> float:
@@ -181,20 +195,11 @@ def _residual_report(spec: DeformationSpec, n: int, w: Field, omega: float,
     e_crosscheck = spectrum(spec, n, hbar, omega)[n].energy
     h_star, path = hamiltonian_star(spec, grid, omega)
     star = h_star(w)
-    residual = star.values - e_n * w.values
-    max_abs, l2, witness = _region_norms(residual, grid, r_cut)
-    imag_max = float(np.max(np.abs(residual.imag)))
     avg = integrate(star)
-    return ResidualReport(
-        identity_name="genvalue",
-        max_abs=max_abs, l2=l2, imag_max=imag_max, witness=witness,
-        params={
-            "spec": spec_to_text(spec), "n": n, "hbar": hbar, "omega": omega,
-            "order": "first", "path": path, "r_cut": r_cut, "grid": grid,
-            "energy": e_n, "energy_crosscheck": e_crosscheck,
-            "phase_space_average_re": float(avg.real),
-            "phase_space_average_im": float(avg.imag),
-        })
+    return _report("genvalue", star.values - e_n * w.values, grid, r_cut, spec, n, omega,
+                   path=path, r_cut=r_cut, energy=e_n, energy_crosscheck=e_crosscheck,
+                   phase_space_average_re=float(avg.real),
+                   phase_space_average_im=float(avg.imag))
 
 
 def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field, ResidualReport]:
@@ -202,7 +207,7 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field,
 
     Also evaluates the closed-form first-order prediction
     F(n) (f(n)^2 + 2 n f(n) f'(n)) and reports how closely the grid
-    computation tracks it (params key "closed_form_match").  Returns the
+    computation tracks it (extra key "closed_form_match").  Returns the
     pointwise deviation field together with the report.
     """
     hbar = grid.hbar
@@ -217,16 +222,9 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field,
     match = float(np.max(np.abs(comm.values - closed)))
     closed_vs_target = float(np.max(np.abs(closed - target)))
     deviation = comm.values - target
-    max_abs, l2, witness = _region_norms(deviation, grid, r_cut=None)
-    imag_max = float(np.max(np.abs(comm.values.imag)))
-    report = ResidualReport(
-        identity_name="commutator",
-        max_abs=max_abs, l2=l2, imag_max=imag_max, witness=witness,
-        params={
-            "spec": spec_to_text(spec), "n": None, "hbar": hbar, "omega": None,
-            "order": "first", "grid": grid,
-            "closed_form_match": match, "closed_form_vs_target_max": closed_vs_target,
-        })
+    # the target is real, so deviation.imag is the commutator's imaginary part
+    report = _report("commutator", deviation, grid, None, spec, None, None,
+                     closed_form_match=match, closed_form_vs_target_max=closed_vs_target)
     dev_field = Field(grid, deviation, label=f"commutator deviation[{spec_to_text(spec)}]")
     return dev_field, report
 
@@ -260,7 +258,7 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
     k *_f (g *_f h), so one product carrying jets is alive at a time, and
     drops its setup, products and difference before the next hbar.
     """
-    hbars = [float(x) for x in hbar_list]
+    hbars = [require_positive("hbar", float(x)) for x in hbar_list]
     if len(set(hbars)) < 3:
         raise ValueError("need at least 3 distinct hbar values")
     if max(hbars) / min(hbars) < 100.0:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .genvalue import ResidualReport
-from .phasespace import Field, PhaseGrid, field_from_values, integrate
+from .phasespace import Field, PhaseGrid, integrate
 
 
 def format_float(x: float) -> str:
@@ -82,8 +82,6 @@ def field_to_csv(field: Field, path) -> None:
     -0.0 and 0.0 stay apart) and its text gathered into every place it sits.
     """
     vals = field.values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("cannot serialize non-finite numbers")
     leads = [format_float(q) + "," for q in field.grid.q_values()]
     rests = [format_float(p) + ",%s,%s\n" for p in field.grid.p_values()]
     pairs = np.stack([vals.real, vals.imag], -1)
@@ -126,7 +124,7 @@ def read_field_csv(path, hbar: float = 1.0) -> Field:
     grid = PhaseGrid(float(qs[0]), float(qs[-1]), float(ps[0]), float(ps[-1]),
                      n_q, n_p, hbar=hbar, offset=0.0)
     vals = np.stack([re, im], -1).view(complex).reshape(n_q, n_p)
-    return field_from_values(grid, vals)
+    return Field(grid, vals)
 
 
 def field_report(field: Field) -> dict:
@@ -157,15 +155,14 @@ def spectrum_to_csv(rows) -> str:
 
 
 def report_to_dict(report: ResidualReport) -> dict:
-    params = dict(report.params)
-    grid = params.pop("grid", None)
-    doc = {
+    """The report's fields in schema order; "order" is the schema's constant."""
+    return {
         "identity": report.identity_name,
-        "spec": params.pop("spec", None),
-        "n": params.pop("n", None),
-        "hbar": params.pop("hbar", None),
-        "omega": params.pop("omega", None),
-        "order": params.pop("order", None),
+        "spec": report.spec,
+        "n": report.n,
+        "hbar": report.grid.hbar,
+        "omega": report.omega,
+        "order": "first",
         "max_abs": report.max_abs,
         "l2": report.l2,
         "imag_max": report.imag_max,
@@ -173,11 +170,9 @@ def report_to_dict(report: ResidualReport) -> dict:
             "q": report.witness.q, "p": report.witness.p,
             "re": report.witness.value.real, "im": report.witness.value.imag,
         },
-        "grid": grid_to_dict(grid) if grid is not None else None,
+        "grid": grid_to_dict(report.grid),
+        "extra": {k: report.extra[k] for k in sorted(report.extra)},
     }
-    if params:
-        doc["extra"] = {k: params[k] for k in sorted(params)}
-    return doc
 
 
 def report_to_json(report: ResidualReport) -> str:

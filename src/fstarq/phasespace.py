@@ -331,10 +331,6 @@ class Field:
         return f"Field({self.label or 'unnamed'}, {self.grid.n_q}x{self.grid.n_p})"
 
 
-def field_from_values(grid: PhaseGrid, values: np.ndarray, label: str = "") -> Field:
-    return Field(grid, values, label=label)
-
-
 def _poly_samples(poly: PolySymbol, grid: PhaseGrid) -> np.ndarray:
     """poly on the grid with ``eval_grid``'s bits; a constant (zero included)
     is one (1, 1) sample, float64 when real, that broadcasts to the mesh."""

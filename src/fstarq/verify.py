@@ -14,8 +14,6 @@ one thread.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +21,8 @@ import numpy as np
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
 from .genvalue import (DEFAULT_R_CUT, _residual_report, associativity_defect,
                        commutator_deviation, hamiltonian_star)
-from .phasespace import (PhaseGrid, fcs_wigner, field_from_poly, field_from_values,
-                         fock_wigner, integrate, partial_field)
+from .phasespace import (Field, PhaseGrid, fcs_wigner, field_from_poly, fock_wigner,
+                         integrate, partial_field)
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
 
@@ -86,14 +84,14 @@ def fock_pass(quick: bool) -> FockPass:
     return FockPass(tuple(residual), tuple(imag), tuple(norm))
 
 
-def check_moyal_genvalue(quick: bool, fock: Callable[[], FockPass]) -> dict:
-    residual = fock().residual
+def check_moyal_genvalue(quick: bool, fock: FockPass) -> dict:
+    residual = fock.residual
     return _check("moyal_genvalue_identity", max(residual), 1e-8,
                   detail=f"n<={len(residual) - 1}, region r<=4")
 
 
-def check_imag_vanishing(quick: bool, fock: Callable[[], FockPass]) -> dict:
-    imag = fock().imag
+def check_imag_vanishing(quick: bool, fock: FockPass) -> dict:
+    imag = fock.imag
     worst = 0.0
     worst_at = ""
     for k, spec in enumerate(registry_specs()):
@@ -105,9 +103,9 @@ def check_imag_vanishing(quick: bool, fock: Callable[[], FockPass]) -> dict:
                   detail=f"worst registry spec: {worst_at}")
 
 
-def check_wigner_normalization(quick: bool, fock: Callable[[], FockPass]) -> dict:
+def check_wigner_normalization(quick: bool, fock: FockPass) -> dict:
     grid = _grid(quick)
-    norm = fock().norm
+    norm = fock.norm
     worst = max(norm)
     for spec in registry_specs():
         for z2 in (0.5, 1.0, 2.0):
@@ -116,7 +114,7 @@ def check_wigner_normalization(quick: bool, fock: Callable[[], FockPass]) -> dic
                   detail=f"fock n<={len(norm) - 1} and registry coherent mixtures")
 
 
-def check_moyal_algebra(quick: bool, fock: Callable[[], FockPass]) -> dict:
+def check_moyal_algebra(quick: bool, fock: FockPass) -> dict:
     hbar = 1.0
     a = annihilation_symbol()
     abar = creation_symbol()
@@ -138,11 +136,11 @@ def check_moyal_algebra(quick: bool, fock: Callable[[], FockPass]) -> dict:
                   detail=f"commutator dev {dev_comm:.3e}, assoc rel {worst_rel:.3e}")
 
 
-def check_commutator_correspondence(quick: bool, fock: Callable[[], FockPass]) -> dict:
+def check_commutator_correspondence(quick: bool, fock: FockPass) -> dict:
     grid = _grid(quick)
     rep_id = commutator_deviation(identity_spec(), grid)[1]
     rep_sq = commutator_deviation(sqrt_n_spec(), grid)[1]
-    match = rep_sq.params["closed_form_match"]
+    match = rep_sq.extra["closed_form_match"]
     entry = _check("commutator_correspondence", max(rep_id.max_abs, match), 1e-8,
                    detail=(f"identity dev {rep_id.max_abs:.3e} (tol 1e-10); "
                            f"sqrt_n closed-form match {match:.3e} (tol 1e-8); "
@@ -152,7 +150,7 @@ def check_commutator_correspondence(quick: bool, fock: Callable[[], FockPass]) -
     return entry
 
 
-def check_associativity_scaling(quick: bool, fock: Callable[[], FockPass]) -> dict:
+def check_associativity_scaling(quick: bool, fock: FockPass) -> dict:
     grid = _grid(quick)
     k = field_from_poly(PolySymbol.q(), grid, "q")
     g = field_from_poly(PolySymbol.p(), grid, "p")
@@ -164,7 +162,7 @@ def check_associativity_scaling(quick: bool, fock: Callable[[], FockPass]) -> di
                   detail=f"defects {defects}")
 
 
-def check_spectrum_closed_form(quick: bool, fock: Callable[[], FockPass]) -> dict:
+def check_spectrum_closed_form(quick: bool, fock: FockPass) -> dict:
     rows_id = spectrum(identity_spec(), 100)
     worst = max(abs(row.energy - (row.n + 0.5)) for row in rows_id)
     rows_sq = spectrum(sqrt_n_spec(), 100)
@@ -175,7 +173,7 @@ def check_spectrum_closed_form(quick: bool, fock: Callable[[], FockPass]) -> dic
                   detail="identity exact half-integers; sqrt_n ((n+1)^2+n^2)/2, n<=100")
 
 
-def check_derivative_crosscheck(quick: bool, fock: Callable[[], FockPass]) -> dict:
+def check_derivative_crosscheck(quick: bool, fock: FockPass) -> dict:
     # fd4 truncation is (h^4/30) |d^5 W_4| with max |d^5 W_4| ~ 5.28e3 on [-6,6]^2,
     # so the differentiated axis needs h <= 8.7e-3 to get under 1e-6:
     # 1537 samples there (h = 1/128, floor ~6.6e-7), 65 across it.  A samples-only
@@ -185,16 +183,15 @@ def check_derivative_crosscheck(quick: bool, fock: Callable[[], FockPass]) -> di
         n_q, n_p = (1537, 65) if key == (1, 0) else (65, 1537)
         grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p, hbar=1.0, offset=0.5)
         w4 = fock_wigner(4, grid)
-        diff = (partial_field(field_from_values(grid, w4.values), *key)
-                - partial_field(w4, *key))
+        diff = partial_field(Field(grid, w4.values), *key) - partial_field(w4, *key)
         worst = max(worst, float(np.abs(diff[2:-2, 2:-2]).max()))
     return _check("derivative_crosscheck", worst, 1e-6,
                   detail="W_4 on [-6,6]^2, h = 1/128 along the differentiated axis "
                          "(1537 x 65 per axis): fd4 floor h^4/30 max|d^5 W_4| ~ 6.6e-7")
 
 
-# Each check takes the run's mode and the run's Fock pass, a cached thunk that
-# check 1 calls first; the checks that read no W_n ignore it.
+# Each check takes the run's mode and the run's Fock pass; the checks that read
+# no W_n ignore it.
 ALL_CHECKS = (
     check_moyal_genvalue,
     check_imag_vanishing,
@@ -208,7 +205,7 @@ ALL_CHECKS = (
 
 
 def run_verification(quick: bool = False) -> dict:
-    fock = functools.cache(functools.partial(fock_pass, quick))
+    fock = fock_pass(quick)
     checks = [fn(quick, fock) for fn in ALL_CHECKS]
     failures = sum(1 for c in checks if not c["passed"])
     return {

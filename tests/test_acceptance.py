@@ -36,10 +36,10 @@ def _report(criterion: str, check: dict, elapsed: float | None = None) -> bool:
 
 @pytest.fixture(scope="module")
 def full_pass():
-    """The full Fock pass criteria 1-3 share, as a thunk, and its wall time."""
+    """The full Fock pass criteria 1-3 share, and its wall time."""
     t0 = time.time()
     run = fock_pass(quick=False)
-    return (lambda: run), time.time() - t0
+    return run, time.time() - t0
 
 
 def test_criterion_1_moyal_genvalue_exactness(full_pass):
@@ -166,3 +166,67 @@ def test_assoc_bytes(spec, capsys):
     got = (code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
            hashlib.sha256(captured.err.encode("utf-8")).hexdigest())
     assert got == ASSOC_BYTES[spec], captured.err
+
+
+# exit code and sha256 of stdout and stderr of `fstarq residual --spec <spec> --n 3`
+# and `fstarq commutator --spec <spec>` on the default grid, for the same 12 specs:
+# the report schema is pinned byte for byte, key order and extra block included
+REPORT_BYTES = {
+    ("residual", "identity"):
+        (0, "f1fcf8f07d6b81b0357f89a71de72c2ba8af079b816decb7ff8cb2f9c9e3c2b0", _EMPTY),
+    ("residual", "sqrt_n"):
+        (0, "9e2bf1fa1f9283fe6896a2e69b4b7bff7f1672bada4a26a8482e8a829f073baf", _EMPTY),
+    ("residual", "qdef:q=1.2"):
+        (0, "5ce678a3a7db110dd3e73574d94c7ef2b7ca3f4c2a8e180670206824ce7a24b7", _EMPTY),
+    ("residual", "expr:sqrt(1+0.1*n)"):
+        (0, "20f770d6cdd5b529df627b4d714d5ceb16910a53473ee817a3aadfdf8de33c6f", _EMPTY),
+    ("residual", "qdef:q=0.9"):
+        (0, "c9b840c03bc958f268d7181d4e85efcf627bfd9b9db99a18ef60c714a7e7af7a", _EMPTY),
+    ("residual", "qdef:q=0.95"):
+        (0, "cd387f4dd72b8fba50ecf150195d15a1fa801eba6ea6a75c8de253c985770f5f", _EMPTY),
+    ("residual", "qdef:q=1.05"):
+        (0, "e45ba4ade83102cf194c63ce00d6400e4eebeab6f9aecd3e8351e08431e86d1c", _EMPTY),
+    ("residual", "qdef:q=1.1"):
+        (0, "707a89b9ba5e3afcf059584a24dc81746e21a2dabea4cde93d4768fd951bdd0b", _EMPTY),
+    ("residual", "expr:sqrt(1+0.05*n)"):
+        (0, "bbe01771eb0815a1ff181945c1045bf745f855b3cc5b47e59e03e2e04d8b3867", _EMPTY),
+    ("residual", "expr:sqrt(1+0.2*n)"):
+        (0, "d2261587ba1536ca7b6fb3666766903c7a0c05b6215cf68d09477db84728ba8c", _EMPTY),
+    ("residual", "expr:sqrt(1+0.5*n)"):
+        (0, "6451f9c3cd356358ac0fa452c8206a79da6b2670e11f2e57190666414ce949f3", _EMPTY),
+    ("residual", "expr:sqrt(1+1.0*n)"):
+        (0, "d86f8ae48500bc343c6d306b504ed42a5d26fe9fa33439c6b1ac3f5e70f285ba", _EMPTY),
+    ("commutator", "identity"):
+        (0, "344015bd2646b18a6ef1694cc4d73bedb3b9c02b3f3cd1edfc47b89616b3b196", _EMPTY),
+    ("commutator", "sqrt_n"):
+        (0, "880bf8ad6c1db07411104ba3ebd279020caf049965506c8f6f7d2730e4686e79", _EMPTY),
+    ("commutator", "qdef:q=1.2"):
+        (0, "422d5418efc6c0267bf2c3cbfe3ce7d675d878831d5658af5acdea24c0677303", _EMPTY),
+    ("commutator", "expr:sqrt(1+0.1*n)"):
+        (0, "d20339401e29ef53106cf2fbc42d1a1d8a7d0c93c2c429203f70a0009525c8c5", _EMPTY),
+    ("commutator", "qdef:q=0.9"):
+        (0, "581b2c73ff8afe6cf408172c1d2a9ba1b99e36a7451d8df4ad6a59dd7aaeea66", _EMPTY),
+    ("commutator", "qdef:q=0.95"):
+        (0, "ee91f44682a17b5b70d496214834446300141a619e0c7aa36c386a1cbaa74807", _EMPTY),
+    ("commutator", "qdef:q=1.05"):
+        (0, "0bdfe33fcc18d21dac82ac6b9f00c2f7851f11715f38c3ee785386399f0bec1d", _EMPTY),
+    ("commutator", "qdef:q=1.1"):
+        (0, "cb8f0d795a9c54b15269fec66099725cd1875d109b7a19f17bed6de380287e5e", _EMPTY),
+    ("commutator", "expr:sqrt(1+0.05*n)"):
+        (0, "1517299698143027b49d0c766dc6f5788f2efab9ed7033fe8fcdec044d2dd524", _EMPTY),
+    ("commutator", "expr:sqrt(1+0.2*n)"):
+        (0, "3c7d3c0355046e7194b80128301f0973f1430b241ee47da8f5d53176522e9f7a", _EMPTY),
+    ("commutator", "expr:sqrt(1+0.5*n)"):
+        (0, "8a63be537d1d6db3558bd214851384229c91dd5ccbb66fefc43efa61e67eeee0", _EMPTY),
+    ("commutator", "expr:sqrt(1+1.0*n)"):
+        (0, "0442fa412caed5b193fa277902f9278c2875bb9105f1877249637bcaaad39f6a", _EMPTY),
+}
+
+
+@pytest.mark.parametrize("command, spec", REPORT_BYTES)
+def test_report_bytes(command, spec, capsys):
+    code = main([command, "--spec", spec] + (["--n", "3"] if command == "residual" else []))
+    captured = capsys.readouterr()
+    got = (code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
+           hashlib.sha256(captured.err.encode("utf-8")).hexdigest())
+    assert got == REPORT_BYTES[command, spec], captured.err

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import re
 import sys
@@ -138,16 +137,16 @@ def test_identity_genvalue_exact(grid513, n):
     rep = genvalue_residual(identity_spec(), n, grid513)
     assert rep.max_abs <= 1e-8
     assert rep.imag_max <= 1e-10
-    assert rep.params["energy"] == pytest.approx(n + 0.5, rel=1e-14)
-    assert rep.params["energy_crosscheck"] == pytest.approx(n + 0.5, rel=1e-12)
+    assert rep.extra["energy"] == pytest.approx(n + 0.5, rel=1e-14)
+    assert rep.extra["energy_crosscheck"] == pytest.approx(n + 0.5, rel=1e-12)
     # the phase-space average of H star W reproduces the level energy
-    assert rep.params["phase_space_average_re"] == pytest.approx(n + 0.5, abs=1e-6)
+    assert rep.extra["phase_space_average_re"] == pytest.approx(n + 0.5, abs=1e-6)
 
 
 def test_identity_genvalue_scaled_units():
     grid = PhaseGrid(-8, 8, -8, 8, 257, 257, hbar=0.5, offset=0.5)
     rep = genvalue_residual(identity_spec(), 2, grid, omega=2.0)
-    assert rep.params["energy"] == pytest.approx(0.5 * 2.0 * 2.5, rel=1e-14)
+    assert rep.extra["energy"] == pytest.approx(0.5 * 2.0 * 2.5, rel=1e-14)
     assert rep.max_abs <= 1e-8
 
 
@@ -164,7 +163,7 @@ def test_witness_lies_on_grid(grid513):
     rep = genvalue_residual(sqrt_n_spec(), 1, grid513)
     assert rep.witness.q in grid513.q_values()
     assert rep.witness.p in grid513.p_values()
-    assert rep.witness.q**2 + rep.witness.p**2 <= rep.params["r_cut"] ** 2
+    assert rep.witness.q**2 + rep.witness.p**2 <= rep.extra["r_cut"] ** 2
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
@@ -283,10 +282,10 @@ def test_commutator_identity_is_one(grid513):
 
 def test_commutator_sqrt_n_matches_closed_form(grid513):
     dev_field, rep = commutator_deviation(sqrt_n_spec(), grid513)
-    assert rep.params["closed_form_match"] <= 1e-8
+    assert rep.extra["closed_form_match"] <= 1e-8
     # the reported deviation from the (2n+1) target equals the closed-form
     # prediction of that deviation
-    assert rep.max_abs == pytest.approx(rep.params["closed_form_vs_target_max"], abs=1e-8)
+    assert rep.max_abs == pytest.approx(rep.extra["closed_form_vs_target_max"], abs=1e-8)
     assert rep.max_abs > 1.0  # genuinely nonzero: reported, never asserted away
     assert dev_field.values.shape == (grid513.n_q, grid513.n_p)
 
@@ -299,7 +298,7 @@ def test_commutator_deviation_samples_amplitude_once(grid257, amplitude_samples)
 
 def test_imag_vanishing_check_samples_amplitude_once_per_spec(amplitude_samples):
     # one setup per non-identity registry spec, shared by the pass's products
-    check_imag_vanishing(True, functools.partial(fock_pass, True))
+    check_imag_vanishing(True, fock_pass(True))
     assert sum(s.kind != "identity" for s in REGISTRY) == 3
     assert amplitude_samples == {"F": 3, "dF": 0}
 
@@ -407,7 +406,7 @@ def test_small_deformation_sweep():
     devs = []
     for eps in eps_values:
         rep = commutator_deviation(expr_spec(f"1+{eps}*n"), grid)[1]
-        assert rep.params["closed_form_match"] <= 1e-10
+        assert rep.extra["closed_form_match"] <= 1e-10
         devs.append(rep.max_abs)
     assert devs[0] > devs[1] > devs[2]
     slope = np.polyfit(np.log(eps_values), np.log(devs), 1)[0]
@@ -531,6 +530,25 @@ def test_associativity_radial_triple_vanishes(grid257):
     result = associativity_defect(k, g, h, sqrt_n_spec(), [1e-1, 1e-2, 1e-3])
     assert result.slope is None
     assert all(d <= 1e-12 for _, d in result.points)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_associativity_refuses_each_hbar_before_any_product(grid257, bad, monkeypatch):
+    # every hbar is checked before the list checks: 0 used to divide by zero in
+    # the span check, -1 to fail it, and NaN and inf to pass both
+    calls = []
+    for name in ("ProductSetup", "moyal_exact"):
+        original = getattr(genvalue, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(genvalue, name, counted)
+    for spec in (identity_spec(), sqrt_n_spec()):
+        with pytest.raises(ValueError, match=r"^hbar must be a positive finite real$"):
+            associativity_defect(*assoc_operands(grid257), spec, [bad, 0.1, 1.0, 10.0])
+    assert calls == []
 
 
 def test_associativity_validation(grid257):

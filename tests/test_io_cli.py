@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import fstarq.io
-from fstarq import (PhaseGrid, canonical_json, commutator_deviation, expr_spec, fcs_wigner,
-                    field_from_values, field_report, field_to_csv, fock_wigner,
+from fstarq import (Field, PhaseGrid, canonical_json, commutator_deviation, expr_spec,
+                    fcs_wigner, field_report, field_to_csv, fock_wigner,
                     genvalue_residual, identity_spec, qdef_spec, read_field_csv,
                     report_to_dict, report_to_json, spectrum, spectrum_to_csv, sqrt_n_spec)
 from fstarq import cli
@@ -86,7 +86,7 @@ def awkward_field():
     awkward = [-0.0, 5e-324, 1e308, 0.1, -0.1, -1e308, 0.0, -5e-324, 2.0**-1074 * 3]
     vals.real.flat[:9] = awkward
     vals.imag.flat[3:12] = awkward[::-1]
-    return field_from_values(grid, vals, label="awkward")
+    return Field(grid, vals, label="awkward")
 
 
 def test_field_csv_matches_reference_writer(tmp_path, awkward_field):
@@ -444,7 +444,7 @@ def _signed_zero_field(grid):
     vals = np.empty((grid.n_q, grid.n_p), dtype=complex)
     vals.real = rng.choice(pool, vals.shape)
     vals.imag = rng.choice(pool, vals.shape)
-    return field_from_values(grid, vals, label="signed zeros")
+    return Field(grid, vals, label="signed zeros")
 
 
 @functools.cache
@@ -509,7 +509,7 @@ def _swap_rows_among_blank_lines(lines):
 def test_read_field_csv_refuses_rows_out_of_order(tmp_path, edit, line):
     # square, so a p-outer file passes the rectangular count check
     grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 3, offset=0.25)
-    field = field_from_values(grid, np.arange(9.0).reshape(3, 3) + 0.5j, label="ordered")
+    field = Field(grid, np.arange(9.0).reshape(3, 3) + 0.5j, label="ordered")
     path = tmp_path / "f.csv"
     field_to_csv(field, path)
     lines = path.read_text().split("\n")

@@ -10,7 +10,7 @@ from scipy.special import eval_laguerre
 
 from fstarq import (FStarError, Field, NonPositiveValue, PhaseGrid, PolySymbol, amplitude_F,
                     amplitude_F_deriv, commutator_target, default_grid, fcs_wigner,
-                    field_from_poly, field_from_values, fock_wigner, gradient, identity_spec,
+                    field_from_poly, fock_wigner, gradient, identity_spec,
                     integrate, laguerre, mesh, moyal_apply, parse_symbol, partial_field,
                     qdef_spec, ladder_fields, registry_specs, spec_to_text, sqrt_n_spec,
                     wigner_weights)
@@ -193,7 +193,7 @@ def test_fock_wigner_orthogonality(grid513):
     worst = 0.0
     for m in range(11):
         for n in range(m, 11):
-            prod = field_from_values(grid513, fields[m].values * fields[n].values)
+            prod = Field(grid513, fields[m].values * fields[n].values)
             val = integrate(prod).real
             worst = max(worst, abs(val - (1.0 if m == n else 0.0)))
     assert worst <= 2e-4
@@ -205,19 +205,19 @@ def test_fock_wigner_orthogonality(grid513):
 
 def test_integrate_constant():
     g = PhaseGrid(-1, 1, -1, 1, 33, 33, offset=0.0)
-    ones = field_from_values(g, np.ones((33, 33)))
+    ones = Field(g, np.ones((33, 33)))
     assert integrate(ones).real == pytest.approx(4 / (2 * math.pi), rel=1e-14)
 
 
 def test_integrate_gaussian(grid513):
     Q, P = mesh(grid513)
-    f = field_from_values(grid513, 2.0 * np.exp(-(Q**2 + P**2)))
+    f = Field(grid513, 2.0 * np.exp(-(Q**2 + P**2)))
     assert integrate(f).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_integrate_is_complex():
     g = PhaseGrid(-1, 1, -1, 1, 17, 17)
-    f = field_from_values(g, 1j * np.ones((17, 17)))
+    f = Field(g, 1j * np.ones((17, 17)))
     val = integrate(f)
     assert val.real == pytest.approx(0.0, abs=1e-15)
     assert val.imag > 0
@@ -228,7 +228,7 @@ def test_integrate_is_complex():
 
 
 def test_fd4_exact_on_linear(grid257):
-    f = field_from_values(grid257, mesh(grid257)[0] + 0j)  # plain samples of q
+    f = Field(grid257, mesh(grid257)[0] + 0j)  # plain samples of q
     gq, gp = gradient(f)
     assert np.max(np.abs(gq - 1.0)) <= 1e-12
     assert np.max(np.abs(gp)) <= 1e-12
@@ -236,7 +236,7 @@ def test_fd4_exact_on_linear(grid257):
 
 def test_fd4_needs_five_points():
     g = PhaseGrid(-1, 1, -1, 1, 4, 9)
-    f = field_from_values(g, np.zeros((4, 9)))
+    f = Field(g, np.zeros((4, 9)))
     with pytest.raises(ValueError):
         gradient(f)
 
@@ -249,7 +249,7 @@ def test_analytic_gradient_of_vacuum(origin_grid):
     ip = list(origin_grid.p_values()).index(0.0)
     assert gq[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-13)
     # fd4 agrees at its truncation level on this coarse (dq = 1/16) grid
-    fq, _ = gradient(field_from_values(origin_grid, w0.values))
+    fq, _ = gradient(Field(origin_grid, w0.values))
     assert fq[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-4)
 
 
@@ -258,7 +258,7 @@ def test_partial_field_sources_match_fd4_and_the_profile_bitwise():
     # chain rule through its profile, bit for bit
     g = PhaseGrid(-6, 6, -6, 6, 97, 33, offset=0.5)
     w4 = fock_wigner(4, g)
-    raw = field_from_values(g, w4.values)
+    raw = Field(g, w4.values)
     for axis, key, h in ((0, (1, 0), g.dq), (1, (0, 1), g.dp)):
         assert _same_bits(partial_field(raw, *key), _fd4_axis(w4.values, h, axis))
         assert _same_bits(partial_field(w4, *key), w4.analytic.partial(axis).evaluate(g))
@@ -272,7 +272,7 @@ def test_fd4_vs_analytic_crosscheck_is_fourth_order():
     def crosscheck(n_samples):
         g = PhaseGrid(-6, 6, -6, 6, n_samples, n_samples, offset=0.5)
         w4 = fock_wigner(4, g)
-        fq, fp = gradient(field_from_values(g, w4.values))
+        fq, fp = gradient(Field(g, w4.values))
         aq, ap = gradient(w4)
         inner = np.s_[2:-2, 2:-2]
         return max(float(np.max(np.abs((fq - aq)[inner]))),
@@ -289,7 +289,7 @@ def test_partial_field_poly_and_fallback(grid257):
     f = field_from_poly(poly, grid257)
     Q, P = mesh(grid257)
     assert np.allclose(partial_field(f, 1, 1), 2 * Q, rtol=0, atol=1e-12)
-    raw = field_from_values(grid257, poly.eval_grid(Q, P))
+    raw = Field(grid257, poly.eval_grid(Q, P))
     inner = np.s_[4:-4, 4:-4]
     assert np.max(np.abs((partial_field(raw, 1, 1) - 2 * Q)[inner])) <= 1e-9
 
@@ -298,7 +298,7 @@ def test_partial_field_poly_and_fallback(grid257):
 def test_partial_field_refuses_negative_orders(grid257, key):
     # analytic, poly and fd4 sources alike; nothing joins the known partials
     fields = (fock_wigner(1, grid257), field_from_poly(parse_symbol("q^2*p"), grid257),
-              field_from_values(grid257, np.ones((257, 257)), label="ones"))
+              Field(grid257, np.ones((257, 257)), label="ones"))
     for field in fields:
         with pytest.raises(ValueError, match=re.escape(f"partial {key} of {field.label}: "
                                                        "orders must be >= 0")):
@@ -310,7 +310,7 @@ def test_mixed_partials_of_radial_match_fd(grid257):
     # repeated fd4 loses one order per application; agreement is coarse
     w = fock_wigner(3, grid257)
     exact = partial_field(w, 1, 1)
-    approx = field_from_values(grid257, w.values)
+    approx = Field(grid257, w.values)
     fd = partial_field(approx, 1, 1)
     inner = np.s_[4:-4, 4:-4]
     assert np.max(np.abs((exact - fd)[inner])) <= 1e-2
@@ -374,7 +374,7 @@ def test_field_finite_guard(grid257):
     bad = np.zeros((grid257.n_q, grid257.n_p))
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
-        field_from_values(grid257, bad)
+        Field(grid257, bad)
 
 
 def test_analytic_structure_radial_flag(grid257):

@@ -8,7 +8,9 @@ functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``.
 one numpy evaluator for scalar and array n.  ``deformation`` raises
 ``NonPositiveValue`` and ``SingularAmplitude`` only inside ``_refuse``.
 ``symbols.moyal_exact`` neither calls ``.partial`` nor builds a validated
-``PolySymbol(...)``: it takes each partial once and sums terms in place.  No
+``PolySymbol(...)``: it takes each partial once and sums terms in place.
+``ResidualReport(...)`` is built only inside ``genvalue._report``, and
+``io.report_to_dict`` calls no ``.pop``: the report's fields are its schema.  No
 module imports ``threading`` or ``concurrent.futures``, or reads
 ``os.environ`` or ``os.getenv``: the library runs on one thread and takes no
 settings from the environment.
@@ -212,6 +214,58 @@ def test_moyal_exact_builds_no_per_step_symbols():
     assert per_step_calls(source, "moyal_exact") == []
 
 
+def reports_built_outside_helper(source: str) -> list[int]:
+    """Lines that call ``ResidualReport(...)`` outside the function ``_report``."""
+    lines = []
+
+    def visit(node, inside):
+        if (isinstance(node, ast.Call) and not inside and isinstance(node.func, ast.Name)
+                and node.func.id == "ResidualReport"):
+            lines.append(node.lineno)
+        inside = inside or (isinstance(node, ast.FunctionDef) and node.name == "_report")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_report_built_outside_helper_is_caught():
+    source = ("def _report(name, residual):\n"
+              "    return ResidualReport(name, residual)\n"
+              "def genvalue_residual(n):\n"
+              "    return ResidualReport('genvalue', n)\n"
+              "report = ResidualReport('commutator', None)\n"
+              "def other():\n    return Report('x')\n")
+    assert reports_built_outside_helper(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_residual_reports_are_built_by_one_helper(path):
+    assert reports_built_outside_helper(path.read_text(encoding="utf-8")) == []
+
+
+def pops_in(source: str, function: str) -> list[int]:
+    """Lines in ``function`` that call ``.pop``."""
+    return sorted({call.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name == function
+                   for call in ast.walk(node)
+                   if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                   and call.func.attr == "pop"})
+
+
+def test_pop_is_caught():
+    source = ("def report_to_dict(report):\n"
+              "    params = dict(report.params)\n"
+              "    grid = params.pop('grid', None)\n"
+              "    return {'spec': params.pop('spec', None), 'grid': grid}\n"
+              "def other(d):\n    return d.pop('x')\n")
+    assert pops_in(source, "report_to_dict") == [3, 4]
+
+
+def test_report_to_dict_reads_fields_and_pops_nothing():
+    assert pops_in((PACKAGE / "io.py").read_text(encoding="utf-8"), "report_to_dict") == []
+
+
 THREAD_MODULES = ("threading", "concurrent.futures")
 ENVIRONMENT_READS = ("environ", "getenv")
 
@@ -263,13 +317,11 @@ DEFAULTED_PARAMETERS = {
     "ParseError": {"expected": None},
     "PhaseGrid": {"hbar": 1.0, "offset": 0.5},
     "PolySymbol": {"terms": None},
-    "ResidualReport": {"params": "<factory>"},
     "build_hamiltonian": {"omega": 1.0},
     "eval_f": {"order": 0},
     "f_squared": {"order": 0},
     "fcs_wigner": {"tol": 1e-14},
     "field_from_poly": {"label": ""},
-    "field_from_values": {"label": ""},
     "genvalue_residual": {"omega": 1.0, "r_cut": 4.0},
     "random_polynomial": {"max_degree": 4},
     "read_field_csv": {"hbar": 1.0},

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
-                    creation_symbol, default_grid, field_from_poly, field_from_values,
+from fstarq import (Field, PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
+                    creation_symbol, default_grid, field_from_poly,
                     fock_wigner, fstar_apply, genvalue_residual, identity_spec, mesh,
                     moyal_apply, moyal_exact, normalization_Nf, parse_symbol, partial_field,
                     random_polynomial, sqrt_n_spec, star_commutator, wigner_weights)
@@ -194,7 +194,7 @@ def test_fstar_jet_partials_match_fd(grid):
     k = field_from_poly(parse_symbol("q^2 + p"), grid)
     g = field_from_poly(parse_symbol("q*p"), grid)
     out = ProductSetup(grid, spec).product(k, g, jets=True)
-    raw = field_from_values(grid, out.values)
+    raw = Field(grid, out.values)
     Q, P = mesh(grid)
     mask = (Q**2 + P**2) >= 1.0
     mask[:8, :] = mask[-8:, :] = mask[:, :8] = mask[:, -8:] = False
