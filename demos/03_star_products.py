@@ -35,8 +35,8 @@ print("associativity defect (exact Moyal):",
 
 # --- deformed product on a grid -------------------------------------------
 grid = PhaseGrid(-6, 6, -6, 6, 257, 257, hbar=hbar, offset=0.5)
-qf = field_from_poly(q, grid, "q")
-pf = field_from_poly(p, grid, "p")
+qf = field_from_poly(q, grid)
+pf = field_from_poly(p, grid)
 
 prod_plain = fstar_apply(qf, pf, identity_spec())
 print("\nidentity deformation: q *_f p - (qp + i hbar/2) has max",

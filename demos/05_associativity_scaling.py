@@ -14,9 +14,9 @@ from fstarq import (PolySymbol, associativity_defect, commutator_deviation,
                     spec_to_text, sqrt_n_spec)
 
 grid = default_grid()
-k = field_from_poly(PolySymbol.q(), grid, "q")
-g = field_from_poly(PolySymbol.p(), grid, "p")
-h = field_from_poly(PolySymbol.q() + PolySymbol.p(), grid, "q+p")
+k = field_from_poly(PolySymbol.q(), grid)
+g = field_from_poly(PolySymbol.p(), grid)
+h = field_from_poly(PolySymbol.q() + PolySymbol.p(), grid)
 hbars = [1e-1, 1e-2, 1e-3]
 
 print("associativity defect (k, g, h) = (q, p, q+p):")

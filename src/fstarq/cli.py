@@ -24,10 +24,10 @@ import sys
 
 from .deformation import DEFAULT_SERIES_TOL, DeformationSpec, parse_deformation, spectrum
 from .errors import FStarError, ParseError
-from .genvalue import associativity_defect, commutator_deviation, genvalue_residual
+from .genvalue import (ASSOC_HBARS, assoc_probe, associativity_defect, commutator_deviation,
+                       genvalue_residual)
 from .io import canonical_json, field_to_csv, format_float, report_to_json, spectrum_to_csv
-from .phasespace import PhaseGrid, fcs_wigner, field_from_poly, fock_wigner
-from .symbols import PolySymbol
+from .phasespace import PhaseGrid, fcs_wigner, fock_wigner
 from .verify import run_verification
 
 
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("assoc", help="associativity defect scaling")
     add_common(sp, _assoc)
-    sp.set_defaults(hbar="1e-1,1e-2,1e-3")
+    sp.set_defaults(hbar=",".join(map(str, ASSOC_HBARS)))
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.set_defaults(run=_verify)
@@ -206,11 +206,7 @@ def _commutator(args) -> int:
 
 def _assoc(args) -> int:
     spec, hbars = _spec(args.spec), _parse_hbars(args.hbar)
-    grid = _parse_grid(args.grid, 1.0)
-    k = field_from_poly(PolySymbol.q(), grid, "q")
-    g = field_from_poly(PolySymbol.p(), grid, "p")
-    h = field_from_poly(PolySymbol.q() + PolySymbol.p(), grid, "q+p")
-    result = associativity_defect(k, g, h, spec, list(hbars))
+    result = associativity_defect(*assoc_probe(_parse_grid(args.grid, 1.0)), spec, hbars)
     lines = ["hbar,defect,slope"]
     slope_txt = "" if result.slope is None else format_float(result.slope)
     for hbar, defect in result.points:

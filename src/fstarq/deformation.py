@@ -268,9 +268,12 @@ def amplitude_F_deriv(spec: DeformationSpec, n):
 
 
 def commutator_target(spec: DeformationSpec, n):
-    """(n+1) f(n+1)^2 - n f(n)^2, the deformed commutation-relation value, at
-    a real n >= 0 (NaN is refused)."""
-    return _like_n(n, _target(spec, _n_array(n)))
+    """(n+1) f(n+1)^2 - n f(n)^2, the deformed commutation-relation value, at a
+    real n >= 0 (NaN is refused); NonPositiveValue names its first non-finite n."""
+    arr = _n_array(n)
+    out = _target(spec, arr)
+    _refuse(NonPositiveValue, "commutator target is not finite", spec, arr, ~np.isfinite(out))
+    return _like_n(n, out)
 
 
 @dataclass(frozen=True)
@@ -301,8 +304,7 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
     # assembled via the commutator target plus 2 n f(n)^2; the genvalue module
     # recomputes E_n from the raw formula as an independent cross-check
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = 0.5 * hbar * omega * (commutator_target(spec, ns)
-                                         + 2.0 * ns * _s(spec, ns, 0))
+        energies = 0.5 * hbar * omega * (_target(spec, ns) + 2.0 * ns * _s(spec, ns, 0))
     _refuse(NonPositiveValue, "E_n is not finite", spec, ns, ~np.isfinite(energies))
     return [SpectrumRow(int(k), float(e)) for k, e in zip(range(n_max + 1), energies)]
 

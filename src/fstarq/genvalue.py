@@ -22,8 +22,8 @@ import numpy as np
 
 from .deformation import (DeformationSpec, commutator_target, eval_f, f_squared,
                           require_positive, spec_to_text, spectrum)
-from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, fock_wigner,
-                         integrate)
+from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, field_from_poly,
+                         fock_wigner, integrate)
 from .starproduct import ProductSetup, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
@@ -82,8 +82,7 @@ def build_hamiltonian(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0
     require_positive("omega", omega)
     structure = AnalyticStructure(HamiltonianProfile(spec, grid.hbar, omega),
                                   scale=2.0 * grid.hbar)
-    return Field(grid, structure.evaluate(grid), label=f"H[{spec_to_text(spec)}]",
-                 analytic=structure)
+    return structure.field(grid, f"H[{spec_to_text(spec)}]")
 
 
 def hamiltonian_star(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0):
@@ -99,13 +98,9 @@ def hamiltonian_star(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0)
 def ladder_fields(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field, Field]:
     """A = a f(n) and Abar = abar f(n) sampled with exact partials."""
     profile = DeformationProfile(spec)
-    sA = AnalyticStructure(profile, scale=2.0 * grid.hbar,
-                           terms={0: annihilation_symbol()})
-    sB = AnalyticStructure(profile, scale=2.0 * grid.hbar,
-                           terms={0: creation_symbol()})
-    A = Field(grid, sA.evaluate(grid), label=f"A[{spec_to_text(spec)}]", analytic=sA)
-    B = Field(grid, sB.evaluate(grid), label=f"Abar[{spec_to_text(spec)}]", analytic=sB)
-    return A, B
+    return tuple(AnalyticStructure(profile, 2.0 * grid.hbar, {0: symbol})
+                 .field(grid, f"{name}[{spec_to_text(spec)}]")
+                 for name, symbol in (("A", annihilation_symbol()), ("Abar", creation_symbol())))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +241,14 @@ class AssocScaling:
 
 
 EXACT_ZERO_FLOOR = 1e-14
+ASSOC_HBARS = (1e-1, 1e-2, 1e-3)
+
+
+def assoc_probe(grid: PhaseGrid) -> tuple[Field, Field, Field]:
+    """The fields q, p and q + p on grid, whose defect ``fstarq assoc`` and
+    verify's scaling check take over ``ASSOC_HBARS``."""
+    q, p = PolySymbol.q(), PolySymbol.p()
+    return tuple(field_from_poly(poly, grid) for poly in (q, p, q + p))
 
 
 def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -66,15 +67,6 @@ def _write_json(obj, out: list[str]) -> None:
 # Grid / field serialization
 
 
-def grid_to_dict(grid: PhaseGrid) -> dict:
-    return {
-        "q_min": grid.q_min, "q_max": grid.q_max,
-        "p_min": grid.p_min, "p_max": grid.p_max,
-        "n_q": grid.n_q, "n_p": grid.n_p,
-        "hbar": grid.hbar, "offset": grid.offset,
-    }
-
-
 def field_to_csv(field: Field, path) -> None:
     """Write rows q, p, re, im in row-major (q outer) order.
 
@@ -99,7 +91,8 @@ def read_field_csv(path, hbar: float = 1.0) -> Field:
 
     The grid is reconstructed from the sample coordinates themselves (with
     offset 0, since the written coordinates already include any shift).  Rows
-    out of q-outer, p-inner order are refused, naming the first such line.
+    out of q-outer, p-inner order are refused, naming the first such line, and
+    so is a coordinate that is off the uniform grid by more than roundoff.
     """
     with open(path, encoding="utf-8") as fh:
         nonblank = ((i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln != "\n")
@@ -123,6 +116,12 @@ def read_field_csv(path, hbar: float = 1.0) -> Field:
                          f"{data[misplaced[0]]}")
     grid = PhaseGrid(float(qs[0]), float(qs[-1]), float(ps[0]), float(ps[-1]),
                      n_q, n_p, hbar=hbar, offset=0.0)
+    for axis, coords, rebuilt, cell in (("q", qs, grid.q_values(), grid.dq),
+                                        ("p", ps, grid.p_values(), grid.dp)):
+        off = np.abs(coords - rebuilt) > 4 * np.spacing(np.abs(coords).max()) + 1e-9 * cell
+        if off.any():
+            raise ValueError(f"CSV {axis} coordinates are not on a uniform grid: "
+                             f"{axis} = {float(coords[off][0])!r}")
     vals = np.stack([re, im], -1).view(complex).reshape(n_q, n_p)
     return Field(grid, vals)
 
@@ -132,7 +131,7 @@ def field_report(field: Field) -> dict:
     vals = field.values
     total = integrate(field)
     return {
-        "grid": grid_to_dict(field.grid),
+        "grid": asdict(field.grid),
         "label": field.label,
         "stats": {
             "re_min": float(vals.real.min()), "re_max": float(vals.real.max()),
@@ -170,7 +169,7 @@ def report_to_dict(report: ResidualReport) -> dict:
             "q": report.witness.q, "p": report.witness.p,
             "re": report.witness.value.real, "im": report.witness.value.imag,
         },
-        "grid": grid_to_dict(report.grid),
+        "grid": asdict(report.grid),
         "extra": {k: report.extra[k] for k in sorted(report.extra)},
     }
 

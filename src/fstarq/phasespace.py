@@ -25,6 +25,7 @@ first source that has it:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,12 +59,11 @@ class PhaseGrid:
     offset: float = 0.5
 
     def __post_init__(self):
-        if self.n_q < 2 or self.n_p < 2:
+        if operator.index(self.n_q) < 2 or operator.index(self.n_p) < 2:
             raise ValueError("grids need at least 2 samples per axis")
         if not (self.q_max > self.q_min and self.p_max > self.p_min):
             raise ValueError("grid bounds must satisfy max > min")
-        if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)
-                and math.isfinite(self.p_min) and math.isfinite(self.p_max)):
+        if not all(map(math.isfinite, (self.q_min, self.q_max, self.p_min, self.p_max))):
             raise ValueError("grid bounds must be finite")
         require_positive("hbar", self.hbar)
         if not math.isfinite(self.offset):
@@ -240,6 +240,11 @@ class AnalyticStructure:
                 new[k + 1] = new.get(k + 1, PolySymbol()) + lifted
         return AnalyticStructure(self.profile, self.scale, new)
 
+    def conjugate(self) -> "AnalyticStructure":
+        # radial profiles are real, so conjugation only touches the coefficients
+        return AnalyticStructure(self.profile, self.scale,
+                                 {k: c.conjugate() for k, c in self.terms.items()})
+
     def mixed(self, i: int, j: int) -> "AnalyticStructure":
         s = self
         for _ in range(i):
@@ -276,6 +281,12 @@ class AnalyticStructure:
                     out = out + term
         return np.zeros((grid.n_q, grid.n_p)) if out is None else out
 
+    def field(self, grid: PhaseGrid, label: str) -> "Field":
+        """The structure sampled on grid, as a Field whose partials it serves."""
+        field = Field(grid, self.evaluate(grid), label=label)
+        field.analytic = self
+        return field
+
 
 # ---------------------------------------------------------------------------
 # Field
@@ -292,15 +303,14 @@ def _require_finite(grid: PhaseGrid, arr: np.ndarray, what: str) -> None:
 
 class Field:
     """complex128 samples on a PhaseGrid (input is checked, then cast once),
-    with optional exact-derivative metadata (polynomial backing, analytic
-    radial structure) and the known partials: a dict keyed by (i, j), seeded
-    from ``partials`` and filled by ``partial_field`` as it computes more."""
+    with the known partials: a dict keyed by (i, j), seeded from ``partials``
+    and filled by ``partial_field`` as it computes more.  An exact source of
+    the samples (``poly``, ``analytic``) is attached only by the builder that
+    sampled them from it: ``field_from_poly`` or ``AnalyticStructure.field``."""
 
     __slots__ = ("grid", "values", "label", "poly", "analytic", "_cache")
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, label: str = "",
-                 poly: PolySymbol | None = None,
-                 analytic: AnalyticStructure | None = None,
                  partials: dict[tuple[int, int], np.ndarray] | None = None):
         arr = np.asarray(values)
         if arr.shape != (grid.n_q, grid.n_p):
@@ -310,22 +320,17 @@ class Field:
         self.grid = grid
         self.values = arr.astype(complex, copy=False)
         self.label = label
-        self.poly = poly
-        self.analytic = analytic
+        self.poly: PolySymbol | None = None
+        self.analytic: AnalyticStructure | None = None
         self._cache: dict[tuple[int, int], np.ndarray] = {
             key: np.asarray(part) for key, part in (partials or {}).items()}
 
     def conjugate(self) -> "Field":
-        poly = self.poly.conjugate() if self.poly is not None else None
-        analytic = None
-        if self.analytic is not None:
-            # radial profiles are real, so conjugation only touches the coefficients
-            analytic = AnalyticStructure(
-                self.analytic.profile, self.analytic.scale,
-                {k: c.conjugate() for k, c in self.analytic.terms.items()})
-        return Field(self.grid, np.conj(self.values), label=f"conj({self.label})",
-                     poly=poly, analytic=analytic,
-                     partials={k: np.conj(v) for k, v in self._cache.items()})
+        out = Field(self.grid, np.conj(self.values), label=f"conj({self.label})",
+                    partials={k: np.conj(v) for k, v in self._cache.items()})
+        out.poly = None if self.poly is None else self.poly.conjugate()
+        out.analytic = None if self.analytic is None else self.analytic.conjugate()
+        return out
 
     def __repr__(self):
         return f"Field({self.label or 'unnamed'}, {self.grid.n_q}x{self.grid.n_p})"
@@ -340,9 +345,11 @@ def _poly_samples(poly: PolySymbol, grid: PhaseGrid) -> np.ndarray:
     return np.full((1, 1), c.real if c.imag == 0 else c) + 0  # + 0: eval_grid's zeros
 
 
-def field_from_poly(poly: PolySymbol, grid: PhaseGrid, label: str = "") -> Field:
-    return Field(grid, poly.eval_grid(*grid.axes()), label=label or poly.to_string(),
-                 poly=poly)
+def field_from_poly(poly: PolySymbol, grid: PhaseGrid) -> Field:
+    """poly sampled on grid, labelled by its text, as a Field whose partials it serves."""
+    field = Field(grid, poly.eval_grid(*grid.axes()), label=poly.to_string())
+    field.poly = poly
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +438,7 @@ def integrate(field: Field) -> complex:
 
 def fock_wigner(n: int, grid: PhaseGrid) -> Field:
     """Number-state Wigner function W_n = 2 (-1)^n e^{-v} L_n(2v), v = (q^2+p^2)/hbar."""
-    structure = AnalyticStructure(FockWignerProfile(n), scale=grid.hbar)
-    return Field(grid, structure.evaluate(grid), label=f"W_{n}", analytic=structure)
+    return AnalyticStructure(FockWignerProfile(n), scale=grid.hbar).field(grid, f"W_{n}")
 
 
 @dataclass(frozen=True)
@@ -457,5 +463,4 @@ def fcs_wigner(spec: DeformationSpec, zeta_abs2: float, grid: PhaseGrid,
     """Wigner function of an f-deformed coherent state (diagonal mixture)."""
     ww = wigner_weights(spec, zeta_abs2, tol)
     structure = AnalyticStructure(MixtureWignerProfile(ww.weights), scale=grid.hbar)
-    label = f"Wf[{spec_to_text(spec)}, |zeta|^2={zeta_abs2:g}]"
-    return Field(grid, structure.evaluate(grid), label=label, analytic=structure)
+    return structure.field(grid, f"Wf[{spec_to_text(spec)}, |zeta|^2={zeta_abs2:g}]")

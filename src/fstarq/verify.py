@@ -14,15 +14,15 @@ one thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
-from .genvalue import (DEFAULT_R_CUT, _residual_report, associativity_defect,
-                       commutator_deviation, hamiltonian_star)
-from .phasespace import (Field, PhaseGrid, fcs_wigner, field_from_poly, fock_wigner,
-                         integrate, partial_field)
+from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, _residual_report, assoc_probe,
+                       associativity_defect, commutator_deviation, hamiltonian_star)
+from .phasespace import (Field, PhaseGrid, default_grid, fcs_wigner, fock_wigner, integrate,
+                         partial_field)
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
 
@@ -43,8 +43,7 @@ def _check(name: str, observed: float, tolerance: float, larger_is_better: bool 
 
 
 def _grid(quick: bool) -> PhaseGrid:
-    n = 257 if quick else 513
-    return PhaseGrid(-8.0, 8.0, -8.0, 8.0, n, n, hbar=1.0, offset=0.5)
+    return replace(default_grid(), n_q=257, n_p=257) if quick else default_grid()
 
 
 @dataclass(frozen=True)
@@ -151,11 +150,7 @@ def check_commutator_correspondence(quick: bool, fock: FockPass) -> dict:
 
 
 def check_associativity_scaling(quick: bool, fock: FockPass) -> dict:
-    grid = _grid(quick)
-    k = field_from_poly(PolySymbol.q(), grid, "q")
-    g = field_from_poly(PolySymbol.p(), grid, "p")
-    h = field_from_poly(PolySymbol.q() + PolySymbol.p(), grid, "q+p")
-    result = associativity_defect(k, g, h, sqrt_n_spec(), [1e-1, 1e-2, 1e-3])
+    result = associativity_defect(*assoc_probe(_grid(quick)), sqrt_n_spec(), ASSOC_HBARS)
     slope = result.slope if result.slope is not None else float("inf")
     defects = ", ".join(f"{hb:g}:{d:.3e}" for hb, d in result.points)
     return _check("associativity_scaling", slope, 1.9, larger_is_better=True,

@@ -371,6 +371,10 @@ REFUSALS = {
         "dF/dn singular at n = 7000.0 for kind 'qdef'"),
     ("qdef:q=1.2", "amplitude_F_deriv", "arr"): (SingularAmplitude,
         "dF/dn singular at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "commutator_target", "7000"): (NonPositiveValue,
+        "commutator target is not finite at n = 7000.0 for kind 'qdef'"),
+    ("qdef:q=1.2", "commutator_target", "arr"): (NonPositiveValue,
+        "commutator target is not finite at n = 7000.0 for kind 'qdef'"),
     ("qdef:q=1.2", "spectrum", "5000"): (NonPositiveValue,
         "f(n) is not a finite positive value at n = 3897.0 for kind 'qdef'"),
     ("expr:1-0.1*n", "eval_f:0", "12"): (NonPositiveValue,
@@ -513,6 +517,8 @@ REFUSALS = {
         "f(n) is not a finite positive value at n = 7000.0 for kind 'expr'"),
     ("expr:exp(n)", "amplitude_F_deriv", "arr"): (NonPositiveValue,
         "f(n) is not a finite positive value at n = 801.0 for kind 'expr'"),
+    ("expr:exp(n)", "commutator_target", "400"): (NonPositiveValue,
+        "commutator target is not finite at n = 400.0 for kind 'expr'"),
     ("expr:exp(n)", "commutator_target", "801"): (NonPositiveValue,
         "f(n) is not a finite positive value at n = 802.0 for kind 'expr'"),
     ("expr:exp(n)", "commutator_target", "7000"): (NonPositiveValue,

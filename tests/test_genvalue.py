@@ -422,6 +422,14 @@ def assoc_operands(grid):
             field_from_poly(PolySymbol.q() + PolySymbol.p(), grid))
 
 
+def test_assoc_probe_is_q_p_and_their_sum(grid257):
+    probe = genvalue.assoc_probe(grid257)
+    assert [f.poly for f in probe] == [poly.poly for poly in assoc_operands(grid257)]
+    assert [f.label for f in probe] == ["q", "p", "p + q"]
+    for field, poly in zip(probe, assoc_operands(grid257)):
+        assert np.array_equal(field.values, poly.values)
+
+
 def test_associativity_samples_amplitude_once_per_hbar(grid257, amplitude_samples):
     associativity_defect(*assoc_operands(grid257), sqrt_n_spec(), [1e-1, 1e-2, 1e-3])
     assert amplitude_samples == {"F": 3, "dF": 3}

@@ -16,6 +16,7 @@ from fstarq import (Field, PhaseGrid, canonical_json, commutator_deviation, expr
                     report_to_dict, report_to_json, spectrum, spectrum_to_csv, sqrt_n_spec)
 from fstarq import cli
 from fstarq.cli import main
+from fstarq.genvalue import ASSOC_HBARS
 from fstarq.io import format_float
 from fstarq.phasespace import default_grid
 
@@ -258,6 +259,11 @@ def test_cli_assoc_csv(tmp_path):
     assert len(lines) == 4
     slope = float(lines[1].split(",")[2])
     assert slope >= 1.9
+
+
+def test_cli_assoc_default_hbars_are_the_probe_list():
+    args = cli.build_parser().parse_args(["assoc"])
+    assert cli._parse_hbars(args.hbar) == ASSOC_HBARS == (0.1, 0.01, 0.001)
 
 
 def _cli_process(*argv):
@@ -517,6 +523,35 @@ def test_read_field_csv_refuses_rows_out_of_order(tmp_path, edit, line):
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match=f"not in q-outer, p-inner order at line {line}$"):
         read_field_csv(path)
+
+
+def test_read_field_csv_refuses_a_non_uniform_axis(tmp_path):
+    # q = 0, 1, 3 was read back as q = 0, 1.5, 3, with an integral of 0.477
+    path = tmp_path / "f.csv"
+    path.write_text("q,p,re,im\n" + "".join(f"{q},{p},1,0\n" for q in (0, 1, 3)
+                                             for p in (0, 1)))
+    with pytest.raises(ValueError,
+                       match=r"^CSV q coordinates are not on a uniform grid: q = 1\.0$"):
+        read_field_csv(path)
+    path.write_text("q,p,re,im\n" + "".join(f"{q},{p},1,0\n" for q in (0, 1)
+                                             for p in (0, 0.5, 2, 3)))
+    with pytest.raises(ValueError,
+                       match=r"^CSV p coordinates are not on a uniform grid: p = 0\.5$"):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize("grid", [
+    PhaseGrid(1e6, 1e6 + 1e-3, -1.0, 1.0, 33, 17, offset=0.37),
+    PhaseGrid(-8.0, 8.0, -8.0, 8.0, 33, 33, offset=0.0),
+    PhaseGrid(-3.0, 5.0, -8.0, 8.0, 65, 97, offset=0.5),
+], ids=["far-offset", "origin", "default-offset"])
+def test_read_field_csv_accepts_written_grids(tmp_path, grid):
+    field = Field(grid, np.ones((grid.n_q, grid.n_p)))
+    path = tmp_path / "f.csv"
+    field_to_csv(field, path)
+    again = read_field_csv(path)
+    assert np.array_equal(again.values, field.values)
+    assert (again.grid.n_q, again.grid.n_p) == (grid.n_q, grid.n_p)
 
 
 def test_cli_wigner_refuses_an_underflowing_f_squared(tmp_path, capsys):

@@ -53,6 +53,15 @@ def test_grid_validation(kwargs):
         PhaseGrid(**kwargs)
 
 
+def test_grid_refuses_a_fractional_sample_count():
+    # n_q = 5.5 was accepted, and q_values() gave 6 samples, the last beyond q_max
+    for n_q, n_p in ((5.5, 5), (5, 5.0)):
+        with pytest.raises(TypeError):
+            PhaseGrid(-4, 4, -4, 4, n_q, n_p)
+    grid = PhaseGrid(-4, 4, -4, 4, np.int64(5), np.int32(6))
+    assert (len(grid.q_values()), len(grid.p_values())) == (5, 6)
+
+
 def test_mesh_is_cached_and_readonly(grid257):
     Q1, P1 = mesh(grid257)
     Q2, _ = mesh(grid257)
@@ -405,12 +414,33 @@ class CountingHamiltonian(Counting, HamiltonianProfile):
 
 
 def _analytic_field(profile, grid, scale):
-    structure = AnalyticStructure(profile, scale=scale)
-    return Field(grid, structure.evaluate(grid), analytic=structure)
+    return AnalyticStructure(profile, scale=scale).field(grid, "")
 
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("source", ["poly", "analytic"])
+def test_field_takes_no_exact_source(grid257, source):
+    # a caller could attach partials of some other function to the samples
+    w = fock_wigner(2, grid257)
+    with pytest.raises(TypeError):
+        Field(grid257, w.values, **{source: w.analytic})
+    bare = Field(grid257, w.values)
+    assert bare.poly is None and bare.analytic is None
+
+
+def test_conjugate_serves_the_conjugated_source(grid257):
+    poly = field_from_poly(parse_symbol("q^2 + i*q*p - 3*i*p"), grid257)
+    ladder = ladder_fields(qdef_spec(1.2), grid257)[0]
+    for field in (poly, ladder):
+        conj = field.conjugate()
+        assert conj.label == f"conj({field.label})"
+        for key in ((1, 0), (0, 1), (1, 1)):
+            assert _same_bits(partial_field(conj, *key), np.conj(partial_field(field, *key)))
+    assert poly.conjugate().poly == poly.poly.conjugate()
+    assert ladder.conjugate().analytic.terms == {0: ladder.analytic.terms[0].conjugate()}
 
 
 def test_radial_derivatives_computed_once_per_key(grid257):

@@ -10,7 +10,11 @@ one numpy evaluator for scalar and array n.  ``deformation`` raises
 ``symbols.moyal_exact`` neither calls ``.partial`` nor builds a validated
 ``PolySymbol(...)``: it takes each partial once and sums terms in place.
 ``ResidualReport(...)`` is built only inside ``genvalue._report``, and
-``io.report_to_dict`` calls no ``.pop``: the report's fields are its schema.  No
+``io.report_to_dict`` calls no ``.pop``: the report's fields are its schema.
+A field's exact source (``.poly``, ``.analytic``) is assigned only in
+``phasespace``'s ``Field.__init__``, ``Field.conjugate``, ``field_from_poly``
+and ``AnalyticStructure.field``, so only the builder that sampled a field
+from its source attaches it.  No
 module imports ``threading`` or ``concurrent.futures``, or reads
 ``os.environ`` or ``os.getenv``: the library runs on one thread and takes no
 settings from the environment.
@@ -266,6 +270,52 @@ def test_report_to_dict_reads_fields_and_pops_nothing():
     assert pops_in((PACKAGE / "io.py").read_text(encoding="utf-8"), "report_to_dict") == []
 
 
+SOURCE_ATTRIBUTES = ("poly", "analytic")
+SOURCE_SETTERS = ("Field.__init__", "Field.conjugate", "field_from_poly",
+                  "AnalyticStructure.field")
+
+
+def source_assignments(source: str, allowed=()) -> list[int]:
+    """Lines that assign ``.poly`` or ``.analytic``, directly or by ``setattr``,
+    outside the functions named (by qualified name) in ``allowed``."""
+    lines = []
+
+    def visit(node, scope):
+        if scope not in allowed and (
+                (isinstance(node, ast.Attribute) and node.attr in SOURCE_ATTRIBUTES
+                 and isinstance(node.ctx, ast.Store))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in SOURCE_ATTRIBUTES)):
+            lines.append(node.lineno)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), "")
+    return sorted(lines)
+
+
+def test_source_assignment_is_caught():
+    source = ("class Field:\n"
+              "    def __init__(self, poly):\n        self.poly = None\n"
+              "    def attach(self, poly):\n        self.poly = poly\n"
+              "def field_from_poly(poly, grid):\n"
+              "    field = Field(grid)\n    field.poly = poly\n    return field\n"
+              "def build(structure, grid):\n"
+              "    out = Field(grid)\n    out.analytic = structure\n"
+              "    setattr(out, 'poly', None)\n    return out.analytic\n")
+    assert source_assignments(source, SOURCE_SETTERS) == [5, 12, 13]
+    assert source_assignments(source) == [3, 5, 8, 12, 13]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_exact_sources_are_attached_only_by_their_builders(path):
+    allowed = SOURCE_SETTERS if path.stem == "phasespace" else ()
+    assert source_assignments(path.read_text(encoding="utf-8"), allowed) == []
+
+
 THREAD_MODULES = ("threading", "concurrent.futures")
 ENVIRONMENT_READS = ("environ", "getenv")
 
@@ -313,7 +363,7 @@ def test_module_runs_on_one_thread_and_reads_no_environment(path):
 # ProductSetup method, by callable; callables without one are left out.
 DEFAULTED_PARAMETERS = {
     "DeformationSpec": {"q": None, "expr_source": None},
-    "Field": {"label": "", "poly": None, "analytic": None, "partials": None},
+    "Field": {"label": "", "partials": None},
     "ParseError": {"expected": None},
     "PhaseGrid": {"hbar": 1.0, "offset": 0.5},
     "PolySymbol": {"terms": None},
@@ -321,7 +371,6 @@ DEFAULTED_PARAMETERS = {
     "eval_f": {"order": 0},
     "f_squared": {"order": 0},
     "fcs_wigner": {"tol": 1e-14},
-    "field_from_poly": {"label": ""},
     "genvalue_residual": {"omega": 1.0, "r_cut": 4.0},
     "random_polynomial": {"max_degree": 4},
     "read_field_csv": {"hbar": 1.0},
