@@ -9,19 +9,16 @@ roundoff, while its deviation from the operator-algebra target is a real,
 structural effect that shrinks with the deformation strength.
 """
 
-from fstarq import (PolySymbol, associativity_defect, commutator_deviation,
-                    default_grid, expr_spec, field_from_poly, identity_spec,
-                    spec_to_text, sqrt_n_spec)
+from fstarq import (associativity_defect, commutator_deviation, default_grid, expr_spec,
+                    identity_spec, spec_to_text, sqrt_n_spec)
+from fstarq.genvalue import ASSOC_HBARS, assoc_probe
 
 grid = default_grid()
-k = field_from_poly(PolySymbol.q(), grid)
-g = field_from_poly(PolySymbol.p(), grid)
-h = field_from_poly(PolySymbol.q() + PolySymbol.p(), grid)
-hbars = [1e-1, 1e-2, 1e-3]
+k, g, h = assoc_probe(grid)  # the probe of `fstarq assoc` and verify
 
 print("associativity defect (k, g, h) = (q, p, q+p):")
 for spec in (identity_spec(), sqrt_n_spec()):
-    result = associativity_defect(k, g, h, spec, hbars)
+    result = associativity_defect(k, g, h, spec, ASSOC_HBARS)
     print(f"\n  {spec_to_text(spec)}:")
     for hbar, defect in result.points:
         print(f"    hbar = {hbar:g}: L2 defect = {defect:.6e}")

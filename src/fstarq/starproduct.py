@@ -11,13 +11,22 @@ bracket.  At f = 1 (F = 1) it is Moyal's product without its hbar^2 and
 higher terms.
 
 ``ProductSetup(grid, spec, hbar)`` samples F(n) once for every product taken
-through it, and ``product`` is the one place the bracket term is formed.  Its
-``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
-``product(k, g, jets=True)`` also attaches exact first partials of the result
-("jets") from the operands' exact second partials, with the gradient of F
-sampled by the setup's first such product; nested products in the
-associativity study rely on this to stay above the fd4 noise floor.  The jets
-seed the result's known partials, which ``partial_field`` serves.
+through it.  Its ``hbar`` defaults to the grid's; the one-call entries use the
+grid's alone.  ``product(k, g, jets=True)`` also attaches exact first partials
+of the result ("jets") from the operands' exact second partials, with the
+gradient of F sampled by the setup's first such product; nested products in
+the associativity study rely on this to stay above the fd4 noise floor.  The
+jets seed the result's known partials, which ``partial_field`` serves.
+
+``_star_block`` is the one place the first-order formula (the value and the
+jets) is formed.  It works on one block of whole q rows, about
+``_BLOCK_SAMPLES`` samples, so its temporaries stay in cache rather than
+passing through memory as whole-mesh arrays would: ``product``
+allocates its outputs once and fills them one row block at a time, and
+``genvalue``'s associativity defect streams its four nested products through
+the same kernel, keeping only the real |difference|^2 grid.  Every element
+goes through the same operations in the same order as on the whole mesh, so
+the bits do not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -53,6 +62,45 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
     return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
 
 
+_BLOCK_SAMPLES = 1 << 14  # samples per row block; a complex temporary of one is 256 KiB
+_FIRST = ((1, 0), (0, 1))
+_SECOND = ((2, 0), (1, 1), (0, 2))
+
+
+def _row_blocks(grid) -> list[slice]:
+    """Slices of whole q rows, about _BLOCK_SAMPLES samples each, covering the
+    mesh in order."""
+    step = max(1, round(_BLOCK_SAMPLES / grid.n_p))
+    return [slice(start, start + step) for start in range(0, grid.n_q, step)]
+
+
+def _in_block(arrays, rows: slice) -> list[np.ndarray]:
+    """arrays on one row block; a (1, 1) constant partial broadcasts whole."""
+    return [a if a.shape[0] == 1 else a[rows] for a in arrays]
+
+
+def _star_block(hbar: float, F, k, g, dF=None):
+    """(value, jets) of k *_f g = k g + (i hbar / 2) F {k, g} on one row block.
+
+    k and g are [value, d/dq, d/dp] on the block, followed by
+    [d2/dq2, d2/dqdp, d2/dp2] when dF = (dF/dq, dF/dp) asks for the jets, the
+    result's exact first partials (None without dF).  The bracket and its
+    derivatives are formed in the partials' dtype, so real operands keep them
+    real, and only the (i hbar / 2) F term is complex."""
+    kv, kq, kp, *k2 = k
+    gv, gq, gp, *g2 = g
+    poisson = kq * gp - kp * gq
+    out = kv * gv + (0.5j * hbar) * F * poisson
+    if dF is None:
+        return out, None
+    (kqq, kqp, kpp), (gqq, gqp, gpp), (Fq, Fp) = k2, g2, dF
+    br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
+    br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
+    d_q = kq * gv + kv * gq + (0.5j * hbar) * (Fq * poisson + F * br_q)
+    d_p = kp * gv + kv * gp + (0.5j * hbar) * (Fp * poisson + F * br_p)
+    return out, (d_q, d_p)
+
+
 class ProductSetup:
     """Validated options of f-star products among fields on one grid, with F(n)
     sampled once for every product taken through the setup (and its gradient
@@ -73,27 +121,35 @@ class ProductSetup:
         q, p = self.grid.axes()
         return dF * q / self.hbar, dF * p / self.hbar
 
-    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
-        """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
-        exact first partials.  The bracket and its derivatives are formed in
-        the partials' dtype, so real operands keep them real, and only the
-        (i hbar / 2) F term is complex."""
+    def _operands(self, k: Field, g: Field, jets: bool):
+        """_star_block's k and g on the whole mesh, and dF (None without jets),
+        fetched in the order a refusal is named: k's and g's first partials,
+        the gradient of F, then k's and g's second partials."""
         if k.grid != self.grid or g.grid != self.grid:
             raise ValueError("fields must share the setup's grid")
-        kq, kp, gq, gp = (partial_field(f, *key) for f in (k, g) for key in ((1, 0), (0, 1)))
-        poisson = kq * gp - kp * gq
-        kv, gv = k.values, g.values
-        out = kv * gv + (0.5j * self.hbar) * self.F * poisson
-        partials = None
-        if jets:
-            Fq, Fp = self._F_gradient
-            kqq, kqp, kpp, gqq, gqp, gpp = (partial_field(f, *key) for f in (k, g)
-                                            for key in ((2, 0), (1, 1), (0, 2)))
-            br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
-            br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
-            d_q = kq * gv + kv * gq + (0.5j * self.hbar) * (Fq * poisson + self.F * br_q)
-            d_p = kp * gv + kv * gp + (0.5j * self.hbar) * (Fp * poisson + self.F * br_p)
-            partials = {(1, 0): d_q, (0, 1): d_p}
+        kd, gd = ([f.values, *(partial_field(f, *key) for key in _FIRST)] for f in (k, g))
+        if not jets:
+            return kd, gd, None
+        dF = self._F_gradient
+        for f, d in ((k, kd), (g, gd)):
+            d += [partial_field(f, *key) for key in _SECOND]
+        return kd, gd, dF
+
+    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
+        """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
+        exact first partials.  The outputs are allocated once and filled one
+        row block at a time by ``_star_block``."""
+        kd, gd, dF = self._operands(k, g, jets)
+        shape = (self.grid.n_q, self.grid.n_p)
+        out = np.empty(shape, dtype=complex)
+        partials = {key: np.empty(shape, dtype=complex) for key in _FIRST} if jets else None
+        for rows in _row_blocks(self.grid):
+            value, block_jets = _star_block(self.hbar, self.F[rows], _in_block(kd, rows),
+                                            _in_block(gd, rows),
+                                            None if dF is None else _in_block(dF, rows))
+            out[rows] = value
+            if jets:
+                partials[1, 0][rows], partials[0, 1][rows] = block_jets
         return Field(self.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
 
     def commutator(self, k: Field, g: Field) -> Field:

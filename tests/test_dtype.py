@@ -4,7 +4,9 @@
 when every coefficient is real; ``partial_field`` keeps its source's dtype, so
 the Poisson bracket and the jets of ``ProductSetup.product`` stay real for real
 operands.  ``Field.values`` stays complex128.  A constant polynomial partial
-is one (1, 1) sample, compared through ``np.broadcast_to``.
+is one (1, 1) sample, compared through ``np.broadcast_to``.  The product is
+formed one block of q rows at a time, so it is held to the whole-mesh formula
+on grids whose last block is ragged, and on one grid smaller than a block.
 
 The oracles below are the all-complex formulas the kernels replaced, kept
 verbatim.  Results are compared as int64 views, so signed zeros count: a real
@@ -24,7 +26,7 @@ from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, associativity_de
                     ladder_fields, moyal_apply, parse_symbol, partial_field, qdef_spec,
                     random_polynomial, read_field_csv, sqrt_n_spec)
 from fstarq.phasespace import AnalyticStructure, MixtureWignerProfile, _fd4_axis
-from fstarq.starproduct import ProductSetup
+from fstarq.starproduct import ProductSetup, _row_blocks
 
 GRIDS = {
     "513": default_grid(),
@@ -32,6 +34,13 @@ GRIDS = {
     "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129, hbar=1.0, offset=0.0),
     # criterion 8's grid along q
     "1537x65": PhaseGrid(-6.0, 6.0, -6.0, 6.0, 1537, 65, hbar=1.0, offset=0.5),
+}
+# the product is formed one row block at a time: 513^2 and 257^2 end on a
+# one-row block, 129^2 on two rows, 1537 x 65 on 25, and 65^2 is one block
+PRODUCT_GRIDS = {
+    **GRIDS,
+    "257": PhaseGrid(-8.0, 8.0, -8.0, 8.0, 257, 257, hbar=1.0, offset=0.5),
+    "65": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 65, 65, hbar=1.0, offset=0.5),
 }
 
 
@@ -282,7 +291,19 @@ PRODUCT_KINDS = ["H x W_3", "W_1 x W_1", "q x p", "poly x mixture",   # real x r
                  "A x Abar", "cpoly x cpoly"]                         # complex x complex
 
 
-@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+def test_row_blocks_cover_the_mesh_in_order():
+    last_rows = {"513": 1, "origin": 2, "1537x65": 25, "257": 1, "65": 65}
+    for name, grid in PRODUCT_GRIDS.items():
+        blocks = _row_blocks(grid)
+        rows = [r for block in blocks for r in range(grid.n_q)[block]]
+        assert rows == list(range(grid.n_q)), name
+        assert all(b.stop - b.start == blocks[0].stop - blocks[0].start for b in blocks)
+        assert len(range(grid.n_q)[blocks[-1]]) == last_rows[name], name
+    assert (_row_blocks(PRODUCT_GRIDS["513"])[0].stop,
+            _row_blocks(PRODUCT_GRIDS["257"])[0].stop) == (32, 64)
+
+
+@pytest.mark.parametrize("grid", PRODUCT_GRIDS.values(), ids=PRODUCT_GRIDS)
 @pytest.mark.parametrize("kind", PRODUCT_KINDS)
 def test_product_keeps_the_complex_bits(grid, kind):
     # sqrt_n's F is singular at the origin, so the origin grid takes qdef
@@ -383,9 +404,10 @@ def test_allocation_peaks_at_513(monkeypatch):
     assert _peak_grids(lambda: fock_wigner(4, grid), grid) <= 4.5
     setup = ProductSetup(grid, sqrt_n_spec())
     H, W = build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(3, grid)
-    # four real partials and two profile derivatives, the bracket, the complex
-    # result and the complex bracket term
-    assert _peak_grids(lambda: setup.product(H, W), grid) <= 12.0
+    # four real partials and their profile derivatives, and the complex result;
+    # the bracket and its terms live one row block at a time (11.06 grids when
+    # they were whole-mesh temporaries)
+    assert _peak_grids(lambda: setup.product(H, W), grid) <= 8.75
     # A, Abar and their partials are freed before the target and the closed
     # form are sampled (24.0 grids while the ladder fields were kept alive)
     assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 23.5
@@ -402,8 +424,9 @@ def test_allocation_peaks_at_513(monkeypatch):
         k, g, h = (field_from_poly(parse_symbol(text), grid) for text in ("q", "p", "q + p"))
         associativity_defect(k, g, h, sqrt_n_spec(), [0.1, 0.01, 0.001])
     # the three fields' samples and no grid for their constant partials; each
-    # hbar holds one product with jets at a time and frees its grids before the
-    # next (50.07 grids and 18 eval_grid calls when every partial was a grid
-    # and both jets products were alive at once)
-    assert _peak_grids(assoc, grid) <= 26.0
+    # hbar keeps F, its gradient and the real |diff|^2 grid, and streams its four
+    # products one row block at a time (23.07 grids with one whole-mesh product
+    # with jets alive at a time; 50.07 grids and 18 eval_grid calls when every
+    # partial was a grid and both jets products were alive at once)
+    assert _peak_grids(assoc, grid) <= 12.0
     assert len(calls) == 3

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,8 @@ ASSOC_TRIPLES = {
 ASSOC_GRIDS = {
     "513": PhaseGrid(-8.0, 8.0, -8.0, 8.0, 513, 513, hbar=1.0, offset=0.5),
     "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129, hbar=1.0, offset=0.0),
+    # 169-row blocks, the last of 31 rows
+    "200x97": PhaseGrid(-6.0, 6.0, -5.0, 5.0, 200, 97, hbar=1.0, offset=0.5),
 }
 
 
@@ -509,6 +512,60 @@ def test_associativity_nested_pairs_match_the_old_order(grid, triple, spec):
         return
     result = associativity_defect(*ASSOC_TRIPLES[triple](grid), spec, hbars)
     assert (result.points, result.slope) == want
+
+
+def _defect_whole_mesh(k, g, h, spec, hbar):
+    """_defect_norm as it formed whole-mesh products, each checked as a Field:
+    k g and (k g) h, then g h and k (g h)."""
+    s = ProductSetup(k.grid, spec, hbar)
+    diff = s.product(s.product(k, g, jets=True), h).values
+    diff -= s.product(k, s.product(g, h, jets=True)).values
+    return float(np.sqrt(np.sum(np.abs(diff) ** 2) * k.grid.dq * k.grid.dp))
+
+
+# 33 columns make 496-row blocks, so the 1100 rows take three.  k g and g h
+# overflow only where q p > 1.15, first at row 1034 (q = 1.135), in the last
+# block; h's second partials are refused at the first sample
+REFUSAL_GRID = PhaseGrid(0.1, 1.2, 0.1, 1.0, 1100, 33, hbar=1.0, offset=0.5)
+DEFECT_REFUSALS = {
+    # the first product is not finite
+    "k g": ("1.25e154*q", "1.25e154*p", "q + p",
+            r"field 1\.25e\+154\*q star_f 1\.25e\+154\*p is not finite at \(q, p\) = "),
+    # h's second partials are fetched only for g h, after (k g) h is checked
+    "d2h": ("0.5*q", "0.5*p", "3.1e307*q^3",
+            r"partial \(2, 0\) of 3\.1e\+307\*q\^3 is not finite at \(q, p\) = "),
+    "k g and d2h": ("1.25e154*q", "1.25e154*p", "3.1e307*q^3",
+                    r"field 1\.25e\+154\*q star_f 1\.25e\+154\*p is not finite at "),
+    # k g and (k g) h are finite, g h is not
+    "g h": ("0.8e-154*q", "1.25e154*p", "1.25e154*q",
+            r"field 1\.25e\+154\*p star_f 1\.25e\+154\*q is not finite at "),
+    # every product is finite and |diff|^2 overflows: the norm is inf, as before
+    "square": ("1e100*q", "1e100*p", "1e100*q^2 + 1e100*p^2", None),
+}
+
+
+@pytest.mark.parametrize("case", DEFECT_REFUSALS)
+def test_streamed_defect_refuses_as_the_whole_mesh_order(case):
+    *texts, message = DEFECT_REFUSALS[case]
+
+    def outcome(defect):
+        fields = [field_from_poly(parse_symbol(text), REFUSAL_GRID) for text in texts]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = defect(*fields, qdef_spec(1.2), 0.1)
+            except ValueError as exc:
+                result = str(exc)
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    want = outcome(_defect_whole_mesh)
+    assert outcome(genvalue._defect_norm) == want
+    if message is None:
+        assert want[0] == math.inf
+    else:
+        assert re.match(message, want[0])
+        q = float(want[0].split("= (")[1].split(",")[0])
+        assert q == REFUSAL_GRID.q_values()[1034 if "field" in message else 0]
 
 
 def test_associativity_identity_exact_zero(grid257):

@@ -14,7 +14,9 @@ one numpy evaluator for scalar and array n.  ``deformation`` raises
 A field's exact source (``.poly``, ``.analytic``) is assigned only in
 ``phasespace``'s ``Field.__init__``, ``Field.conjugate``, ``field_from_poly``
 and ``AnalyticStructure.field``, so only the builder that sampled a field
-from its source attaches it.  No
+from its source attaches it.  The f-star bracket term, an (i hbar / 2) factor
+multiplied onto F and the bracket, is formed in one function, the row-block
+kernel ``starproduct._star_block``.  No
 module imports ``threading`` or ``concurrent.futures``, or reads
 ``os.environ`` or ``os.getenv``: the library runs on one thread and takes no
 settings from the environment.
@@ -314,6 +316,45 @@ def test_source_assignment_is_caught():
 def test_exact_sources_are_attached_only_by_their_builders(path):
     allowed = SOURCE_SETTERS if path.stem == "phasespace" else ()
     assert source_assignments(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def bracket_term_functions(source: str) -> list[str]:
+    """Qualified names of the functions that multiply an (i hbar / 2) factor,
+    a product with an imaginary literal such as ``0.5j * hbar``, onto something
+    else: the f-star bracket term.  Raising the factor to a power, as the Moyal
+    series does, is not such a term."""
+    def is_factor(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, ast.Constant) and isinstance(side.value, complex)
+                        for side in (node.left, node.right)))
+
+    names = set()
+
+    def visit(node, scope):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and (is_factor(node.left) or is_factor(node.right))):
+            names.add(scope)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), "")
+    return sorted(names)
+
+
+def test_bracket_term_is_caught():
+    source = ("def _star_block(hbar, F, poisson, br):\n"
+              "    return (0.5j * hbar) * F * poisson, (0.5j * hbar) * (F * br)\n"
+              "def moyal(hbar, m):\n    return (0.5j * hbar) ** m / 2 + 1j * m\n"
+              "class Setup:\n"
+              "    def defect(self, F, x):\n        return x * (self.hbar * 0.5j * F)\n")
+    assert bracket_term_functions(source) == ["Setup.defect", "_star_block"]
+
+
+def test_bracket_term_is_formed_in_the_block_kernel_alone():
+    found = {f"{path.stem}.{name}" for path in MODULES
+             for name in bracket_term_functions(path.read_text(encoding="utf-8"))}
+    assert found == {"starproduct._star_block"}
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")
