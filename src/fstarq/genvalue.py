@@ -143,10 +143,10 @@ def _region_norms(residual: np.ndarray, grid: PhaseGrid,
     flat = int(np.argmax(masked))  # first occurrence: lowest q index, then p index
     iq, ip = np.unravel_index(flat, absr.shape)
     max_abs = float(masked[iq, ip])
-    if r_cut is None:
-        l2 = float(np.sqrt(np.sum(absr * absr) * grid.dq * grid.dp))
-    else:
-        l2 = float(np.sqrt(np.sum((absr * absr)[inside]) * grid.dq * grid.dp))
+    # squared in place: every sample, or the in-disc ones only, in mesh order
+    squares = absr if r_cut is None else absr[inside]
+    squares *= squares
+    l2 = float(np.sqrt(np.sum(squares) * grid.dq * grid.dp))
     witness = Witness(float(grid.q_values()[iq]), float(grid.p_values()[ip]),
                       complex(residual[iq, ip]))
     return max_abs, l2, witness
@@ -192,8 +192,11 @@ def _residual_report(spec: DeformationSpec, n: int, w: Field, omega: float,
     e_crosscheck = spectrum(spec, n, hbar, omega)[n].energy
     h_star, path = hamiltonian_star(spec, grid, omega)
     star = h_star(w)
+    del h_star  # H, its partials and F(n) go before the residual is formed
     avg = integrate(star)
-    return _report("genvalue", star.values - e_n * w.values, grid, r_cut, spec, n, omega,
+    residual = star.values  # star - E_n W, formed in the product's buffer
+    residual -= e_n * w.values
+    return _report("genvalue", residual, grid, r_cut, spec, n, omega,
                    path=path, r_cut=r_cut, energy=e_n, energy_crosscheck=e_crosscheck,
                    phase_space_average_re=float(avg.real),
                    phase_space_average_im=float(avg.imag))
@@ -210,15 +213,19 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field,
     hbar = grid.hbar
     A, Abar = ladder_fields(spec, grid)
     s = ProductSetup(grid, spec)
-    comm = s.commutator(A, Abar)
-    target = grid.radial(functools.partial(commutator_target, spec), 2.0 * hbar)
-    # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'; s.F is F(n)
-    closed = s.F * grid.radial(lambda n: f_squared(spec, n) + n * f_squared(spec, n, 1),
-                               2.0 * hbar)
-    # measured before the deviation grid exists, so the peak is the commutator's own
-    match = float(np.max(np.abs(comm.values - closed)))
+    comm = s.commutator(A, Abar).values
+    # the target and the closed form are tables over the distinct radii, as s.F is
+    target = grid.radial_table(functools.partial(commutator_target, spec), 2.0 * hbar)
+    # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'
+    closed = s.F * grid.radial_table(lambda n: f_squared(spec, n) + n * f_squared(spec, n, 1),
+                                     2.0 * hbar)
+    blocks = _row_blocks(grid)
+    match = float(np.max([np.max(np.abs(comm[rows] - grid.gather(closed, rows)))
+                          for rows in blocks]))
     closed_vs_target = float(np.max(np.abs(closed - target)))
-    deviation = comm.values - target
+    deviation = comm  # formed in the commutator's buffer
+    for rows in blocks:
+        deviation[rows] -= grid.gather(target, rows)
     # the target is real, so deviation.imag is the commutator's imaginary part
     report = _report("commutator", deviation, grid, None, spec, None, None,
                      closed_form_match=match, closed_form_vs_target_max=closed_vs_target)
@@ -302,7 +309,7 @@ def _defect_squared(k: Field, g: Field, h: Field, s: ProductSetup) -> np.ndarray
     fetched.  Where a partial of h is refused, or a square is not finite,
     that order is replayed to name the first refusal."""
     grid = s.grid
-    kd, gd, dF = s._operands(k, g, jets=True)
+    kd, gd = s._operands(k, g, jets=True)
     try:  # the whole-mesh order fetches these only after checking k g
         hd = [h.values, *(partial_field(h, *key) for key in _FIRST + _SECOND)]
     except (ValueError, FStarError):
@@ -311,10 +318,10 @@ def _defect_squared(k: Field, g: Field, h: Field, s: ProductSetup) -> np.ndarray
         sq = np.empty((grid.n_q, grid.n_p))
         with np.errstate(all="ignore"):  # a non-finite block is replayed below
             for rows in _row_blocks(grid):
-                F, dF_rows = s.F[rows], _in_block(dF, rows)
+                F, dF = s._amplitude(rows, jets=True)
                 kb, gb, hb = (_in_block(d, rows) for d in (kd, gd, hd))
-                kg, kg_jets = _star_block(s.hbar, F, kb, gb, dF_rows)
-                gh, gh_jets = _star_block(s.hbar, F, gb, hb, dF_rows)
+                kg, kg_jets = _star_block(s.hbar, F, kb, gb, dF)
+                gh, gh_jets = _star_block(s.hbar, F, gb, hb, dF)
                 diff = _star_block(s.hbar, F, [kg, *kg_jets], hb)[0]
                 diff -= _star_block(s.hbar, F, kb, [gh, *gh_jets])[0]
                 sq[rows] = np.abs(diff) ** 2

@@ -15,8 +15,9 @@ first source that has it:
   this family is closed under partial derivatives, so mixed partials of
   any order come out exact within the profile's own derivative budget; each
   profile memoizes w^(k)(v) by (grid, scale, k) for as long as it lives.
-  ``PhaseGrid.radial`` evaluates a radial function once per distinct radius
-  of the grid and gathers the values onto the mesh.
+  ``PhaseGrid.radial_table`` evaluates a radial function once per distinct
+  radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
+  (``radial`` does both) or on a block of its rows.
   Number-state and coherent-state Wigner profiles share one Laguerre
   recurrence: a number state W_n is the mixture with one-hot weights;
 * 4th-order finite-difference stencils, for everything else.
@@ -90,12 +91,19 @@ class PhaseGrid:
         return self.q_values()[:, None], self.p_values()[None, :]
 
     def radial(self, fn, scale: float = 1.0):
-        """fn(v) on the mesh, v = (q^2 + p^2) / scale: the one place a radial
-        function is sampled.  fn sees each distinct v once, in order of first
-        appearance in the mesh (so its first bad v is the mesh's first), and
-        its values are gathered back onto the mesh."""
-        r2u, idx = self._radii()
-        return fn(r2u / scale)[idx]
+        """fn(v) on the mesh, v = (q^2 + p^2) / scale: the table of
+        ``radial_table`` gathered onto every sample."""
+        return self.gather(self.radial_table(fn, scale), slice(None))
+
+    def radial_table(self, fn, scale: float) -> np.ndarray:
+        """fn(v) once per distinct v = (q^2 + p^2) / scale, the one place a
+        radial function is sampled.  fn sees the distinct v in order of first
+        appearance in the mesh, so its first bad v is the mesh's first."""
+        return fn(self._radii()[0] / scale)
+
+    def gather(self, table: np.ndarray, rows: slice) -> np.ndarray:
+        """A ``radial_table`` on the mesh's q rows ``rows``."""
+        return table[self._radii()[1][rows]]
 
     @lru_cache(maxsize=64)
     def _radii(self) -> tuple[np.ndarray, np.ndarray]:

@@ -11,22 +11,27 @@ bracket.  At f = 1 (F = 1) it is Moyal's product without its hbar^2 and
 higher terms.
 
 ``ProductSetup(grid, spec, hbar)`` samples F(n) once for every product taken
-through it.  Its ``hbar`` defaults to the grid's; the one-call entries use the
-grid's alone.  ``product(k, g, jets=True)`` also attaches exact first partials
-of the result ("jets") from the operands' exact second partials, with the
-gradient of F sampled by the setup's first such product; nested products in
-the associativity study rely on this to stay above the fd4 noise floor.  The
+through it, as a table over the grid's distinct radii (F depends on n
+alone): the default 513^2 grid has 20,759 of them for 263,169 samples.  Its
+``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
+``product(k, g, jets=True)`` also attaches exact first partials of the
+result ("jets") from the operands' exact second partials, with dF/dn
+tabulated by the setup's first such product; nested products in the
+associativity study rely on this to stay above the fd4 noise floor.  The
 jets seed the result's known partials, which ``partial_field`` serves.
 
 ``_star_block`` is the one place the first-order formula (the value and the
 jets) is formed.  It works on one block of whole q rows, about
 ``_BLOCK_SAMPLES`` samples, so its temporaries stay in cache rather than
-passing through memory as whole-mesh arrays would: ``product``
-allocates its outputs once and fills them one row block at a time, and
-``genvalue``'s associativity defect streams its four nested products through
-the same kernel, keeping only the real |difference|^2 grid.  Every element
-goes through the same operations in the same order as on the whole mesh, so
-the bits do not depend on the blocking.
+passing through memory as whole-mesh arrays would.  F, and the gradient
+(dF/dn q / hbar, dF/dn p / hbar), are gathered from the tables onto each
+block.  ``product`` allocates its outputs once and fills them one row block
+at a time; ``commutator`` forms both orders per block and writes their
+difference over hbar into its one output; and ``genvalue``'s associativity
+defect streams its four nested products through the same kernel, keeping
+only the real |difference|^2 grid.  Every element goes through the same
+operations in the same order as on the whole mesh, so the bits do not
+depend on the blocking.
 """
 
 from __future__ import annotations
@@ -102,60 +107,83 @@ def _star_block(hbar: float, F, k, g, dF=None):
 
 
 class ProductSetup:
-    """Validated options of f-star products among fields on one grid, with F(n)
-    sampled once for every product taken through the setup (and its gradient
-    once, by the first product with jets); whether a product propagates jets
-    is chosen per product."""
+    """Validated options of f-star products among fields on one grid.  F(n)
+    is sampled once for every product taken through the setup, and dF/dn
+    once, by its first product with jets; both are tables over the grid's
+    distinct radii (``PhaseGrid.radial_table``), gathered one row block at a
+    time, so no setup holds a mesh-sized grid.  Whether a product propagates
+    jets is chosen per product."""
 
     def __init__(self, grid, spec: DeformationSpec, hbar: float | None = None):
         hbar = require_positive("hbar", grid.hbar if hbar is None else hbar)
         self.grid = grid
         self.spec = spec
         self.hbar = hbar
-        self.F = grid.radial(functools.partial(amplitude_F, spec), 2.0 * hbar)
+        self.F = grid.radial_table(functools.partial(amplitude_F, spec), 2.0 * hbar)
 
     @functools.cached_property
-    def _F_gradient(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dF/dq, dF/dp) on the grid."""
-        dF = self.grid.radial(functools.partial(amplitude_F_deriv, self.spec), 2.0 * self.hbar)
+    def _dF_dn(self) -> np.ndarray:
+        """dF/dn per distinct radius, as ``F``."""
+        return self.grid.radial_table(functools.partial(amplitude_F_deriv, self.spec),
+                                      2.0 * self.hbar)
+
+    def _amplitude(self, rows: slice, jets: bool):
+        """_star_block's F and dF on one row block: F, and with jets its
+        gradient (dF/dq, dF/dp) = dF/dn (q, p) / hbar (None without)."""
+        F = self.grid.gather(self.F, rows)
+        if not jets:
+            return F, None
+        dF = self.grid.gather(self._dF_dn, rows)
         q, p = self.grid.axes()
-        return dF * q / self.hbar, dF * p / self.hbar
+        return F, (dF * q[rows] / self.hbar, dF * p / self.hbar)
 
     def _operands(self, k: Field, g: Field, jets: bool):
-        """_star_block's k and g on the whole mesh, and dF (None without jets),
-        fetched in the order a refusal is named: k's and g's first partials,
-        the gradient of F, then k's and g's second partials."""
+        """_star_block's k and g on the whole mesh, fetched in the order a
+        refusal is named: k's and g's first partials, dF/dn (with jets), then
+        k's and g's second partials."""
         if k.grid != self.grid or g.grid != self.grid:
             raise ValueError("fields must share the setup's grid")
         kd, gd = ([f.values, *(partial_field(f, *key) for key in _FIRST)] for f in (k, g))
-        if not jets:
-            return kd, gd, None
-        dF = self._F_gradient
-        for f, d in ((k, kd), (g, gd)):
-            d += [partial_field(f, *key) for key in _SECOND]
-        return kd, gd, dF
+        if jets:
+            self._dF_dn  # sampled here, so that its refusal precedes the second partials'
+            for f, d in ((k, kd), (g, gd)):
+                d += [partial_field(f, *key) for key in _SECOND]
+        return kd, gd
 
     def product(self, k: Field, g: Field, jets: bool = False) -> Field:
         """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
         exact first partials.  The outputs are allocated once and filled one
         row block at a time by ``_star_block``."""
-        kd, gd, dF = self._operands(k, g, jets)
+        kd, gd = self._operands(k, g, jets)
         shape = (self.grid.n_q, self.grid.n_p)
         out = np.empty(shape, dtype=complex)
         partials = {key: np.empty(shape, dtype=complex) for key in _FIRST} if jets else None
         for rows in _row_blocks(self.grid):
-            value, block_jets = _star_block(self.hbar, self.F[rows], _in_block(kd, rows),
-                                            _in_block(gd, rows),
-                                            None if dF is None else _in_block(dF, rows))
+            F, dF = self._amplitude(rows, jets)
+            value, block_jets = _star_block(self.hbar, F, _in_block(kd, rows),
+                                            _in_block(gd, rows), dF)
             out[rows] = value
             if jets:
                 partials[1, 0][rows], partials[0, 1][rows] = block_jets
         return Field(self.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
 
     def commutator(self, k: Field, g: Field) -> Field:
-        """(k *_f g - g *_f k) / hbar."""
-        diff = self.product(k, g).values - self.product(g, k).values
-        return Field(self.grid, diff / self.hbar, label=f"[{k.label}, {g.label}]_f / hbar")
+        """(k *_f g - g *_f k) / hbar, both orders formed by ``_star_block``
+        one row block at a time into the one output.  Where that is not
+        finite, the two whole-mesh products are replayed, so the refusal and
+        its warnings are theirs."""
+        kd, gd = self._operands(k, g, jets=False)
+        out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
+        with np.errstate(all="ignore"):  # a non-finite output is replayed below
+            for rows in _row_blocks(self.grid):
+                F = self.grid.gather(self.F, rows)
+                kb, gb = _in_block(kd, rows), _in_block(gd, rows)
+                diff = _star_block(self.hbar, F, kb, gb)[0]
+                diff -= _star_block(self.hbar, F, gb, kb)[0]
+                np.divide(diff, self.hbar, out=out[rows])
+        if not np.isfinite(out).all():
+            out = (self.product(k, g).values - self.product(g, k).values) / self.hbar
+        return Field(self.grid, out, label=f"[{k.label}, {g.label}]_f / hbar")
 
 
 def fstar_apply(k: Field, g: Field, spec: DeformationSpec) -> Field:

@@ -230,3 +230,23 @@ def test_report_bytes(command, spec, capsys):
     got = (code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
            hashlib.sha256(captured.err.encode("utf-8")).hexdigest())
     assert got == REPORT_BYTES[command, spec], captured.err
+
+
+# sha256 of the deviation-field CSV that `fstarq commutator --spec <spec> --out`
+# writes on a 65^2 grid, for the 4 registry specs: the field's bytes, where the
+# report pins above read only its norms
+COMMUTATOR_CSV_SHA256 = {
+    "identity": "9813b4fdd17eb9cbd8c7ced3f0591ed47543b715e7f64b5eefa7e27e6db86322",
+    "sqrt_n": "ef2858b07088def91ce92b115adb6ed1de99675f8645a3cbc32bffae860a8101",
+    "qdef:q=1.2": "033a425b28ccfe0a52eb226c5e25c026c2797dbb173a06ab6573318f20684547",
+    "expr:sqrt(1+0.1*n)": "0dae35d1313f0cb14a7db90c9c45e5579502f82ec946290ce1abef05e8501a6b",
+}
+
+
+@pytest.mark.parametrize("spec", COMMUTATOR_CSV_SHA256)
+def test_commutator_field_csv_bytes(spec, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["commutator", "--spec", spec, "--grid=-4,4,-4,4,65,65", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    digest = hashlib.sha256((tmp_path / "report.field.csv").read_bytes()).hexdigest()
+    assert digest == COMMUTATOR_CSV_SHA256[spec]

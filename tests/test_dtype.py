@@ -9,7 +9,8 @@ formed one block of q rows at a time, so it is held to the whole-mesh formula
 on grids whose last block is ragged, and on one grid smaller than a block.
 
 The oracles below are the all-complex formulas the kernels replaced, kept
-verbatim.  Results are compared as int64 views, so signed zeros count: a real
+verbatim, but for F and dF/dn, which the product oracle gathers onto the mesh
+from the setup's tables over the distinct radii.  Results are compared as int64 views, so signed zeros count: a real
 result must equal the oracle's real part bit for bit, and the oracle's
 imaginary part must be +0.0 everywhere.
 """
@@ -22,11 +23,12 @@ import pytest
 
 from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, associativity_defect,
                     build_hamiltonian, commutator_deviation, creation_symbol, default_grid,
-                    fcs_wigner, field_from_poly, field_to_csv, fock_wigner, identity_spec,
-                    ladder_fields, moyal_apply, parse_symbol, partial_field, qdef_spec,
-                    random_polynomial, read_field_csv, sqrt_n_spec)
+                    fcs_wigner, field_from_poly, field_to_csv, fock_wigner, genvalue_residual,
+                    identity_spec, ladder_fields, moyal_apply, parse_symbol, partial_field,
+                    qdef_spec, random_polynomial, read_field_csv, sqrt_n_spec)
 from fstarq.phasespace import AnalyticStructure, MixtureWignerProfile, _fd4_axis
 from fstarq.starproduct import ProductSetup, _row_blocks
+from fstarq.verify import fock_pass
 
 GRIDS = {
     "513": default_grid(),
@@ -110,19 +112,25 @@ def _moyal_apply_before(h, w):
 
 
 def _product_before(setup, k, g, jets=False):
+    # F and dF/dn are the setup's tables over the distinct radii, gathered
+    # onto the mesh; the gradient is formed as the whole-mesh setup formed it
+    grid = setup.grid
+    F = grid.gather(setup.F, slice(None))
     kq, kp, gq, gp = (_partial_before(f, *key) for f in (k, g) for key in ((1, 0), (0, 1)))
     poisson = kq * gp - kp * gq
     kv, gv = k.values, g.values
-    out = kv * gv + (0.5j * setup.hbar) * setup.F * poisson
+    out = kv * gv + (0.5j * setup.hbar) * F * poisson
     if not jets:
         return out, None
-    Fq, Fp = setup._F_gradient
+    dF = grid.gather(setup._dF_dn, slice(None))
+    q, p = grid.axes()
+    Fq, Fp = dF * q / setup.hbar, dF * p / setup.hbar
     kqq, kqp, kpp, gqq, gqp, gpp = (_partial_before(f, *key) for f in (k, g)
                                     for key in ((2, 0), (1, 1), (0, 2)))
     br_q = kqq * gp + kq * gqp - kqp * gq - kp * gqq
     br_p = kqp * gp + kq * gpp - kpp * gq - kp * gqp
-    d_q = kq * gv + kv * gq + (0.5j * setup.hbar) * (Fq * poisson + setup.F * br_q)
-    d_p = kp * gv + kv * gp + (0.5j * setup.hbar) * (Fp * poisson + setup.F * br_p)
+    d_q = kq * gv + kv * gq + (0.5j * setup.hbar) * (Fq * poisson + F * br_q)
+    d_p = kp * gv + kv * gp + (0.5j * setup.hbar) * (Fp * poisson + F * br_p)
     return out, {(1, 0): d_q, (0, 1): d_p}
 
 
@@ -323,6 +331,24 @@ def test_product_keeps_the_complex_bits(grid, kind):
     _assert_same_bits(setup.product(kg, g).values, _product_before(setup, kg, g)[0])
 
 
+COMMUTATOR_KINDS = ["H x W_3", "W_1 x W_1", "q x p", "poly x mixture",   # real x real
+                    "W_2 x A", "poly x cpoly",                           # real x complex
+                    "A x Abar"]
+
+
+@pytest.mark.parametrize("grid", PRODUCT_GRIDS.values(), ids=PRODUCT_GRIDS)
+@pytest.mark.parametrize("kind", COMMUTATOR_KINDS)
+def test_commutator_keeps_the_bits_of_two_whole_products(grid, kind):
+    # both orders are formed one row block at a time into one output
+    spec = qdef_spec(1.2) if grid is GRIDS["origin"] else sqrt_n_spec()
+    setup = ProductSetup(grid, spec, hbar=0.1)
+    k, g = _operands(kind, grid)
+    want = (setup.product(k, g).values - setup.product(g, k).values) / setup.hbar
+    got = setup.commutator(k, g)
+    assert got.label == f"[{k.label}, {g.label}]_f / hbar"
+    _assert_same_bits(got.values, want)
+
+
 def test_real_bracket_differs_only_in_signed_zeros_where_kg_is_minus_zero():
     # The one place the real bracket leaves the old bits: the complex bracket of
     # real partials had a -0.0 imaginary part where kq, gp < 0 and not kp, gq < 0,
@@ -408,9 +434,20 @@ def test_allocation_peaks_at_513(monkeypatch):
     # the bracket and its terms live one row block at a time (11.06 grids when
     # they were whole-mesh temporaries)
     assert _peak_grids(lambda: setup.product(H, W), grid) <= 8.75
-    # A, Abar and their partials are freed before the target and the closed
-    # form are sampled (24.0 grids while the ladder fields were kept alive)
-    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 23.5
+    # A, Abar, their complex first partials and profile memo (14 grids) and the
+    # evaluation of the last partial; the commutator adds its one complex output
+    # and forms both products one row block at a time, and the target and the
+    # closed form are tables over the distinct radii (23.0 grids with the two
+    # whole products, their difference and mesh-sized F, target and closed form)
+    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 18.5
+    # W_5 and H, each with its real first partials and profile memo (12 grids),
+    # and the complex product, in whose buffer the residual is formed (20.32
+    # grids with mesh-sized F, H kept alive and the residual a fresh grid)
+    assert _peak_grids(lambda: genvalue_residual(sqrt_n_spec(), 5, grid), grid) <= 15.0
+    # the three deformed registry stars' H, with partials and profile memos,
+    # W_n's and the identity residual's grids (37.34 grids with mesh-sized F
+    # in each star and the residual a fresh grid)
+    assert _peak_grids(lambda: fock_pass(False), grid) <= 32.0
 
     calls = []
     eval_grid = PolySymbol.eval_grid
@@ -424,9 +461,10 @@ def test_allocation_peaks_at_513(monkeypatch):
         k, g, h = (field_from_poly(parse_symbol(text), grid) for text in ("q", "p", "q + p"))
         associativity_defect(k, g, h, sqrt_n_spec(), [0.1, 0.01, 0.001])
     # the three fields' samples and no grid for their constant partials; each
-    # hbar keeps F, its gradient and the real |diff|^2 grid, and streams its four
-    # products one row block at a time (23.07 grids with one whole-mesh product
-    # with jets alive at a time; 50.07 grids and 18 eval_grid calls when every
-    # partial was a grid and both jets products were alive at once)
-    assert _peak_grids(assoc, grid) <= 12.0
+    # hbar keeps the real |diff|^2 grid, F and dF/dn as tables over the distinct
+    # radii, and streams its four products one row block at a time (11.5 grids
+    # with F and its gradient on the mesh; 23.07 grids with one whole-mesh
+    # product with jets alive at a time; 50.07 grids and 18 eval_grid calls when
+    # every partial was a grid and both jets products were alive at once)
+    assert _peak_grids(assoc, grid) <= 9.25
     assert len(calls) == 3

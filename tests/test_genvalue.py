@@ -297,6 +297,56 @@ def test_commutator_deviation_samples_amplitude_once(grid257, amplitude_samples)
     assert amplitude_samples == {"F": 1, "dF": 0}
 
 
+def _commutator_deviation_before(spec, grid):
+    """commutator_deviation as it formed whole-mesh grids: the two products,
+    then F, the target and the closed form on the mesh; its report's norms
+    as _region_norms took them over the whole mesh.  Returns the deviation
+    and the report's numbers."""
+    hbar = grid.hbar
+    A, Abar = ladder_fields(spec, grid)
+    s = ProductSetup(grid, spec)
+    comm = (s.product(A, Abar).values - s.product(Abar, A).values) / hbar
+    target = grid.radial(lambda n: deformation.commutator_target(spec, n), 2.0 * hbar)
+    F = grid.radial(lambda n: deformation.amplitude_F(spec, n), 2.0 * hbar)
+    closed = F * grid.radial(lambda n: deformation.f_squared(spec, n)
+                             + n * deformation.f_squared(spec, n, 1), 2.0 * hbar)
+    match = float(np.max(np.abs(comm - closed)))
+    closed_vs_target = float(np.max(np.abs(closed - target)))
+    deviation = comm - target
+    absr = np.abs(deviation)
+    iq, ip = np.unravel_index(int(np.argmax(absr)), absr.shape)
+    l2 = float(np.sqrt(np.sum(absr * absr) * grid.dq * grid.dp))
+    numbers = [float(absr[iq, ip]), l2, float(np.max(np.abs(deviation.imag))),
+               float(grid.q_values()[iq]), float(grid.p_values()[ip]),
+               deviation[iq, ip].real, deviation[iq, ip].imag, match, closed_vs_target]
+    return deviation, numbers
+
+
+CATALOGUE = ("identity", "sqrt_n", "qdef:q=1.2", "expr:sqrt(1+0.1*n)", "qdef:q=0.9",
+             "qdef:q=0.95", "qdef:q=1.05", "qdef:q=1.1", "expr:sqrt(1+0.05*n)",
+             "expr:sqrt(1+0.2*n)", "expr:sqrt(1+0.5*n)", "expr:sqrt(1+1.0*n)")
+DEVIATION_CASES = ([(text, "65") for text in CATALOGUE]
+                   + [(text, "513") for text in ("sqrt_n", "qdef:q=1.2")])
+DEVIATION_GRIDS = {"65": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 65, 65, hbar=1.0, offset=0.5),
+                   "513": PhaseGrid(-8.0, 8.0, -8.0, 8.0, 513, 513, hbar=1.0, offset=0.5)}
+
+
+@pytest.mark.parametrize("text, grid_name", DEVIATION_CASES)
+def test_commutator_deviation_keeps_the_whole_mesh_bits(text, grid_name):
+    # the commutator is streamed, the target and the closed form are tables
+    # over the distinct radii, and the deviation is formed in place
+    spec, grid = deformation.parse_deformation(text), DEVIATION_GRIDS[grid_name]
+    want, want_numbers = _commutator_deviation_before(spec, grid)
+    dev_field, rep = commutator_deviation(spec, grid)
+    got_numbers = [rep.max_abs, rep.l2, rep.imag_max, rep.witness.q, rep.witness.p,
+                   rep.witness.value.real, rep.witness.value.imag,
+                   rep.extra["closed_form_match"], rep.extra["closed_form_vs_target_max"]]
+    assert (np.array(got_numbers).view(np.int64).tolist()
+            == np.array(want_numbers).view(np.int64).tolist())
+    assert dev_field.values.dtype == np.complex128
+    assert np.array_equal(dev_field.values.view(np.int64), want.view(np.int64))
+
+
 def test_imag_vanishing_check_samples_amplitude_once_per_spec(amplitude_samples):
     # one setup per non-identity registry spec, shared by the pass's products
     check_imag_vanishing(True, fock_pass(True))

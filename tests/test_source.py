@@ -4,6 +4,8 @@ private top-level function, class and constant is referenced somewhere in
 the package, so a folded helper cannot linger beside its replacement.  No
 module other than ``__init__`` refers to ``mesh`` beyond defining it: radial
 functions are sampled by ``PhaseGrid.radial``, and coordinates by ``axes``.
+``starproduct`` never calls ``PhaseGrid.radial``: F and dF/dn stay tables over
+the distinct radii, gathered one row block at a time.
 ``expressions`` neither imports ``math`` nor reads ``ndim``: its nodes have
 one numpy evaluator for scalar and array n.  ``deformation`` raises
 ``NonPositiveValue`` and ``SingularAmplitude`` only inside ``_refuse``.
@@ -131,6 +133,27 @@ def test_mesh_reference_is_caught():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_samples_no_full_mesh(path):
     assert mesh_references(path.read_text(encoding="utf-8")) == []
+
+
+def radial_references(source: str) -> list[int]:
+    """Lines that call or otherwise load ``.radial``, the whole-mesh gather of
+    a radial function; ``radial_table`` and ``gather`` are other names."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "radial"})
+
+
+def test_radial_reference_is_caught():
+    source = ("F = grid.radial(fn, 2.0)\n"
+              "table = grid.radial_table(fn, 2.0)\n"
+              "F = grid.gather(table, rows)\n"
+              "sample = functools.partial(self.grid.radial,\n    scale=2.0)\n"
+              "radial = 1\n")
+    assert radial_references(source) == [1, 4]
+
+
+def test_starproduct_samples_no_mesh_sized_amplitude():
+    # F and dF/dn are tables over the distinct radii, gathered per row block
+    assert radial_references((PACKAGE / "starproduct.py").read_text(encoding="utf-8")) == []
 
 
 def scalar_branches(source: str) -> list[int]:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -220,3 +222,44 @@ def test_commutator_identity_ladder(grid):
     abar = field_from_poly(creation_symbol(), grid)
     out = star_commutator(a, abar, identity_spec())
     assert np.max(np.abs(out.values - 1.0)) <= 1e-10
+
+
+# 33 columns make 496-row blocks, so the 1100 rows take three
+REFUSAL_GRID = PhaseGrid(0.1, 1.2, 0.1, 1.0, 1100, 33, hbar=1.0, offset=0.5)
+COMMUTATOR_REFUSALS = {
+    # k g overflows where q p > 1.15, first at row 1034 (q = 1.135)
+    "k g": ("1.25e154*q", "1.25e154*p", 1034,
+            r"field 1\.25e\+154\*q star_f 1\.25e\+154\*p is not finite at \(q, p\) = "),
+    # both products are finite; their difference, 2e308 q i, overflows from q = 0.899
+    "difference": ("5e307*q^2", "p", 798,
+                   r"field \[5e\+307\*q\^2, p\]_f / hbar is not finite at \(q, p\) = "),
+}
+
+
+def _commutator_whole_mesh(setup, k, g):
+    """ProductSetup.commutator as it subtracted two whole-mesh products."""
+    diff = setup.product(k, g).values - setup.product(g, k).values
+    return Field(setup.grid, diff / setup.hbar, label=f"[{k.label}, {g.label}]_f / hbar")
+
+
+@pytest.mark.parametrize("case", COMMUTATOR_REFUSALS)
+def test_streamed_commutator_refuses_as_the_whole_mesh_order(case):
+    k_text, g_text, row, message = COMMUTATOR_REFUSALS[case]
+
+    def outcome(commutator):
+        k, g = (field_from_poly(parse_symbol(text), REFUSAL_GRID) for text in (k_text, g_text))
+        setup = ProductSetup(REFUSAL_GRID, identity_spec(), hbar=2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = commutator(setup, k, g)
+            except ValueError as exc:
+                result = str(exc)
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    want = outcome(_commutator_whole_mesh)
+    assert outcome(ProductSetup.commutator) == want
+    assert re.match(message, want[0])
+    assert want[1]  # the overflow is warned of, as on the whole mesh
+    q = float(want[0].split("= (")[1].split(",")[0])
+    assert q == REFUSAL_GRID.q_values()[row]
