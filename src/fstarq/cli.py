@@ -11,9 +11,9 @@ Subcommands::
 
 Deformations are written in the mini-language ``identity``, ``sqrt_n``,
 ``qdef:q=<real>`` or ``expr:<expression in n>``.  Exit codes: 0 success,
-1 verification failure, 2 bad configuration or parse error.  Each subcommand
-has one handler; it stops at the first bad flag and prints
-``error: --<flag>: <reason>``.
+1 verification failure, 2 bad configuration, parse error or unwritable
+``--out`` path.  Each subcommand has one handler; it stops at the first bad
+flag and prints ``error: --<flag>: <reason>``.
 """
 
 from __future__ import annotations
@@ -233,6 +233,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ConfigError, FStarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the CLI opens files only to write its outputs
+        print(f"error: --out: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
 
 

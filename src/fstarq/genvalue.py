@@ -22,11 +22,9 @@ import numpy as np
 
 from .deformation import (DeformationSpec, commutator_target, eval_f, f_squared,
                           require_positive, spec_to_text, spectrum)
-from .errors import FStarError
 from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, field_from_poly,
-                         fock_wigner, integrate, partial_field)
-from .starproduct import (_FIRST, _SECOND, ProductSetup, _in_block, _row_blocks, _star_block,
-                          moyal_apply)
+                         fock_wigner, integrate)
+from .starproduct import ProductSetup, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
 DEFAULT_R_CUT = 4.0
@@ -219,13 +217,15 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field,
     # first-order closed form F(n) (f^2 + 2 n f f'), with 2 f f' = (f^2)'
     closed = s.F * grid.radial_table(lambda n: f_squared(spec, n) + n * f_squared(spec, n, 1),
                                      2.0 * hbar)
-    blocks = _row_blocks(grid)
-    match = float(np.max([np.max(np.abs(comm[rows] - grid.gather(closed, rows)))
-                          for rows in blocks]))
     closed_vs_target = float(np.max(np.abs(closed - target)))
-    deviation = comm  # formed in the commutator's buffer
-    for rows in blocks:
+    # one pass: each block is matched to the closed form, then turned into the
+    # deviation in the commutator's buffer
+    deviation = comm
+    maxima = []
+    for rows in grid.row_blocks():
+        maxima.append(np.max(np.abs(comm[rows] - grid.gather(closed, rows))))
         deviation[rows] -= grid.gather(target, rows)
+    match = float(np.max(maxima))
     # the target is real, so deviation.imag is the commutator's imaginary part
     report = _report("commutator", deviation, grid, None, spec, None, None,
                      closed_form_match=match, closed_form_vs_target_max=closed_vs_target)
@@ -266,9 +266,10 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
 
     The defect is defined for the first-order product. Identity-deformation
     polynomial inputs route through the exact Moyal product, where the
-    defect vanishes identically.  Each hbar streams its four products through
-    the product kernel one row block at a time, keeping only the real
-    |difference|^2 grid, and drops its setup before the next hbar.
+    defect vanishes identically.  Otherwise each hbar takes its real
+    |difference|^2 grid from ``ProductSetup.defect_squared``, which streams
+    the four products one row block at a time, and drops its setup before
+    the next hbar.
     """
     hbars = [require_positive("hbar", float(x)) for x in hbar_list]
     if len(set(hbars)) < 3:
@@ -295,41 +296,6 @@ def _defect_norm(k: Field, g: Field, h: Field, spec: DeformationSpec, hbar: floa
         right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
         sq = np.abs((left - right).eval_grid(*grid.axes())) ** 2
     else:
-        sq = _defect_squared(k, g, h, ProductSetup(grid, spec, hbar))
+        sq = ProductSetup(grid, spec, hbar).defect_squared(k, g, h)
     return float(np.sqrt(np.sum(sq) * grid.dq * grid.dp))
 
-
-def _defect_squared(k: Field, g: Field, h: Field, s: ProductSetup) -> np.ndarray:
-    """|(k *_f g) *_f h - k *_f (g *_f h)|^2 on the mesh, streamed one row
-    block at a time through the product kernel, so the jets of k g and g h
-    stay in the block.
-
-    Refusals are those of whole-mesh products taken in the order k g,
-    (k g) h, g h, k (g h), each checked once its operands' partials are
-    fetched.  Where a partial of h is refused, or a square is not finite,
-    that order is replayed to name the first refusal."""
-    grid = s.grid
-    kd, gd = s._operands(k, g, jets=True)
-    try:  # the whole-mesh order fetches these only after checking k g
-        hd = [h.values, *(partial_field(h, *key) for key in _FIRST + _SECOND)]
-    except (ValueError, FStarError):
-        hd = None
-    if hd is not None:
-        sq = np.empty((grid.n_q, grid.n_p))
-        with np.errstate(all="ignore"):  # a non-finite block is replayed below
-            for rows in _row_blocks(grid):
-                F, dF = s._amplitude(rows, jets=True)
-                kb, gb, hb = (_in_block(d, rows) for d in (kd, gd, hd))
-                kg, kg_jets = _star_block(s.hbar, F, kb, gb, dF)
-                gh, gh_jets = _star_block(s.hbar, F, gb, hb, dF)
-                diff = _star_block(s.hbar, F, [kg, *kg_jets], hb)[0]
-                diff -= _star_block(s.hbar, F, kb, [gh, *gh_jets])[0]
-                sq[rows] = np.abs(diff) ** 2
-        if np.isfinite(sq).all():
-            return sq
-    # A product that is not finite somewhere leaves |diff|^2 not finite there,
-    # as does an overflow of |diff|^2 itself; the whole-mesh order raises the
-    # first refusal, or returns the overflowed squares with their warnings.
-    diff = s.product(s.product(k, g, jets=True), h).values
-    diff -= s.product(k, s.product(g, h, jets=True)).values
-    return np.abs(diff) ** 2

@@ -17,7 +17,9 @@ first source that has it:
   profile memoizes w^(k)(v) by (grid, scale, k) for as long as it lives.
   ``PhaseGrid.radial_table`` evaluates a radial function once per distinct
   radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
-  (``radial`` does both) or on a block of its rows.
+  (``radial`` does both) or on a block of its rows; ``PhaseGrid.row_blocks``
+  is the one partition of the mesh into such blocks, which every streamed
+  pass (the f-star products, the commutator deviation) visits in order.
   Number-state and coherent-state Wigner profiles share one Laguerre
   recurrence: a number state W_n is the mixture with one-hot weights;
 * 4th-order finite-difference stencils, for everything else.
@@ -38,6 +40,8 @@ from .symbols import PolySymbol
 
 # ---------------------------------------------------------------------------
 # Grid
+
+_BLOCK_SAMPLES = 1 << 14  # samples per row block; a complex temporary of one is 256 KiB
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,12 @@ class PhaseGrid:
     def gather(self, table: np.ndarray, rows: slice) -> np.ndarray:
         """A ``radial_table`` on the mesh's q rows ``rows``."""
         return table[self._radii()[1][rows]]
+
+    def row_blocks(self) -> list[slice]:
+        """Slices of whole q rows, about ``_BLOCK_SAMPLES`` samples each,
+        covering the mesh in order: the blocks a streamed pass visits."""
+        step = max(1, round(_BLOCK_SAMPLES / self.n_p))
+        return [slice(start, start + step) for start in range(0, self.n_q, step)]
 
     @lru_cache(maxsize=64)
     def _radii(self) -> tuple[np.ndarray, np.ndarray]:

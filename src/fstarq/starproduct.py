@@ -21,16 +21,16 @@ associativity study rely on this to stay above the fd4 noise floor.  The
 jets seed the result's known partials, which ``partial_field`` serves.
 
 ``_star_block`` is the one place the first-order formula (the value and the
-jets) is formed.  It works on one block of whole q rows, about
-``_BLOCK_SAMPLES`` samples, so its temporaries stay in cache rather than
-passing through memory as whole-mesh arrays would.  F, and the gradient
-(dF/dn q / hbar, dF/dn p / hbar), are gathered from the tables onto each
-block.  ``product`` allocates its outputs once and fills them one row block
-at a time; ``commutator`` forms both orders per block and writes their
-difference over hbar into its one output; and ``genvalue``'s associativity
-defect streams its four nested products through the same kernel, keeping
-only the real |difference|^2 grid.  Every element goes through the same
-operations in the same order as on the whole mesh, so the bits do not
+jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
+its temporaries stay in cache rather than passing through memory as
+whole-mesh arrays would.  ``ProductSetup._blocks`` is the one loop over the
+blocks: it gathers F, and with jets its gradient, from the tables and slices
+the operands.  Its callers fetch their operands before they allocate their
+outputs.  ``product`` fills its outputs block by block; ``commutator`` writes
+both orders' difference over hbar into its one output; and
+``defect_squared``, the associativity stream, keeps only the real
+|difference|^2 of its four nested products.  Every element goes through the
+same operations in the same order as on the whole mesh, so the bits do not
 depend on the blocking.
 """
 
@@ -42,6 +42,7 @@ import math
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
+from .errors import FStarError
 from .phasespace import Field, _poly_samples, partial_field
 from .symbols import PolySymbol
 
@@ -67,21 +68,8 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
     return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
 
 
-_BLOCK_SAMPLES = 1 << 14  # samples per row block; a complex temporary of one is 256 KiB
 _FIRST = ((1, 0), (0, 1))
 _SECOND = ((2, 0), (1, 1), (0, 2))
-
-
-def _row_blocks(grid) -> list[slice]:
-    """Slices of whole q rows, about _BLOCK_SAMPLES samples each, covering the
-    mesh in order."""
-    step = max(1, round(_BLOCK_SAMPLES / grid.n_p))
-    return [slice(start, start + step) for start in range(0, grid.n_q, step)]
-
-
-def _in_block(arrays, rows: slice) -> list[np.ndarray]:
-    """arrays on one row block; a (1, 1) constant partial broadcasts whole."""
-    return [a if a.shape[0] == 1 else a[rows] for a in arrays]
 
 
 def _star_block(hbar: float, F, k, g, dF=None):
@@ -127,16 +115,6 @@ class ProductSetup:
         return self.grid.radial_table(functools.partial(amplitude_F_deriv, self.spec),
                                       2.0 * self.hbar)
 
-    def _amplitude(self, rows: slice, jets: bool):
-        """_star_block's F and dF on one row block: F, and with jets its
-        gradient (dF/dq, dF/dp) = dF/dn (q, p) / hbar (None without)."""
-        F = self.grid.gather(self.F, rows)
-        if not jets:
-            return F, None
-        dF = self.grid.gather(self._dF_dn, rows)
-        q, p = self.grid.axes()
-        return F, (dF * q[rows] / self.hbar, dF * p / self.hbar)
-
     def _operands(self, k: Field, g: Field, jets: bool):
         """_star_block's k and g on the whole mesh, fetched in the order a
         refusal is named: k's and g's first partials, dF/dn (with jets), then
@@ -150,6 +128,20 @@ class ProductSetup:
                 d += [partial_field(f, *key) for key in _SECOND]
         return kd, gd
 
+    def _blocks(self, operands, jets: bool):
+        """Per row block of ``PhaseGrid.row_blocks``: its rows, F, with jets its
+        gradient (dF/dq, dF/dp) = dF/dn (q, p) / hbar (None without), and
+        each operand's arrays on the block, where a (1, 1) constant partial
+        broadcasts whole.  The one loop of ``_star_block``'s callers."""
+        q, p = self.grid.axes()
+        for rows in self.grid.row_blocks():
+            F, dF = self.grid.gather(self.F, rows), None
+            if jets:  # dF/dn, rebound to its gradient so no block of it outlives the yield
+                dF = self.grid.gather(self._dF_dn, rows)
+                dF = (dF * q[rows] / self.hbar, dF * p / self.hbar)
+            yield rows, F, dF, [[a if a.shape[0] == 1 else a[rows] for a in arrays]
+                                for arrays in operands]
+
     def product(self, k: Field, g: Field, jets: bool = False) -> Field:
         """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
         exact first partials.  The outputs are allocated once and filled one
@@ -158,11 +150,8 @@ class ProductSetup:
         shape = (self.grid.n_q, self.grid.n_p)
         out = np.empty(shape, dtype=complex)
         partials = {key: np.empty(shape, dtype=complex) for key in _FIRST} if jets else None
-        for rows in _row_blocks(self.grid):
-            F, dF = self._amplitude(rows, jets)
-            value, block_jets = _star_block(self.hbar, F, _in_block(kd, rows),
-                                            _in_block(gd, rows), dF)
-            out[rows] = value
+        for rows, F, dF, (kb, gb) in self._blocks((kd, gd), jets):
+            out[rows], block_jets = _star_block(self.hbar, F, kb, gb, dF)
             if jets:
                 partials[1, 0][rows], partials[0, 1][rows] = block_jets
         return Field(self.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
@@ -175,15 +164,45 @@ class ProductSetup:
         kd, gd = self._operands(k, g, jets=False)
         out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
         with np.errstate(all="ignore"):  # a non-finite output is replayed below
-            for rows in _row_blocks(self.grid):
-                F = self.grid.gather(self.F, rows)
-                kb, gb = _in_block(kd, rows), _in_block(gd, rows)
+            for rows, F, _, (kb, gb) in self._blocks((kd, gd), jets=False):
                 diff = _star_block(self.hbar, F, kb, gb)[0]
                 diff -= _star_block(self.hbar, F, gb, kb)[0]
                 np.divide(diff, self.hbar, out=out[rows])
         if not np.isfinite(out).all():
             out = (self.product(k, g).values - self.product(g, k).values) / self.hbar
         return Field(self.grid, out, label=f"[{k.label}, {g.label}]_f / hbar")
+
+    def defect_squared(self, k: Field, g: Field, h: Field) -> np.ndarray:
+        """|(k *_f g) *_f h - k *_f (g *_f h)|^2 on the mesh, the four products
+        formed by ``_star_block`` one row block at a time, so the jets of k g
+        and g h stay in the block.
+
+        Refusals are those of whole-mesh products taken in the order k g,
+        (k g) h, g h, k (g h), each checked once its operands' partials are
+        fetched.  Where a partial of h is refused, or a square is not finite,
+        that order is replayed to name the first refusal."""
+        kd, gd = self._operands(k, g, jets=True)
+        try:  # the whole-mesh order fetches these only after checking k g
+            hd = [h.values, *(partial_field(h, *key) for key in _FIRST + _SECOND)]
+        except (ValueError, FStarError):
+            hd = None
+        if hd is not None:
+            sq = np.empty((self.grid.n_q, self.grid.n_p))
+            with np.errstate(all="ignore"):  # a non-finite block is replayed below
+                for rows, F, dF, (kb, gb, hb) in self._blocks((kd, gd, hd), jets=True):
+                    kg, kg_jets = _star_block(self.hbar, F, kb, gb, dF)
+                    gh, gh_jets = _star_block(self.hbar, F, gb, hb, dF)
+                    diff = _star_block(self.hbar, F, [kg, *kg_jets], hb)[0]
+                    diff -= _star_block(self.hbar, F, kb, [gh, *gh_jets])[0]
+                    sq[rows] = np.abs(diff) ** 2
+            if np.isfinite(sq).all():
+                return sq
+        # A product that is not finite somewhere leaves |diff|^2 not finite there,
+        # as does an overflow of |diff|^2 itself; the whole-mesh order raises the
+        # first refusal, or returns the overflowed squares with their warnings.
+        diff = self.product(self.product(k, g, jets=True), h).values
+        diff -= self.product(k, self.product(g, h, jets=True)).values
+        return np.abs(diff) ** 2
 
 
 def fstar_apply(k: Field, g: Field, spec: DeformationSpec) -> Field:

@@ -159,9 +159,6 @@ class PolySymbol:
                 out += scratch
         return np.zeros(np.broadcast(Q, P).shape) if out is None else out
 
-    def __call__(self, q, p) -> complex:
-        return complex(sum(c * q**a * p**b for (a, b), c in self.terms.items()))
-
     def to_string(self) -> str:
         """Canonical text form; parse_symbol(to_string()) reproduces the terms."""
         if not self.terms:

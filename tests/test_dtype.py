@@ -27,7 +27,7 @@ from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, associativity_de
                     identity_spec, ladder_fields, moyal_apply, parse_symbol, partial_field,
                     qdef_spec, random_polynomial, read_field_csv, sqrt_n_spec)
 from fstarq.phasespace import AnalyticStructure, MixtureWignerProfile, _fd4_axis
-from fstarq.starproduct import ProductSetup, _row_blocks
+from fstarq.starproduct import ProductSetup
 from fstarq.verify import fock_pass
 
 GRIDS = {
@@ -302,13 +302,13 @@ PRODUCT_KINDS = ["H x W_3", "W_1 x W_1", "q x p", "poly x mixture",   # real x r
 def test_row_blocks_cover_the_mesh_in_order():
     last_rows = {"513": 1, "origin": 2, "1537x65": 25, "257": 1, "65": 65}
     for name, grid in PRODUCT_GRIDS.items():
-        blocks = _row_blocks(grid)
+        blocks = grid.row_blocks()
         rows = [r for block in blocks for r in range(grid.n_q)[block]]
         assert rows == list(range(grid.n_q)), name
         assert all(b.stop - b.start == blocks[0].stop - blocks[0].start for b in blocks)
         assert len(range(grid.n_q)[blocks[-1]]) == last_rows[name], name
-    assert (_row_blocks(PRODUCT_GRIDS["513"])[0].stop,
-            _row_blocks(PRODUCT_GRIDS["257"])[0].stop) == (32, 64)
+    assert (PRODUCT_GRIDS["513"].row_blocks()[0].stop,
+            PRODUCT_GRIDS["257"].row_blocks()[0].stop) == (32, 64)
 
 
 @pytest.mark.parametrize("grid", PRODUCT_GRIDS.values(), ids=PRODUCT_GRIDS)

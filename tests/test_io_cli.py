@@ -415,6 +415,27 @@ def test_cli_error_names_flag(capsys):
     assert "--spec" in err
 
 
+OUT_COMMANDS = {
+    "spectrum": ("--n-max", "3"),
+    "wigner": ("--n", "1", "--grid=-2,2,-2,2,17,17"),
+    "residual": ("--n", "1", "--grid=-2,2,-2,2,17,17"),
+    "commutator": ("--spec", "sqrt_n", "--grid=-2,2,-2,2,17,17"),
+    "assoc": ("--grid=-2,2,-2,2,17,17",),
+    "verify": ("--quick",),
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_cli_unwritable_out_exits_2(command, tmp_path, monkeypatch, capsys):
+    # an output that cannot be written is a bad flag, not a failed verification
+    monkeypatch.setattr(cli, "run_verification", lambda quick: {"all_pass": True})
+    path = tmp_path / "missing" / "x.json"
+    assert run_cli(command, *OUT_COMMANDS[command], "--out", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out: No such file or directory: {path}\n"
+
+
 def test_cli_verify_quick_deterministic(tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"

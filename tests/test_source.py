@@ -18,7 +18,10 @@ A field's exact source (``.poly``, ``.analytic``) is assigned only in
 and ``AnalyticStructure.field``, so only the builder that sampled a field
 from its source attaches it.  The f-star bracket term, an (i hbar / 2) factor
 multiplied onto F and the bracket, is formed in one function, the row-block
-kernel ``starproduct._star_block``.  No
+kernel ``starproduct._star_block``.  A module imports another package
+module's private names only as ``PRIVATE_IMPORTS`` lists, and reads
+``x._name`` on an object other than ``self`` or ``cls`` only where it defines
+``_name`` itself, so the row-block stream stays behind ``ProductSetup``.  No
 module imports ``threading`` or ``concurrent.futures``, or reads
 ``os.environ`` or ``os.getenv``: the library runs on one thread and takes no
 settings from the environment.
@@ -378,6 +381,64 @@ def test_bracket_term_is_formed_in_the_block_kernel_alone():
     found = {f"{path.stem}.{name}" for path in MODULES
              for name in bracket_term_functions(path.read_text(encoding="utf-8"))}
     assert found == {"starproduct._star_block"}
+
+
+# Each private name one package module imports from another, by importer
+PRIVATE_IMPORTS = {"symbols": {"expressions._Parser"},
+                   "starproduct": {"phasespace._poly_samples"},
+                   "verify": {"genvalue._residual_report"}}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_privates(sources: dict[str, str], allowed=PRIVATE_IMPORTS) -> list[str]:
+    """'module line N: name' for each private name a module imports from a
+    package module outside ``allowed``, and each ``x._name`` it reads on an
+    object other than ``self`` or ``cls`` where it defines no ``_name``."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    and (node.level or (node.module or "").startswith("fstarq"))):
+                source = (node.module or "").rpartition(".")[2]
+                found += [f"{module} line {node.lineno}: {source}.{alias.name}"
+                          for alias in node.names if _is_private(alias.name)
+                          and f"{source}.{alias.name}" not in allowed.get(module, ())]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and _is_private(node.attr) and node.attr not in defined
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls"))):
+                found.append(f"{module} line {node.lineno}: .{node.attr}")
+    return sorted(found)
+
+
+def test_foreign_private_is_caught():
+    sources = {
+        "a": "_LIMIT = 1\nclass Setup:\n    def _fetch(self):\n        return self._kept\n"
+             "def use(s):\n    return s._fetch(), s._other\n",
+        "b": "from .a import _LIMIT, Setup\nfrom .c import _kernel\n"
+             "def run(s):\n    return s._fetch() + s._own\n"
+             "class Own:\n    def __init__(self):\n        self._own = 1\n",
+        "c": "def _kernel():\n    return 0\n",
+    }
+    assert foreign_privates(sources, {"b": {"c._kernel"}}) == [
+        "a line 6: ._other", "b line 1: a._LIMIT", "b line 4: ._fetch"]
+
+
+def test_modules_share_no_private_names_beyond_the_allowlist():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert foreign_privates(sources) == []
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")
