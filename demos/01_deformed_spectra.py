@@ -26,12 +26,12 @@ for spec in registry_specs():
     print("  target (n=0..5):    ",
           np.array2string(commutator_target(spec, ns), precision=6))
 
-    rows = spectrum(spec, 5)
-    print("  E_n (hbar = w = 1): ", [round(r.energy, 6) for r in rows])
+    E = spectrum(spec, 5).tolist()  # E[n] = E_n
+    print("  E_n (hbar = w = 1): ", [round(e, 6) for e in E])
 
     # the identity deformation reproduces the harmonic ladder exactly
     if spec.kind == "identity":
-        assert [r.energy for r in rows] == [n + 0.5 for n in range(6)]
+        assert E == [n + 0.5 for n in range(6)]
 
     # normalization constant of the coherent superposition at |zeta|^2 = 1
     print("  N_f(|zeta|^2 = 1):  ", round(normalization_Nf(spec, 1.0), 8))

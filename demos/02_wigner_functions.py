@@ -31,12 +31,12 @@ print(f"min of W_1 = {w1.values.real.min():.4f} (Wigner bound is |W| <= 2)")
 
 # --- deformed coherent mixtures ----------------------------------------
 for spec in (sqrt_n_spec(), qdef_spec(1.2)):
-    ww = wigner_weights(spec, zeta_abs2=1.0)
+    weights = wigner_weights(spec, zeta_abs2=1.0)
     w = fcs_wigner(spec, 1.0, grid)
     print(f"\nmixture for {w.label}:")
-    print(f"  weights truncated at n = {ww.truncation_n}, "
-          f"sum = {ww.weights.sum():.12f}")
-    print(f"  leading weights: {np.array2string(ww.weights[:5], precision=5)}")
+    print(f"  weights truncated at n = {len(weights) - 1}, "
+          f"sum = {weights.sum():.12f}")
+    print(f"  leading weights: {np.array2string(weights[:5], precision=5)}")
     print(f"  integral = {integrate(w).real:.9f}")
 
 # --- export -------------------------------------------------------------

@@ -5,7 +5,7 @@ star-genvalue, commutator-correspondence and associativity diagnostics on
 desk-scale grids.
 """
 
-from .deformation import (DeformationSpec, SpectrumRow, amplitude_F, amplitude_F_deriv,
+from .deformation import (DeformationSpec, amplitude_F, amplitude_F_deriv,
                           commutator_target, eval_f, expr_spec, f_squared, identity_spec,
                           normalization_Nf, parse_deformation, qdef_spec, registry_specs,
                           spec_to_text, spectrum, sqrt_n_spec)
@@ -15,7 +15,7 @@ from .genvalue import (AssocScaling, ResidualReport, Witness, associativity_defe
                        genvalue_residual, ladder_fields)
 from .io import (canonical_json, field_report, field_to_csv, read_field_csv,
                  report_to_dict, report_to_json, spectrum_to_csv)
-from .phasespace import (Field, PhaseGrid, WignerWeights, default_grid, fcs_wigner,
+from .phasespace import (Field, PhaseGrid, default_grid, fcs_wigner,
                          field_from_poly, fock_wigner, gradient, integrate, laguerre,
                          mesh, partial_field, wigner_weights)
 from .starproduct import fstar_apply, moyal_apply, star_commutator
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AssocScaling", "DeformationSpec", "FStarError", "Field", "NonPositiveValue",
     "ParseError", "PhaseGrid", "PolySymbol", "ResidualReport",
-    "SeriesDivergence", "SingularAmplitude", "SpectrumRow",
-    "WignerWeights", "Witness", "amplitude_F", "amplitude_F_deriv",
+    "SeriesDivergence", "SingularAmplitude", "Witness",
+    "amplitude_F", "amplitude_F_deriv",
     "annihilation_symbol", "associativity_defect", "build_hamiltonian",
     "canonical_json", "commutator_deviation", "commutator_target",
     "creation_symbol", "default_grid", "energy_level", "eval_f",

@@ -13,7 +13,9 @@ Deformations are written in the mini-language ``identity``, ``sqrt_n``,
 ``qdef:q=<real>`` or ``expr:<expression in n>``.  Exit codes: 0 success,
 1 verification failure, 2 bad configuration, parse error or unwritable
 ``--out`` path.  Each subcommand has one handler; it stops at the first bad
-flag and prints ``error: --<flag>: <reason>``.
+flag and prints ``error: --<flag>: <reason>``.  A value the flags pass but
+the library refuses prints the library's message, which names its parameter
+or the point (``error: r_cut = 0.01: no grid sample lies inside the disc``).
 """
 
 from __future__ import annotations
@@ -24,42 +26,38 @@ import sys
 
 from .deformation import DEFAULT_SERIES_TOL, DeformationSpec, parse_deformation, spectrum
 from .errors import FStarError, ParseError
-from .genvalue import (ASSOC_HBARS, assoc_probe, associativity_defect, commutator_deviation,
-                       genvalue_residual)
+from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, assoc_probe, associativity_defect,
+                       commutator_deviation, genvalue_residual)
 from .io import canonical_json, field_to_csv, format_float, report_to_json, spectrum_to_csv
 from .phasespace import PhaseGrid, fcs_wigner, fock_wigner
 from .verify import run_verification
 
 
-class ConfigError(Exception):
-    """Bad flag value; message names the offending flag."""
-
-
 def _parse_grid(text: str, hbar: float) -> PhaseGrid:
     parts = text.split(",")
     if len(parts) not in (6, 7):
-        raise ConfigError("--grid: expected 'qmin,qmax,pmin,pmax,nq,np[,offset]'")
+        raise ValueError("--grid: expected 'qmin,qmax,pmin,pmax,nq,np[,offset]'")
     try:
         q_min, q_max, p_min, p_max = (float(x) for x in parts[:4])
         n_q, n_p = int(parts[4]), int(parts[5])
         offset = float(parts[6]) if len(parts) == 7 else 0.5
     except ValueError as exc:
-        raise ConfigError(f"--grid: {exc}") from None
+        raise ValueError(f"--grid: {exc}") from None
     if n_q < 5 or n_p < 5:
-        raise ConfigError("--grid: sample counts must be >= 5")
+        raise ValueError("--grid: sample counts must be >= 5")
     try:
         return PhaseGrid(q_min, q_max, p_min, p_max, n_q, n_p, hbar=hbar, offset=offset)
     except ValueError as exc:
-        raise ConfigError(f"--grid: {exc}") from None
+        raise ValueError(f"--grid: {exc}") from None
 
 
 def _parse_hbars(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"--hbar: {exc}") from None
+        raise ValueError(f"--hbar: {exc}") from None
     if any(v <= 0 or not math.isfinite(v) for v in values):
-        raise ConfigError("--hbar: values must be positive finite reals")
+        raise ValueError("--hbar: values must be positive finite reals")
     return values
 
 
@@ -67,25 +65,25 @@ def _spec(text: str) -> DeformationSpec:
     try:
         return parse_deformation(text)
     except ParseError as exc:
-        raise ConfigError(f"--spec: {exc}") from None
+        raise ValueError(f"--spec: {exc}") from None
 
 
 def _hbar(text: str) -> float:
     hbars = _parse_hbars(text)
     if len(hbars) != 1:
-        raise ConfigError("--hbar: this command takes a single value")
+        raise ValueError("--hbar: this command takes a single value")
     return hbars[0]
 
 
 def _positive(flag: str, value: float) -> float:
     if not 0.0 < value < math.inf:
-        raise ConfigError(f"{flag}: must be a positive finite real")
+        raise ValueError(f"{flag}: must be a positive finite real")
     return value
 
 
 def _count(flag: str, value: int) -> int:
     if value < 0:
-        raise ConfigError(f"{flag}: must be >= 0")
+        raise ValueError(f"{flag}: must be >= 0")
     return value
 
 
@@ -126,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, _residual)
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r-cut", type=float, default=4.0, dest="r_cut")
+    sp.add_argument("--r-cut", type=float, default=DEFAULT_R_CUT, dest="r_cut")
 
     sp = sub.add_parser("commutator", help="commutator correspondence report")
     add_common(sp, _commutator)
@@ -167,17 +165,17 @@ def _wigner(args) -> int:
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif args.n is not None:
-            raise ConfigError(f"{flag}: a number state's W_n does not depend on f; "
-                              "give it without --n")
+            raise ValueError(f"{flag}: a number state's W_n does not depend on f; "
+                             "give it without --n")
     spec, hbar = _spec(args.spec), _hbar(args.hbar)
     tol = _positive("--tol", args.tol)
     grid = _parse_grid(args.grid, hbar)
     if args.n is not None:
         _count("--n", args.n)
     elif not 0.0 <= args.zeta_abs2 < math.inf:
-        raise ConfigError("--zeta2: must be a finite real >= 0")
+        raise ValueError("--zeta2: must be a finite real >= 0")
     if args.out is None:
-        raise ConfigError("--out: wigner writes a field CSV; give a path")
+        raise ValueError("--out: wigner writes a field CSV; give a path")
     field = (fock_wigner(args.n, grid) if args.n is not None
              else fcs_wigner(spec, args.zeta_abs2, grid, tol=tol))
     field_to_csv(field, args.out)
@@ -231,7 +229,7 @@ def main(argv=None) -> int:
         return code
     try:
         return args.run(args)
-    except (ConfigError, FStarError, ValueError) as exc:
+    except (FStarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # the CLI opens files only to write its outputs

@@ -22,6 +22,7 @@ is a ValueError.  Every refusal of a value names the first bad n.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +39,9 @@ DEFAULT_SERIES_NMAX = 1000
 
 @dataclass(frozen=True)
 class DeformationSpec:
-    """A named, parameterized deformation function f(n)."""
+    """A named, parameterized deformation function f(n).  Only qdef takes q (kept
+    a Python float) and only expr takes expr_source, so ``spec_to_text`` writes
+    a text that ``parse_deformation`` reads back as an equal spec."""
 
     kind: str
     q: float | None = None
@@ -47,12 +50,21 @@ class DeformationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown deformation kind {self.kind!r}; choose from {KINDS}")
+        if self.kind != "qdef" and self.q is not None:
+            raise ValueError(f"{self.kind} takes no parameter q")
+        if self.kind != "expr" and self.expr_source is not None:
+            raise ValueError(f"{self.kind} takes no expr_source")
         if self.kind == "qdef":
-            if self.q is None or not math.isfinite(self.q) or self.q <= 0:
+            if (isinstance(self.q, bool) or not isinstance(self.q, numbers.Real)
+                    or not math.isfinite(self.q) or self.q <= 0):
                 raise ValueError("qdef requires a finite parameter q > 0")
+            object.__setattr__(self, "q", float(self.q))
         if self.kind == "expr":
             if not self.expr_source:
                 raise ValueError("expr deformation requires expr_source text")
+            if self.expr_source != self.expr_source.rstrip():
+                # parse_deformation strips the text, so it could not give this back
+                raise ValueError("expr_source must not end in whitespace")
             _expr_asts(self.expr_source)  # fail fast on malformed text
 
 
@@ -65,7 +77,7 @@ def sqrt_n_spec() -> DeformationSpec:
 
 
 def qdef_spec(q: float) -> DeformationSpec:
-    return DeformationSpec("qdef", q=float(q))
+    return DeformationSpec("qdef", q=q)
 
 
 def expr_spec(source: str) -> DeformationSpec:
@@ -276,12 +288,6 @@ def commutator_target(spec: DeformationSpec, n):
     return _like_n(n, out)
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    n: int
-    energy: float
-
-
 def require_positive(name: str, value: float) -> float:
     """value, once 0 < value < inf; NaN and inf fail with a ValueError naming it."""
     if not 0.0 < value < math.inf:
@@ -290,8 +296,9 @@ def require_positive(name: str, value: float) -> float:
 
 
 def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
-             omega: float = 1.0) -> list[SpectrumRow]:
-    """Level energies E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2), n <= n_max.
+             omega: float = 1.0) -> np.ndarray:
+    """The level energies as a float64 array E, E[n] = E_n for n <= n_max, with
+    E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2).
 
     Raises NonPositiveValue at the first n where f is not finite and
     positive, or where E_n overflows."""
@@ -306,7 +313,7 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
     with np.errstate(over="ignore", invalid="ignore"):
         energies = 0.5 * hbar * omega * (_target(spec, ns) + 2.0 * ns * _s(spec, ns, 0))
     _refuse(NonPositiveValue, "E_n is not finite", spec, ns, ~np.isfinite(energies))
-    return [SpectrumRow(int(k), float(e)) for k, e in zip(range(n_max + 1), energies)]
+    return energies
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def _residual_report(spec: DeformationSpec, n: int, w: Field, omega: float,
     grid = w.grid
     hbar = grid.hbar
     e_n = energy_level(spec, n, hbar, omega)
-    e_crosscheck = spectrum(spec, n, hbar, omega)[n].energy
+    e_crosscheck = float(spectrum(spec, n, hbar, omega)[n])
     h_star, path = hamiltonian_star(spec, grid, omega)
     star = h_star(w)
     del h_star  # H, its partials and F(n) go before the residual is formed

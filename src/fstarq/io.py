@@ -145,9 +145,10 @@ def field_report(field: Field) -> dict:
 
 
 def spectrum_to_csv(rows) -> str:
+    """One CSV row n,E_n per entry of ``spectrum``'s array."""
     lines = ["n,energy"]
-    for row in rows:
-        lines.append(f"{row.n},{format_float(row.energy)}")
+    for n, energy in enumerate(rows):
+        lines.append(f"{n},{format_float(energy)}")
     return "\n".join(lines) + "\n"
 
 

@@ -274,22 +274,19 @@ class AnalyticStructure:
     def evaluate(self, grid: PhaseGrid) -> np.ndarray:
         """The sum on the grid: float64 if every coefficient is real (profiles
         are), else complex128, with the bits of the all-complex sum.  Each
-        coefficient array takes w^(k) in place, the first term becomes the sum
-        (+ 0 as in ``eval_grid``), and the first complex term promotes it."""
-        q, p = grid.axes()
+        coefficient, sampled by ``_poly_samples``, takes w^(k), in place when
+        it fills the mesh; the first term becomes the sum (+ 0 as in
+        ``eval_grid``), and the first complex term promotes it."""
         out = None
         for k in sorted(self.terms):
             c = self.terms[k]
             if not c.terms:
                 continue
-            term = c.constant_value() if c.is_constant() else c.eval_grid(q, p)
+            term = _poly_samples(c, grid)
             w = self.profile.on_grid(grid, self.scale, k)
             # 0 * inf (a zero coefficient on a singular w^(k)) is NaN; partial_field names it
             with np.errstate(invalid="ignore"):
-                if isinstance(term, np.ndarray):
-                    term *= w
-                else:
-                    term = (term.real if term.imag == 0 else term) * w
+                term = np.multiply(term, w, out=term if term.shape == w.shape else None)
                 if out is None:
                     out = term
                     out += 0
@@ -459,26 +456,17 @@ def fock_wigner(n: int, grid: PhaseGrid) -> Field:
     return AnalyticStructure(FockWignerProfile(n), scale=grid.hbar).field(grid, f"W_{n}")
 
 
-@dataclass(frozen=True)
-class WignerWeights:
-    """Normalized diagonal mixture weights N_f^2 |zeta|^(2n) / (n! (f(n)!)^2)."""
-
-    spec: DeformationSpec
-    zeta_abs2: float
-    weights: np.ndarray
-    truncation_n: int
-
-
 def wigner_weights(spec: DeformationSpec, zeta_abs2: float,
-                   tol: float = DEFAULT_SERIES_TOL) -> WignerWeights:
+                   tol: float = DEFAULT_SERIES_TOL) -> np.ndarray:
+    """The normalized diagonal mixture weights N_f^2 |zeta|^(2n) / (n! (f(n)!)^2)
+    as a float64 array indexed by n; the series is truncated at n = len - 1."""
     terms = series_terms(spec, zeta_abs2, tol)
-    weights = terms / float(np.sum(terms))
-    return WignerWeights(spec, float(zeta_abs2), weights, len(terms) - 1)
+    return terms / float(np.sum(terms))
 
 
 def fcs_wigner(spec: DeformationSpec, zeta_abs2: float, grid: PhaseGrid,
                tol: float = DEFAULT_SERIES_TOL) -> Field:
     """Wigner function of an f-deformed coherent state (diagonal mixture)."""
-    ww = wigner_weights(spec, zeta_abs2, tol)
-    structure = AnalyticStructure(MixtureWignerProfile(ww.weights), scale=grid.hbar)
+    weights = wigner_weights(spec, zeta_abs2, tol)
+    structure = AnalyticStructure(MixtureWignerProfile(weights), scale=grid.hbar)
     return structure.field(grid, f"Wf[{spec_to_text(spec)}, |zeta|^2={zeta_abs2:g}]")

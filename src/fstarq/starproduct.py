@@ -179,13 +179,16 @@ class ProductSetup:
 
         Refusals are those of whole-mesh products taken in the order k g,
         (k g) h, g h, k (g h), each checked once its operands' partials are
-        fetched.  Where a partial of h is refused, or a square is not finite,
-        that order is replayed to name the first refusal."""
+        fetched.  Where h is off the grid or a partial of h is refused, or a
+        square is not finite, that order is replayed to name the first
+        refusal."""
         kd, gd = self._operands(k, g, jets=True)
-        try:  # the whole-mesh order fetches these only after checking k g
-            hd = [h.values, *(partial_field(h, *key) for key in _FIRST + _SECOND)]
-        except (ValueError, FStarError):
-            hd = None
+        hd = None  # the whole-mesh order checks h's grid and partials only after k g
+        if h.grid == self.grid:
+            try:
+                hd = [h.values, *(partial_field(h, *key) for key in _FIRST + _SECOND)]
+            except (ValueError, FStarError):
+                pass
         if hd is not None:
             sq = np.empty((self.grid.n_q, self.grid.n_p))
             with np.errstate(all="ignore"):  # a non-finite block is replayed below

@@ -158,12 +158,10 @@ def check_associativity_scaling(quick: bool, fock: FockPass) -> dict:
 
 
 def check_spectrum_closed_form(quick: bool, fock: FockPass) -> dict:
-    rows_id = spectrum(identity_spec(), 100)
-    worst = max(abs(row.energy - (row.n + 0.5)) for row in rows_id)
-    rows_sq = spectrum(sqrt_n_spec(), 100)
-    for row in rows_sq:
-        expected = ((row.n + 1) ** 2 + row.n**2) / 2.0
-        worst = max(worst, abs(row.energy - expected) / expected)
+    worst = max(abs(e - (n + 0.5)) for n, e in enumerate(spectrum(identity_spec(), 100)))
+    for n, e in enumerate(spectrum(sqrt_n_spec(), 100)):
+        expected = ((n + 1) ** 2 + n**2) / 2.0
+        worst = max(worst, abs(e - expected) / expected)
     return _check("spectrum_closed_form", worst, 1e-12,
                   detail="identity exact half-integers; sqrt_n ((n+1)^2+n^2)/2, n<=100")
 

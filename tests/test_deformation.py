@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -31,8 +32,8 @@ def test_identity_is_exact():
     assert np.all(eval_f(spec, np.linspace(0, 40, 17)) == 1.0)
     assert amplitude_F(spec, 12.75) == 1.0
     assert commutator_target(spec, 9.0) == 1.0
-    rows = spectrum(spec, 12)
-    assert [r.energy for r in rows] == [n + 0.5 for n in range(13)]
+    E = spectrum(spec, 12)
+    assert E.tolist() == [n + 0.5 for n in range(13)]
     assert normalization_Nf(spec, 0.0) == 1.0
 
 
@@ -71,11 +72,12 @@ def test_sqrt_n_commutator_target():
 
 
 def test_sqrt_n_spectrum():
-    rows = spectrum(sqrt_n_spec(), 5)
-    assert rows[1].energy == 2.5
-    assert rows[0].energy == 0.5
-    for row in rows:
-        assert row.energy == ((row.n + 1) ** 2 + row.n**2) / 2.0
+    E = spectrum(sqrt_n_spec(), 5)
+    assert E.dtype == np.float64 and E.shape == (6,)
+    assert E[1] == 2.5
+    assert E[0] == 0.5
+    for n in range(6):
+        assert E[n] == ((n + 1) ** 2 + n**2) / 2.0
 
 
 def test_sqrt_n_normalization_brute_force():
@@ -208,11 +210,10 @@ def test_telescoping_sum(spec, n):
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
 def test_spectrum_vs_commutator_identity(spec):
     # 2 E_n / (hbar w) = commutator_target(n) + 2 n f(n)^2
-    rows = spectrum(spec, 40)
-    for row in rows:
-        expected = commutator_target(spec, float(row.n)) + \
-            2 * row.n * f_squared(spec, float(row.n))
-        assert 2 * row.energy == pytest.approx(expected, rel=1e-13)
+    E = spectrum(spec, 40)
+    for n in range(41):
+        expected = commutator_target(spec, float(n)) + 2 * n * f_squared(spec, float(n))
+        assert 2 * E[n] == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
@@ -609,6 +610,49 @@ def test_parse_deformation_round_trip():
     for spec in REGISTRY:
         again = parse_deformation(spec_to_text(spec))
         assert again == spec
+
+
+ACCEPTED_SPECS = [
+    DeformationSpec("identity"), DeformationSpec("sqrt_n"),
+    DeformationSpec("qdef", q=2), DeformationSpec("qdef", q=np.float64(1.2)),
+    DeformationSpec("qdef", q=np.int64(3)), DeformationSpec("qdef", q=5e-324),
+    DeformationSpec("qdef", q=1.7976931348623157e308), DeformationSpec("qdef", q=0.1 + 0.2),
+    DeformationSpec("expr", expr_source="sqrt(1+0.1*n)"),
+    DeformationSpec("expr", expr_source="  1 + n"),
+]
+
+
+@pytest.mark.parametrize("spec", ACCEPTED_SPECS, ids=lambda s: spec_to_text(s))
+def test_spec_text_round_trips(spec):
+    text = spec_to_text(spec)
+    assert parse_deformation(text) == spec
+    assert spec_to_text(parse_deformation(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                 st.integers(min_value=1, max_value=int(sys.float_info.max))))
+def test_qdef_text_round_trips_for_every_accepted_q(q):
+    spec = DeformationSpec("qdef", q=q)
+    assert type(spec.q) is float and spec == qdef_spec(float(q))
+    assert parse_deformation(spec_to_text(spec)) == spec
+
+
+def test_qdef_keeps_q_as_a_python_float():
+    assert spec_to_text(DeformationSpec("qdef", q=np.float64(1.2))) == "qdef:q=1.2"
+    assert spec_to_text(DeformationSpec("qdef", q=2)) == "qdef:q=2.0"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("qdef", {"q": True}), ("qdef", {"q": np.True_}), ("qdef", {"q": "1.2"}),
+    ("qdef", {"q": 1.2, "expr_source": "n"}),
+    ("identity", {"q": 2.0}), ("sqrt_n", {"q": 1.0}), ("identity", {"expr_source": "n"}),
+    ("expr", {"expr_source": "n", "q": 1.0}),
+    ("expr", {"expr_source": "n "}), ("expr", {"expr_source": "n\n"}),
+])
+def test_spec_refuses_a_parameter_its_kind_does_not_take(kind, params):
+    with pytest.raises(ValueError):
+        DeformationSpec(kind, **params)
 
 
 def test_parse_deformation_qdef_value():

@@ -113,8 +113,7 @@ def test_hamiltonian_curvature_at_the_origin_stays_refused():
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_energy_level_matches_spectrum(spec, n):
     direct = energy_level(spec, n, 1.0, 1.0)
-    via_rows = spectrum(spec, n)[n].energy
-    assert direct == pytest.approx(via_rows, rel=1e-12)
+    assert direct == pytest.approx(spectrum(spec, n)[n], rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
@@ -616,6 +615,19 @@ def test_streamed_defect_refuses_as_the_whole_mesh_order(case):
         assert re.match(message, want[0])
         q = float(want[0].split("= (")[1].split(",")[0])
         assert q == REFUSAL_GRID.q_values()[1034 if "field" in message else 0]
+
+
+def test_streamed_defect_refuses_an_h_off_the_grid():
+    # h has the mesh's shape but other points: (k g) h refuses it, so the stream must
+    grid = PhaseGrid(-4, 4, -4, 4, 65, 65)
+    k, g = (field_from_poly(poly, grid) for poly in (PolySymbol.q(), PolySymbol.p()))
+    h = field_from_poly(PolySymbol.q() + PolySymbol.p(), PhaseGrid(-2, 2, -2, 2, 65, 65))
+    s = ProductSetup(grid, qdef_spec(1.2), 0.1)
+    with pytest.raises(ValueError, match="^fields must share") as whole_mesh:
+        s.product(s.product(k, g, jets=True), h)
+    with pytest.raises(ValueError) as streamed:
+        s.defect_squared(k, g, h)
+    assert str(streamed.value) == str(whole_mesh.value)
 
 
 def test_associativity_identity_exact_zero(grid257):

@@ -356,6 +356,18 @@ CLI_REFUSALS = [
      "error: --grid: grid offset must be finite"),
     (("wigner", "--n", "1", "--grid=-2,2,-2,2,17,17,inf", "--out", os.devnull),
      "error: --grid: grid offset must be finite"),
+    (("spectrum", "--n-max", "2", "--hbar", "0.1,0.2"),
+     "error: --hbar: this command takes a single value"),
+    (("spectrum", "--n-max", "2", "--hbar", "x"),
+     "error: --hbar: could not convert string to float: 'x'"),
+    (("spectrum", "--n-max", "2", "--hbar", "-1"),
+     "error: --hbar: values must be positive finite reals"),
+    (("assoc", "--hbar", "0.1,,0.3"), "error: --hbar: could not convert string to float: ''"),
+    # the library's refusals name no flag
+    (("assoc", "--hbar", "0.1,0.1,0.1", "--grid=-2,2,-2,2,17,17"),
+     "error: need at least 3 distinct hbar values"),
+    (("assoc", "--hbar", "0.1,0.2,0.3", "--grid=-2,2,-2,2,17,17"),
+     "error: hbar values should span at least two decades"),
 ]
 
 

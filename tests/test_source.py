@@ -21,7 +21,11 @@ multiplied onto F and the bracket, is formed in one function, the row-block
 kernel ``starproduct._star_block``.  A module imports another package
 module's private names only as ``PRIVATE_IMPORTS`` lists, and reads
 ``x._name`` on an object other than ``self`` or ``cls`` only where it defines
-``_name`` itself, so the row-block stream stays behind ``ProductSetup``.  No
+``_name`` itself, so the row-block stream stays behind ``ProductSetup``.
+A polynomial is sampled on a grid through ``phasespace._poly_samples``:
+outside it, ``.eval_grid`` is called only where a whole mesh is wanted
+(``field_from_poly``, ``genvalue._defect_norm``), and outside ``symbols`` no
+function asks ``.is_constant`` or ``.constant_value``.  No
 module imports ``threading`` or ``concurrent.futures``, or reads
 ``os.environ`` or ``os.getenv``: the library runs on one thread and takes no
 settings from the environment.
@@ -439,6 +443,56 @@ def test_foreign_private_is_caught():
 def test_modules_share_no_private_names_beyond_the_allowlist():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert foreign_privates(sources) == []
+
+
+# Where a PolySymbol is sampled: _poly_samples is the one statement of how,
+# beside the two places that want its whole-mesh eval_grid
+POLY_SAMPLERS = {"eval_grid": {"phasespace._poly_samples", "phasespace.field_from_poly",
+                               "genvalue._defect_norm"},
+                 "is_constant": {"phasespace._poly_samples"},
+                 "constant_value": {"phasespace._poly_samples"}}
+
+
+def poly_sampling_calls(sources: dict[str, str], allowed=POLY_SAMPLERS) -> list[str]:
+    """'module.function line N: .method' for each call of a method ``allowed``
+    names, outside the functions (qualified by module) it lists for that
+    method; ``symbols``, which defines them, may test for constants."""
+    found = []
+    for module, text in sources.items():
+        def visit(node, scope):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in allowed
+                    and f"{module}.{scope}" not in allowed[node.func.attr]
+                    and not (module == "symbols" and node.func.attr != "eval_grid")):
+                found.append(f"{module}.{scope} line {node.lineno}: .{node.func.attr}")
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+        visit(ast.parse(text), "")
+    return sorted(found)
+
+
+def test_poly_sampling_outside_the_helper_is_caught():
+    sources = {
+        "phasespace": "def _poly_samples(poly, grid):\n"
+                      "    return poly.constant_value() if poly.is_constant() else "
+                      "poly.eval_grid(*grid.axes())\n"
+                      "class AnalyticStructure:\n    def evaluate(self, c, q, p):\n"
+                      "        return c.constant_value() if c.is_constant() else c.eval_grid(q, p)\n",
+        "symbols": "def moyal_exact(left, right, q, p):\n"
+                   "    return right.is_constant() and right.constant_value() * left.eval_grid(q, p)\n",
+    }
+    assert poly_sampling_calls(sources) == [
+        "phasespace.AnalyticStructure.evaluate line 5: .constant_value",
+        "phasespace.AnalyticStructure.evaluate line 5: .eval_grid",
+        "phasespace.AnalyticStructure.evaluate line 5: .is_constant",
+        "symbols.moyal_exact line 2: .eval_grid"]
+
+
+def test_polynomials_are_sampled_through_one_helper():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert poly_sampling_calls(sources) == []
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")
