@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonPositiveValue, ParseError, SeriesDivergence, SingularAmplitude
-from .expressions import parse_scalar_expr
+from .expressions import NUMBER_RE, parse_scalar_expr
 
 KINDS = ("identity", "sqrt_n", "qdef", "expr")
 
@@ -56,7 +57,7 @@ class DeformationSpec:
             raise ValueError(f"{self.kind} takes no expr_source")
         if self.kind == "qdef":
             if (isinstance(self.q, bool) or not isinstance(self.q, numbers.Real)
-                    or not math.isfinite(self.q) or self.q <= 0):
+                    or not 0 < self.q <= sys.float_info.max):  # compared exactly, not cast
                 raise ValueError("qdef requires a finite parameter q > 0")
             object.__setattr__(self, "q", float(self.q))
         if self.kind == "expr":
@@ -371,13 +372,13 @@ def parse_deformation(text: str) -> DeformationSpec:
         if not rest.startswith("q="):
             raise ParseError("qdef takes a single parameter written q=<real>",
                              text.index(":") + 1, expected={"q="})
-        try:
-            q = float(rest[2:])
-        except ValueError:
+        if not NUMBER_RE.fullmatch(rest[2:]):
             raise ParseError(f"bad numeric literal {rest[2:]!r}",
-                             text.index("=") + 1, expected={"number"}) from None
-        if not math.isfinite(q) or q <= 0:
-            raise ParseError("qdef parameter must satisfy q > 0", text.index("=") + 1)
+                             text.index("=") + 1, expected={"number"})
+        q = float(rest[2:])  # an unsigned literal: 0 (or an underflow), finite, or inf
+        if q == 0 or q == math.inf:
+            raise ParseError("qdef parameter must satisfy q > 0" if q == 0 else
+                             "qdef parameter overflows a float", text.index("=") + 1)
         return qdef_spec(q)
     if body.startswith("expr:"):
         source = body[len("expr:"):]

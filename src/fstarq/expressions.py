@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import ParseError
 
+NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    rf"\s*(?:(?P<number>{NUMBER_RE.pattern})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )

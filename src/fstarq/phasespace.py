@@ -4,7 +4,7 @@ Field values are complex128 samples on a rectangular (q, p) grid; radial
 profiles, and the partials of fields with real coefficients, are float64.
 ``partial_field`` is the one route to a derivative (``gradient`` pairs its
 two first partials); it serves each partial, in its source's dtype, from the
-first source that has it:
+first exact source that has it, and refuses any other by name:
 
 * known partials -- seeded with precomputed partials (the product-rule
   jets of an f-star product); every partial computed later joins them;
@@ -21,8 +21,7 @@ first source that has it:
   is the one partition of the mesh into such blocks, which every streamed
   pass (the f-star products, the commutator deviation) visits in order.
   Number-state and coherent-state Wigner profiles share one Laguerre
-  recurrence: a number state W_n is the mixture with one-hot weights;
-* 4th-order finite-difference stencils, for everything else.
+  recurrence: a number state W_n is the mixture with one-hot weights.
 """
 
 from __future__ import annotations
@@ -368,7 +367,7 @@ def field_from_poly(poly: PolySymbol, grid: PhaseGrid) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Finite differences (4th order)
+# Finite differences (4th order), called by name alone
 
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
@@ -387,43 +386,47 @@ def _fd4_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def partial_field(field: Field, i: int, j: int) -> np.ndarray:
-    """d^i/dq^i d^j/dp^j of the samples, from the best available source.
+def fd4_partial(field: Field, i: int, j: int) -> np.ndarray:
+    """d^i/dq^i d^j/dp^j of the samples alone, by repeated 4th-order stencils
+    (q first, then p), each losing one order of accuracy; nothing is cached."""
+    arr = field.values
+    for _ in range(i):
+        arr = _fd4_axis(arr, field.grid.dq, 0)
+    for _ in range(j):
+        arr = _fd4_axis(arr, field.grid.dp, 1)
+    return arr
 
-    Preference order: the field's known partials, exact polynomial,
-    analytic radial structure within the profile's derivative budget,
-    repeated fd4 stencils (which lose one order of accuracy per
-    application).  The partial keeps its source's dtype: float64 from a
-    polynomial or structure with real coefficients, complex128 from complex
-    ones and from fd4 on the values.  A constant polynomial partial (zero
-    included) is one (1, 1) sample that broadcasts to the mesh.  A computed
-    partial joins the known partials once it is finite; otherwise the
-    ValueError names the first (q, p) in mesh order.  Negative orders are
-    refused.
+
+def partial_field(field: Field, i: int, j: int) -> np.ndarray:
+    """d^i/dq^i d^j/dp^j of the samples from the first exact source that has
+    it: the known partials, the polynomial, the analytic radial structure.
+
+    It keeps its source's dtype: float64 from real coefficients, complex128
+    from complex ones; a constant polynomial partial (zero included) is one
+    (1, 1) sample that broadcasts to the mesh.  It joins the known partials
+    once it is finite.  A ValueError names the partial and the field for a
+    negative order, no exact source (``fd4_partial`` estimates one), the
+    profile's derivative budget (``on_grid`` states it), or the first (q, p)
+    in mesh order where it is not finite.
     """
+    what = f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
     if i < 0 or j < 0:
-        raise ValueError(f"partial ({i}, {j}) of {field.label or 'an unnamed field'}: "
-                         "orders must be >= 0")
+        raise ValueError(f"{what}: orders must be >= 0")
     if i == 0 and j == 0:
         return field.values
-    key = (i, j)
-    if key in field._cache:
-        return field._cache[key]
+    if (i, j) in field._cache:
+        return field._cache[i, j]
     if field.poly is not None:
         arr = _poly_samples(field.poly.partial(i, j), field.grid)
-    elif field.analytic is not None and (
-            field.analytic.profile.max_order is None
-            or field.analytic.order_needed + i + j <= field.analytic.profile.max_order):
-        arr = field.analytic.mixed(i, j).evaluate(field.grid)
+    elif field.analytic is None:
+        raise ValueError(f"{what}: no exact source; fd4_partial estimates it by stencils")
     else:
-        arr = field.values
-        for _ in range(i):
-            arr = _fd4_axis(arr, field.grid.dq, 0)
-        for _ in range(j):
-            arr = _fd4_axis(arr, field.grid.dp, 1)
-    _require_finite(field.grid, arr,
-                    f"partial ({i}, {j}) of {field.label or 'an unnamed field'}")
-    field._cache[key] = arr
+        try:
+            arr = field.analytic.mixed(i, j).evaluate(field.grid)
+        except ValueError as exc:  # the profile's derivative budget, stated by on_grid
+            raise ValueError(f"{what}: {exc}") from None
+    _require_finite(field.grid, arr, what)
+    field._cache[i, j] = arr
     return arr
 
 

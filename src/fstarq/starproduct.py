@@ -16,9 +16,9 @@ alone): the default 513^2 grid has 20,759 of them for 263,169 samples.  Its
 ``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
 ``product(k, g, jets=True)`` also attaches exact first partials of the
 result ("jets") from the operands' exact second partials, with dF/dn
-tabulated by the setup's first such product; nested products in the
-associativity study rely on this to stay above the fd4 noise floor.  The
-jets seed the result's known partials, which ``partial_field`` serves.
+tabulated by the setup's first such product.  The jets seed the result's
+known partials, which ``partial_field`` serves: a nested product in the
+associativity study has partials only through them.
 
 ``_star_block`` is the one place the first-order formula (the value and the
 jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
@@ -51,8 +51,8 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
     """Left Moyal multiplication h * w of a polynomial symbol onto a field, at
     the grid's hbar.
 
-    Exact in the h-derivatives; the w-derivatives come from the field's best
-    available source (analytic profile preferred, else fd4 stencils).
+    Exact in the h-derivatives; the w-derivatives come from ``partial_field``,
+    which refuses one without an exact source.
     """
     grid = w.grid
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)

@@ -21,8 +21,8 @@ import numpy as np
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
 from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, _residual_report, assoc_probe,
                        associativity_defect, commutator_deviation, hamiltonian_star)
-from .phasespace import (Field, PhaseGrid, default_grid, fcs_wigner, fock_wigner, integrate,
-                         partial_field)
+from .phasespace import (PhaseGrid, default_grid, fcs_wigner, fd4_partial, fock_wigner,
+                         integrate, partial_field)
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
 
@@ -169,14 +169,13 @@ def check_spectrum_closed_form(quick: bool, fock: FockPass) -> dict:
 def check_derivative_crosscheck(quick: bool, fock: FockPass) -> dict:
     # fd4 truncation is (h^4/30) |d^5 W_4| with max |d^5 W_4| ~ 5.28e3 on [-6,6]^2,
     # so the differentiated axis needs h <= 8.7e-3 to get under 1e-6:
-    # 1537 samples there (h = 1/128, floor ~6.6e-7), 65 across it.  A samples-only
-    # copy of W_4 has no derivative metadata, so partial_field takes fd4 on it.
+    # 1537 samples there (h = 1/128, floor ~6.6e-7), 65 across it.
     worst = 0.0
     for key in ((1, 0), (0, 1)):
         n_q, n_p = (1537, 65) if key == (1, 0) else (65, 1537)
         grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p, hbar=1.0, offset=0.5)
         w4 = fock_wigner(4, grid)
-        diff = partial_field(Field(grid, w4.values), *key) - partial_field(w4, *key)
+        diff = fd4_partial(w4, *key) - partial_field(w4, *key)
         worst = max(worst, float(np.abs(diff[2:-2, 2:-2]).max()))
     return _check("derivative_crosscheck", worst, 1e-6,
                   detail="W_4 on [-6,6]^2, h = 1/128 along the differentiated axis "

@@ -655,6 +655,13 @@ def test_spec_refuses_a_parameter_its_kind_does_not_take(kind, params):
         DeformationSpec(kind, **params)
 
 
+def test_qdef_refuses_a_q_beyond_the_float_range():
+    # an integer float() cannot hold is refused like inf, not by OverflowError
+    for q in (10**400, -10**400):
+        with pytest.raises(ValueError, match="qdef requires a finite parameter q > 0"):
+            DeformationSpec("qdef", q=q)
+
+
 def test_parse_deformation_qdef_value():
     spec = parse_deformation("qdef:q=1.5")
     assert spec.q == 1.5
@@ -672,12 +679,31 @@ def test_parse_deformation_expr_eval():
     "qdef:r=1.2",
     "qdef:q=zebra",
     "qdef:q=-1",
+    "qdef:q=1_2",
+    "qdef:q= 1.2",
+    "qdef:q=+1.2",
+    "qdef:q=1e400",
     "expr:sqrt(",
     "expr:",
 ])
 def test_parse_deformation_errors(text):
     with pytest.raises(ParseError):
         parse_deformation(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("qdef:q=1_2", "bad numeric literal '1_2'"),
+    ("qdef:q= 1.2", "bad numeric literal ' 1.2'"),
+    ("qdef:q=+1.2", "bad numeric literal '+1.2'"),
+    ("qdef:q=1e400", "qdef parameter overflows a float"),
+    ("qdef:q=0.0", "qdef parameter must satisfy q > 0"),
+])
+def test_qdef_reads_q_with_the_tokenizer_number_grammar(text, message):
+    # float() would take digit-group underscores, blanks and a sign, and read
+    # 1e400 as inf; the mini-language has one grammar for numeric literals
+    with pytest.raises(ParseError) as err:
+        parse_deformation(text)
+    assert (err.value.message, err.value.position) == (message, 7)
 
 
 def test_parse_deformation_expr_error_position_is_global():

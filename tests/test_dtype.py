@@ -16,6 +16,7 @@ imaginary part must be +0.0 everywhere.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,8 @@ from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, associativity_de
                     fcs_wigner, field_from_poly, field_to_csv, fock_wigner, genvalue_residual,
                     identity_spec, ladder_fields, moyal_apply, parse_symbol, partial_field,
                     qdef_spec, random_polynomial, read_field_csv, sqrt_n_spec)
-from fstarq.phasespace import AnalyticStructure, MixtureWignerProfile, _fd4_axis
+from fstarq.phasespace import (AnalyticStructure, FockWignerProfile, MixtureWignerProfile,
+                               _fd4_axis)
 from fstarq.starproduct import ProductSetup
 from fstarq.verify import fock_pass
 
@@ -235,12 +237,16 @@ def test_partial_field_keeps_its_source_dtype(grid):
 # ---------------------------------------------------------------------------
 # moyal_apply
 
+def _random_cubic():
+    return random_polynomial(np.random.default_rng(2103), 3)
+
+
 MOYAL_CASES = [
     ("harmonic", lambda: parse_symbol("0.5*q^2 + 0.5*p^2"), "W_3"),
     ("negative", lambda: parse_symbol("-q^2*p + 2*p - 1"), "mixture"),
     ("annihilation", annihilation_symbol, "W_2"),
     ("imaginary", lambda: parse_symbol("i*q*p"), "poly"),
-    ("random", lambda: random_polynomial(np.random.default_rng(2103), 3), "A"),
+    ("random", _random_cubic, "a W_2"),
 ]
 
 
@@ -249,8 +255,9 @@ def _moyal_operand(name, grid):
         return fcs_wigner(qdef_spec(1.2), 1.5, grid)
     if name == "poly":
         return field_from_poly(parse_symbol("q^3 - q*p + 2"), grid)
-    if name == "A":
-        return ladder_fields(identity_spec(), grid)[0]
+    if name == "a W_2":  # complex, and every partial exact: its profile has no budget
+        structure = AnalyticStructure(FockWignerProfile(2), grid.hbar, {0: annihilation_symbol()})
+        return structure.field(grid, name)
     return fock_wigner(int(name[2:]), grid)
 
 
@@ -264,6 +271,15 @@ def test_moyal_apply_keeps_the_complex_bits(grid, name, symbol, operand):
     got = moyal_apply(h, w).values
     assert got.dtype == np.complex128
     _assert_same_bits(got, want)
+
+
+def test_moyal_apply_refuses_a_partial_past_the_profile_budget():
+    # A = a f(n) carries two n-derivatives of f, so a cubic's third partials
+    # of A are refused by name rather than estimated by stencils
+    A = ladder_fields(identity_spec(), GRIDS["origin"])[0]
+    with pytest.raises(ValueError, match=re.escape(
+            "partial (0, 3) of A[identity]: DeformationProfile carries 2 derivatives only")):
+        moyal_apply(_random_cubic(), A)
 
 
 # ---------------------------------------------------------------------------

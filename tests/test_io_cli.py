@@ -12,7 +12,7 @@ import pytest
 import fstarq.io
 from fstarq import (Field, PhaseGrid, canonical_json, commutator_deviation, expr_spec,
                     fcs_wigner, field_report, field_to_csv, fock_wigner,
-                    genvalue_residual, identity_spec, qdef_spec, read_field_csv,
+                    genvalue_residual, identity_spec, partial_field, qdef_spec, read_field_csv,
                     report_to_dict, report_to_json, spectrum, spectrum_to_csv, sqrt_n_spec)
 from fstarq import cli
 from fstarq.cli import main
@@ -65,6 +65,18 @@ def test_field_csv_round_trip(tmp_path):
     again = read_field_csv(path)
     assert np.array_equal(again.values, field.values)  # 17g round-trips exactly
     assert np.allclose(again.grid.q_values(), grid.q_values(), rtol=0, atol=0)
+
+
+def test_read_back_field_has_no_exact_partials(tmp_path):
+    # the CSV keeps the samples alone: partial_field refuses, naming the
+    # stencil estimate, and nothing joins the known partials
+    path = tmp_path / "field.csv"
+    field_to_csv(fock_wigner(1, PhaseGrid(-2.0, 2.0, -2.0, 2.0, 9, 9)), path)
+    field = read_field_csv(path)
+    with pytest.raises(ValueError, match=r"^partial \(1, 0\) of an unnamed field: "
+                                         r"no exact source; fd4_partial"):
+        partial_field(field, 1, 0)
+    assert field._cache == {}
 
 
 def reference_field_csv(field) -> bytes:
@@ -368,6 +380,15 @@ CLI_REFUSALS = [
      "error: need at least 3 distinct hbar values"),
     (("assoc", "--hbar", "0.1,0.2,0.3", "--grid=-2,2,-2,2,17,17"),
      "error: hbar values should span at least two decades"),
+    # q= is read with the tokenizer's numeric-literal grammar
+    (("spectrum", "--n-max", "1", "--spec", "qdef:q=1_2"),
+     "error: --spec: bad numeric literal '1_2' at position 7 (expected: number)"),
+    (("spectrum", "--n-max", "1", "--spec", "qdef:q= 1.2"),
+     "error: --spec: bad numeric literal ' 1.2' at position 7 (expected: number)"),
+    (("spectrum", "--n-max", "1", "--spec", "qdef:q=+1.2"),
+     "error: --spec: bad numeric literal '+1.2' at position 7 (expected: number)"),
+    (("spectrum", "--n-max", "1", "--spec", "qdef:q=1e400"),
+     "error: --spec: qdef parameter overflows a float at position 7"),
 ]
 
 

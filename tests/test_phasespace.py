@@ -16,7 +16,7 @@ from fstarq import (FStarError, Field, NonPositiveValue, PhaseGrid, PolySymbol, 
                     wigner_weights)
 from fstarq.genvalue import DeformationProfile, HamiltonianProfile
 from fstarq.phasespace import (AnalyticStructure, FockWignerProfile, MixtureWignerProfile,
-                               _fd4_axis, laguerre_series)
+                               _fd4_axis, fd4_partial, laguerre_series)
 from fstarq.starproduct import ProductSetup
 
 REGISTRY = registry_specs()
@@ -233,21 +233,22 @@ def test_integrate_is_complex():
 
 
 # ---------------------------------------------------------------------------
-# gradients: partial_field is the one route; a samples-only field gets fd4
+# gradients: partial_field is the one exact route; fd4_partial is called by name
 
 
 def test_fd4_exact_on_linear(grid257):
     f = Field(grid257, mesh(grid257)[0] + 0j)  # plain samples of q
-    gq, gp = gradient(f)
+    gq, gp = fd4_partial(f, 1, 0), fd4_partial(f, 0, 1)
     assert np.max(np.abs(gq - 1.0)) <= 1e-12
     assert np.max(np.abs(gp)) <= 1e-12
+    assert f._cache == {}  # the estimate never joins the known partials
 
 
 def test_fd4_needs_five_points():
     g = PhaseGrid(-1, 1, -1, 1, 4, 9)
     f = Field(g, np.zeros((4, 9)))
-    with pytest.raises(ValueError):
-        gradient(f)
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        fd4_partial(f, 1, 0)
 
 
 def test_analytic_gradient_of_vacuum(origin_grid):
@@ -258,18 +259,17 @@ def test_analytic_gradient_of_vacuum(origin_grid):
     ip = list(origin_grid.p_values()).index(0.0)
     assert gq[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-13)
     # fd4 agrees at its truncation level on this coarse (dq = 1/16) grid
-    fq, _ = gradient(Field(origin_grid, w0.values))
+    fq = fd4_partial(w0, 1, 0)
     assert fq[iq, ip].real == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-4)
 
 
 def test_partial_field_sources_match_fd4_and_the_profile_bitwise():
-    # a samples-only copy gets the bare fd4 stencil, and the Wigner field the
-    # chain rule through its profile, bit for bit
+    # fd4_partial is the bare fd4 stencil on the samples, and the Wigner field
+    # gets the chain rule through its profile, bit for bit
     g = PhaseGrid(-6, 6, -6, 6, 97, 33, offset=0.5)
     w4 = fock_wigner(4, g)
-    raw = Field(g, w4.values)
     for axis, key, h in ((0, (1, 0), g.dq), (1, (0, 1), g.dp)):
-        assert _same_bits(partial_field(raw, *key), _fd4_axis(w4.values, h, axis))
+        assert _same_bits(fd4_partial(w4, *key), _fd4_axis(w4.values, h, axis))
         assert _same_bits(partial_field(w4, *key), w4.analytic.partial(axis).evaluate(g))
     gq, gp = gradient(w4)
     assert gq is partial_field(w4, 1, 0) and gp is partial_field(w4, 0, 1)
@@ -281,7 +281,7 @@ def test_fd4_vs_analytic_crosscheck_is_fourth_order():
     def crosscheck(n_samples):
         g = PhaseGrid(-6, 6, -6, 6, n_samples, n_samples, offset=0.5)
         w4 = fock_wigner(4, g)
-        fq, fp = gradient(Field(g, w4.values))
+        fq, fp = fd4_partial(w4, 1, 0), fd4_partial(w4, 0, 1)
         aq, ap = gradient(w4)
         inner = np.s_[2:-2, 2:-2]
         return max(float(np.max(np.abs((fq - aq)[inner]))),
@@ -300,12 +300,12 @@ def test_partial_field_poly_and_fallback(grid257):
     assert np.allclose(partial_field(f, 1, 1), 2 * Q, rtol=0, atol=1e-12)
     raw = Field(grid257, poly.eval_grid(Q, P))
     inner = np.s_[4:-4, 4:-4]
-    assert np.max(np.abs((partial_field(raw, 1, 1) - 2 * Q)[inner])) <= 1e-9
+    assert np.max(np.abs((fd4_partial(raw, 1, 1) - 2 * Q)[inner])) <= 1e-9
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-1, 2), (2, -3)], ids=str)
 def test_partial_field_refuses_negative_orders(grid257, key):
-    # analytic, poly and fd4 sources alike; nothing joins the known partials
+    # analytic, poly and sourceless fields alike; nothing joins the known partials
     fields = (fock_wigner(1, grid257), field_from_poly(parse_symbol("q^2*p"), grid257),
               Field(grid257, np.ones((257, 257)), label="ones"))
     for field in fields:
@@ -319,8 +319,7 @@ def test_mixed_partials_of_radial_match_fd(grid257):
     # repeated fd4 loses one order per application; agreement is coarse
     w = fock_wigner(3, grid257)
     exact = partial_field(w, 1, 1)
-    approx = Field(grid257, w.values)
-    fd = partial_field(approx, 1, 1)
+    fd = fd4_partial(w, 1, 1)
     inner = np.s_[4:-4, 4:-4]
     assert np.max(np.abs((exact - fd)[inner])) <= 1e-2
     assert np.max(np.abs(exact - fd)) > 0  # genuinely different code paths

@@ -28,7 +28,9 @@ outside it, ``.eval_grid`` is called only where a whole mesh is wanted
 function asks ``.is_constant`` or ``.constant_value``.  No
 module imports ``threading`` or ``concurrent.futures``, or reads
 ``os.environ`` or ``os.getenv``: the library runs on one thread and takes no
-settings from the environment.
+settings from the environment.  The 4th-order stencil ``phasespace._fd4_axis``
+is reached only through ``phasespace.fd4_partial``, which a caller names:
+``partial_field`` serves exact partials or refuses.
 Every defaulted parameter of the public callables, and of ``ProductSetup``'s
 methods, is listed in ``DEFAULTED_PARAMETERS``, so a new option is entered
 there on purpose."""
@@ -493,6 +495,45 @@ def test_poly_sampling_outside_the_helper_is_caught():
 def test_polynomials_are_sampled_through_one_helper():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert poly_sampling_calls(sources) == []
+
+
+def stencil_uses(sources: dict[str, str]) -> list[str]:
+    """'module.function line N' for each load of ``_fd4_axis``, by call or as a
+    value, outside ``phasespace.fd4_partial``: the stencils serve no partial
+    that the caller did not ask for by name."""
+    found = []
+    for module, text in sources.items():
+        def visit(node, scope):
+            if (((isinstance(node, ast.Name) and node.id == "_fd4_axis")
+                 or (isinstance(node, ast.Attribute) and node.attr == "_fd4_axis"))
+                    and isinstance(node.ctx, ast.Load)
+                    and f"{module}.{scope}" != "phasespace.fd4_partial"):
+                found.append(f"{module}.{scope} line {node.lineno}" if scope
+                             else f"{module} line {node.lineno}")
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+        visit(ast.parse(text), "")
+    return sorted(found)
+
+
+def test_stencil_use_outside_fd4_partial_is_caught():
+    sources = {
+        "phasespace": "def _fd4_axis(values, h, axis):\n    return values\n"
+                      "def fd4_partial(field, i, j):\n    return _fd4_axis(field.values, 1.0, 0)\n"
+                      "def partial_field(field, i, j):\n"
+                      "    return _fd4_axis(field.values, field.grid.dq, 0)\n"
+                      "STENCIL = _fd4_axis\n",
+        "verify": "def check(w):\n    return phasespace._fd4_axis(w.values, 0.1, 1)\n",
+    }
+    assert stencil_uses(sources) == ["phasespace line 7", "phasespace.partial_field line 6",
+                                     "verify.check line 2"]
+
+
+def test_stencils_are_reached_only_through_fd4_partial():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert stencil_uses(sources) == []
 
 
 THREAD_MODULES = ("threading", "concurrent.futures")
