@@ -375,10 +375,11 @@ def parse_deformation(text: str) -> DeformationSpec:
         if not NUMBER_RE.fullmatch(rest[2:]):
             raise ParseError(f"bad numeric literal {rest[2:]!r}",
                              text.index("=") + 1, expected={"number"})
-        q = float(rest[2:])  # an unsigned literal: 0 (or an underflow), finite, or inf
+        q = float(rest[2:])  # an unsigned literal: finite, 0, an underflow to 0, or inf
         if q == 0 or q == math.inf:
-            raise ParseError("qdef parameter must satisfy q > 0" if q == 0 else
-                             "qdef parameter overflows a float", text.index("=") + 1)
+            zero = not rest[2:].lower().partition("e")[0].strip("0.")  # no nonzero digit
+            why = "must satisfy q > 0" if zero else f"{'over' if q else 'under'}flows a float"
+            raise ParseError(f"qdef parameter {why}", text.index("=") + 1)
         return qdef_spec(q)
     if body.startswith("expr:"):
         source = body[len("expr:"):]

@@ -22,8 +22,8 @@ import numpy as np
 
 from .deformation import (DeformationSpec, commutator_target, eval_f, f_squared,
                           require_positive, spec_to_text, spectrum)
-from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, field_from_poly,
-                         fock_wigner, integrate)
+from .phasespace import (AnalyticStructure, Field, PhaseGrid, RadialProfile, _require_finite,
+                         field_from_poly, fock_wigner, integrate)
 from .starproduct import ProductSetup, moyal_apply
 from .symbols import PolySymbol, annihilation_symbol, creation_symbol, moyal_exact
 
@@ -266,10 +266,9 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
 
     The defect is defined for the first-order product. Identity-deformation
     polynomial inputs route through the exact Moyal product, where the
-    defect vanishes identically.  Otherwise each hbar takes its real
-    |difference|^2 grid from ``ProductSetup.defect_squared``, which streams
-    the four products one row block at a time, and drops its setup before
-    the next hbar.
+    defect vanishes identically.  Otherwise each hbar streams its real
+    |difference|^2 from ``ProductSetup.defect_squared``, then drops its
+    setup.  Either route's |difference|^2 is refused where it is not finite.
     """
     hbars = [require_positive("hbar", float(x)) for x in hbar_list]
     if len(set(hbars)) < 3:
@@ -294,8 +293,10 @@ def _defect_norm(k: Field, g: Field, h: Field, spec: DeformationSpec, hbar: floa
     if spec.kind == "identity" and all(f.poly is not None for f in (k, g, h)):
         left = moyal_exact(moyal_exact(k.poly, g.poly, hbar), h.poly, hbar)
         right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
-        sq = np.abs((left - right).eval_grid(*grid.axes())) ** 2
+        with np.errstate(all="ignore"):  # refused below, with its first (q, p)
+            sq = np.abs((left - right).eval_grid(*grid.axes())) ** 2
     else:
         sq = ProductSetup(grid, spec, hbar).defect_squared(k, g, h)
+    _require_finite(grid, sq, f"associativity defect at hbar = {hbar!r}")
     return float(np.sqrt(np.sum(sq) * grid.dq * grid.dp))
 

@@ -316,11 +316,12 @@ def _require_finite(grid: PhaseGrid, arr: np.ndarray, what: str) -> None:
 
 
 class Field:
-    """complex128 samples on a PhaseGrid (input is checked, then cast once),
-    with the known partials: a dict keyed by (i, j), seeded from ``partials``
-    and filled by ``partial_field`` as it computes more.  An exact source of
-    the samples (``poly``, ``analytic``) is attached only by the builder that
-    sampled them from it: ``field_from_poly`` or ``AnalyticStructure.field``."""
+    """complex128 samples on a PhaseGrid, and its known partials: a dict keyed
+    by (i, j), seeded from ``partials`` and filled by ``partial_field`` as it
+    computes more.  Input is checked (the partials as ``partial_field`` checks
+    its own), then the samples are cast once.  An exact source of the samples
+    (``poly``, ``analytic``) is attached only by the builder that sampled them
+    from it: ``field_from_poly`` or ``AnalyticStructure.field``."""
 
     __slots__ = ("grid", "values", "label", "poly", "analytic", "_cache")
 
@@ -336,8 +337,20 @@ class Field:
         self.label = label
         self.poly: PolySymbol | None = None
         self.analytic: AnalyticStructure | None = None
-        self._cache: dict[tuple[int, int], np.ndarray] = {
-            key: np.asarray(part) for key, part in (partials or {}).items()}
+        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        for (i, j), part in (partials or {}).items():
+            what, part = self._partial_name(i, j), np.asarray(part)
+            if part.shape not in ((1, 1), arr.shape):
+                raise ValueError(f"{what}: shape {part.shape} is neither (1, 1) nor {arr.shape}")
+            _require_finite(grid, part, what)
+            self._cache[i, j] = part
+
+    def _partial_name(self, i: int, j: int) -> str:
+        """'partial (i, j) of <field>'; a ValueError if (i, j) names no partial."""
+        what = f"partial ({i}, {j}) of {self.label or 'an unnamed field'}"
+        if i < 0 or j < 0 or i == j == 0:
+            raise ValueError(f"{what}: orders must be >= 0, not both 0")
+        return what
 
     def conjugate(self) -> "Field":
         out = Field(self.grid, np.conj(self.values), label=f"conj({self.label})",
@@ -409,11 +422,9 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     profile's derivative budget (``on_grid`` states it), or the first (q, p)
     in mesh order where it is not finite.
     """
-    what = f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
-    if i < 0 or j < 0:
-        raise ValueError(f"{what}: orders must be >= 0")
     if i == 0 and j == 0:
         return field.values
+    what = field._partial_name(i, j)
     if (i, j) in field._cache:
         return field._cache[i, j]
     if field.poly is not None:

@@ -22,16 +22,18 @@ associativity study has partials only through them.
 
 ``_star_block`` is the one place the first-order formula (the value and the
 jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
-its temporaries stay in cache rather than passing through memory as
-whole-mesh arrays would.  ``ProductSetup._blocks`` is the one loop over the
-blocks: it gathers F, and with jets its gradient, from the tables and slices
-the operands.  Its callers fetch their operands before they allocate their
-outputs.  ``product`` fills its outputs block by block; ``commutator`` writes
-both orders' difference over hbar into its one output; and
-``defect_squared``, the associativity stream, keeps only the real
-|difference|^2 of its four nested products.  Every element goes through the
-same operations in the same order as on the whole mesh, so the bits do not
-depend on the blocking.
+its temporaries stay in cache rather than passing through memory as whole-mesh
+arrays would.  ``ProductSetup._blocks`` is the one loop over the blocks: it
+gathers F, and with jets its gradient, from the tables and slices the
+operands, whose partials its callers fetch field by field before they allocate
+their outputs.  ``product`` fills its outputs block by block; ``commutator``
+writes both orders' difference over hbar into its one output; and
+``defect_squared`` keeps only the real |difference|^2 of its four nested
+products.  Every element goes through the same operations in the same order as
+on the whole mesh, so the bits do not depend on the blocking.  Numpy's
+warnings are off in the blocks: a result is refused by a partial of an operand
+or by the one check of the finished result (``Field``'s, or
+``associativity_defect``'s of the squares), at its first (q, p) in mesh order.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import math
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
-from .errors import FStarError
 from .phasespace import Field, _poly_samples, partial_field
 from .symbols import PolySymbol
 
@@ -97,7 +98,7 @@ def _star_block(hbar: float, F, k, g, dF=None):
 class ProductSetup:
     """Validated options of f-star products among fields on one grid.  F(n)
     is sampled once for every product taken through the setup, and dF/dn
-    once, by its first product with jets; both are tables over the grid's
+    once, by its first pass with jets; both are tables over the grid's
     distinct radii (``PhaseGrid.radial_table``), gathered one row block at a
     time, so no setup holds a mesh-sized grid.  Whether a product propagates
     jets is chosen per product."""
@@ -115,18 +116,13 @@ class ProductSetup:
         return self.grid.radial_table(functools.partial(amplitude_F_deriv, self.spec),
                                       2.0 * self.hbar)
 
-    def _operands(self, k: Field, g: Field, jets: bool):
-        """_star_block's k and g on the whole mesh, fetched in the order a
-        refusal is named: k's and g's first partials, dF/dn (with jets), then
-        k's and g's second partials."""
-        if k.grid != self.grid or g.grid != self.grid:
+    def _operands(self, fields, jets: bool):
+        """_star_block's operand per field, in argument order once every grid
+        is checked: its values and first partials, with jets its second too."""
+        if any(f.grid != self.grid for f in fields):
             raise ValueError("fields must share the setup's grid")
-        kd, gd = ([f.values, *(partial_field(f, *key) for key in _FIRST)] for f in (k, g))
-        if jets:
-            self._dF_dn  # sampled here, so that its refusal precedes the second partials'
-            for f, d in ((k, kd), (g, gd)):
-                d += [partial_field(f, *key) for key in _SECOND]
-        return kd, gd
+        keys = _FIRST + _SECOND if jets else _FIRST
+        return [[f.values, *(partial_field(f, *key) for key in keys)] for f in fields]
 
     def _blocks(self, operands, jets: bool):
         """Per row block of ``PhaseGrid.row_blocks``: its rows, F, with jets its
@@ -146,66 +142,45 @@ class ProductSetup:
         """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
         exact first partials.  The outputs are allocated once and filled one
         row block at a time by ``_star_block``."""
-        kd, gd = self._operands(k, g, jets)
+        operands = self._operands((k, g), jets)
         shape = (self.grid.n_q, self.grid.n_p)
         out = np.empty(shape, dtype=complex)
         partials = {key: np.empty(shape, dtype=complex) for key in _FIRST} if jets else None
-        for rows, F, dF, (kb, gb) in self._blocks((kd, gd), jets):
-            out[rows], block_jets = _star_block(self.hbar, F, kb, gb, dF)
-            if jets:
-                partials[1, 0][rows], partials[0, 1][rows] = block_jets
+        with np.errstate(all="ignore"):  # Field names the first sample that is not finite
+            for rows, F, dF, (kb, gb) in self._blocks(operands, jets):
+                out[rows], block_jets = _star_block(self.hbar, F, kb, gb, dF)
+                if jets:
+                    partials[1, 0][rows], partials[0, 1][rows] = block_jets
         return Field(self.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
 
     def commutator(self, k: Field, g: Field) -> Field:
         """(k *_f g - g *_f k) / hbar, both orders formed by ``_star_block``
-        one row block at a time into the one output.  Where that is not
-        finite, the two whole-mesh products are replayed, so the refusal and
-        its warnings are theirs."""
-        kd, gd = self._operands(k, g, jets=False)
+        one row block at a time into the one output, which ``Field`` refuses
+        if it is not finite."""
+        operands = self._operands((k, g), jets=False)
         out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
-        with np.errstate(all="ignore"):  # a non-finite output is replayed below
-            for rows, F, _, (kb, gb) in self._blocks((kd, gd), jets=False):
+        with np.errstate(all="ignore"):  # Field names the first sample that is not finite
+            for rows, F, _, (kb, gb) in self._blocks(operands, jets=False):
                 diff = _star_block(self.hbar, F, kb, gb)[0]
                 diff -= _star_block(self.hbar, F, gb, kb)[0]
                 np.divide(diff, self.hbar, out=out[rows])
-        if not np.isfinite(out).all():
-            out = (self.product(k, g).values - self.product(g, k).values) / self.hbar
         return Field(self.grid, out, label=f"[{k.label}, {g.label}]_f / hbar")
 
     def defect_squared(self, k: Field, g: Field, h: Field) -> np.ndarray:
         """|(k *_f g) *_f h - k *_f (g *_f h)|^2 on the mesh, the four products
         formed by ``_star_block`` one row block at a time, so the jets of k g
-        and g h stay in the block.
-
-        Refusals are those of whole-mesh products taken in the order k g,
-        (k g) h, g h, k (g h), each checked once its operands' partials are
-        fetched.  Where h is off the grid or a partial of h is refused, or a
-        square is not finite, that order is replayed to name the first
-        refusal."""
-        kd, gd = self._operands(k, g, jets=True)
-        hd = None  # the whole-mesh order checks h's grid and partials only after k g
-        if h.grid == self.grid:
-            try:
-                hd = [h.values, *(partial_field(h, *key) for key in _FIRST + _SECOND)]
-            except (ValueError, FStarError):
-                pass
-        if hd is not None:
-            sq = np.empty((self.grid.n_q, self.grid.n_p))
-            with np.errstate(all="ignore"):  # a non-finite block is replayed below
-                for rows, F, dF, (kb, gb, hb) in self._blocks((kd, gd, hd), jets=True):
-                    kg, kg_jets = _star_block(self.hbar, F, kb, gb, dF)
-                    gh, gh_jets = _star_block(self.hbar, F, gb, hb, dF)
-                    diff = _star_block(self.hbar, F, [kg, *kg_jets], hb)[0]
-                    diff -= _star_block(self.hbar, F, kb, [gh, *gh_jets])[0]
-                    sq[rows] = np.abs(diff) ** 2
-            if np.isfinite(sq).all():
-                return sq
-        # A product that is not finite somewhere leaves |diff|^2 not finite there,
-        # as does an overflow of |diff|^2 itself; the whole-mesh order raises the
-        # first refusal, or returns the overflowed squares with their warnings.
-        diff = self.product(self.product(k, g, jets=True), h).values
-        diff -= self.product(k, self.product(g, h, jets=True)).values
-        return np.abs(diff) ** 2
+        and g h stay in the block.  A product that is not finite leaves the
+        squares not finite, which the caller refuses."""
+        operands = self._operands((k, g, h), jets=True)
+        sq = np.empty((self.grid.n_q, self.grid.n_p))
+        with np.errstate(all="ignore"):  # the caller names the first square that is not finite
+            for rows, F, dF, (kb, gb, hb) in self._blocks(operands, jets=True):
+                kg, kg_jets = _star_block(self.hbar, F, kb, gb, dF)
+                gh, gh_jets = _star_block(self.hbar, F, gb, hb, dF)
+                diff = _star_block(self.hbar, F, [kg, *kg_jets], hb)[0]
+                diff -= _star_block(self.hbar, F, kb, [gh, *gh_jets])[0]
+                sq[rows] = np.abs(diff) ** 2
+        return sq
 
 
 def fstar_apply(k: Field, g: Field, spec: DeformationSpec) -> Field:

@@ -683,6 +683,8 @@ def test_parse_deformation_expr_eval():
     "qdef:q= 1.2",
     "qdef:q=+1.2",
     "qdef:q=1e400",
+    "qdef:q=1e-400",
+    "qdef:q=0",
     "expr:sqrt(",
     "expr:",
 ])
@@ -696,11 +698,16 @@ def test_parse_deformation_errors(text):
     ("qdef:q= 1.2", "bad numeric literal ' 1.2'"),
     ("qdef:q=+1.2", "bad numeric literal '+1.2'"),
     ("qdef:q=1e400", "qdef parameter overflows a float"),
+    ("qdef:q=1e-400", "qdef parameter underflows a float"),
+    ("qdef:q=0.001e-400", "qdef parameter underflows a float"),
+    ("qdef:q=0", "qdef parameter must satisfy q > 0"),
     ("qdef:q=0.0", "qdef parameter must satisfy q > 0"),
+    ("qdef:q=.0e5", "qdef parameter must satisfy q > 0"),
 ])
 def test_qdef_reads_q_with_the_tokenizer_number_grammar(text, message):
     # float() would take digit-group underscores, blanks and a sign, and read
-    # 1e400 as inf; the mini-language has one grammar for numeric literals
+    # 1e400 as inf and 1e-400 as 0; the mini-language has one grammar for
+    # numeric literals, and only a literal with no nonzero digit reads as 0
     with pytest.raises(ParseError) as err:
         parse_deformation(text)
     assert (err.value.message, err.value.position) == (message, 7)

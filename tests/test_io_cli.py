@@ -389,6 +389,10 @@ CLI_REFUSALS = [
      "error: --spec: bad numeric literal '+1.2' at position 7 (expected: number)"),
     (("spectrum", "--n-max", "1", "--spec", "qdef:q=1e400"),
      "error: --spec: qdef parameter overflows a float at position 7"),
+    (("spectrum", "--n-max", "1", "--spec", "qdef:q=1e-400"),
+     "error: --spec: qdef parameter underflows a float at position 7"),
+    (("spectrum", "--n-max", "1", "--spec", "qdef:q=0"),
+     "error: --spec: qdef parameter must satisfy q > 0 at position 7"),
 ]
 
 

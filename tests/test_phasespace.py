@@ -385,6 +385,39 @@ def test_field_finite_guard(grid257):
         Field(grid257, bad)
 
 
+SEED_GRID = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 33, 33)
+_NAN_AT_2_3 = np.zeros((33, 33))
+_NAN_AT_2_3[2, 3] = np.nan
+BAD_SEEDS = {
+    "negative": ((1, -1), np.zeros((33, 33)),
+                 "partial (1, -1) of f: orders must be >= 0, not both 0"),
+    "values": ((0, 0), np.zeros((33, 33)), "partial (0, 0) of f: orders must be >= 0, not both 0"),
+    "shape": ((1, 0), np.zeros((5, 5)),
+              "partial (1, 0) of f: shape (5, 5) is neither (1, 1) nor (33, 33)"),
+    "nan": ((0, 1), _NAN_AT_2_3,
+            "partial (0, 1) of f is not finite at (q, p) = (-3.375, -3.125)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SEEDS)
+def test_field_refuses_a_bad_seeded_partial(case):
+    # partial_field and gradient used to serve such a seed as it was
+    key, part, message = BAD_SEEDS[case]
+    with pytest.raises(ValueError) as err:
+        Field(SEED_GRID, np.zeros((33, 33)), label="f", partials={key: part})
+    assert str(err.value) == message
+
+
+def test_field_serves_its_seeded_partials_bit_for_bit():
+    rng = np.random.default_rng(3)
+    const = np.full((1, 1), -0.0)
+    full = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    field = Field(SEED_GRID, np.zeros((33, 33)), partials={(1, 0): const, (0, 1): full})
+    assert all(_same_bits(a, b) for a, b in zip(gradient(field), (const, full)))
+    conj = field.conjugate()
+    assert all(_same_bits(a, np.conj(b)) for a, b in zip(gradient(conj), (const, full)))
+
+
 def test_analytic_structure_radial_flag(grid257):
     w = fock_wigner(2, grid257)
     sq = w.analytic.partial(0)

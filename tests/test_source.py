@@ -31,6 +31,9 @@ module imports ``threading`` or ``concurrent.futures``, or reads
 settings from the environment.  The 4th-order stencil ``phasespace._fd4_axis``
 is reached only through ``phasespace.fd4_partial``, which a caller names:
 ``partial_field`` serves exact partials or refuses.
+``starproduct`` has no ``try`` statement, and no ``ProductSetup`` method
+calls ``self.product``: each f-star result is formed in one row-block pass
+and checked once, with no whole-mesh replay to name its refusal.
 Every defaulted parameter of the public callables, and of ``ProductSetup``'s
 methods, is listed in ``DEFAULTED_PARAMETERS``, so a new option is entered
 there on purpose."""
@@ -392,6 +395,7 @@ def test_bracket_term_is_formed_in_the_block_kernel_alone():
 # Each private name one package module imports from another, by importer
 PRIVATE_IMPORTS = {"symbols": {"expressions._Parser"},
                    "starproduct": {"phasespace._poly_samples"},
+                   "genvalue": {"phasespace._require_finite"},
                    "verify": {"genvalue._residual_report"}}
 
 
@@ -577,6 +581,35 @@ def test_thread_or_environment_use_is_caught():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_module_runs_on_one_thread_and_reads_no_environment(path):
     assert threads_or_environment(path.read_text(encoding="utf-8")) == []
+
+
+def second_routes(source: str) -> list[int]:
+    """Lines with a ``try`` statement, or a call of ``self.product`` inside
+    the class ``ProductSetup``: the marks of a result formed or refused twice."""
+    tree = ast.parse(source)
+    lines = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Try)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "ProductSetup":
+            lines.update(call.lineno for call in ast.walk(node)
+                         if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                         and call.func.attr == "product" and isinstance(call.func.value, ast.Name)
+                         and call.func.value.id == "self")
+    return sorted(lines)
+
+
+def test_second_route_is_caught():
+    source = ("class ProductSetup:\n"
+              "    def product(self, k, g):\n        return k\n"
+              "    def commutator(self, k, g):\n"
+              "        try:\n            out = k\n        except ValueError:\n"
+              "            out = self.product(k, g)\n"
+              "        return out, setup.product(g, k)\n"
+              "def defect(s, k):\n    return s.product(k, k), self.product(k, k)\n")
+    assert second_routes(source) == [5, 8]
+
+
+def test_starproduct_forms_and_refuses_each_result_once():
+    assert second_routes((PACKAGE / "starproduct.py").read_text(encoding="utf-8")) == []
 
 
 # Every parameter with a default of a callable in fstarq.__all__ or a

@@ -1,12 +1,11 @@
 import dataclasses
 import math
-import re
 import warnings
 
 import numpy as np
 import pytest
 
-from fstarq import (Field, PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
+from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
                     creation_symbol, default_grid, field_from_poly,
                     fock_wigner, fstar_apply, genvalue_residual, identity_spec, mesh,
                     moyal_apply, moyal_exact, normalization_Nf, parse_symbol, partial_field,
@@ -227,39 +226,41 @@ def test_commutator_identity_ladder(grid):
 # 33 columns make 496-row blocks, so the 1100 rows take three
 REFUSAL_GRID = PhaseGrid(0.1, 1.2, 0.1, 1.0, 1100, 33, hbar=1.0, offset=0.5)
 COMMUTATOR_REFUSALS = {
-    # k g overflows where q p > 1.15, first at row 1034 (q = 1.135)
-    "k g": ("1.25e154*q", "1.25e154*p", 1034,
-            r"field 1\.25e\+154\*q star_f 1\.25e\+154\*p is not finite at \(q, p\) = "),
-    # both products are finite; their difference, 2e308 q i, overflows from q = 0.899
-    "difference": ("5e307*q^2", "p", 798,
-                   r"field \[5e\+307\*q\^2, p\]_f / hbar is not finite at \(q, p\) = "),
+    # k g overflows only where q p > 1.15, but the two orders' bracket terms
+    # add up to 3.1e308 i everywhere, so the difference overflows at the first sample
+    "k g": ("1.25e154*q", "1.25e154*p",
+            "field [1.25e+154*q, 1.25e+154*p]_f / hbar is not finite at (q, p) = "
+            "(0.10050045495905369, 0.11406250000000001)"),
+    # both products are finite; their difference, 2e308 q i, overflows from
+    # q = 0.899, row 798
+    "difference": ("5e307*q^2", "p",
+                   "field [5e+307*q^2, p]_f / hbar is not finite at (q, p) = "
+                   "(0.899226569608735, 0.11406250000000001)"),
 }
 
 
-def _commutator_whole_mesh(setup, k, g):
-    """ProductSetup.commutator as it subtracted two whole-mesh products."""
-    diff = setup.product(k, g).values - setup.product(g, k).values
-    return Field(setup.grid, diff / setup.hbar, label=f"[{k.label}, {g.label}]_f / hbar")
-
-
 @pytest.mark.parametrize("case", COMMUTATOR_REFUSALS)
-def test_streamed_commutator_refuses_as_the_whole_mesh_order(case):
-    k_text, g_text, row, message = COMMUTATOR_REFUSALS[case]
+def test_streamed_commutator_refuses_once_without_warnings(case):
+    k_text, g_text, message = COMMUTATOR_REFUSALS[case]
+    k, g = (field_from_poly(parse_symbol(text), REFUSAL_GRID) for text in (k_text, g_text))
+    setup = ProductSetup(REFUSAL_GRID, identity_spec(), hbar=2.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            setup.commutator(k, g)
+    assert str(err.value) == message
+    assert not caught
 
-    def outcome(commutator):
-        k, g = (field_from_poly(parse_symbol(text), REFUSAL_GRID) for text in (k_text, g_text))
-        setup = ProductSetup(REFUSAL_GRID, identity_spec(), hbar=2.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result = commutator(setup, k, g)
-            except ValueError as exc:
-                result = str(exc)
-        return result, [(w.category, str(w.message)) for w in caught]
 
-    want = outcome(_commutator_whole_mesh)
-    assert outcome(ProductSetup.commutator) == want
-    assert re.match(message, want[0])
-    assert want[1]  # the overflow is warned of, as on the whole mesh
-    q = float(want[0].split("= (")[1].split(",")[0])
-    assert q == REFUSAL_GRID.q_values()[row]
+def test_streamed_product_refuses_without_warnings():
+    # k g overflows where q p > 1.15, first at row 1034 (q = 1.135); the
+    # overflow used to be warned of before the refusal
+    k, g = (field_from_poly(parse_symbol(text), REFUSAL_GRID)
+            for text in ("1.25e154*q", "1.25e154*p"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            fstar_apply(k, g, identity_spec())
+    assert str(err.value) == ("field 1.25e+154*q star_f 1.25e+154*p is not finite at "
+                              "(q, p) = (1.1354413102820746, 1.0140625)")
+    assert not caught
