@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -302,7 +303,9 @@ def spectrum(spec: DeformationSpec, n_max: int, hbar: float = 1.0,
     E_n = (hbar w / 2) ((n+1) f(n+1)^2 + n f(n)^2).
 
     Raises NonPositiveValue at the first n where f is not finite and
-    positive, or where E_n overflows."""
+    positive, or where E_n overflows.  n_max goes through operator.index, so a
+    float is a TypeError."""
+    n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     require_positive("hbar", hbar)

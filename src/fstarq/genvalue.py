@@ -268,11 +268,15 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
     polynomial inputs route through the exact Moyal product, where the
     defect vanishes identically.  Otherwise each hbar streams its real
     |difference|^2 from ``ProductSetup.defect_squared``, then drops its
-    setup.  Either route's |difference|^2 is refused where it is not finite.
+    setup.  Either route's |difference|^2 is refused where it is not finite,
+    and a repeated hbar is refused by name.
     """
     hbars = [require_positive("hbar", float(x)) for x in hbar_list]
     if len(set(hbars)) < 3:
         raise ValueError("need at least 3 distinct hbar values")
+    for i, hbar in enumerate(hbars):
+        if hbar in hbars[:i]:  # a repeat would weight the fit toward it
+            raise ValueError(f"hbar = {hbar!r} is given more than once")
     if max(hbars) / min(hbars) < 100.0:
         raise ValueError("hbar values should span at least two decades")
     grid = k.grid

@@ -4,10 +4,8 @@ Field values are complex128 samples on a rectangular (q, p) grid; radial
 profiles, and the partials of fields with real coefficients, are float64.
 ``partial_field`` is the one route to a derivative (``gradient`` pairs its
 two first partials); it serves each partial, in its source's dtype, from the
-first exact source that has it, and refuses any other by name:
+field's exact source, memoized on the field, and refuses any other by name:
 
-* known partials -- seeded with precomputed partials (the product-rule
-  jets of an f-star product); every partial computed later joins them;
 * ``poly``      -- an exact PolySymbol backing the samples; a constant
   partial (zero included) is one (1, 1) sample that broadcasts to the mesh;
 * ``analytic``  -- a sum  sum_k c_k(q, p) * w^(k)(v)  with polynomial
@@ -65,10 +63,10 @@ class PhaseGrid:
     def __post_init__(self):
         if operator.index(self.n_q) < 2 or operator.index(self.n_p) < 2:
             raise ValueError("grids need at least 2 samples per axis")
-        if not (self.q_max > self.q_min and self.p_max > self.p_min):
-            raise ValueError("grid bounds must satisfy max > min")
         if not all(map(math.isfinite, (self.q_min, self.q_max, self.p_min, self.p_max))):
             raise ValueError("grid bounds must be finite")
+        if not (self.q_max > self.q_min and self.p_max > self.p_min):
+            raise ValueError("grid bounds must satisfy max > min")
         require_positive("hbar", self.hbar)
         if not math.isfinite(self.offset):
             raise ValueError("grid offset must be finite")
@@ -154,7 +152,9 @@ def laguerre(n: int, x):
 
 
 def _one_hot(n: int) -> np.ndarray:
-    """Weights 0, ..., 0, 1 that pick out the n-th term of a series."""
+    """Weights 0, ..., 0, 1 that pick out the n-th term of a series; n goes
+    through operator.index, so a float is a TypeError."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     weights = np.zeros(n + 1)
@@ -316,17 +316,15 @@ def _require_finite(grid: PhaseGrid, arr: np.ndarray, what: str) -> None:
 
 
 class Field:
-    """complex128 samples on a PhaseGrid, and its known partials: a dict keyed
-    by (i, j), seeded from ``partials`` and filled by ``partial_field`` as it
-    computes more.  Input is checked (the partials as ``partial_field`` checks
-    its own), then the samples are cast once.  An exact source of the samples
-    (``poly``, ``analytic``) is attached only by the builder that sampled them
-    from it: ``field_from_poly`` or ``AnalyticStructure.field``."""
+    """complex128 samples on a PhaseGrid, checked and then cast once.  An exact
+    source of the samples (``poly``, ``analytic``) is attached only by the
+    builder that sampled them from it: ``field_from_poly`` or
+    ``AnalyticStructure.field``; ``_cache`` is ``partial_field``'s memo of the
+    partials it serves from that source, keyed by (i, j)."""
 
     __slots__ = ("grid", "values", "label", "poly", "analytic", "_cache")
 
-    def __init__(self, grid: PhaseGrid, values: np.ndarray, label: str = "",
-                 partials: dict[tuple[int, int], np.ndarray] | None = None):
+    def __init__(self, grid: PhaseGrid, values: np.ndarray, label: str = ""):
         arr = np.asarray(values)
         if arr.shape != (grid.n_q, grid.n_p):
             raise ValueError(f"values shape {arr.shape} does not match grid "
@@ -338,23 +336,10 @@ class Field:
         self.poly: PolySymbol | None = None
         self.analytic: AnalyticStructure | None = None
         self._cache: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), part in (partials or {}).items():
-            what, part = self._partial_name(i, j), np.asarray(part)
-            if part.shape not in ((1, 1), arr.shape):
-                raise ValueError(f"{what}: shape {part.shape} is neither (1, 1) nor {arr.shape}")
-            _require_finite(grid, part, what)
-            self._cache[i, j] = part
-
-    def _partial_name(self, i: int, j: int) -> str:
-        """'partial (i, j) of <field>'; a ValueError if (i, j) names no partial."""
-        what = f"partial ({i}, {j}) of {self.label or 'an unnamed field'}"
-        if i < 0 or j < 0 or i == j == 0:
-            raise ValueError(f"{what}: orders must be >= 0, not both 0")
-        return what
 
     def conjugate(self) -> "Field":
-        out = Field(self.grid, np.conj(self.values), label=f"conj({self.label})",
-                    partials={k: np.conj(v) for k, v in self._cache.items()})
+        out = Field(self.grid, np.conj(self.values), label=f"conj({self.label})")
+        out._cache = {k: np.conj(v) for k, v in self._cache.items()}
         out.poly = None if self.poly is None else self.poly.conjugate()
         out.analytic = None if self.analytic is None else self.analytic.conjugate()
         return out
@@ -411,12 +396,12 @@ def fd4_partial(field: Field, i: int, j: int) -> np.ndarray:
 
 
 def partial_field(field: Field, i: int, j: int) -> np.ndarray:
-    """d^i/dq^i d^j/dp^j of the samples from the first exact source that has
-    it: the known partials, the polynomial, the analytic radial structure.
+    """d^i/dq^i d^j/dp^j of the samples from the field's exact source: the
+    polynomial or the analytic radial structure.
 
     It keeps its source's dtype: float64 from real coefficients, complex128
     from complex ones; a constant polynomial partial (zero included) is one
-    (1, 1) sample that broadcasts to the mesh.  It joins the known partials
+    (1, 1) sample that broadcasts to the mesh.  It is memoized on the field
     once it is finite.  A ValueError names the partial and the field for a
     negative order, no exact source (``fd4_partial`` estimates one), the
     profile's derivative budget (``on_grid`` states it), or the first (q, p)
@@ -424,7 +409,9 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     """
     if i == 0 and j == 0:
         return field.values
-    what = field._partial_name(i, j)
+    what = f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
+    if i < 0 or j < 0:
+        raise ValueError(f"{what}: orders must be >= 0, not both 0")
     if (i, j) in field._cache:
         return field._cache[i, j]
     if field.poly is not None:

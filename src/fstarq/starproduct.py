@@ -14,21 +14,21 @@ higher terms.
 through it, as a table over the grid's distinct radii (F depends on n
 alone): the default 513^2 grid has 20,759 of them for 263,169 samples.  Its
 ``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
-``product(k, g, jets=True)`` also attaches exact first partials of the
-result ("jets") from the operands' exact second partials, with dF/dn
-tabulated by the setup's first such product.  The jets seed the result's
-known partials, which ``partial_field`` serves: a nested product in the
-associativity study has partials only through them.
+A product's operands take their partials from their exact sources
+(``partial_field``).  The nested products of the associativity defect need
+the exact first partials of k *_f g and g *_f h ("jets"), formed from the
+operands' second partials and dF/dn; they exist only inside
+``defect_squared``'s row block, which samples dF/dn once per call.
 
 ``_star_block`` is the one place the first-order formula (the value and the
 jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
 its temporaries stay in cache rather than passing through memory as whole-mesh
 arrays would.  ``ProductSetup._blocks`` is the one loop over the blocks: it
-gathers F, and with jets its gradient, from the tables and slices the
-operands, whose partials its callers fetch field by field before they allocate
-their outputs.  ``product`` fills its outputs block by block; ``commutator``
-writes both orders' difference over hbar into its one output; and
-``defect_squared`` keeps only the real |difference|^2 of its four nested
+gathers F, and for the defect the gradient of F, from the tables and slices
+the operands, whose partials its callers fetch field by field before they
+allocate their outputs.  ``product`` fills its output block by block;
+``commutator`` writes both orders' difference over hbar into its one output;
+and ``defect_squared`` keeps only the real |difference|^2 of its four nested
 products.  Every element goes through the same operations in the same order as
 on the whole mesh, so the bits do not depend on the blocking.  Numpy's
 warnings are off in the blocks: a result is refused by a partial of an operand
@@ -97,11 +97,9 @@ def _star_block(hbar: float, F, k, g, dF=None):
 
 class ProductSetup:
     """Validated options of f-star products among fields on one grid.  F(n)
-    is sampled once for every product taken through the setup, and dF/dn
-    once, by its first pass with jets; both are tables over the grid's
-    distinct radii (``PhaseGrid.radial_table``), gathered one row block at a
-    time, so no setup holds a mesh-sized grid.  Whether a product propagates
-    jets is chosen per product."""
+    is sampled once for every product taken through the setup, as a table
+    over the grid's distinct radii (``PhaseGrid.radial_table``), gathered one
+    row block at a time, so no setup holds a mesh-sized grid."""
 
     def __init__(self, grid, spec: DeformationSpec, hbar: float | None = None):
         hbar = require_positive("hbar", grid.hbar if hbar is None else hbar)
@@ -109,12 +107,6 @@ class ProductSetup:
         self.spec = spec
         self.hbar = hbar
         self.F = grid.radial_table(functools.partial(amplitude_F, spec), 2.0 * hbar)
-
-    @functools.cached_property
-    def _dF_dn(self) -> np.ndarray:
-        """dF/dn per distinct radius, as ``F``."""
-        return self.grid.radial_table(functools.partial(amplitude_F_deriv, self.spec),
-                                      2.0 * self.hbar)
 
     def _operands(self, fields, jets: bool):
         """_star_block's operand per field, in argument order once every grid
@@ -124,34 +116,30 @@ class ProductSetup:
         keys = _FIRST + _SECOND if jets else _FIRST
         return [[f.values, *(partial_field(f, *key) for key in keys)] for f in fields]
 
-    def _blocks(self, operands, jets: bool):
-        """Per row block of ``PhaseGrid.row_blocks``: its rows, F, with jets its
-        gradient (dF/dq, dF/dp) = dF/dn (q, p) / hbar (None without), and
-        each operand's arrays on the block, where a (1, 1) constant partial
-        broadcasts whole.  The one loop of ``_star_block``'s callers."""
+    def _blocks(self, operands, dF_dn):
+        """Per row block of ``PhaseGrid.row_blocks``: its rows, F, the gradient
+        (dF/dq, dF/dp) = dF/dn (q, p) / hbar from the dF/dn table (None
+        without one), and each operand's arrays on the block, where a (1, 1)
+        constant partial broadcasts whole.  The one loop of ``_star_block``'s
+        callers."""
         q, p = self.grid.axes()
         for rows in self.grid.row_blocks():
             F, dF = self.grid.gather(self.F, rows), None
-            if jets:  # dF/dn, rebound to its gradient so no block of it outlives the yield
-                dF = self.grid.gather(self._dF_dn, rows)
+            if dF_dn is not None:  # rebound to its gradient so no block of it outlives the yield
+                dF = self.grid.gather(dF_dn, rows)
                 dF = (dF * q[rows] / self.hbar, dF * p / self.hbar)
             yield rows, F, dF, [[a if a.shape[0] == 1 else a[rows] for a in arrays]
                                 for arrays in operands]
 
-    def product(self, k: Field, g: Field, jets: bool = False) -> Field:
-        """k *_f g = k g + (i hbar / 2) F(n) {k, g}; jets=True attaches its
-        exact first partials.  The outputs are allocated once and filled one
-        row block at a time by ``_star_block``."""
-        operands = self._operands((k, g), jets)
-        shape = (self.grid.n_q, self.grid.n_p)
-        out = np.empty(shape, dtype=complex)
-        partials = {key: np.empty(shape, dtype=complex) for key in _FIRST} if jets else None
+    def product(self, k: Field, g: Field) -> Field:
+        """k *_f g = k g + (i hbar / 2) F(n) {k, g}, allocated once and filled
+        one row block at a time by ``_star_block``."""
+        operands = self._operands((k, g), jets=False)
+        out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
         with np.errstate(all="ignore"):  # Field names the first sample that is not finite
-            for rows, F, dF, (kb, gb) in self._blocks(operands, jets):
-                out[rows], block_jets = _star_block(self.hbar, F, kb, gb, dF)
-                if jets:
-                    partials[1, 0][rows], partials[0, 1][rows] = block_jets
-        return Field(self.grid, out, label=f"{k.label} star_f {g.label}", partials=partials)
+            for rows, F, _, (kb, gb) in self._blocks(operands, None):
+                out[rows] = _star_block(self.hbar, F, kb, gb)[0]
+        return Field(self.grid, out, label=f"{k.label} star_f {g.label}")
 
     def commutator(self, k: Field, g: Field) -> Field:
         """(k *_f g - g *_f k) / hbar, both orders formed by ``_star_block``
@@ -160,7 +148,7 @@ class ProductSetup:
         operands = self._operands((k, g), jets=False)
         out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
         with np.errstate(all="ignore"):  # Field names the first sample that is not finite
-            for rows, F, _, (kb, gb) in self._blocks(operands, jets=False):
+            for rows, F, _, (kb, gb) in self._blocks(operands, None):
                 diff = _star_block(self.hbar, F, kb, gb)[0]
                 diff -= _star_block(self.hbar, F, gb, kb)[0]
                 np.divide(diff, self.hbar, out=out[rows])
@@ -169,12 +157,15 @@ class ProductSetup:
     def defect_squared(self, k: Field, g: Field, h: Field) -> np.ndarray:
         """|(k *_f g) *_f h - k *_f (g *_f h)|^2 on the mesh, the four products
         formed by ``_star_block`` one row block at a time, so the jets of k g
-        and g h stay in the block.  A product that is not finite leaves the
-        squares not finite, which the caller refuses."""
+        and g h stay in the block.  dF/dn is sampled once the operands are
+        fetched, as a table like ``F``.  A product that is not finite leaves
+        the squares not finite, which the caller refuses."""
         operands = self._operands((k, g, h), jets=True)
+        dF_dn = self.grid.radial_table(functools.partial(amplitude_F_deriv, self.spec),
+                                       2.0 * self.hbar)
         sq = np.empty((self.grid.n_q, self.grid.n_p))
         with np.errstate(all="ignore"):  # the caller names the first square that is not finite
-            for rows, F, dF, (kb, gb, hb) in self._blocks(operands, jets=True):
+            for rows, F, dF, (kb, gb, hb) in self._blocks(operands, dF_dn):
                 kg, kg_jets = _star_block(self.hbar, F, kb, gb, dF)
                 gh, gh_jets = _star_block(self.hbar, F, gb, hb, dF)
                 diff = _star_block(self.hbar, F, [kg, *kg_jets], hb)[0]

@@ -181,6 +181,13 @@ def test_spectrum_rejects_nonfinite_hbar_and_omega(name, value):
         spectrum(identity_spec(), 1, **{"hbar": 1.0, "omega": 1.0, name: value})
 
 
+def test_spectrum_refuses_a_fractional_n_max():
+    # n_max = 2.5 used to return the four levels E_0..E_3; a numpy integer is an n_max
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        spectrum(identity_spec(), 2.5)
+    assert spectrum(identity_spec(), np.int64(2)).tolist() == [0.5, 1.5, 2.5]
+
+
 def test_expr_derivatives_are_symbolic():
     spec = expr_spec("sqrt(1+0.1*n)")
     n = 4.0

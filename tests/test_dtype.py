@@ -2,19 +2,24 @@
 
 ``PolySymbol.eval_grid`` and ``AnalyticStructure.evaluate`` return float64
 when every coefficient is real; ``partial_field`` keeps its source's dtype, so
-the Poisson bracket and the jets of ``ProductSetup.product`` stay real for real
-operands.  ``Field.values`` stays complex128.  A constant polynomial partial
-is one (1, 1) sample, compared through ``np.broadcast_to``.  The product is
-formed one block of q rows at a time, so it is held to the whole-mesh formula
-on grids whose last block is ragged, and on one grid smaller than a block.
+the Poisson bracket of ``ProductSetup.product``, and the jets inside
+``ProductSetup.defect_squared``, stay real for real operands.
+``Field.values`` stays complex128.  A constant polynomial partial is one
+(1, 1) sample, compared through ``np.broadcast_to``.  The product is formed
+one block of q rows at a time, so it is held to the whole-mesh formula on
+grids whose last block is ragged, and on one grid smaller than a block; so
+is the associativity defect, against nested whole-mesh products whose inner
+products carry their jets as their first partials.
 
 The oracles below are the all-complex formulas the kernels replaced, kept
 verbatim, but for F and dF/dn, which the product oracle gathers onto the mesh
-from the setup's tables over the distinct radii.  Results are compared as int64 views, so signed zeros count: a real
-result must equal the oracle's real part bit for bit, and the oracle's
-imaginary part must be +0.0 everywhere.
+from tables over the distinct radii: the setup's F, and dF/dn sampled as
+``defect_squared`` samples it.  Results are compared as int64 views, so
+signed zeros count: a real result must equal the oracle's real part bit for
+bit, and the oracle's imaginary part must be +0.0 everywhere.
 """
 
+import functools
 import math
 import re
 import tracemalloc
@@ -22,8 +27,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, associativity_defect,
-                    build_hamiltonian, commutator_deviation, creation_symbol, default_grid,
+from fstarq import (Field, PhaseGrid, PolySymbol, amplitude_F_deriv, annihilation_symbol,
+                    associativity_defect, build_hamiltonian, commutator_deviation,
+                    creation_symbol, default_grid,
                     fcs_wigner, field_from_poly, field_to_csv, fock_wigner, genvalue_residual,
                     identity_spec, ladder_fields, moyal_apply, parse_symbol, partial_field,
                     qdef_spec, random_polynomial, read_field_csv, sqrt_n_spec)
@@ -88,7 +94,7 @@ def _partial_before(field, i, j):
                                  or analytic.order_needed + i + j <= analytic.profile.max_order):
         return _evaluate_before(analytic.mixed(i, j), field.grid)
     if analytic is None and (i, j) in field._cache:
-        return np.asarray(field._cache[i, j], dtype=complex)  # the jets a product seeded
+        return np.asarray(field._cache[i, j], dtype=complex)  # the jets _with_jets seeded
     arr = field.values  # fd4 on the complex samples, as before
     for _ in range(i):
         arr = _fd4_axis(arr, field.grid.dq, 0)
@@ -114,8 +120,8 @@ def _moyal_apply_before(h, w):
 
 
 def _product_before(setup, k, g, jets=False):
-    # F and dF/dn are the setup's tables over the distinct radii, gathered
-    # onto the mesh; the gradient is formed as the whole-mesh setup formed it
+    # F and dF/dn are tables over the distinct radii, gathered onto the mesh;
+    # the gradient is formed as the whole-mesh setup formed it
     grid = setup.grid
     F = grid.gather(setup.F, slice(None))
     kq, kp, gq, gp = (_partial_before(f, *key) for f in (k, g) for key in ((1, 0), (0, 1)))
@@ -124,7 +130,9 @@ def _product_before(setup, k, g, jets=False):
     out = kv * gv + (0.5j * setup.hbar) * F * poisson
     if not jets:
         return out, None
-    dF = grid.gather(setup._dF_dn, slice(None))
+    dF_dn = grid.radial_table(functools.partial(amplitude_F_deriv, setup.spec),
+                              2.0 * setup.hbar)
+    dF = grid.gather(dF_dn, slice(None))
     q, p = grid.axes()
     Fq, Fp = dF * q / setup.hbar, dF * p / setup.hbar
     kqq, kqp, kpp, gqq, gqp, gpp = (_partial_before(f, *key) for f in (k, g)
@@ -134,6 +142,15 @@ def _product_before(setup, k, g, jets=False):
     d_q = kq * gv + kv * gq + (0.5j * setup.hbar) * (Fq * poisson + F * br_q)
     d_p = kp * gv + kv * gp + (0.5j * setup.hbar) * (Fp * poisson + F * br_p)
     return out, {(1, 0): d_q, (0, 1): d_p}
+
+
+def _with_jets(setup, k, g):
+    """k *_f g by _product_before, as a Field whose memo holds its jets: the
+    operand of a nested product, which _partial_before serves them from."""
+    value, jets = _product_before(setup, k, g, jets=True)
+    out = Field(setup.grid, value, label=f"{k.label} star_f {g.label}")
+    out._cache.update(jets)
+    return out
 
 
 def _assert_same_bits(got, want):
@@ -283,7 +300,7 @@ def test_moyal_apply_refuses_a_partial_past_the_profile_budget():
 
 
 # ---------------------------------------------------------------------------
-# the f-star product, with and without jets
+# the f-star product, and the associativity defect with its jets
 
 
 def _operands(kind, grid):
@@ -338,13 +355,13 @@ def test_product_keeps_the_complex_bits(grid, kind):
     got = setup.product(k, g)
     assert got.values.dtype == np.complex128
     _assert_same_bits(got.values, want)
-    # with jets, and one more product that reads them, as the associativity study does
-    want, want_jets = _product_before(setup, k, g, jets=True)
-    kg = setup.product(k, g, jets=True)
-    _assert_same_bits(kg.values, want)
-    for key, jet in want_jets.items():
-        _assert_same_bits(partial_field(kg, *key), jet)
-    _assert_same_bits(setup.product(kg, g).values, _product_before(setup, kg, g)[0])
+    # the defect's jets stay in its block: its squares are those of the nested
+    # whole-mesh products, whose inner products carry their jets as partials
+    diff = (_product_before(setup, _with_jets(setup, k, g), k)[0]
+            - _product_before(setup, k, _with_jets(setup, g, k))[0])
+    sq = setup.defect_squared(k, g, k)
+    assert sq.dtype == np.float64
+    _assert_same_bits(sq, np.abs(diff) ** 2 + 0j)
 
 
 COMMUTATOR_KINDS = ["H x W_3", "W_1 x W_1", "q x p", "poly x mixture",   # real x real
@@ -388,11 +405,11 @@ def test_real_product_keeps_its_bracket_real():
     grid = GRIDS["513"]
     setup = ProductSetup(grid, sqrt_n_spec())
     k, g = build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(3, grid)
-    kg = setup.product(k, g, jets=True)
+    kg = setup.product(k, g)
+    sq = setup.defect_squared(k, g, k)  # fetches the second partials the jets take
     assert all(partial_field(f, *key).dtype == np.float64 for f in (k, g)
                for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
-    assert kg.values.dtype == np.complex128
-    assert all(jet.dtype == np.complex128 for jet in kg._cache.values())
+    assert kg.values.dtype == np.complex128 and sq.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +431,7 @@ def test_field_values_stay_complex(tmp_path):
     field_to_csv(W, str(path))
     fields = [W, fcs_wigner(qdef_spec(1.2), 1.0, grid), H, *ladder_fields(sqrt_n_spec(), grid),
               field_from_poly(parse_symbol("q^2 + p"), grid),
-              setup.product(H, W), setup.product(H, W, jets=True),
+              setup.product(H, W),
               moyal_apply(parse_symbol("q^2 + p^2"), W),
               commutator_deviation(sqrt_n_spec(), grid)[0], read_field_csv(str(path))]
     for field in fields:

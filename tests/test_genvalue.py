@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -7,15 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from fstarq import (FStarError, NonPositiveValue, PhaseGrid, PolySymbol, associativity_defect,
-                    build_hamiltonian, canonical_json, commutator_deviation, deformation,
+from fstarq import (FStarError, Field, NonPositiveValue, PhaseGrid, PolySymbol,
+                    amplitude_F_deriv, associativity_defect, build_hamiltonian, canonical_json,
+                    commutator_deviation, deformation,
                     energy_level, expr_spec, fcs_wigner, field_from_poly, fock_wigner,
                     fstar_apply, genvalue_residual, identity_spec, integrate, ladder_fields,
                     mesh, parse_symbol, partial_field, qdef_spec, registry_specs,
                     run_verification, spec_to_text, spectrum, sqrt_n_spec)
 from fstarq import genvalue
 from fstarq.genvalue import hamiltonian_star
-from fstarq.starproduct import ProductSetup, moyal_apply
+from fstarq.starproduct import ProductSetup, _star_block, moyal_apply
 from fstarq.verify import FockPass, check_imag_vanishing, fock_pass
 
 REGISTRY = registry_specs()
@@ -485,17 +487,22 @@ def test_associativity_samples_amplitude_once_per_hbar(grid257, amplitude_sample
     assert amplitude_samples == {"F": 3, "dF": 3}
 
 
-def test_setup_samples_the_amplitude_gradient_on_its_first_jets_product(grid257,
-                                                                        amplitude_samples):
-    # products without jets never sample dF/dn; two products with jets sample it once
-    k, g, h = assoc_operands(grid257)
-    setup = ProductSetup(grid257, sqrt_n_spec())
-    setup.product(k, g)
-    setup.commutator(g, h)
-    assert amplitude_samples == {"F": 1, "dF": 0}
-    setup.product(k, g, jets=True)
-    setup.product(g, h, jets=True)
-    assert amplitude_samples == {"F": 1, "dF": 1}
+_JET_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _with_jets(setup, k, g):
+    """k *_f g formed by _star_block on the whole mesh as one block, as a Field
+    whose memo holds its jets: the operand a nested product reads them from."""
+    grid, hbar = setup.grid, setup.hbar
+    q, p = grid.axes()
+    dF_dn = grid.gather(grid.radial_table(functools.partial(amplitude_F_deriv, setup.spec),
+                                          2.0 * hbar), slice(None))
+    operands = [[f.values, *(partial_field(f, *key) for key in _JET_KEYS)] for f in (k, g)]
+    value, jets = _star_block(hbar, grid.gather(setup.F, slice(None)), *operands,
+                              (dF_dn * q / hbar, dF_dn * p / hbar))
+    out = Field(grid, value, label=f"{k.label} star_f {g.label}")
+    out._cache.update(zip(_JET_KEYS, jets))
+    return out
 
 
 @pytest.mark.parametrize("spec", [sqrt_n_spec(), expr_spec("sqrt(1+0.5*n)")],
@@ -506,8 +513,8 @@ def test_associativity_shared_setup_matches_independent_products(grid257, spec):
     expected = []
     for hbar in hbars:
         k, g, h = assoc_operands(grid257)
-        kg = ProductSetup(grid257, spec, hbar).product(k, g, jets=True)
-        gh = ProductSetup(grid257, spec, hbar).product(g, h, jets=True)
+        kg = _with_jets(ProductSetup(grid257, spec, hbar), k, g)
+        gh = _with_jets(ProductSetup(grid257, spec, hbar), g, h)
         diff = (ProductSetup(grid257, spec, hbar).product(kg, h).values
                 - ProductSetup(grid257, spec, hbar).product(k, gh).values)
         expected.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2)
@@ -523,8 +530,8 @@ def _associativity_before(k, g, h, spec, hbars):
     points = []
     for hbar in hbars:
         s = ProductSetup(grid, spec, hbar)
-        kg = s.product(k, g, jets=True)
-        gh = s.product(g, h, jets=True)
+        kg = _with_jets(s, k, g)
+        gh = _with_jets(s, g, h)
         diff = s.product(kg, h).values - s.product(k, gh).values
         points.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dq * grid.dp))))
     if all(norm < genvalue.EXACT_ZERO_FLOOR for _, norm in points):
@@ -621,7 +628,7 @@ def test_streamed_defect_refuses_an_h_off_the_grid():
     h = field_from_poly(PolySymbol.q() + PolySymbol.p(), PhaseGrid(-2, 2, -2, 2, 65, 65))
     s = ProductSetup(grid, qdef_spec(1.2), 0.1)
     with pytest.raises(ValueError, match="^fields must share") as whole_mesh:
-        s.product(s.product(k, g, jets=True), h)
+        s.product(s.product(k, g), h)
     with pytest.raises(ValueError) as streamed:
         s.defect_squared(k, g, h)
     assert str(streamed.value) == str(whole_mesh.value)
@@ -684,3 +691,16 @@ def test_associativity_validation(grid257):
     with pytest.raises(TypeError, match="order"):
         associativity_defect(k, k, k, sqrt_n_spec(), [1e-1, 1e-2, 1e-3],
                              order="first")
+
+
+@pytest.mark.parametrize("hbars, repeated", [
+    ([0.1, 0.01, 0.001, 0.1], 0.1),
+    ([0.1, 0.01, 0.001, 0.001, 0.001], 0.001),
+    (["1e-1", 0.01, "0.10", 0.001], 0.1),
+], ids=["twice", "thrice", "spelled"])
+def test_associativity_refuses_a_repeated_hbar(grid257, hbars, repeated):
+    # a repeat was recomputed and weighted the slope's fit toward it
+    for spec in (identity_spec(), sqrt_n_spec()):
+        with pytest.raises(ValueError) as err:
+            associativity_defect(*assoc_operands(grid257), spec, hbars)
+        assert str(err.value) == f"hbar = {repeated!r} is given more than once"

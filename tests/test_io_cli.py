@@ -393,6 +393,12 @@ CLI_REFUSALS = [
      "error: --spec: qdef parameter underflows a float at position 7"),
     (("spectrum", "--n-max", "1", "--spec", "qdef:q=0"),
      "error: --spec: qdef parameter must satisfy q > 0 at position 7"),
+    # a repeated hbar used to be recomputed and weight the fit toward it
+    (("assoc", "--hbar", "0.1,0.1,0.01,0.001", "--grid=-2,2,-2,2,17,17"),
+     "error: hbar = 0.1 is given more than once"),
+    # a NaN bound used to read as an ordering error
+    (("wigner", "--n", "1", "--grid=nan,1,-1,1,9,9", "--out", os.devnull),
+     "error: --grid: grid bounds must be finite"),
 ]
 
 

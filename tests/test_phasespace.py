@@ -10,7 +10,7 @@ from scipy.special import eval_laguerre
 
 from fstarq import (FStarError, Field, NonPositiveValue, PhaseGrid, PolySymbol, amplitude_F,
                     amplitude_F_deriv, commutator_target, default_grid, fcs_wigner,
-                    field_from_poly, fock_wigner, gradient, identity_spec,
+                    field_from_poly, fock_wigner, genvalue_residual, gradient, identity_spec,
                     integrate, laguerre, mesh, moyal_apply, parse_symbol, partial_field,
                     qdef_spec, ladder_fields, registry_specs, spec_to_text, sqrt_n_spec,
                     wigner_weights)
@@ -60,6 +60,24 @@ def test_grid_refuses_a_fractional_sample_count():
             PhaseGrid(-4, 4, -4, 4, n_q, n_p)
     grid = PhaseGrid(-4, 4, -4, 4, np.int64(5), np.int32(6))
     assert (len(grid.q_values()), len(grid.p_values())) == (5, 6)
+
+
+@pytest.mark.parametrize("bounds", [(math.nan, 1, -1, 1), (-1, 1, -1, math.nan),
+                                    (-1, math.inf, -1, 1), (-math.inf, 1, -1, 1)], ids=str)
+def test_grid_names_a_non_finite_bound(bounds):
+    # a NaN bound used to read as an ordering error, "max > min"
+    with pytest.raises(ValueError, match="^grid bounds must be finite$"):
+        PhaseGrid(*bounds, 9, 9)
+
+
+def test_number_state_refuses_a_fractional_n(grid257):
+    # n = 2.5 died in numpy ("expected a sequence of integers"); a numpy integer is an n
+    for build in (lambda n: laguerre(n, 1.0), FockWignerProfile,
+                  lambda n: fock_wigner(n, grid257),
+                  lambda n: genvalue_residual(sqrt_n_spec(), n, grid257)):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            build(2.5)
+    assert laguerre(np.int64(2), 1.0) == laguerre(2, 1.0)
 
 
 def test_mesh_is_cached_and_readonly(grid257):
@@ -385,39 +403,6 @@ def test_field_finite_guard(grid257):
         Field(grid257, bad)
 
 
-SEED_GRID = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 33, 33)
-_NAN_AT_2_3 = np.zeros((33, 33))
-_NAN_AT_2_3[2, 3] = np.nan
-BAD_SEEDS = {
-    "negative": ((1, -1), np.zeros((33, 33)),
-                 "partial (1, -1) of f: orders must be >= 0, not both 0"),
-    "values": ((0, 0), np.zeros((33, 33)), "partial (0, 0) of f: orders must be >= 0, not both 0"),
-    "shape": ((1, 0), np.zeros((5, 5)),
-              "partial (1, 0) of f: shape (5, 5) is neither (1, 1) nor (33, 33)"),
-    "nan": ((0, 1), _NAN_AT_2_3,
-            "partial (0, 1) of f is not finite at (q, p) = (-3.375, -3.125)"),
-}
-
-
-@pytest.mark.parametrize("case", BAD_SEEDS)
-def test_field_refuses_a_bad_seeded_partial(case):
-    # partial_field and gradient used to serve such a seed as it was
-    key, part, message = BAD_SEEDS[case]
-    with pytest.raises(ValueError) as err:
-        Field(SEED_GRID, np.zeros((33, 33)), label="f", partials={key: part})
-    assert str(err.value) == message
-
-
-def test_field_serves_its_seeded_partials_bit_for_bit():
-    rng = np.random.default_rng(3)
-    const = np.full((1, 1), -0.0)
-    full = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-    field = Field(SEED_GRID, np.zeros((33, 33)), partials={(1, 0): const, (0, 1): full})
-    assert all(_same_bits(a, b) for a, b in zip(gradient(field), (const, full)))
-    conj = field.conjugate()
-    assert all(_same_bits(a, np.conj(b)) for a, b in zip(gradient(conj), (const, full)))
-
-
 def test_analytic_structure_radial_flag(grid257):
     w = fock_wigner(2, grid257)
     sq = w.analytic.partial(0)
@@ -471,6 +456,10 @@ def test_conjugate_serves_the_conjugated_source(grid257):
         assert conj.label == f"conj({field.label})"
         for key in ((1, 0), (0, 1), (1, 1)):
             assert _same_bits(partial_field(conj, *key), np.conj(partial_field(field, *key)))
+        # a conjugate taken later starts from the conjugated memo
+        memo = field.conjugate()._cache
+        assert memo.keys() == field._cache.keys()
+        assert all(_same_bits(memo[key], np.conj(field._cache[key])) for key in memo)
     assert poly.conjugate().poly == poly.poly.conjugate()
     assert ladder.conjugate().analytic.terms == {0: ladder.analytic.terms[0].conjugate()}
 
@@ -483,8 +472,8 @@ def test_radial_derivatives_computed_once_per_key(grid257):
     h = _analytic_field(ham, grid257, 2.0)
     # six partials of W_3, orders 0..2 of its profile
     moyal_apply(PolySymbol({(2, 0): 0.5, (0, 2): 0.5}), w)
-    # jets ask for the second partials of both operands too
-    ProductSetup(grid257, spec).product(h, w, jets=True)
+    # the associativity defect asks for the second partials of every operand too
+    ProductSetup(grid257, spec).defect_squared(h, w, h)
     assert sorted(fock.orders) == [0, 1, 2]
     assert sorted(ham.orders) == [0, 1, 2]
     Q, P = mesh(grid257)

@@ -16,9 +16,11 @@ one numpy evaluator for scalar and array n.  ``deformation`` raises
 A field's exact source (``.poly``, ``.analytic``) is assigned only in
 ``phasespace``'s ``Field.__init__``, ``Field.conjugate``, ``field_from_poly``
 and ``AnalyticStructure.field``, so only the builder that sampled a field
-from its source attaches it.  The f-star bracket term, an (i hbar / 2) factor
-multiplied onto F and the bracket, is formed in one function, the row-block
-kernel ``starproduct._star_block``.  A module imports another package
+from its source attaches it; a field's ``._cache`` is written only in
+``Field.__init__``, ``Field.conjugate`` and ``partial_field``, which memoizes
+the partials it serves from that source.  The f-star bracket term, an
+(i hbar / 2) factor multiplied onto F and the bracket, is formed in one
+function, the row-block kernel ``starproduct._star_block``.  A module imports another package
 module's private names only as ``PRIVATE_IMPORTS`` lists, and reads
 ``x._name`` on an object other than ``self`` or ``cls`` only where it defines
 ``_name`` itself, so the row-block stream stays behind ``ProductSetup``.
@@ -312,26 +314,34 @@ SOURCE_SETTERS = ("Field.__init__", "Field.conjugate", "field_from_poly",
                   "AnalyticStructure.field")
 
 
-def source_assignments(source: str, allowed=()) -> list[int]:
-    """Lines that assign ``.poly`` or ``.analytic``, directly or by ``setattr``,
-    outside the functions named (by qualified name) in ``allowed``."""
-    lines = []
-
+def scoped_nodes(source: str):
+    """(node, scope) for every node of source, scope being the qualified name
+    of the class or function around it ("" at module level)."""
     def visit(node, scope):
-        if scope not in allowed and (
-                (isinstance(node, ast.Attribute) and node.attr in SOURCE_ATTRIBUTES
-                 and isinstance(node.ctx, ast.Store))
-                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "setattr" and len(node.args) > 1
-                    and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value in SOURCE_ATTRIBUTES)):
-            lines.append(node.lineno)
+        yield node, scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-    visit(ast.parse(source), "")
-    return sorted(lines)
+            yield from visit(child, scope)
+    return visit(ast.parse(source), "")
+
+
+def _setattr_of(node, names) -> bool:
+    """node is a ``setattr(x, name, ...)`` call for a literal name in names."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value in names)
+
+
+def source_assignments(source: str, allowed=()) -> list[int]:
+    """Lines that assign ``.poly`` or ``.analytic``, directly or by ``setattr``,
+    outside the functions named (by qualified name) in ``allowed``."""
+    def assigns(node):
+        return ((isinstance(node, ast.Attribute) and node.attr in SOURCE_ATTRIBUTES
+                 and isinstance(node.ctx, ast.Store))
+                or _setattr_of(node, SOURCE_ATTRIBUTES))
+    return sorted(node.lineno for node, scope in scoped_nodes(source)
+                  if scope not in allowed and assigns(node))
 
 
 def test_source_assignment_is_caught():
@@ -351,6 +361,49 @@ def test_source_assignment_is_caught():
 def test_exact_sources_are_attached_only_by_their_builders(path):
     allowed = SOURCE_SETTERS if path.stem == "phasespace" else ()
     assert source_assignments(path.read_text(encoding="utf-8"), allowed) == []
+
+
+CACHE_WRITERS = ("Field.__init__", "Field.conjugate", "partial_field")
+CACHE_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear")
+
+
+def cache_writes(source: str, allowed=()) -> list[int]:
+    """Lines that write ``._cache`` outside the functions named (by qualified
+    name) in ``allowed``: that bind or delete it or one of its keys, call a
+    mutating dict method on it, or ``setattr`` it."""
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def writes(node):
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        return ((stored and (is_cache(node)
+                             or (isinstance(node, ast.Subscript) and is_cache(node.value))))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and is_cache(node.func.value) and node.func.attr in CACHE_MUTATORS)
+                or _setattr_of(node, ("_cache",)))
+    return sorted(node.lineno for node, scope in scoped_nodes(source)
+                  if scope not in allowed and writes(node))
+
+
+def test_cache_write_is_caught():
+    source = ("class Field:\n"
+              "    def __init__(self):\n        self._cache = {}\n"
+              "    def seed(self, parts):\n        self._cache.update(parts)\n"
+              "def partial_field(field, i, j):\n"
+              "    field._cache[i, j] = 0\n    return field._cache.get((i, j))\n"
+              "def other(field):\n"
+              "    field._cache[1, 0] = 0\n    del field._cache[1, 0]\n"
+              "    field._cache.setdefault((0, 1), 0)\n    setattr(field, '_cache', {})\n"
+              "    return field._cache.get((1, 0)), len(field._cache)\n")
+    assert cache_writes(source, CACHE_WRITERS) == [5, 10, 11, 12, 13]
+    assert cache_writes(source) == [3, 5, 7, 10, 11, 12, 13]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_partials_are_memoized_only_by_partial_field(path):
+    # a field's partials come from its exact source; no caller seeds them
+    allowed = CACHE_WRITERS if path.stem == "phasespace" else ()
+    assert cache_writes(path.read_text(encoding="utf-8"), allowed) == []
 
 
 def bracket_term_functions(source: str) -> list[str]:
@@ -616,7 +669,7 @@ def test_starproduct_forms_and_refuses_each_result_once():
 # ProductSetup method, by callable; callables without one are left out.
 DEFAULTED_PARAMETERS = {
     "DeformationSpec": {"q": None, "expr_source": None},
-    "Field": {"label": "", "partials": None},
+    "Field": {"label": ""},
     "ParseError": {"expected": None},
     "PhaseGrid": {"hbar": 1.0, "offset": 0.5},
     "PolySymbol": {"terms": None},
@@ -631,7 +684,6 @@ DEFAULTED_PARAMETERS = {
     "spectrum": {"hbar": 1.0, "omega": 1.0},
     "wigner_weights": {"tol": 1e-14},
     "ProductSetup.__init__": {"hbar": None},
-    "ProductSetup.product": {"jets": False},
 }
 
 

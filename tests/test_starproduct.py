@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fstarq import (PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
+from fstarq import (Field, PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
                     creation_symbol, default_grid, field_from_poly,
                     fock_wigner, fstar_apply, genvalue_residual, identity_spec, mesh,
                     moyal_apply, moyal_exact, normalization_Nf, parse_symbol, partial_field,
@@ -122,8 +122,8 @@ def test_fstar_grid_mismatch(grid):
 
 
 def test_fstar_invalid_options(grid):
-    # the product is first order only and takes the grid's hbar; a product
-    # chooses its own jets; the diagnostics need a grid, the series its default
+    # the product is first order only, takes the grid's hbar and forms no
+    # jets; the diagnostics need a grid, the series its default
     # length, and random polynomials are complex.  Removed options are not accepted
     k = field_from_poly(PolySymbol.q(), grid)
     spec = identity_spec()
@@ -132,6 +132,9 @@ def test_fstar_invalid_options(grid):
                for option in ({"order": "first"}, {"jet_order": 1}, {"hbar": 0.5})]
     removed += [(ProductSetup, (grid, spec), option)
                 for option in ({"order": "first"}, {"jet_order": 1}, {"jets": True})]
+    # partials come from a field's exact source, and the jets stay in the defect
+    removed += [(ProductSetup(grid, spec).product, (k, k), {"jets": True}),
+                (Field, (grid, k.values), {"partials": {}})]
     removed += [
         (moyal_apply, (PolySymbol.q(), k), {"hbar": 0.5}),
         (genvalue_residual, (spec, 1), {}),
@@ -174,35 +177,45 @@ def test_fstar_identity_truncates_moyal_second_order_term(grid):
     assert np.max(np.abs(out.values - exact - 0.5)) <= 1e-12
 
 
+def _bracket(a, b):
+    return a.dq() * b.dp() - a.dp() * b.dq()
+
+
 def test_fstar_jet_partials_match_polynomial_truth(grid):
-    # identity spec on q, p: the product is qp + i hbar/2, whose gradient is (p, q)
-    k = field_from_poly(PolySymbol.q(), grid)
-    g = field_from_poly(PolySymbol.p(), grid)
-    out = ProductSetup(grid, identity_spec()).product(k, g, jets=True)
-    Q, P = mesh(grid)
-    assert np.max(np.abs(partial_field(out, 1, 0) - P)) <= 1e-12
-    assert np.max(np.abs(partial_field(out, 0, 1) - Q)) <= 1e-12
-    # the conjugate field serves the conjugated jets, not a stencil estimate
-    conj = out.conjugate()
-    for key in ((1, 0), (0, 1)):
-        assert partial_field(conj, *key).tobytes() == np.conj(partial_field(out, *key)).tobytes()
+    # at f = 1 the first-order terms of (k * g) * h - k * (g * h) cancel, so
+    # the defect is (i hbar / 2)^2 ({{k, g}, h} - {k, {g, h}}): second partials
+    # that reach it only through the jets of k g and g h.  Here it is -1.5 q^2
+    polys = [parse_symbol(text) for text in ("q^2 + p", "q*p", "p^2 - q^3")]
+    k, g, h = polys
+    truth = (_bracket(_bracket(k, g), h) - _bracket(k, _bracket(g, h))) * (-0.25 * grid.hbar**2)
+    assert truth == parse_symbol("-1.5*q^2")
+    fields = [field_from_poly(poly, grid) for poly in polys]
+    sq = ProductSetup(grid, identity_spec()).defect_squared(*fields)
+    assert np.allclose(sq, np.abs(truth.eval_grid(*grid.axes())) ** 2, rtol=1e-12, atol=1e-12)
+
+
+def _with_fd4_jets(field):
+    """field's samples, with fd4 estimates of its first partials as its memo."""
+    out = Field(field.grid, field.values, label=field.label)
+    out._cache.update({key: fd4_partial(field, *key) for key in ((1, 0), (0, 1))})
+    return out
 
 
 def test_fstar_jet_partials_match_fd(grid):
-    # sqrt_n jets against an independent fd4 differentiation of the samples;
-    # compare away from the origin, where fd4 can still track the F(n) ~
-    # 1/sqrt(n) amplitude (near the origin only the jets stay accurate)
+    # the defect's sqrt_n jets against an independent fd4 differentiation of
+    # the product samples, carried into the nested products; compare away from
+    # the origin, where fd4 can still track the F(n) ~ 1/sqrt(n) amplitude
+    # (near the origin only the jets stay accurate)
     spec = sqrt_n_spec()
-    k = field_from_poly(parse_symbol("q^2 + p"), grid)
-    g = field_from_poly(parse_symbol("q*p"), grid)
-    out = ProductSetup(grid, spec).product(k, g, jets=True)
+    k, g, h = (field_from_poly(parse_symbol(text), grid) for text in ("q^2 + p", "q*p", "q + p"))
+    s = ProductSetup(grid, spec)
+    diff = (s.product(_with_fd4_jets(s.product(k, g)), h).values
+            - s.product(k, _with_fd4_jets(s.product(g, h))).values)
     Q, P = mesh(grid)
     mask = (Q**2 + P**2) >= 1.0
     mask[:8, :] = mask[-8:, :] = mask[:, :8] = mask[:, -8:] = False
-    for key in ((1, 0), (0, 1)):
-        fd = fd4_partial(out, *key)
-        dev = np.abs(partial_field(out, *key) - fd)
-        assert np.max(dev[mask]) <= 2e-4
+    dev = np.abs(np.sqrt(s.defect_squared(k, g, h)) - np.abs(diff))
+    assert np.max(dev[mask]) <= 2e-4
 
 
 # ---------------------------------------------------------------------------
