@@ -237,23 +237,34 @@ def f_squared(spec: DeformationSpec, n, order: int = 0):
 # Amplitude, commutator target, spectrum
 
 
-def _target(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
+def _target_terms(spec: DeformationSpec, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n+1) s(n+1) and n s(n), s = f^2: the commutator target is their difference."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (n + 1.0) * _s(spec, n + 1.0, 0) - n * _s(spec, n, 0)
+        return (n + 1.0) * _s(spec, n + 1.0, 0), n * _s(spec, n, 0)
+
+
+def _target(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
+    upper, lower = _target_terms(spec, n)
+    with np.errstate(invalid="ignore"):
+        return upper - lower
 
 
 def amplitude_F(spec: DeformationSpec, n):
     """F(n) = ((n+1) f(n+1)^2 - n f(n)^2) / (f(n) f(n+1)) at a real n >= 0
     (NaN is refused); SingularAmplitude names the first n where it is not
-    finite."""
+    finite, then the first where its numerator cancelled to no significant
+    digit: |(n+1) s(n+1) - n s(n)| <= 4 eps ((n+1) s(n+1) + n s(n)), s = f^2."""
     arr = _n_array(n)
     f0 = _f(spec, arr, 0)
     f1 = _f(spec, arr + 1.0, 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = f0 * f1
-        num = _target(spec, arr)  # kept to the end: freeing it early adds page faults
+        upper, lower = _target_terms(spec, arr)
+        num = upper - lower  # kept to the end: freeing it early adds page faults
         out = num / den
+        cancelled = np.abs(num) <= 4.0 * np.finfo(float).eps * (upper + lower)
     _refuse(SingularAmplitude, "F(n) singular", spec, arr, (den == 0) | ~np.isfinite(out))
+    _refuse(SingularAmplitude, "F(n) cancelled to no significant digit", spec, arr, cancelled)
     return _like_n(n, out)
 
 

@@ -55,10 +55,10 @@ class HamiltonianProfile(RadialProfile):
             ds = np.where(x == 0, 0.0, ds)
         return order * f_squared(self.spec, x, order - 1) + x * ds
 
-    def deriv(self, n, order: int):
+    def deriv(self, v, order: int):
         pref = 0.5 * self.hbar * self.omega
-        return pref * (self._g(np.asarray(n, dtype=float) + 1.0, order)
-                       + self._g(np.asarray(n, dtype=float), order))
+        return pref * (self._g(np.asarray(v, dtype=float) + 1.0, order)
+                       + self._g(np.asarray(v, dtype=float), order))
 
 
 class DeformationProfile(RadialProfile):
@@ -69,8 +69,8 @@ class DeformationProfile(RadialProfile):
     def __init__(self, spec: DeformationSpec):
         self.spec = spec
 
-    def deriv(self, n, order: int):
-        return eval_f(self.spec, n, order)
+    def deriv(self, v, order: int):
+        return eval_f(self.spec, v, order)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ field's exact source, memoized on the field, and refuses any other by name:
   coefficients c_k and a radial profile w of v = (q^2 + p^2) / scale;
   this family is closed under partial derivatives, so mixed partials of
   any order come out exact within the profile's own derivative budget; each
-  profile memoizes w^(k)(v) by (grid, scale, k) for as long as it lives.
+  profile keeps w^(k)(v) only as a read-only table over the grid's distinct
+  radii, by (grid, scale, k), for as long as it lives, and gathers a fresh
+  mesh array from it on request (``RadialProfile.on_grid``).  ``_partials``
+  forms the partials a caller reads together as one batch, in which each
+  w^(k) is gathered once for all its structures and dropped after its last
+  use; ``partial_field`` is a batch of one.
   ``PhaseGrid.radial_table`` evaluates a radial function once per distinct
   radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
   (``radial`` does both) or on a block of its rows; ``PhaseGrid.row_blocks``
@@ -24,6 +29,7 @@ field's exact source, memoized on the field, and refuses any other by name:
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 from dataclasses import dataclass
@@ -191,16 +197,18 @@ class RadialProfile:
     max_order = None
 
     def on_grid(self, grid: PhaseGrid, scale: float, k: int) -> np.ndarray:
-        """w^(k)(v), v = (q^2 + p^2) / scale, computed once per (grid, scale, k),
-        once per distinct radius and then gathered (``PhaseGrid.radial``), and
-        kept read-only for the profile's life."""
+        """w^(k)(v), v = (q^2 + p^2) / scale, freshly gathered onto the mesh
+        (the caller's to keep or drop) from a table over the grid's distinct
+        radii (``PhaseGrid.radial_table``), which the profile computes once
+        per (grid, scale, k) and keeps read-only for its life: the only
+        arrays a profile holds."""
         if self.max_order is not None and k > self.max_order:
             raise ValueError(f"{type(self).__name__} carries {self.max_order} derivatives only")
-        memo = self.__dict__.setdefault("_memo", {})
-        if (grid, scale, k) not in memo:
-            memo[grid, scale, k] = grid.radial(lambda v: self.deriv(v, k), scale)
-            memo[grid, scale, k].setflags(write=False)
-        return memo[grid, scale, k]
+        tables = self.__dict__.setdefault("_tables", {})
+        if (grid, scale, k) not in tables:
+            tables[grid, scale, k] = grid.radial_table(lambda v: self.deriv(v, k), scale)
+            tables[grid, scale, k].setflags(write=False)
+        return grid.gather(tables[grid, scale, k], slice(None))
 
 
 class MixtureWignerProfile(RadialProfile):
@@ -233,8 +241,9 @@ class FockWignerProfile(MixtureWignerProfile):
 
 class AnalyticStructure:
     """sum_k c_k(q,p) * w^(k)(v) with v = (q^2+p^2)/scale; closed under d/dq, d/dp.
-    ``evaluate`` reads w^(k)(v) from the profile's memo (``on_grid``), keyed by
-    (grid, scale, k) and kept as long as the profile, which its partials share."""
+    ``evaluate`` gathers each w^(k)(v) from the profile's table (``on_grid``)
+    and drops it once multiplied; the structures of one ``_partials`` batch
+    that share a profile and scale share each gather instead."""
 
     def __init__(self, profile, scale: float, terms: dict[int, PolySymbol] | None = None):
         self.profile = profile
@@ -271,18 +280,23 @@ class AnalyticStructure:
         return s
 
     def evaluate(self, grid: PhaseGrid) -> np.ndarray:
-        """The sum on the grid: float64 if every coefficient is real (profiles
-        are), else complex128, with the bits of the all-complex sum.  Each
-        coefficient, sampled by ``_poly_samples``, takes w^(k), in place when
-        it fills the mesh; the first term becomes the sum (+ 0 as in
+        """The sum on the grid, each w^(k) gathered by ``on_grid``."""
+        return self._sum(grid, lambda k: self.profile.on_grid(grid, self.scale, k))
+
+    def _sum(self, grid: PhaseGrid, take) -> np.ndarray:
+        """The sum on the grid, with w^(k) from take(k): float64 if every
+        coefficient is real (profiles are), else complex128, with the bits of
+        the all-complex sum.  In ascending k, w^(k) is taken, then the
+        coefficient is sampled by ``_poly_samples`` and takes w^(k), in place
+        when it fills the mesh; the first term becomes the sum (+ 0 as in
         ``eval_grid``), and the first complex term promotes it."""
         out = None
         for k in sorted(self.terms):
             c = self.terms[k]
             if not c.terms:
                 continue
+            w = take(k)
             term = _poly_samples(c, grid)
-            w = self.profile.on_grid(grid, self.scale, k)
             # 0 * inf (a zero coefficient on a singular w^(k)) is NaN; partial_field names it
             with np.errstate(invalid="ignore"):
                 term = np.multiply(term, w, out=term if term.shape == w.shape else None)
@@ -405,32 +419,64 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     once it is finite.  A ValueError names the partial and the field for a
     negative order, no exact source (``fd4_partial`` estimates one), the
     profile's derivative budget (``on_grid`` states it), or the first (q, p)
-    in mesh order where it is not finite.
+    in mesh order where it is not finite.  It is a ``_partials`` batch of
+    one; callers that read several partials together ask for one batch.
     """
-    if i == 0 and j == 0:
-        return field.values
-    what = f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
-    if i < 0 or j < 0:
-        raise ValueError(f"{what}: orders must be >= 0, not both 0")
-    if (i, j) in field._cache:
-        return field._cache[i, j]
-    if field.poly is not None:
-        arr = _poly_samples(field.poly.partial(i, j), field.grid)
-    elif field.analytic is None:
-        raise ValueError(f"{what}: no exact source; fd4_partial estimates it by stencils")
-    else:
-        try:
-            arr = field.analytic.mixed(i, j).evaluate(field.grid)
-        except ValueError as exc:  # the profile's derivative budget, stated by on_grid
-            raise ValueError(f"{what}: {exc}") from None
-    _require_finite(field.grid, arr, what)
-    field._cache[i, j] = arr
-    return arr
+    return _partials([(field, i, j)])[0]
+
+
+def _partials(requests) -> list[np.ndarray]:
+    """``partial_field`` of each (field, i, j) of requests, formed in order
+    with its refusals, as one batch: a partial met again is its memo, and
+    each w^(k) that the batch's analytic sums take is gathered once per
+    (profile, grid, scale, k), for the first sum that takes it, and dropped
+    after the last."""
+    structures, uses, gathered = {}, collections.Counter(), {}
+    for field, i, j in requests:  # the analytic sums to form, each once
+        if ((id(field), i, j) not in structures and (i, j) not in field._cache
+                and min(i, j) >= 0 < i + j and field.poly is None
+                and field.analytic is not None):
+            structure = structures[id(field), i, j] = field.analytic.mixed(i, j)
+            uses.update((id(structure.profile), field.grid, structure.scale, k)
+                        for k, c in structure.terms.items() if c.terms)
+
+    def take(structure, grid, k):
+        key = (id(structure.profile), grid, structure.scale, k)
+        if key not in gathered:
+            gathered[key] = structure.profile.on_grid(grid, structure.scale, k)
+        uses[key] -= 1
+        return gathered[key] if uses[key] else gathered.pop(key)
+
+    out = []
+    for field, i, j in requests:
+        if i == 0 and j == 0:
+            out.append(field.values)
+            continue
+        what = f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
+        if i < 0 or j < 0:
+            raise ValueError(f"{what}: orders must be >= 0, not both 0")
+        if (i, j) in field._cache:
+            out.append(field._cache[i, j])
+            continue
+        if field.poly is not None:
+            arr = _poly_samples(field.poly.partial(i, j), field.grid)
+        elif field.analytic is None:
+            raise ValueError(f"{what}: no exact source; fd4_partial estimates it by stencils")
+        else:
+            structure = structures[id(field), i, j]
+            try:
+                arr = structure._sum(field.grid, lambda k: take(structure, field.grid, k))
+            except ValueError as exc:  # the profile's derivative budget, stated by on_grid
+                raise ValueError(f"{what}: {exc}") from None
+        _require_finite(field.grid, arr, what)
+        field._cache[i, j] = arr
+        out.append(arr)
+    return out
 
 
 def gradient(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dq, d/dp) of the samples, each from ``partial_field``."""
-    return partial_field(field, 1, 0), partial_field(field, 0, 1)
+    """(d/dq, d/dp) of the samples, ``partial_field``'s, as one batch."""
+    return tuple(_partials([(field, 1, 0), (field, 0, 1)]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ through it, as a table over the grid's distinct radii (F depends on n
 alone): the default 513^2 grid has 20,759 of them for 263,169 samples.  Its
 ``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
 A product's operands take their partials from their exact sources
-(``partial_field``).  The nested products of the associativity defect need
-the exact first partials of k *_f g and g *_f h ("jets"), formed from the
-operands' second partials and dF/dn; they exist only inside
-``defect_squared``'s row block, which samples dF/dn once per call.
+(``partial_field``), all in one batch, so operands on one radial profile
+share each gather of its derivatives.  The nested products of the
+associativity defect need the exact first partials of k *_f g and g *_f h
+("jets"), formed from the operands' second partials and dF/dn; they exist
+only inside ``defect_squared``'s row block, which samples dF/dn once per
+call.
 
 ``_star_block`` is the one place the first-order formula (the value and the
 jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
@@ -44,7 +46,7 @@ import math
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
-from .phasespace import Field, _poly_samples, partial_field
+from .phasespace import Field, _partials, _poly_samples
 from .symbols import PolySymbol
 
 
@@ -52,20 +54,19 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
     """Left Moyal multiplication h * w of a polynomial symbol onto a field, at
     the grid's hbar.
 
-    Exact in the h-derivatives; the w-derivatives come from ``partial_field``,
-    which refuses one without an exact source.
+    Exact in the h-derivatives; the w-derivatives are ``partial_field``'s,
+    fetched as one batch (``_partials``) before the output is allocated, and
+    one without an exact source is refused.
     """
     grid = w.grid
+    terms = [(m, j, hpart) for m in range(h.degree + 1) for j in range(m + 1)
+             if (hpart := h.partial(m - j, j)).terms]
+    wparts = _partials([(w, j, m - j) for m, j, _ in terms])
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
-    for m in range(h.degree + 1):
+    for (m, j, hpart), wpart in zip(terms, wparts):
         pref = (0.5j * grid.hbar) ** m / math.factorial(m)
-        for j in range(m + 1):
-            hpart = h.partial(m - j, j)
-            if not hpart.terms:
-                continue
-            sign = -1.0 if j % 2 else 1.0
-            wpart = partial_field(w, j, m - j)
-            out += (pref * sign * math.comb(m, j)) * _poly_samples(hpart, grid) * wpart
+        sign = -1.0 if j % 2 else 1.0
+        out += (pref * sign * math.comb(m, j)) * _poly_samples(hpart, grid) * wpart
     return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
 
 
@@ -110,11 +111,13 @@ class ProductSetup:
 
     def _operands(self, fields, jets: bool):
         """_star_block's operand per field, in argument order once every grid
-        is checked: its values and first partials, with jets its second too."""
+        is checked: its values and first partials, with jets its second too,
+        fetched for all fields as one batch (``_partials``)."""
         if any(f.grid != self.grid for f in fields):
             raise ValueError("fields must share the setup's grid")
-        keys = _FIRST + _SECOND if jets else _FIRST
-        return [[f.values, *(partial_field(f, *key) for key in keys)] for f in fields]
+        keys = ((0, 0),) + _FIRST + (_SECOND if jets else ())
+        arrays = _partials([(f, *key) for f in fields for key in keys])
+        return [arrays[start:start + len(keys)] for start in range(0, len(arrays), len(keys))]
 
     def _blocks(self, operands, dF_dn):
         """Per row block of ``PhaseGrid.row_blocks``: its rows, F, the gradient

@@ -7,7 +7,7 @@ mode uses the canonical parameters.
 
 Checks 1-3 read the number-state Wigner functions W_n.  One pass per run
 (``fock_pass``) builds each W_n once and feeds all three, so its analytic
-partials and profile memo are shared by every check that reads it; the pass
+partials and profile tables are shared by every check that reads it; the pass
 belongs to one ``run_verification`` call and is not kept.  The suite runs on
 one thread.
 """

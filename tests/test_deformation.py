@@ -15,7 +15,8 @@ from fstarq import (DeformationSpec, amplitude_F, amplitude_F_deriv,
                     spectrum, sqrt_n_spec)
 from fstarq import deformation
 from fstarq.deformation import series_terms
-from fstarq.phasespace import PhaseGrid, fcs_wigner, wigner_weights
+from fstarq.phasespace import PhaseGrid, default_grid, fcs_wigner, wigner_weights
+from fstarq.starproduct import ProductSetup
 from fstarq.errors import NonPositiveValue, ParseError, SeriesDivergence, SingularAmplitude
 
 REGISTRY = registry_specs()
@@ -61,6 +62,29 @@ def test_sqrt_n_amplitude():
         amplitude_F(spec, 0.0)
     with pytest.raises(SingularAmplitude):
         amplitude_F(spec, np.array([1.0, 0.0]))
+
+
+def test_amplitude_refuses_a_cancelled_numerator():
+    # at n = 1e300, (n+1) f(n+1)^2 - n f(n)^2 is 0.0 in float64 where F is 1
+    spec = identity_spec()
+    cancelled = r"^F\(n\) cancelled to no significant digit at n = {} for kind 'identity'$"
+    with pytest.raises(SingularAmplitude, match=cancelled.format(r"1e\+300")):
+        amplitude_F(spec, 1e300)
+    # a grid whose corners reach n = 7.7e15 would drop the bracket term there
+    with pytest.raises(SingularAmplitude, match=cancelled.format(r"7656250000000000\.0")):
+        ProductSetup(PhaseGrid(-1e8, 1e8, -1e8, 1e8, 9, 9), spec)
+    # below the bound F keeps its value
+    assert amplitude_F(spec, np.array([0.0, 1e-300, 1.0, 1e5, 1e12])).tolist() == [1.0] * 5
+
+
+@pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY_IDS)
+def test_default_grid_is_far_from_cancellation(spec):
+    # the default grid's n reach 64, where identity's numerator of 1 clears the
+    # refusal's bound by about 1e13
+    grid = default_grid()
+    upper, lower = deformation._target_terms(spec, grid._radii()[0] / (2.0 * grid.hbar))
+    margin = np.abs(upper - lower) / (4.0 * np.finfo(float).eps * (upper + lower))
+    assert margin.min() > 1e12
 
 
 def test_sqrt_n_commutator_target():

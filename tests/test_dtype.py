@@ -459,28 +459,33 @@ def test_allocation_peaks_at_513(monkeypatch):
     poly = parse_symbol("0.5*q^2 + 0.5*p^2 - 1.25*q*p")
     # the sum and one scratch grid; every term was a complex temporary
     assert _peak_grids(lambda: poly.eval_grid(q, p), grid) <= 2.5
-    # the profile, one real term and the complex values
-    assert _peak_grids(lambda: fock_wigner(4, grid), grid) <= 4.5
+    # the gathered profile, dropped once multiplied, one real term and the
+    # complex values (4.0 grids while the profile kept its gather)
+    assert _peak_grids(lambda: fock_wigner(4, grid), grid) <= 3.25
     setup = ProductSetup(grid, sqrt_n_spec())
     H, W = build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(3, grid)
-    # four real partials and their profile derivatives, and the complex result;
-    # the bracket and its terms live one row block at a time (11.06 grids when
-    # they were whole-mesh temporaries)
-    assert _peak_grids(lambda: setup.product(H, W), grid) <= 8.75
-    # A, Abar, their complex first partials and profile memo (14 grids) and the
-    # evaluation of the last partial; the commutator adds its one complex output
-    # and forms both products one row block at a time, and the target and the
-    # closed form are tables over the distinct radii (23.0 grids with the two
-    # whole products, their difference and mesh-sized F, target and closed form)
-    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 18.5
-    # W_5 and H, each with its real first partials and profile memo (12 grids),
-    # and the complex product, in whose buffer the residual is formed (20.32
-    # grids with mesh-sized F, H kept alive and the residual a fresh grid)
-    assert _peak_grids(lambda: genvalue_residual(sqrt_n_spec(), 5, grid), grid) <= 15.0
-    # the three deformed registry stars' H, with partials and profile memos,
-    # W_n's and the identity residual's grids (37.34 grids with mesh-sized F
+    # four real partials and the complex result; each field's w' is gathered
+    # once for its two partials and dropped before the next field's, and the
+    # bracket and its terms live one row block at a time (8.44 grids while
+    # each profile kept its w' on the mesh, 11.06 with whole-mesh temporaries)
+    assert _peak_grids(lambda: setup.product(H, W), grid) <= 6.75
+    # A, Abar and their complex first partials (12 grids), formed as one batch
+    # that gathers f and f' once for all four; the commutator adds its one
+    # complex output and forms both products one row block at a time, and the
+    # target and the closed form are tables over the distinct radii (18.22
+    # grids with the profile's mesh-sized f and f', 23.0 with the two whole
+    # products, their difference and mesh-sized F, target and closed form)
+    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 17.5
+    # W_5 and H, each with its real first partials (8 grids), and the complex
+    # product, in whose buffer the residual is formed (14.53 grids while the
+    # profiles kept w and w' on the mesh, 20.32 with mesh-sized F, H kept
+    # alive and the residual a fresh grid)
+    assert _peak_grids(lambda: genvalue_residual(sqrt_n_spec(), 5, grid), grid) <= 11.0
+    # the three deformed registry stars' H with their partials, W_n's and the
+    # identity residual's grids, every profile holding tables only (31.58
+    # grids with mesh-sized profile derivatives, 37.34 also with mesh-sized F
     # in each star and the residual a fresh grid)
-    assert _peak_grids(lambda: fock_pass(False), grid) <= 32.0
+    assert _peak_grids(lambda: fock_pass(False), grid) <= 24.5
 
     calls = []
     eval_grid = PolySymbol.eval_grid

@@ -1,11 +1,13 @@
 """Smoke tests of the benchmark.  The names the tracer wraps, and those
-fstarq exports, must resolve on the package, so that a rename fails here
-with the name and not inside a deck.  One traced diagnostics deck must run,
-pass its output checks, move no reported number, and see no fd4 fallback.
-One untraced field-io deck must write the reference CSV bytes and read them
-back bit-exact."""
+fstarq exports, must resolve on the package, and each wrapped method must
+keep the parameters its wrapper passes, so that a rename or a signature
+drift fails here with the name and not inside a deck.  One traced
+diagnostics deck must run, pass its output checks, move no reported number,
+and see no fd4 fallback.  One untraced field-io deck must write the
+reference CSV bytes and read them back bit-exact."""
 
 import importlib.util
+import inspect
 import json
 import pathlib
 import subprocess
@@ -17,16 +19,42 @@ import fstarq.cli  # tracing.FUNCTIONS wraps cli.main; the package does not impo
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_traced_and_exported_names_resolve():
+def _tracing():
+    """perfbench/tracing.py as a module: it reads the lists and installs nothing."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)  # reads the lists; installs nothing
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_and_exported_names_resolve():
+    tracing = _tracing()
     missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.FUNCTIONS
                if not hasattr(getattr(fstarq, mod, None), attr)]
     missing += [f"{mod}.{cls}.{meth}" for mod, cls, meth, _ in tracing.METHODS
                 if not hasattr(getattr(getattr(fstarq, mod, None), cls, None), meth)]
     missing += [name for name in fstarq.__all__ if not hasattr(fstarq, name)]
     assert missing == []
+
+
+# The arguments each wrapper of tracing.METHODS passes on, by method name
+WRAPPED_PARAMETERS = {"evaluate": ["self", "grid"], "deriv": ["self", "v", "order"],
+                      "eval_grid": ["self", "Q", "P"]}
+
+
+def _parameters(fn) -> list[str]:
+    """fn's parameters, each marked with its default if it has one."""
+    return [name if param.default is param.empty else f"{name}={param.default!r}"
+            for name, param in inspect.signature(fn).parameters.items()]
+
+
+def test_traced_methods_keep_the_wrapped_call_shapes():
+    # the wrappers pass exactly these arguments, so a drift fails here by name
+    # rather than on every traced request
+    shapes = {f"{mod}.{cls}.{meth}": _parameters(getattr(getattr(getattr(fstarq, mod), cls), meth))
+              for mod, cls, meth, _ in _tracing().METHODS}
+    assert shapes == {name: WRAPPED_PARAMETERS[name.rsplit(".", 1)[1]] for name in shapes}
+    assert _parameters(fstarq.partial_field)[:3] == ["field", "i", "j"]
 
 
 def test_traced_diagnostics_deck(tmp_path):

@@ -9,14 +9,16 @@ import pytest
 from scipy.special import eval_laguerre
 
 from fstarq import (FStarError, Field, NonPositiveValue, PhaseGrid, PolySymbol, amplitude_F,
-                    amplitude_F_deriv, commutator_target, default_grid, fcs_wigner,
+                    amplitude_F_deriv, annihilation_symbol, build_hamiltonian,
+                    commutator_target, creation_symbol, default_grid, fcs_wigner,
                     field_from_poly, fock_wigner, genvalue_residual, gradient, identity_spec,
                     integrate, laguerre, mesh, moyal_apply, parse_symbol, partial_field,
                     qdef_spec, ladder_fields, registry_specs, spec_to_text, sqrt_n_spec,
                     wigner_weights)
 from fstarq.genvalue import DeformationProfile, HamiltonianProfile
 from fstarq.phasespace import (AnalyticStructure, FockWignerProfile, MixtureWignerProfile,
-                               _fd4_axis, fd4_partial, laguerre_series)
+                               RadialProfile, _fd4_axis, _partials, fd4_partial,
+                               laguerre_series)
 from fstarq.starproduct import ProductSetup
 
 REGISTRY = registry_specs()
@@ -489,12 +491,26 @@ def test_radial_memo_keys_on_grid_and_scale(grid257, origin_grid):
     # the n_q != n_p grid fails if the q and p axes of the sampling are swapped
     oblong = PhaseGrid(-4.0, 4.0, -3.0, 3.0, 33, 17, hbar=1.0, offset=0.5)
     profile = CountingFock(2)
-    for grid, scale in ((grid257, 1.0), (origin_grid, 1.0), (grid257, 2.0), (oblong, 1.0)):
+    keys = ((grid257, 1.0), (origin_grid, 1.0), (grid257, 2.0), (oblong, 1.0))
+    for grid, scale in keys:
         Q, P = mesh(grid)
         direct = FockWignerProfile(2).deriv((Q * Q + P * P) / scale, 1)
         assert _same_bits(profile.on_grid(grid, scale, 1), direct)
-    with pytest.raises(ValueError):
-        profile.on_grid(grid257, 1.0, 1)[0, 0] = 0.0
+    # the profile keeps one read-only table per key, over the distinct radii
+    tables = profile.__dict__["_tables"]
+    assert list(tables) == [(grid, scale, 1) for grid, scale in keys]
+    for (grid, _, _), table in tables.items():
+        assert table.shape == grid._radii()[0].shape and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    # each gather is a fresh, writable mesh array: writing to one leaves the
+    # table and the next gather as they were
+    first = profile.on_grid(grid257, 1.0, 1)
+    kept = first.copy()
+    first[0, 0] = 0.0
+    second = profile.on_grid(grid257, 1.0, 1)
+    assert second is not first and not np.shares_memory(second, first)
+    assert _same_bits(second, kept)
     assert profile.orders == [1, 1, 1, 1]
 
 
@@ -503,6 +519,81 @@ def test_on_grid_enforces_the_derivative_budget(grid257):
     with pytest.raises(ValueError, match="CountingHamiltonian carries 2 derivatives only"):
         profile.on_grid(grid257, 2.0, 3)
     assert "orders" not in profile.__dict__  # refused before any sample
+
+
+class Gathering(Counting):
+    """Records also the order of every gather the profile makes."""
+
+    def on_grid(self, grid, scale, k):
+        self.__dict__.setdefault("gathers", []).append(k)
+        return super().on_grid(grid, scale, k)
+
+
+class GatheringFock(Gathering, FockWignerProfile):
+    pass
+
+
+class GatheringDeformation(Gathering, DeformationProfile):
+    pass
+
+
+def test_a_batch_gathers_each_derivative_once(grid257):
+    w = _analytic_field(GatheringFock(3), grid257, 1.0)
+    w.analytic.profile.gathers.clear()  # the sampling's gather of w itself
+    moyal_apply(PolySymbol({(2, 0): 0.5, (0, 2): 0.5}), w)
+    # the four partials of W_3 take w' (all four) and w'' (the second two)
+    assert w.analytic.profile.gathers == [1, 2]
+    assert w.analytic.profile.orders == [0, 1, 2]  # one table per (grid, scale, k)
+    spec = qdef_spec(1.2)
+    profile = GatheringDeformation(spec)
+    A, Abar = (AnalyticStructure(profile, 2.0, {0: symbol}).field(grid257, "")
+               for symbol in (annihilation_symbol(), creation_symbol()))
+    profile.gathers.clear()
+    ProductSetup(grid257, spec).commutator(A, Abar)
+    # a f(n) and its conjugate share one gather of f and of f' for their four partials
+    assert profile.gathers == [0, 1]
+    assert profile.orders == [0, 1]
+
+
+BATCH_GRIDS = {"513": default_grid(), "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129,
+                                                          hbar=1.0, offset=0.0),
+               "1537x65": PhaseGrid(-6.0, 6.0, -6.0, 6.0, 1537, 65, hbar=1.0, offset=0.5)}
+
+
+@pytest.mark.parametrize("grid", BATCH_GRIDS.values(), ids=BATCH_GRIDS)
+@pytest.mark.parametrize("group", ["W_n and H", "A and Abar"])
+def test_a_batch_keeps_the_bits_of_one_partial_at_a_time(grid, group):
+    def fields():
+        if group == "W_n and H":
+            return [fock_wigner(3, grid), build_hamiltonian(sqrt_n_spec(), grid)]
+        return list(ladder_fields(qdef_spec(1.2), grid))
+    keys = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    batch = _partials([(field, *key) for field in fields() for key in keys])
+    alone = [partial_field(field, *key) for field in fields() for key in keys]
+    assert all(_same_bits(got, want) for got, want in zip(batch, alone, strict=True))
+
+
+def _arrays(value):
+    """The arrays in value, looking into dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("spec", [identity_spec(), sqrt_n_spec()], ids=["identity", "sqrt_n"])
+def test_profiles_keep_only_tables_over_the_distinct_radii(monkeypatch, grid257, spec):
+    profiles = []
+    on_grid = RadialProfile.on_grid
+
+    def recording(self, grid, scale, k):
+        profiles.append(self)
+        return on_grid(self, grid, scale, k)
+    monkeypatch.setattr(RadialProfile, "on_grid", recording)
+    genvalue_residual(spec, 5, grid257)
+    sizes = [array.size for profile in profiles for array in _arrays(vars(profile))]
+    assert profiles and max(sizes) == len(grid257._radii()[0])
 
 
 def test_nan_partial_at_the_origin_is_named(origin_grid):

@@ -17,10 +17,11 @@ A field's exact source (``.poly``, ``.analytic``) is assigned only in
 ``phasespace``'s ``Field.__init__``, ``Field.conjugate``, ``field_from_poly``
 and ``AnalyticStructure.field``, so only the builder that sampled a field
 from its source attaches it; a field's ``._cache`` is written only in
-``Field.__init__``, ``Field.conjugate`` and ``partial_field``, which memoizes
-the partials it serves from that source.  The f-star bracket term, an
-(i hbar / 2) factor multiplied onto F and the bracket, is formed in one
-function, the row-block kernel ``starproduct._star_block``.  A module imports another package
+``Field.__init__``, ``Field.conjugate`` and ``_partials``, which memoizes the
+partials it serves from that source (``partial_field`` is a batch of one).
+The f-star bracket term, an (i hbar / 2) factor multiplied onto F and the
+bracket, is formed in one function, the row-block kernel
+``starproduct._star_block``.  A module imports another package
 module's private names only as ``PRIVATE_IMPORTS`` lists, and reads
 ``x._name`` on an object other than ``self`` or ``cls`` only where it defines
 ``_name`` itself, so the row-block stream stays behind ``ProductSetup``.
@@ -363,7 +364,7 @@ def test_exact_sources_are_attached_only_by_their_builders(path):
     assert source_assignments(path.read_text(encoding="utf-8"), allowed) == []
 
 
-CACHE_WRITERS = ("Field.__init__", "Field.conjugate", "partial_field")
+CACHE_WRITERS = ("Field.__init__", "Field.conjugate", "_partials")
 CACHE_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear")
 
 
@@ -389,7 +390,7 @@ def test_cache_write_is_caught():
     source = ("class Field:\n"
               "    def __init__(self):\n        self._cache = {}\n"
               "    def seed(self, parts):\n        self._cache.update(parts)\n"
-              "def partial_field(field, i, j):\n"
+              "def _partials(field, i, j):\n"
               "    field._cache[i, j] = 0\n    return field._cache.get((i, j))\n"
               "def other(field):\n"
               "    field._cache[1, 0] = 0\n    del field._cache[1, 0]\n"
@@ -447,7 +448,7 @@ def test_bracket_term_is_formed_in_the_block_kernel_alone():
 
 # Each private name one package module imports from another, by importer
 PRIVATE_IMPORTS = {"symbols": {"expressions._Parser"},
-                   "starproduct": {"phasespace._poly_samples"},
+                   "starproduct": {"phasespace._partials", "phasespace._poly_samples"},
                    "genvalue": {"phasespace._require_finite"},
                    "verify": {"genvalue._residual_report"}}
 
