@@ -190,7 +190,7 @@ def _residual_report(spec: DeformationSpec, n: int, w: Field, omega: float,
     e_crosscheck = float(spectrum(spec, n, hbar, omega)[n])
     h_star, path = hamiltonian_star(spec, grid, omega)
     star = h_star(w)
-    del h_star  # H, its partials and F(n) go before the residual is formed
+    del h_star  # H and F(n) go before the residual is formed
     avg = integrate(star)
     residual = star.values  # star - E_n W, formed in the product's buffer
     residual -= e_n * w.values

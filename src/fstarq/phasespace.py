@@ -13,18 +13,26 @@ field's exact source, memoized on the field, and refuses any other by name:
   this family is closed under partial derivatives, so mixed partials of
   any order come out exact within the profile's own derivative budget; each
   profile keeps w^(k)(v) only as a read-only table over the grid's distinct
-  radii, by (grid, scale, k), for as long as it lives, and gathers a fresh
-  mesh array from it on request (``RadialProfile.on_grid``).  ``_partials``
-  forms the partials a caller reads together as one batch, in which each
-  w^(k) is gathered once for all its structures and dropped after its last
-  use; ``partial_field`` is a batch of one.
-  ``PhaseGrid.radial_table`` evaluates a radial function once per distinct
-  radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
-  (``radial`` does both) or on a block of its rows; ``PhaseGrid.row_blocks``
-  is the one partition of the mesh into such blocks, which every streamed
-  pass (the f-star products, the commutator deviation) visits in order.
-  Number-state and coherent-state Wigner profiles share one Laguerre
-  recurrence: a number state W_n is the mixture with one-hot weights.
+  radii, by (grid, scale, k), for as long as it lives
+  (``RadialProfile.table``).
+
+``partial_field`` and ``gradient`` are the only writers of that memo
+(``Field._cache``).  Every partial is formed by ``_partials``, which plans
+the partials a caller reads together once (each source differentiated, each
+table made) and then forms them one block of q rows at a time, gathering
+each w^(k) once per block for all its structures; the two memoizing entries
+run it as one block, the whole mesh.  The products (``starproduct``) run it
+over the row blocks and drop each block's partials with the block, so no
+mesh-sized partial outlives them; they read a memo a caller has filled,
+which is how verify's Fock pass shares the first partials it reads often.
+
+``PhaseGrid.radial_table`` evaluates a radial function once per distinct
+radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
+(``radial`` does both) or on a block of its rows; ``PhaseGrid.row_blocks``
+is the one partition of the mesh into such blocks, which every streamed pass
+(the partials of a product, the f-star products, the commutator deviation)
+visits in order.  Number-state and coherent-state Wigner profiles share one
+Laguerre recurrence: a number state W_n is the mixture with one-hot weights.
 """
 
 from __future__ import annotations
@@ -191,24 +199,28 @@ def laguerre_series(alpha: int, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray
 
 class RadialProfile:
     """Base of the radial profiles; subclasses supply ``deriv(v, order)`` and
-    cap ``max_order`` if their derivative budget is finite; ``on_grid``
+    cap ``max_order`` if their derivative budget is finite; ``table``
     enforces the cap."""
 
     max_order = None
 
-    def on_grid(self, grid: PhaseGrid, scale: float, k: int) -> np.ndarray:
-        """w^(k)(v), v = (q^2 + p^2) / scale, freshly gathered onto the mesh
-        (the caller's to keep or drop) from a table over the grid's distinct
-        radii (``PhaseGrid.radial_table``), which the profile computes once
-        per (grid, scale, k) and keeps read-only for its life: the only
-        arrays a profile holds."""
+    def table(self, grid: PhaseGrid, scale: float, k: int) -> np.ndarray:
+        """w^(k)(v), v = (q^2 + p^2) / scale, once per distinct radius of the
+        grid (``PhaseGrid.radial_table``): computed once per (grid, scale, k)
+        and kept read-only for the profile's life, the only arrays a profile
+        holds."""
         if self.max_order is not None and k > self.max_order:
             raise ValueError(f"{type(self).__name__} carries {self.max_order} derivatives only")
         tables = self.__dict__.setdefault("_tables", {})
         if (grid, scale, k) not in tables:
             tables[grid, scale, k] = grid.radial_table(lambda v: self.deriv(v, k), scale)
             tables[grid, scale, k].setflags(write=False)
-        return grid.gather(tables[grid, scale, k], slice(None))
+        return tables[grid, scale, k]
+
+    def on_grid(self, grid: PhaseGrid, scale: float, k: int) -> np.ndarray:
+        """w^(k) freshly gathered onto the mesh from its ``table``, the
+        caller's to keep or drop."""
+        return grid.gather(self.table(grid, scale, k), slice(None))
 
 
 class MixtureWignerProfile(RadialProfile):
@@ -242,8 +254,8 @@ class FockWignerProfile(MixtureWignerProfile):
 class AnalyticStructure:
     """sum_k c_k(q,p) * w^(k)(v) with v = (q^2+p^2)/scale; closed under d/dq, d/dp.
     ``evaluate`` gathers each w^(k)(v) from the profile's table (``on_grid``)
-    and drops it once multiplied; the structures of one ``_partials`` batch
-    that share a profile and scale share each gather instead."""
+    and drops it once multiplied; ``_partials`` forms the sum one row block
+    at a time instead, sharing each block's gather among its structures."""
 
     def __init__(self, profile, scale: float, terms: dict[int, PolySymbol] | None = None):
         self.profile = profile
@@ -281,23 +293,25 @@ class AnalyticStructure:
 
     def evaluate(self, grid: PhaseGrid) -> np.ndarray:
         """The sum on the grid, each w^(k) gathered by ``on_grid``."""
-        return self._sum(grid, lambda k: self.profile.on_grid(grid, self.scale, k))
+        return self._sum(*grid.axes(), lambda k: self.profile.on_grid(grid, self.scale, k))
 
-    def _sum(self, grid: PhaseGrid, take) -> np.ndarray:
-        """The sum on the grid, with w^(k) from take(k): float64 if every
-        coefficient is real (profiles are), else complex128, with the bits of
-        the all-complex sum.  In ascending k, w^(k) is taken, then the
+    def _sum(self, q: np.ndarray, p: np.ndarray, take) -> np.ndarray:
+        """The sum on the points of a q column and a p row (the grid's axes,
+        or q on a block of rows), with w^(k) on them from take(k): float64 if
+        every coefficient is real (profiles are), else complex128, with the
+        bits of the all-complex sum.  In ascending k, w^(k) is taken, then the
         coefficient is sampled by ``_poly_samples`` and takes w^(k), in place
-        when it fills the mesh; the first term becomes the sum (+ 0 as in
-        ``eval_grid``), and the first complex term promotes it."""
+        when it fills the points; the first term becomes the sum (+ 0 as in
+        ``eval_grid``), and the first complex term promotes it.  Every sample
+        sees the same operations whatever the rows."""
         out = None
         for k in sorted(self.terms):
             c = self.terms[k]
             if not c.terms:
                 continue
             w = take(k)
-            term = _poly_samples(c, grid)
-            # 0 * inf (a zero coefficient on a singular w^(k)) is NaN; partial_field names it
+            term = _poly_samples(c, q, p)
+            # 0 * inf (a zero coefficient on a singular w^(k)) is NaN; _partials names it
             with np.errstate(invalid="ignore"):
                 term = np.multiply(term, w, out=term if term.shape == w.shape else None)
                 if out is None:
@@ -307,7 +321,7 @@ class AnalyticStructure:
                     out += term
                 else:
                     out = out + term
-        return np.zeros((grid.n_q, grid.n_p)) if out is None else out
+        return np.zeros(np.broadcast(q, p).shape) if out is None else out
 
     def field(self, grid: PhaseGrid, label: str) -> "Field":
         """The structure sampled on grid, as a Field whose partials it serves."""
@@ -320,21 +334,26 @@ class AnalyticStructure:
 # Field
 
 
+def _not_finite(grid: PhaseGrid, what: str, iq: int, ip: int) -> ValueError:
+    """The refusal of ``what`` at the mesh point (iq, ip)."""
+    return ValueError(f"{what} is not finite at (q, p) = "
+                      f"({float(grid.q_values()[iq])!r}, {float(grid.p_values()[ip])!r})")
+
+
 def _require_finite(grid: PhaseGrid, arr: np.ndarray, what: str) -> None:
     """A ValueError naming ``what`` and the first non-finite (q, p) of arr in
     mesh order, if there is one."""
     if not np.isfinite(arr).all():
-        iq, ip = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"{what} is not finite at (q, p) = "
-                         f"({float(grid.q_values()[iq])!r}, {float(grid.p_values()[ip])!r})")
+        raise _not_finite(grid, what, *np.argwhere(~np.isfinite(arr))[0])
 
 
 class Field:
     """complex128 samples on a PhaseGrid, checked and then cast once.  An exact
     source of the samples (``poly``, ``analytic``) is attached only by the
     builder that sampled them from it: ``field_from_poly`` or
-    ``AnalyticStructure.field``; ``_cache`` is ``partial_field``'s memo of the
-    partials it serves from that source, keyed by (i, j)."""
+    ``AnalyticStructure.field``; ``_cache`` is the memo of the partials that
+    ``partial_field`` and ``gradient`` serve from that source, keyed by
+    (i, j), which the products read but never write."""
 
     __slots__ = ("grid", "values", "label", "poly", "analytic", "_cache")
 
@@ -362,11 +381,12 @@ class Field:
         return f"Field({self.label or 'unnamed'}, {self.grid.n_q}x{self.grid.n_p})"
 
 
-def _poly_samples(poly: PolySymbol, grid: PhaseGrid) -> np.ndarray:
-    """poly on the grid with ``eval_grid``'s bits; a constant (zero included)
-    is one (1, 1) sample, float64 when real, that broadcasts to the mesh."""
+def _poly_samples(poly: PolySymbol, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """poly on the points of a q column and a p row with ``eval_grid``'s bits;
+    a constant (zero included) is one (1, 1) sample, float64 when real, that
+    broadcasts to them."""
     if not poly.is_constant():
-        return poly.eval_grid(*grid.axes())
+        return poly.eval_grid(q, p)
     c = poly.constant_value()
     return np.full((1, 1), c.real if c.imag == 0 else c) + 0  # + 0: eval_grid's zeros
 
@@ -418,65 +438,108 @@ def partial_field(field: Field, i: int, j: int) -> np.ndarray:
     (1, 1) sample that broadcasts to the mesh.  It is memoized on the field
     once it is finite.  A ValueError names the partial and the field for a
     negative order, no exact source (``fd4_partial`` estimates one), the
-    profile's derivative budget (``on_grid`` states it), or the first (q, p)
-    in mesh order where it is not finite.  It is a ``_partials`` batch of
-    one; callers that read several partials together ask for one batch.
+    profile's derivative budget (``RadialProfile.table`` states it), or the
+    first (q, p) in mesh order where it is not finite.
     """
-    return _partials([(field, i, j)])[0]
-
-
-def _partials(requests) -> list[np.ndarray]:
-    """``partial_field`` of each (field, i, j) of requests, formed in order
-    with its refusals, as one batch: a partial met again is its memo, and
-    each w^(k) that the batch's analytic sums take is gathered once per
-    (profile, grid, scale, k), for the first sum that takes it, and dropped
-    after the last."""
-    structures, uses, gathered = {}, collections.Counter(), {}
-    for field, i, j in requests:  # the analytic sums to form, each once
-        if ((id(field), i, j) not in structures and (i, j) not in field._cache
-                and min(i, j) >= 0 < i + j and field.poly is None
-                and field.analytic is not None):
-            structure = structures[id(field), i, j] = field.analytic.mixed(i, j)
-            uses.update((id(structure.profile), field.grid, structure.scale, k)
-                        for k, c in structure.terms.items() if c.terms)
-
-    def take(structure, grid, k):
-        key = (id(structure.profile), grid, structure.scale, k)
-        if key not in gathered:
-            gathered[key] = structure.profile.on_grid(grid, structure.scale, k)
-        uses[key] -= 1
-        return gathered[key] if uses[key] else gathered.pop(key)
-
-    out = []
-    for field, i, j in requests:
-        if i == 0 and j == 0:
-            out.append(field.values)
-            continue
-        what = f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
-        if i < 0 or j < 0:
-            raise ValueError(f"{what}: orders must be >= 0, not both 0")
-        if (i, j) in field._cache:
-            out.append(field._cache[i, j])
-            continue
-        if field.poly is not None:
-            arr = _poly_samples(field.poly.partial(i, j), field.grid)
-        elif field.analytic is None:
-            raise ValueError(f"{what}: no exact source; fd4_partial estimates it by stencils")
-        else:
-            structure = structures[id(field), i, j]
-            try:
-                arr = structure._sum(field.grid, lambda k: take(structure, field.grid, k))
-            except ValueError as exc:  # the profile's derivative budget, stated by on_grid
-                raise ValueError(f"{what}: {exc}") from None
-        _require_finite(field.grid, arr, what)
-        field._cache[i, j] = arr
-        out.append(arr)
-    return out
+    return _memoized(field, [(i, j)])[0]
 
 
 def gradient(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dq, d/dp) of the samples, ``partial_field``'s, as one batch."""
-    return tuple(_partials([(field, 1, 0), (field, 0, 1)]))
+    """(d/dq, d/dp) of the samples, ``partial_field``'s, formed together."""
+    return tuple(_memoized(field, [(1, 0), (0, 1)]))
+
+
+def _memoized(field: Field, keys) -> list[np.ndarray]:
+    """``partial_field`` of each (i, j) of keys: the values for (0, 0), else
+    the field's memo, into which the rest are formed first as one
+    whole-mesh ``_partials`` batch, once all of them are finite."""
+    new = [key for key in keys if key != (0, 0) and key not in field._cache]
+    # unpacking runs the one block to its end, where a non-finite partial is refused
+    [(_, arrays)] = _partials([(field, *key) for key in new], [slice(None)])
+    field._cache.update(zip(new, arrays))
+    return [field.values if key == (0, 0) else field._cache[key] for key in keys]
+
+
+def _partials(requests, blocks):
+    """The partial of each (field, i, j) of requests, ``partial_field``'s,
+    formed one block of q rows at a time: yields (rows, [each partial on
+    rows]) for each rows of blocks, in order, and memoizes nothing.
+
+    The plan is made at the call: a partial is the field's values for
+    (0, 0), its memo where a caller has filled it, or else its exact source,
+    differentiated once (``PolySymbol.partial``, ``AnalyticStructure.mixed``)
+    with the profile tables it takes; a negative order, no exact source or
+    the derivative budget is refused there, in request order.  Per block,
+    each w^(k) is gathered once for every analytic sum that takes it and
+    dropped after the last; a polynomial is sampled on the rows.  After the
+    last block, the first request whose partial was not finite somewhere is
+    refused at its first (q, p) in mesh order; no numpy warning comes first.
+    """
+    def what(field, i, j):
+        return f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
+
+    plan, uses = {}, collections.Counter()  # plan: key -> [field, source, grid axes]
+    for field, i, j in requests:
+        if (id(field), i, j) in plan:
+            continue
+        if i < 0 or j < 0:
+            raise ValueError(f"{what(field, i, j)}: orders must be >= 0, not both 0")
+        if (i, j) == (0, 0):
+            source = field.values
+        elif (i, j) in field._cache:
+            source = field._cache[i, j]
+        elif field.poly is not None:
+            source = field.poly.partial(i, j)
+        elif field.analytic is None:
+            raise ValueError(f"{what(field, i, j)}: no exact source; "
+                             "fd4_partial estimates it by stencils")
+        else:  # the structure, and the table of each w^(k) it takes
+            structure = field.analytic.mixed(i, j)
+            try:
+                source = structure, {k: structure.profile.table(field.grid, structure.scale, k)
+                                     for k, c in structure.terms.items() if c.terms}
+            except ValueError as exc:  # the profile's derivative budget
+                raise ValueError(f"{what(field, i, j)}: {exc}") from None
+            uses.update(id(table) for table in source[1].values())
+        axes = None if isinstance(source, np.ndarray) else field.grid.axes()
+        plan[id(field), i, j] = [field, source, axes]
+
+    def formed():
+        refusals = {}
+        for rows in blocks:
+            left, gathered, arrays = uses.copy(), {}, {}
+
+            def take(grid, table):
+                """The table on the block, gathered for its first use there."""
+                if id(table) not in gathered:
+                    gathered[id(table)] = grid.gather(table, rows)
+                left[id(table)] -= 1
+                return gathered[id(table)] if left[id(table)] else gathered.pop(id(table))
+
+            with np.errstate(all="ignore"):  # refused by name after the last block
+                for key, entry in plan.items():
+                    field, source, axes = entry
+                    if isinstance(source, np.ndarray):  # values, memo or a constant: checked
+                        arrays[key] = source if source.shape[0] == 1 else source[rows]
+                        continue
+                    q, p = axes
+                    if isinstance(source, PolySymbol):
+                        arr = _poly_samples(source, q[rows], p)
+                        if arr.shape == (1, 1):  # a constant: this sample serves every block
+                            entry[1] = arr
+                    else:
+                        structure, tables = source
+                        arr = structure._sum(q[rows], p, lambda k: take(field.grid, tables[k]))
+                    if key not in refusals and not np.isfinite(arr).all():
+                        iq, ip = np.argwhere(~np.isfinite(arr))[0]
+                        refusals[key] = _not_finite(field.grid, what(field, *key[1:]),
+                                                    range(field.grid.n_q)[rows][iq], ip)
+                    arrays[key] = arr
+            yield rows, [arrays[id(field), i, j] for field, i, j in requests]
+        for key in plan:
+            if key in refusals:
+                raise refusals[key]
+    return formed()
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ higher terms.
 through it, as a table over the grid's distinct radii (F depends on n
 alone): the default 513^2 grid has 20,759 of them for 263,169 samples.  Its
 ``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
-A product's operands take their partials from their exact sources
-(``partial_field``), all in one batch, so operands on one radial profile
-share each gather of its derivatives.  The nested products of the
+A product's operands take their partials from their exact sources, formed
+inside the product's own row-block loop (``phasespace._partials``) and
+dropped with the block, so no mesh-sized partial outlives a block and
+operands on one radial profile share each block's gather of its
+derivatives.  A product reads a memo a caller has filled (``gradient``,
+``partial_field``) and never writes one.  The nested products of the
 associativity defect need the exact first partials of k *_f g and g *_f h
 ("jets"), formed from the operands' second partials and dF/dn; they exist
 only inside ``defect_squared``'s row block, which samples dF/dn once per
@@ -26,16 +29,18 @@ call.
 jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
 its temporaries stay in cache rather than passing through memory as whole-mesh
 arrays would.  ``ProductSetup._blocks`` is the one loop over the blocks: it
-gathers F, and for the defect the gradient of F, from the tables and slices
-the operands, whose partials its callers fetch field by field before they
-allocate their outputs.  ``product`` fills its output block by block;
-``commutator`` writes both orders' difference over hbar into its one output;
-and ``defect_squared`` keeps only the real |difference|^2 of its four nested
-products.  Every element goes through the same operations in the same order as
-on the whole mesh, so the bits do not depend on the blocking.  Numpy's
-warnings are off in the blocks: a result is refused by a partial of an operand
-or by the one check of the finished result (``Field``'s, or
-``associativity_defect``'s of the squares), at its first (q, p) in mesh order.
+gathers F, and for the defect the gradient of F, from the tables, and hands
+over the operands' values and partials on the block.  ``product`` fills its
+output block by block; ``commutator`` writes both orders' difference over
+hbar into its one output; and ``defect_squared`` keeps only the real
+|difference|^2 of its four nested products.  ``moyal_apply`` streams the
+same blocks.  Every element goes through the same operations in the same
+order as on the whole mesh, so the bits do not depend on the blocking.
+Numpy's warnings are off in the blocks.  An operand partial without an exact
+source or past its profile's budget is refused before any block; after the
+last block, the first operand partial in argument order that was not finite
+is refused at its first (q, p) in mesh order; then the finished result is
+checked once (``Field``'s, or ``associativity_defect``'s of the squares).
 """
 
 from __future__ import annotations
@@ -55,18 +60,22 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
     the grid's hbar.
 
     Exact in the h-derivatives; the w-derivatives are ``partial_field``'s,
-    fetched as one batch (``_partials``) before the output is allocated, and
-    one without an exact source is refused.
+    formed with h's one row block at a time (``_partials``), and one without
+    an exact source is refused before any block.
     """
     grid = w.grid
-    terms = [(m, j, hpart) for m in range(h.degree + 1) for j in range(m + 1)
+    terms = [((0.5j * grid.hbar) ** m / math.factorial(m) * (-1.0 if j % 2 else 1.0)
+              * math.comb(m, j), hpart, (j, m - j))
+             for m in range(h.degree + 1) for j in range(m + 1)
              if (hpart := h.partial(m - j, j)).terms]
-    wparts = _partials([(w, j, m - j) for m, j, _ in terms])
+    blocks = _partials([(w, *key) for *_, key in terms], grid.row_blocks())
+    q, p = grid.axes()
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
-    for (m, j, hpart), wpart in zip(terms, wparts):
-        pref = (0.5j * grid.hbar) ** m / math.factorial(m)
-        sign = -1.0 if j % 2 else 1.0
-        out += (pref * sign * math.comb(m, j)) * _poly_samples(hpart, grid) * wpart
+    with np.errstate(all="ignore"):  # Field names the first sample that is not finite
+        for rows, wparts in blocks:
+            block = out[rows]
+            for (coeff, hpart, _), wpart in zip(terms, wparts):
+                block += coeff * _poly_samples(hpart, q[rows], p) * wpart
     return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
 
 
@@ -109,38 +118,37 @@ class ProductSetup:
         self.hbar = hbar
         self.F = grid.radial_table(functools.partial(amplitude_F, spec), 2.0 * hbar)
 
-    def _operands(self, fields, jets: bool):
-        """_star_block's operand per field, in argument order once every grid
-        is checked: its values and first partials, with jets its second too,
-        fetched for all fields as one batch (``_partials``)."""
+    def _blocks(self, fields, jets: bool):
+        """Per row block of ``PhaseGrid.row_blocks``: its rows, F, with jets
+        the gradient (dF/dq, dF/dp) = dF/dn (q, p) / hbar (else None), and
+        each field's ``_star_block`` operand on the block, formed there by
+        ``_partials``: its values and first partials, with jets its second
+        too, where a (1, 1) constant partial broadcasts whole.  The one loop
+        of ``_star_block``'s callers.  Refused, in this order: a field off
+        the setup's grid, an operand partial without an exact source or past
+        its budget (argument order: k, g, then h), the dF/dn table, and after
+        the last block the first operand partial that was not finite."""
         if any(f.grid != self.grid for f in fields):
             raise ValueError("fields must share the setup's grid")
         keys = ((0, 0),) + _FIRST + (_SECOND if jets else ())
-        arrays = _partials([(f, *key) for f in fields for key in keys])
-        return [arrays[start:start + len(keys)] for start in range(0, len(arrays), len(keys))]
-
-    def _blocks(self, operands, dF_dn):
-        """Per row block of ``PhaseGrid.row_blocks``: its rows, F, the gradient
-        (dF/dq, dF/dp) = dF/dn (q, p) / hbar from the dF/dn table (None
-        without one), and each operand's arrays on the block, where a (1, 1)
-        constant partial broadcasts whole.  The one loop of ``_star_block``'s
-        callers."""
+        blocks = _partials([(f, *key) for f in fields for key in keys], self.grid.row_blocks())
+        dF_dn = None if not jets else self.grid.radial_table(
+            functools.partial(amplitude_F_deriv, self.spec), 2.0 * self.hbar)
         q, p = self.grid.axes()
-        for rows in self.grid.row_blocks():
+        for rows, arrays in blocks:
             F, dF = self.grid.gather(self.F, rows), None
             if dF_dn is not None:  # rebound to its gradient so no block of it outlives the yield
                 dF = self.grid.gather(dF_dn, rows)
                 dF = (dF * q[rows] / self.hbar, dF * p / self.hbar)
-            yield rows, F, dF, [[a if a.shape[0] == 1 else a[rows] for a in arrays]
-                                for arrays in operands]
+            yield rows, F, dF, [arrays[start:start + len(keys)]
+                                for start in range(0, len(arrays), len(keys))]
 
     def product(self, k: Field, g: Field) -> Field:
         """k *_f g = k g + (i hbar / 2) F(n) {k, g}, allocated once and filled
         one row block at a time by ``_star_block``."""
-        operands = self._operands((k, g), jets=False)
         out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
         with np.errstate(all="ignore"):  # Field names the first sample that is not finite
-            for rows, F, _, (kb, gb) in self._blocks(operands, None):
+            for rows, F, _, (kb, gb) in self._blocks((k, g), jets=False):
                 out[rows] = _star_block(self.hbar, F, kb, gb)[0]
         return Field(self.grid, out, label=f"{k.label} star_f {g.label}")
 
@@ -148,10 +156,9 @@ class ProductSetup:
         """(k *_f g - g *_f k) / hbar, both orders formed by ``_star_block``
         one row block at a time into the one output, which ``Field`` refuses
         if it is not finite."""
-        operands = self._operands((k, g), jets=False)
         out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
         with np.errstate(all="ignore"):  # Field names the first sample that is not finite
-            for rows, F, _, (kb, gb) in self._blocks(operands, None):
+            for rows, F, _, (kb, gb) in self._blocks((k, g), jets=False):
                 diff = _star_block(self.hbar, F, kb, gb)[0]
                 diff -= _star_block(self.hbar, F, gb, kb)[0]
                 np.divide(diff, self.hbar, out=out[rows])
@@ -160,15 +167,12 @@ class ProductSetup:
     def defect_squared(self, k: Field, g: Field, h: Field) -> np.ndarray:
         """|(k *_f g) *_f h - k *_f (g *_f h)|^2 on the mesh, the four products
         formed by ``_star_block`` one row block at a time, so the jets of k g
-        and g h stay in the block.  dF/dn is sampled once the operands are
-        fetched, as a table like ``F``.  A product that is not finite leaves
-        the squares not finite, which the caller refuses."""
-        operands = self._operands((k, g, h), jets=True)
-        dF_dn = self.grid.radial_table(functools.partial(amplitude_F_deriv, self.spec),
-                                       2.0 * self.hbar)
+        and g h stay in the block.  dF/dn is sampled once the operands'
+        partials are planned, as a table like ``F``.  A product that is not
+        finite leaves the squares not finite, which the caller refuses."""
         sq = np.empty((self.grid.n_q, self.grid.n_p))
         with np.errstate(all="ignore"):  # the caller names the first square that is not finite
-            for rows, F, dF, (kb, gb, hb) in self._blocks(operands, dF_dn):
+            for rows, F, dF, (kb, gb, hb) in self._blocks((k, g, h), jets=True):
                 kg, kg_jets = _star_block(self.hbar, F, kb, gb, dF)
                 gh, gh_jets = _star_block(self.hbar, F, gb, hb, dF)
                 diff = _star_block(self.hbar, F, [kg, *kg_jets], hb)[0]

@@ -6,23 +6,29 @@ checks and returns a deterministic summary (same build, same bytes).
 mode uses the canonical parameters.
 
 Checks 1-3 read the number-state Wigner functions W_n.  One pass per run
-(``fock_pass``) builds each W_n once and feeds all three, so its analytic
-partials and profile tables are shared by every check that reads it; the pass
-belongs to one ``run_verification`` call and is not kept.  The suite runs on
-one thread.
+(``fock_pass``) builds each W_n once and feeds all three, so its profile
+tables are shared by every check that reads it; the pass belongs to one
+``run_verification`` call and is not kept.  Products form their operands'
+partials one row block at a time and keep none, so the pass memoizes on
+purpose (``gradient``) the first partials it reads in several products:
+each W_n's, read by its Moyal product and the three deformed stars, and each
+star's H's, read by the product with every W_n.  The suite runs on one
+thread.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
 from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, _residual_report, assoc_probe,
-                       associativity_defect, commutator_deviation, hamiltonian_star)
+                       associativity_defect, build_hamiltonian, commutator_deviation)
 from .phasespace import (PhaseGrid, default_grid, fcs_wigner, fd4_partial, fock_wigner,
-                         integrate, partial_field)
+                         gradient, integrate, partial_field)
+from .starproduct import ProductSetup
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
 
@@ -67,15 +73,23 @@ def fock_pass(quick: bool) -> FockPass:
     grid = _grid(quick)
     n_top, n_norm = (3, 8) if quick else (10, 20)
     identity = identity_spec()
-    # built once, before the loop, so every W_n reuses each star's H and F(n)
-    stars = [None if spec.kind == "identity" else hamiltonian_star(spec, grid)[0]
-             for spec in registry_specs()]
+    # built once, before the loop, so every W_n reuses each star's H, F(n) and
+    # H's first partials, memoized on H by gradient, which every star reads
+    stars = []
+    for spec in registry_specs():
+        if spec.kind == "identity":
+            stars.append(None)
+            continue
+        ham = build_hamiltonian(spec, grid)
+        gradient(ham)
+        stars.append(functools.partial(ProductSetup(grid, spec).product, ham))
     residual, imag, norm = [], [], []
     for n in range(n_norm + 1):
         w = fock_wigner(n, grid)
         norm.append(abs(integrate(w).real - 1.0))
         if n > n_top:
             continue
+        gradient(w)  # memoized on W_n for its Moyal product and the three stars
         report = _residual_report(identity, n, w, 1.0, DEFAULT_R_CUT)
         residual.append(report.max_abs)
         imag.append(tuple(report.imag_max if star is None

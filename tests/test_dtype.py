@@ -457,35 +457,42 @@ def test_allocation_peaks_at_513(monkeypatch):
     fock_wigner(0, grid)  # caches the grid's radii, so no call below pays for them
     q, p = grid.axes()
     poly = parse_symbol("0.5*q^2 + 0.5*p^2 - 1.25*q*p")
-    # the sum and one scratch grid; every term was a complex temporary
-    assert _peak_grids(lambda: poly.eval_grid(q, p), grid) <= 2.5
+    # the sum and one scratch grid (2.07); every term was a complex temporary
+    assert _peak_grids(lambda: poly.eval_grid(q, p), grid) <= 2.25
     # the gathered profile, dropped once multiplied, one real term and the
-    # complex values (4.0 grids while the profile kept its gather)
+    # complex values (3.08; 4.0 grids while the profile kept its gather)
     assert _peak_grids(lambda: fock_wigner(4, grid), grid) <= 3.25
     setup = ProductSetup(grid, sqrt_n_spec())
     H, W = build_hamiltonian(sqrt_n_spec(), grid), fock_wigner(3, grid)
-    # four real partials and the complex result; each field's w' is gathered
-    # once for its two partials and dropped before the next field's, and the
-    # bracket and its terms live one row block at a time (8.44 grids while
-    # each profile kept its w' on the mesh, 11.06 with whole-mesh temporaries)
-    assert _peak_grids(lambda: setup.product(H, W), grid) <= 6.75
-    # A, Abar and their complex first partials (12 grids), formed as one batch
-    # that gathers f and f' once for all four; the commutator adds its one
-    # complex output and forms both products one row block at a time, and the
-    # target and the closed form are tables over the distinct radii (18.22
-    # grids with the profile's mesh-sized f and f', 23.0 with the two whole
-    # products, their difference and mesh-sized F, target and closed form)
-    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 17.5
-    # W_5 and H, each with its real first partials (8 grids), and the complex
-    # product, in whose buffer the residual is formed (14.53 grids while the
-    # profiles kept w and w' on the mesh, 20.32 with mesh-sized F, H kept
-    # alive and the residual a fresh grid)
-    assert _peak_grids(lambda: genvalue_residual(sqrt_n_spec(), 5, grid), grid) <= 11.0
-    # the three deformed registry stars' H with their partials, W_n's and the
-    # identity residual's grids, every profile holding tables only (31.58
-    # grids with mesh-sized profile derivatives, 37.34 also with mesh-sized F
-    # in each star and the residual a fresh grid)
-    assert _peak_grids(lambda: fock_pass(False), grid) <= 24.5
+    # the complex result alone: the four real partials, the bracket and its
+    # terms live one row block at a time (2.88; 6.60 grids with the partials
+    # formed on the mesh and memoized, 8.44 while each profile kept its w' on
+    # the mesh, 11.06 with whole-mesh temporaries)
+    assert _peak_grids(lambda: setup.product(H, W), grid) <= 3.0
+    # A, Abar and the commutator's one complex output (6 grids); their complex
+    # first partials and both products live one row block at a time, and the
+    # target and the closed form are tables over the distinct radii (7.89;
+    # 17.38 grids with the four partials on the mesh, 18.22 with the profile's
+    # mesh-sized f and f', 23.0 with the two whole products, their difference
+    # and mesh-sized F, target and closed form)
+    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 8.0
+    # W_5 and H, and the complex product, in whose buffer the residual is
+    # formed; the real first partials of both live one row block at a time
+    # (7.11; 10.84 grids with them on the mesh, 14.53 while the profiles kept
+    # w and w' on the mesh, 20.32 with mesh-sized F, H kept alive and the
+    # residual a fresh grid)
+    assert _peak_grids(lambda: genvalue_residual(sqrt_n_spec(), 5, grid), grid) <= 7.25
+    # the Moyal route: W_5, its partials to second order one row block at a
+    # time, and the complex product, in whose buffer the residual is formed
+    # (6.57; 11.30 grids with W_5's five partials on the mesh)
+    assert _peak_grids(lambda: genvalue_residual(identity_spec(), 5, grid), grid) <= 6.75
+    # the three deformed registry stars' H with their first partials, which
+    # the pass memoizes for every W_n, each W_n with its first partials, and
+    # the identity residual's grids, every profile holding tables only (21.29;
+    # 24.02 grids when every product memoized its operands' partials on the
+    # mesh, 31.58 with mesh-sized profile derivatives, 37.34 also with
+    # mesh-sized F in each star and the residual a fresh grid)
+    assert _peak_grids(lambda: fock_pass(False), grid) <= 21.5
 
     calls = []
     eval_grid = PolySymbol.eval_grid
@@ -500,9 +507,10 @@ def test_allocation_peaks_at_513(monkeypatch):
         associativity_defect(k, g, h, sqrt_n_spec(), [0.1, 0.01, 0.001])
     # the three fields' samples and no grid for their constant partials; each
     # hbar keeps the real |diff|^2 grid, F and dF/dn as tables over the distinct
-    # radii, and streams its four products one row block at a time (11.5 grids
-    # with F and its gradient on the mesh; 23.07 grids with one whole-mesh
-    # product with jets alive at a time; 50.07 grids and 18 eval_grid calls when
-    # every partial was a grid and both jets products were alive at once)
-    assert _peak_grids(assoc, grid) <= 9.25
+    # radii, and streams its four products one row block at a time (8.92; 11.5
+    # grids with F and its gradient on the mesh; 23.07 grids with one
+    # whole-mesh product with jets alive at a time; 50.07 grids and 18
+    # eval_grid calls when every partial was a grid and both jets products
+    # were alive at once)
+    assert _peak_grids(assoc, grid) <= 9.0
     assert len(calls) == 3

@@ -521,43 +521,62 @@ def test_on_grid_enforces_the_derivative_budget(grid257):
     assert "orders" not in profile.__dict__  # refused before any sample
 
 
-class Gathering(Counting):
-    """Records also the order of every gather the profile makes."""
-
-    def on_grid(self, grid, scale, k):
-        self.__dict__.setdefault("gathers", []).append(k)
-        return super().on_grid(grid, scale, k)
-
-
-class GatheringFock(Gathering, FockWignerProfile):
+class CountingDeformation(Counting, DeformationProfile):
     pass
 
 
-class GatheringDeformation(Gathering, DeformationProfile):
-    pass
+def _gathers(monkeypatch, profile):
+    """(k, first row) of each gather of the profile's tables onto a block of
+    rows, in order, as ``PhaseGrid.gather`` is asked for them from now on."""
+    seen = []
+    gather = PhaseGrid.gather
+
+    def recording(self, table, rows):
+        seen.extend((key[2], rows.start) for key, kept in profile.__dict__["_tables"].items()
+                    if kept is table)
+        return gather(self, table, rows)
+    monkeypatch.setattr(PhaseGrid, "gather", recording)
+    return seen
 
 
-def test_a_batch_gathers_each_derivative_once(grid257):
-    w = _analytic_field(GatheringFock(3), grid257, 1.0)
-    w.analytic.profile.gathers.clear()  # the sampling's gather of w itself
+def test_a_batch_gathers_each_derivative_once(monkeypatch, grid257):
+    # once per block: each w^(k) is gathered onto the block once for every
+    # partial formed there that takes it, and dropped with the block
+    starts = [rows.start for rows in grid257.row_blocks()]
+    w = _analytic_field(CountingFock(3), grid257, 1.0)
+    gathers = _gathers(monkeypatch, w.analytic.profile)
     moyal_apply(PolySymbol({(2, 0): 0.5, (0, 2): 0.5}), w)
     # the four partials of W_3 take w' (all four) and w'' (the second two)
-    assert w.analytic.profile.gathers == [1, 2]
+    assert gathers == [(k, start) for start in starts for k in (1, 2)]
     assert w.analytic.profile.orders == [0, 1, 2]  # one table per (grid, scale, k)
     spec = qdef_spec(1.2)
-    profile = GatheringDeformation(spec)
+    profile = CountingDeformation(spec)
     A, Abar = (AnalyticStructure(profile, 2.0, {0: symbol}).field(grid257, "")
                for symbol in (annihilation_symbol(), creation_symbol()))
-    profile.gathers.clear()
+    gathers = _gathers(monkeypatch, profile)
     ProductSetup(grid257, spec).commutator(A, Abar)
     # a f(n) and its conjugate share one gather of f and of f' for their four partials
-    assert profile.gathers == [0, 1]
+    assert gathers == [(k, start) for start in starts for k in (0, 1)]
     assert profile.orders == [0, 1]
 
 
 BATCH_GRIDS = {"513": default_grid(), "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 129, 129,
                                                           hbar=1.0, offset=0.0),
                "1537x65": PhaseGrid(-6.0, 6.0, -6.0, 6.0, 1537, 65, hbar=1.0, offset=0.5)}
+
+
+def _by_blocks(requests, grid):
+    """Each request's ``_partials`` blocks over ``row_blocks``, put back
+    together: a (1, 1) constant is served whole, so by every block alike."""
+    blocks = [arrays for _, arrays in _partials(requests, grid.row_blocks())]
+    out = []
+    for parts in zip(*blocks):
+        if parts[0].shape == (1, 1):
+            assert all(_same_bits(part, parts[0]) for part in parts)
+            out.append(parts[0])
+        else:
+            out.append(np.concatenate(parts))
+    return out
 
 
 @pytest.mark.parametrize("grid", BATCH_GRIDS.values(), ids=BATCH_GRIDS)
@@ -568,9 +587,37 @@ def test_a_batch_keeps_the_bits_of_one_partial_at_a_time(grid, group):
             return [fock_wigner(3, grid), build_hamiltonian(sqrt_n_spec(), grid)]
         return list(ladder_fields(qdef_spec(1.2), grid))
     keys = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    batch = _partials([(field, *key) for field in fields() for key in keys])
+    batch = _by_blocks([(field, *key) for field in fields() for key in keys], grid)
     alone = [partial_field(field, *key) for field in fields() for key in keys]
     assert all(_same_bits(got, want) for got, want in zip(batch, alone, strict=True))
+
+
+# 513^2 and 257^2 end on a one-row block, the offset-0 129^2 on two rows and
+# 1537 x 65 on 25
+BLOCK_GRIDS = {**BATCH_GRIDS, "257": PhaseGrid(-8.0, 8.0, -8.0, 8.0, 257, 257,
+                                               hbar=1.0, offset=0.5)}
+
+
+def _block_fields(grid):
+    """Fields of every source kind, each with the highest partial order it serves."""
+    yield fock_wigner(4, grid), 3
+    yield fcs_wigner(qdef_spec(1.2), 1.5, grid), 3
+    yield build_hamiltonian(sqrt_n_spec(), grid), 2
+    for field in ladder_fields(qdef_spec(1.2), grid):
+        yield field, 2
+    for text in ("0.5*q^3 - 2*q*p + p^2 - 1.5", "i*q^2*p + (2-i)*p^3 + q"):
+        yield field_from_poly(parse_symbol(text), grid), 4
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS.values(), ids=BLOCK_GRIDS)
+def test_block_partials_keep_the_bits_of_partial_field(grid):
+    for field, top in _block_fields(grid):
+        keys = [(i, m - i) for m in range(top + 1) for i in range(m + 1)]
+        blocks = _by_blocks([(field, *key) for key in keys], grid)
+        assert field._cache == {}  # formed block by block, memoized nowhere
+        for key, got in zip(keys, blocks, strict=True):
+            want = partial_field(field, *key)
+            assert got.dtype == want.dtype and _same_bits(got, want), (field.label, key)
 
 
 def _arrays(value):

@@ -17,8 +17,10 @@ A field's exact source (``.poly``, ``.analytic``) is assigned only in
 ``phasespace``'s ``Field.__init__``, ``Field.conjugate``, ``field_from_poly``
 and ``AnalyticStructure.field``, so only the builder that sampled a field
 from its source attaches it; a field's ``._cache`` is written only in
-``Field.__init__``, ``Field.conjugate`` and ``_partials``, which memoizes the
-partials it serves from that source (``partial_field`` is a batch of one).
+``Field.__init__``, ``Field.conjugate`` and ``_memoized``, which memoizes the
+partials that ``partial_field`` and ``gradient`` serve from that source.
+``starproduct`` calls neither of those two: a product forms its operands'
+partials one row block at a time, calling ``_partials`` with its blocks.
 The f-star bracket term, an (i hbar / 2) factor multiplied onto F and the
 bracket, is formed in one function, the row-block kernel
 ``starproduct._star_block``.  A module imports another package
@@ -364,7 +366,7 @@ def test_exact_sources_are_attached_only_by_their_builders(path):
     assert source_assignments(path.read_text(encoding="utf-8"), allowed) == []
 
 
-CACHE_WRITERS = ("Field.__init__", "Field.conjugate", "_partials")
+CACHE_WRITERS = ("Field.__init__", "Field.conjugate", "_memoized")
 CACHE_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear")
 
 
@@ -390,7 +392,7 @@ def test_cache_write_is_caught():
     source = ("class Field:\n"
               "    def __init__(self):\n        self._cache = {}\n"
               "    def seed(self, parts):\n        self._cache.update(parts)\n"
-              "def _partials(field, i, j):\n"
+              "def _memoized(field, i, j):\n"
               "    field._cache[i, j] = 0\n    return field._cache.get((i, j))\n"
               "def other(field):\n"
               "    field._cache[1, 0] = 0\n    del field._cache[1, 0]\n"
@@ -405,6 +407,35 @@ def test_partials_are_memoized_only_by_partial_field(path):
     # a field's partials come from its exact source; no caller seeds them
     allowed = CACHE_WRITERS if path.stem == "phasespace" else ()
     assert cache_writes(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def whole_mesh_partial_calls(source: str) -> list[int]:
+    """Lines that call ``partial_field`` or ``gradient``, by name or as an
+    attribute, or ``_partials`` without a second (blocks) argument."""
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (name(node.func) in ("partial_field", "gradient")
+                       or (name(node.func) == "_partials"
+                           and len(node.args) + len(node.keywords) < 2)))
+
+
+def test_whole_mesh_partial_call_is_caught():
+    source = ("from .phasespace import _partials, gradient, partial_field\n"
+              "def product(k, g, grid):\n"
+              "    kq = partial_field(k, 1, 0)\n    gq, gp = phasespace.gradient(g)\n"
+              "    for rows, parts in _partials([(k, 0, 1)], grid.row_blocks()):\n"
+              "        pass\n"
+              "    return _partials([(g, 1, 1)]), _partials([(g, 2, 0)], blocks=[rows])\n")
+    assert whole_mesh_partial_calls(source) == [3, 4, 7]
+
+
+def test_products_form_partials_only_in_row_blocks():
+    # a product never leaves a mesh-sized partial behind: it forms each
+    # operand partial one row block at a time and memoizes none
+    source = (PACKAGE / "starproduct.py").read_text(encoding="utf-8")
+    assert whole_mesh_partial_calls(source) == []
 
 
 def bracket_term_functions(source: str) -> list[str]:

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fstarq import (Field, PhaseGrid, PolySymbol, annihilation_symbol, commutator_deviation,
-                    creation_symbol, default_grid, field_from_poly,
-                    fock_wigner, fstar_apply, genvalue_residual, identity_spec, mesh,
-                    moyal_apply, moyal_exact, normalization_Nf, parse_symbol, partial_field,
-                    random_polynomial, sqrt_n_spec, star_commutator, wigner_weights)
+from fstarq import (Field, PhaseGrid, PolySymbol, annihilation_symbol, build_hamiltonian,
+                    commutator_deviation, creation_symbol, default_grid, field_from_poly,
+                    fock_wigner, fstar_apply, genvalue_residual, gradient, identity_spec,
+                    ladder_fields, mesh, moyal_apply, moyal_exact, normalization_Nf,
+                    parse_symbol, partial_field, qdef_spec, random_polynomial, sqrt_n_spec,
+                    star_commutator, wigner_weights)
 from fstarq.deformation import series_terms
 from fstarq.errors import SingularAmplitude
 from fstarq.phasespace import fd4_partial
@@ -277,3 +278,75 @@ def test_streamed_product_refuses_without_warnings():
     assert str(err.value) == ("field 1.25e+154*q star_f 1.25e+154*p is not finite at "
                               "(q, p) = (1.1354413102820746, 1.0140625)")
     assert not caught
+
+
+# Operand partials are formed one row block at a time and refused after the
+# last block: the first failing partial in argument order (k, g, then h) is
+# named at its first (q, p) in mesh order, whichever block it failed in.
+# 5.9e307 q^3 has a finite first partial below q = 1.0083, in the second
+# block, and 5e307 q^3 below q = 1.0954, in the third; their values are finite
+PARTIAL_REFUSALS = {
+    "5.9e+307*q^3": "partial (1, 0) of 5.9e+307*q^3 is not finite at (q, p) = "
+                    "(1.0083257506824386, 0.11406250000000001)",
+    "5e+307*q^3": "partial (1, 0) of 5e+307*q^3 is not finite at (q, p) = "
+                  "(1.0954049135577797, 0.11406250000000001)",
+}
+
+
+def _refusal(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+    assert not caught
+    return str(err.value)
+
+
+def _streams(k, g, h):
+    """Each streamed f-star result of k, g and h, in that argument order."""
+    setup = ProductSetup(REFUSAL_GRID, identity_spec(), hbar=0.1)
+    return [(setup.product, k, g), (setup.commutator, k, g), (setup.defect_squared, k, g, h)]
+
+
+@pytest.mark.parametrize("text", PARTIAL_REFUSALS)
+def test_a_partial_failing_past_the_first_block_is_refused_after_it(text):
+    bad = field_from_poly(parse_symbol(text), REFUSAL_GRID)
+    message = PARTIAL_REFUSALS[text]
+    first_block = REFUSAL_GRID.q_values()[REFUSAL_GRID.row_blocks()[0]]
+    assert float(message.split("(q, p) = (")[1].split(",")[0]) > first_block[-1]
+    assert _refusal(partial_field, bad, 1, 0) == message  # the whole-mesh refusal
+    g, h = (field_from_poly(parse_symbol(t), REFUSAL_GRID) for t in ("p", "q + p"))
+    defect_of_h = _streams(g, h, bad)[-1]
+    for fn, *fields in _streams(bad, g, h) + _streams(g, bad, h) + [defect_of_h]:
+        assert _refusal(fn, *fields) == message
+    assert _refusal(moyal_apply, parse_symbol("q^2 + p"), bad) == message
+
+
+def test_the_first_failing_operand_in_argument_order_is_refused():
+    # in mesh order 5.9e307 q^3 fails first, in the second block; the operand
+    # named is the first in argument order that fails anywhere
+    early, late = (field_from_poly(parse_symbol(text), REFUSAL_GRID) for text in PARTIAL_REFUSALS)
+    h = field_from_poly(parse_symbol("q + p"), REFUSAL_GRID)
+    for first, second in ((early, late), (late, early)):
+        for fn, *fields in _streams(first, second, h):
+            assert _refusal(fn, *fields) == PARTIAL_REFUSALS[first.label]
+    assert _refusal(ProductSetup(REFUSAL_GRID, identity_spec(), 0.1).defect_squared,
+                    h, late, early) == PARTIAL_REFUSALS[late.label]
+
+
+def test_products_leave_the_operands_memo_as_they_found_it(grid):
+    W, H = fock_wigner(3, grid), build_hamiltonian(sqrt_n_spec(), grid)
+    A, Abar = ladder_fields(qdef_spec(1.2), grid)
+    P = field_from_poly(parse_symbol("q^2 + p"), grid)
+    gradient(H)  # a memo a caller filled is read, and kept as it was
+    fields = (W, H, A, Abar, P)
+    memos = [dict(f._cache) for f in fields]
+    setup = ProductSetup(grid, qdef_spec(1.2), hbar=0.5)
+    setup.product(H, W)
+    setup.commutator(A, Abar)
+    setup.defect_squared(P, W, H)
+    moyal_apply(parse_symbol("q^2 + p^2"), W)
+    moyal_apply(parse_symbol("q*p"), H)
+    for field, memo in zip(fields, memos):
+        assert field._cache.keys() == memo.keys()
+        assert all(field._cache[key] is memo[key] for key in memo)
