@@ -2,9 +2,10 @@
 
 CSV uses '.' decimals, '\\n' line endings and a header row; JSON is UTF-8
 with insertion-ordered keys.  Floats are printed as ``%.17g``: the same bytes
-every run, read back exactly.  A field CSV is written one q row per ``%`` over
-a template built once, with each distinct number formatted once, and parsed
-back by ``numpy.loadtxt``; its rows must come in q-outer, p-inner order.
+every run, read back exactly.  A field CSV is written one row block at a
+time, one q row per ``%`` over a template built once, with each distinct
+number of the field formatted once; it is parsed back by ``numpy.loadtxt``,
+and its rows must come in q-outer, p-inner order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .genvalue import ResidualReport
-from .phasespace import Field, PhaseGrid, integrate
+from .phasespace import Field, PhaseGrid, _require_finite, integrate
 
 
 def format_float(x: float) -> str:
@@ -35,7 +36,7 @@ def canonical_json(obj) -> str:
 def _write_json(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -70,20 +71,42 @@ def _write_json(obj, out: list[str]) -> None:
 def field_to_csv(field: Field, path) -> None:
     """Write rows q, p, re, im in row-major (q outer) order.
 
-    Each distinct float64 bit pattern among the values is formatted once (so
-    -0.0 and 0.0 stay apart) and its text gathered into every place it sits.
+    A non-finite sample is refused, naming the field and its first (q, p),
+    before the file is opened.  The rows are then formed and written one row
+    block (``PhaseGrid.row_blocks``) at a time.  Each distinct float64 bit
+    pattern is formatted once over the whole field (so -0.0 and 0.0 stay
+    apart): ``known`` holds the patterns met so far, sorted, and ``slot`` the
+    place of each one's text in ``texts``, so a block formats only the
+    patterns that no earlier block held.
     """
-    vals = field.values
-    leads = [format_float(q) + "," for q in field.grid.q_values()]
-    rests = [format_float(p) + ",%s,%s\n" for p in field.grid.p_values()]
-    pairs = np.stack([vals.real, vals.imag], -1)
-    bits, where = np.unique(pairs.view(np.int64), return_inverse=True)
-    texts = np.array([format_float(x) for x in bits.view(np.float64)], dtype=object)
-    rows = texts[where.reshape(len(leads), -1)].tolist()
+    grid, vals = field.grid, field.values
+    _require_finite(grid, vals, "cannot write non-finite numbers: "
+                    + (f"field {field.label}" if field.label else "an unnamed field"))
+    leads = [format_float(q) + "," for q in grid.q_values()]
+    rests = [format_float(p) + ",%s,%s\n" for p in grid.p_values()]
+    # the last entry is a sentinel: that NaN pattern sorts above every finite one
+    known = np.array([np.iinfo(np.int64).max])
+    slot = np.zeros(1, np.intp)
+    texts = np.empty(1, object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("q,p,re,im\n")
-        for lead, row in zip(leads, rows):
-            fh.write((lead + lead.join(rests)) % tuple(row))
+        for rows in grid.row_blocks():
+            pairs = np.ascontiguousarray(vals[rows]).view(np.int64)  # re, im of each p
+            bits, where = np.unique(pairs, return_inverse=True)
+            at = np.searchsorted(known, bits)
+            fresh = known[at] != bits
+            if fresh.any():
+                new = bits[fresh]
+                start, stop = len(known), len(known) + len(new)
+                if stop > len(texts):
+                    texts = np.resize(texts, 2 * stop)
+                texts[start:stop] = [format_float(x) for x in new.view(np.float64).tolist()]
+                known = np.insert(known, at[fresh], new)
+                slot = np.insert(slot, at[fresh], np.arange(start, stop))
+                at += np.cumsum(fresh) - fresh  # each pattern's place after the insert
+            out = texts[slot[at][where]].reshape(len(pairs), -1).tolist()
+            for lead, row in zip(leads[rows], out):
+                fh.write((lead + lead.join(rests)) % tuple(row))
 
 
 def read_field_csv(path, hbar: float = 1.0) -> Field:

@@ -452,7 +452,7 @@ def _peak_grids(fn, grid):
     return peak / (grid.n_q * grid.n_p * 8)
 
 
-def test_allocation_peaks_at_513(monkeypatch):
+def test_allocation_peaks_at_513(monkeypatch, tmp_path):
     grid = default_grid()
     fock_wigner(0, grid)  # caches the grid's radii, so no call below pays for them
     q, p = grid.axes()
@@ -493,6 +493,15 @@ def test_allocation_peaks_at_513(monkeypatch):
     # mesh, 31.58 with mesh-sized profile derivatives, 37.34 also with
     # mesh-sized F in each star and the residual a fresh grid)
     assert _peak_grids(lambda: fock_pass(False), grid) <= 21.5
+    # field_to_csv writes one row block at a time: a block's patterns, the
+    # sorted memo of those met so far and the texts of each distinct number
+    # (W_5: 2.01; the sqrt_n commutator deviation: 5.41, most of it its
+    # 90k texts; 12.36 and 12.63 grids with one whole-field unique and every
+    # sample's text gathered before the first byte was written)
+    W5 = fock_wigner(5, grid)
+    assert _peak_grids(lambda: field_to_csv(W5, tmp_path / "w.csv"), grid) <= 2.25
+    deviation = commutator_deviation(sqrt_n_spec(), grid)[0]
+    assert _peak_grids(lambda: field_to_csv(deviation, tmp_path / "c.csv"), grid) <= 5.5
 
     calls = []
     eval_grid = PolySymbol.eval_grid

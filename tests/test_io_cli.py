@@ -37,6 +37,12 @@ def test_canonical_json_rejects_nonfinite():
         canonical_json({"x": float("nan")})
 
 
+def test_canonical_json_writes_numpy_bools_as_python_bools():
+    doc = {"ok": np.bool_(True), "flags": [np.True_, np.False_]}
+    assert canonical_json(doc) == canonical_json({"ok": True, "flags": [True, False]})
+    assert canonical_json(doc) == '{"ok": true, "flags": [true, false]}\n'
+
+
 def test_canonical_json_float_round_trip():
     vals = [1 / 3, 1e-300, 123456.789, 2**-52]
     text = canonical_json(vals)
@@ -556,6 +562,76 @@ def test_field_csv_formats_each_distinct_number_once(tmp_path, monkeypatch, name
     assert len(calls) == distinct + field.grid.n_q + field.grid.n_p
     if name == "signed_zeros":
         assert distinct == 8
+
+
+# The writer walks PhaseGrid.row_blocks and formats only the patterns that
+# are new to a block: these fields put the block edges where they bite.
+
+
+def _pooled_field(grid):
+    """Draws from a shuffled pool, each q row from a longer prefix of it, so
+    that every row block meets patterns new to it which sort between ones met
+    before.  0.0 and -0.0 enter in the last row alone: -0.0 is the least
+    int64 pattern, and 0.0 sorts between the negatives and the positives."""
+    rng = np.random.default_rng(37)
+    pool = rng.standard_normal(3000) * 10.0 ** rng.integers(-5, 5, 3000)
+    reach = np.linspace(len(pool) / grid.n_q, len(pool), grid.n_q)[:, None]
+    vals = np.empty((grid.n_q, grid.n_p), dtype=complex)
+    vals.real = pool[(rng.random((grid.n_q, grid.n_p)) * reach).astype(int)]
+    vals.imag = pool[(rng.random((grid.n_q, grid.n_p)) * reach).astype(int)]
+    vals.real[-1, :2] = 0.0, -0.0
+    vals.imag[-1, -2:] = -0.0, 0.0
+    return Field(grid, vals, label="pooled")
+
+
+BLOCK_EDGE_FIELDS = {  # the field and its number of row blocks
+    # 16 blocks of 32 rows, then one of a single row
+    "default_grid": (lambda: _field_513("fock"), 17),
+    # n_p > 2^14: every row block is one q row
+    "one_row_blocks": (lambda: _pooled_field(PhaseGrid(-1.0, 1.0, -2.0, 2.0, 4, 20000,
+                                                       offset=0.25)), 4),
+    # 5 blocks of 8 rows, whose repeats come back out of sorted order
+    "pooled": (lambda: _pooled_field(PhaseGrid(-1.0, 1.0, -2.0, 2.0, 40, 2048,
+                                               offset=0.25)), 5),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_EDGE_FIELDS)
+def test_field_csv_block_edges(tmp_path, monkeypatch, name):
+    make, n_blocks = BLOCK_EDGE_FIELDS[name]
+    field = make()
+    blocks = field.grid.row_blocks()
+    assert len(blocks) == n_blocks
+    pairs = np.stack([field.values.real, field.values.imag], -1).view(np.int64)
+    distinct = len(np.unique(pairs))
+    if name != "default_grid":
+        # later blocks meet patterns the first did not: they are inserted mid-memo
+        assert len(np.unique(pairs[blocks[0]])) < distinct
+        assert {0, np.iinfo(np.int64).min} <= set(np.unique(pairs[blocks[-1]]).tolist())
+    expected = reference_field_csv(field)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(fstarq.io, "format_float", counted)
+    field_to_csv(field, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == expected
+    assert len(calls) == distinct + field.grid.n_q + field.grid.n_p
+
+
+def test_field_csv_names_a_nan_in_the_last_row_block(tmp_path):
+    grid = default_grid()
+    field = Field(grid, _field_513("fock").values.copy(), label="W_10")
+    field.values[-1, 7] = math.nan  # past Field's own check, in the one-row last block
+    path = tmp_path / "f.csv"
+    with pytest.raises(ValueError) as err:
+        field_to_csv(field, path)
+    q, p = float(grid.q_values()[-1]), float(grid.p_values()[7])
+    assert str(err.value) == (f"cannot write non-finite numbers: field W_10 is not finite "
+                              f"at (q, p) = ({q!r}, {p!r})")
+    assert not path.exists()
 
 
 def _swap_rows(lines):

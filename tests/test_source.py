@@ -481,6 +481,7 @@ def test_bracket_term_is_formed_in_the_block_kernel_alone():
 PRIVATE_IMPORTS = {"symbols": {"expressions._Parser"},
                    "starproduct": {"phasespace._partials", "phasespace._poly_samples"},
                    "genvalue": {"phasespace._require_finite"},
+                   "io": {"phasespace._require_finite"},
                    "verify": {"genvalue._residual_report"}}
 
 
