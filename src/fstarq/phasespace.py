@@ -23,8 +23,10 @@ table made) and then forms them one block of q rows at a time, gathering
 each w^(k) once per block for all its structures; the two memoizing entries
 run it as one block, the whole mesh.  The products (``starproduct``) run it
 over the row blocks and drop each block's partials with the block, so no
-mesh-sized partial outlives them; they read a memo a caller has filled,
-which is how verify's Fock pass shares the first partials it reads often.
+mesh-sized partial outlives them; they read a memo a caller has filled.  An
+operand of ``_partials`` is a ``Field`` or an ``AnalyticStructure``, which
+serves the values and partials of the field it samples without holding
+mesh-sized values.
 
 ``PhaseGrid.radial_table`` evaluates a radial function once per distinct
 radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
@@ -455,61 +457,67 @@ def _memoized(field: Field, keys) -> list[np.ndarray]:
     whole-mesh ``_partials`` batch, once all of them are finite."""
     new = [key for key in keys if key != (0, 0) and key not in field._cache]
     # unpacking runs the one block to its end, where a non-finite partial is refused
-    [(_, arrays)] = _partials([(field, *key) for key in new], [slice(None)])
+    [(_, arrays)] = _partials(field.grid, [(field, *key) for key in new], [slice(None)])
     field._cache.update(zip(new, arrays))
     return [field.values if key == (0, 0) else field._cache[key] for key in keys]
 
 
-def _partials(requests, blocks):
-    """The partial of each (field, i, j) of requests, ``partial_field``'s,
-    formed one block of q rows at a time: yields (rows, [each partial on
-    rows]) for each rows of blocks, in order, and memoizes nothing.
+def _partials(grid: PhaseGrid, requests, blocks):
+    """The partial of each (operand, i, j) of requests on grid, formed one
+    block of q rows at a time: yields (rows, [each partial on rows]) for each
+    rows of blocks, in order, and memoizes nothing.
 
-    The plan is made at the call: a partial is the field's values for
-    (0, 0), its memo where a caller has filled it, or else its exact source,
-    differentiated once (``PolySymbol.partial``, ``AnalyticStructure.mixed``)
-    with the profile tables it takes; a negative order, no exact source or
-    the derivative budget is refused there, in request order.  Per block,
-    each w^(k) is gathered once for every analytic sum that takes it and
-    dropped after the last; a polynomial is sampled on the rows.  After the
-    last block, the first request whose partial was not finite somewhere is
-    refused at its first (q, p) in mesh order; no numpy warning comes first.
+    An operand is a ``Field`` on grid, whose partials are ``partial_field``'s,
+    or an ``AnalyticStructure``, which has the partials of the field it
+    samples (``AnalyticStructure.field``) with no mesh-sized values: its
+    (0, 0) is its sum, cast to complex128 as ``Field`` casts its values, and
+    a refusal names it as that field with no label.  The plan is made at the
+    call: a partial is a field's values for (0, 0), its memo where a caller
+    has filled it, or else the exact source, differentiated once
+    (``PolySymbol.partial``, ``AnalyticStructure.mixed``) with the profile
+    tables it takes; a negative order, no exact source or the derivative
+    budget is refused there, in request order.  Per block, each w^(k) is
+    gathered once for every analytic sum that takes it and dropped after the
+    last; a polynomial is sampled on the rows.  After the last block, the
+    first request whose partial was not finite somewhere is refused at its
+    first (q, p) in mesh order; no numpy warning comes first.
     """
-    def what(field, i, j):
-        return f"partial ({i}, {j}) of {field.label or 'an unnamed field'}"
+    def what(operand, i, j):
+        return f"partial ({i}, {j}) of {getattr(operand, 'label', '') or 'an unnamed field'}"
 
-    plan, uses = {}, collections.Counter()  # plan: key -> [field, source, grid axes]
-    for field, i, j in requests:
-        if (id(field), i, j) in plan:
+    plan, uses = {}, collections.Counter()  # plan: key -> [operand, source]
+    for operand, i, j in requests:
+        if (id(operand), i, j) in plan:
             continue
         if i < 0 or j < 0:
-            raise ValueError(f"{what(field, i, j)}: orders must be >= 0, not both 0")
-        if (i, j) == (0, 0):
+            raise ValueError(f"{what(operand, i, j)}: orders must be >= 0, not both 0")
+        field = operand if isinstance(operand, Field) else None
+        if field is not None and (i, j) == (0, 0):
             source = field.values
-        elif (i, j) in field._cache:
+        elif field is not None and (i, j) in field._cache:
             source = field._cache[i, j]
-        elif field.poly is not None:
+        elif field is not None and field.poly is not None:
             source = field.poly.partial(i, j)
-        elif field.analytic is None:
-            raise ValueError(f"{what(field, i, j)}: no exact source; "
+        elif (structure := operand if field is None else field.analytic) is None:
+            raise ValueError(f"{what(operand, i, j)}: no exact source; "
                              "fd4_partial estimates it by stencils")
         else:  # the structure, and the table of each w^(k) it takes
-            structure = field.analytic.mixed(i, j)
+            structure = structure.mixed(i, j)
             try:
-                source = structure, {k: structure.profile.table(field.grid, structure.scale, k)
+                source = structure, {k: structure.profile.table(grid, structure.scale, k)
                                      for k, c in structure.terms.items() if c.terms}
             except ValueError as exc:  # the profile's derivative budget
-                raise ValueError(f"{what(field, i, j)}: {exc}") from None
+                raise ValueError(f"{what(operand, i, j)}: {exc}") from None
             uses.update(id(table) for table in source[1].values())
-        axes = None if isinstance(source, np.ndarray) else field.grid.axes()
-        plan[id(field), i, j] = [field, source, axes]
+        plan[id(operand), i, j] = [operand, source]
+    q, p = grid.axes()
 
     def formed():
         refusals = {}
         for rows in blocks:
             left, gathered, arrays = uses.copy(), {}, {}
 
-            def take(grid, table):
+            def take(table):
                 """The table on the block, gathered for its first use there."""
                 if id(table) not in gathered:
                     gathered[id(table)] = grid.gather(table, rows)
@@ -518,24 +526,24 @@ def _partials(requests, blocks):
 
             with np.errstate(all="ignore"):  # refused by name after the last block
                 for key, entry in plan.items():
-                    field, source, axes = entry
+                    operand, source = entry
                     if isinstance(source, np.ndarray):  # values, memo or a constant: checked
                         arrays[key] = source if source.shape[0] == 1 else source[rows]
                         continue
-                    q, p = axes
                     if isinstance(source, PolySymbol):
                         arr = _poly_samples(source, q[rows], p)
                         if arr.shape == (1, 1):  # a constant: this sample serves every block
                             entry[1] = arr
                     else:
                         structure, tables = source
-                        arr = structure._sum(q[rows], p, lambda k: take(field.grid, tables[k]))
+                        arr = structure._sum(q[rows], p, lambda k: take(tables[k]))
                     if key not in refusals and not np.isfinite(arr).all():
                         iq, ip = np.argwhere(~np.isfinite(arr))[0]
-                        refusals[key] = _not_finite(field.grid, what(field, *key[1:]),
-                                                    range(field.grid.n_q)[rows][iq], ip)
-                    arrays[key] = arr
-            yield rows, [arrays[id(field), i, j] for field, i, j in requests]
+                        refusals[key] = _not_finite(grid, what(operand, *key[1:]),
+                                                    range(grid.n_q)[rows][iq], ip)
+                    # a structure's (0, 0): the values its field would hold
+                    arrays[key] = arr.astype(complex, copy=False) if key[1:] == (0, 0) else arr
+            yield rows, [arrays[id(operand), i, j] for operand, i, j in requests]
         for key in plan:
             if key in refusals:
                 raise refusals[key]

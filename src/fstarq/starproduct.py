@@ -28,19 +28,25 @@ call.
 ``_star_block`` is the one place the first-order formula (the value and the
 jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
 its temporaries stay in cache rather than passing through memory as whole-mesh
-arrays would.  ``ProductSetup._blocks`` is the one loop over the blocks: it
-gathers F, and for the defect the gradient of F, from the tables, and hands
+arrays would.  ``_blocks`` is the one loop over the blocks: it gathers each
+setup's F, and for the defect the gradient of F, from the tables, and hands
 over the operands' values and partials on the block.  ``product`` fills its
 output block by block; ``commutator`` writes both orders' difference over
-hbar into its one output; and ``defect_squared`` keeps only the real
-|difference|^2 of its four nested products.  ``moyal_apply`` streams the
-same blocks.  Every element goes through the same operations in the same
-order as on the whole mesh, so the bits do not depend on the blocking.
+hbar into its one output; ``defect_squared`` keeps only the real
+|difference|^2 of its four nested products; and ``imag_maxima`` keeps only
+max |Im(k *_f g)| of every product of several setups' k with several g,
+forming each operand's partials once per block for all of them, on operands
+that may be ``AnalyticStructure``s, which hold no mesh-sized values.
+``moyal_apply`` streams the same blocks.  Every element goes through the
+same operations in the same order as on the whole mesh, so the bits do not
+depend on the blocking.
 Numpy's warnings are off in the blocks.  An operand partial without an exact
 source or past its profile's budget is refused before any block; after the
 last block, the first operand partial in argument order that was not finite
 is refused at its first (q, p) in mesh order; then the finished result is
-checked once (``Field``'s, or ``associativity_defect``'s of the squares).
+checked once (``Field``'s, or ``associativity_defect``'s of the squares;
+``imag_maxima`` names its first product that was not finite as ``product``
+would).
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import math
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
-from .phasespace import Field, _partials, _poly_samples
+from .phasespace import Field, _not_finite, _partials, _poly_samples
 from .symbols import PolySymbol
 
 
@@ -68,7 +74,7 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
               * math.comb(m, j), hpart, (j, m - j))
              for m in range(h.degree + 1) for j in range(m + 1)
              if (hpart := h.partial(m - j, j)).terms]
-    blocks = _partials([(w, *key) for *_, key in terms], grid.row_blocks())
+    blocks = _partials(grid, [(w, *key) for *_, key in terms], grid.row_blocks())
     q, p = grid.axes()
     out = np.zeros((grid.n_q, grid.n_p), dtype=complex)
     with np.errstate(all="ignore"):  # Field names the first sample that is not finite
@@ -118,37 +124,12 @@ class ProductSetup:
         self.hbar = hbar
         self.F = grid.radial_table(functools.partial(amplitude_F, spec), 2.0 * hbar)
 
-    def _blocks(self, fields, jets: bool):
-        """Per row block of ``PhaseGrid.row_blocks``: its rows, F, with jets
-        the gradient (dF/dq, dF/dp) = dF/dn (q, p) / hbar (else None), and
-        each field's ``_star_block`` operand on the block, formed there by
-        ``_partials``: its values and first partials, with jets its second
-        too, where a (1, 1) constant partial broadcasts whole.  The one loop
-        of ``_star_block``'s callers.  Refused, in this order: a field off
-        the setup's grid, an operand partial without an exact source or past
-        its budget (argument order: k, g, then h), the dF/dn table, and after
-        the last block the first operand partial that was not finite."""
-        if any(f.grid != self.grid for f in fields):
-            raise ValueError("fields must share the setup's grid")
-        keys = ((0, 0),) + _FIRST + (_SECOND if jets else ())
-        blocks = _partials([(f, *key) for f in fields for key in keys], self.grid.row_blocks())
-        dF_dn = None if not jets else self.grid.radial_table(
-            functools.partial(amplitude_F_deriv, self.spec), 2.0 * self.hbar)
-        q, p = self.grid.axes()
-        for rows, arrays in blocks:
-            F, dF = self.grid.gather(self.F, rows), None
-            if dF_dn is not None:  # rebound to its gradient so no block of it outlives the yield
-                dF = self.grid.gather(dF_dn, rows)
-                dF = (dF * q[rows] / self.hbar, dF * p / self.hbar)
-            yield rows, F, dF, [arrays[start:start + len(keys)]
-                                for start in range(0, len(arrays), len(keys))]
-
     def product(self, k: Field, g: Field) -> Field:
         """k *_f g = k g + (i hbar / 2) F(n) {k, g}, allocated once and filled
         one row block at a time by ``_star_block``."""
         out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
         with np.errstate(all="ignore"):  # Field names the first sample that is not finite
-            for rows, F, _, (kb, gb) in self._blocks((k, g), jets=False):
+            for rows, [(F, _)], (kb, gb) in _blocks([self], (k, g), jets=False):
                 out[rows] = _star_block(self.hbar, F, kb, gb)[0]
         return Field(self.grid, out, label=f"{k.label} star_f {g.label}")
 
@@ -158,7 +139,7 @@ class ProductSetup:
         if it is not finite."""
         out = np.empty((self.grid.n_q, self.grid.n_p), dtype=complex)
         with np.errstate(all="ignore"):  # Field names the first sample that is not finite
-            for rows, F, _, (kb, gb) in self._blocks((k, g), jets=False):
+            for rows, [(F, _)], (kb, gb) in _blocks([self], (k, g), jets=False):
                 diff = _star_block(self.hbar, F, kb, gb)[0]
                 diff -= _star_block(self.hbar, F, gb, kb)[0]
                 np.divide(diff, self.hbar, out=out[rows])
@@ -172,13 +153,83 @@ class ProductSetup:
         finite leaves the squares not finite, which the caller refuses."""
         sq = np.empty((self.grid.n_q, self.grid.n_p))
         with np.errstate(all="ignore"):  # the caller names the first square that is not finite
-            for rows, F, dF, (kb, gb, hb) in self._blocks((k, g, h), jets=True):
+            for rows, [(F, dF)], (kb, gb, hb) in _blocks([self], (k, g, h), jets=True):
                 kg, kg_jets = _star_block(self.hbar, F, kb, gb, dF)
                 gh, gh_jets = _star_block(self.hbar, F, gb, hb, dF)
                 diff = _star_block(self.hbar, F, [kg, *kg_jets], hb)[0]
                 diff -= _star_block(self.hbar, F, kb, [gh, *gh_jets])[0]
                 sq[rows] = np.abs(diff) ** 2
         return sq
+
+
+def _blocks(setups, operands, jets: bool):
+    """Per row block of ``PhaseGrid.row_blocks`` of the setups' one grid: its
+    rows, each setup's (F, dF) on the block, dF being with jets the gradient
+    (dF/dq, dF/dp) = dF/dn (q, p) / hbar and else None, and each operand's
+    ``_star_block`` operand on the block, formed there by
+    ``_partials``: its values and first partials, with jets its second too,
+    where a (1, 1) constant partial broadcasts whole.  An operand is a
+    ``Field`` or an ``AnalyticStructure`` (``_partials``).  The one loop of
+    ``_star_block``'s callers.  Refused, in this order: setups on different
+    grids, a field off the setups' grid, an operand partial without an exact
+    source or past its budget (argument order), the dF/dn tables, and after
+    the last block the first operand partial that was not finite."""
+    grid = setups[0].grid
+    if any(setup.grid != grid for setup in setups):
+        raise ValueError("setups must share a grid")
+    if any(isinstance(f, Field) and f.grid != grid for f in operands):
+        raise ValueError("fields must share the setup's grid")
+    keys = ((0, 0),) + _FIRST + (_SECOND if jets else ())
+    blocks = _partials(grid, [(f, *key) for f in operands for key in keys], grid.row_blocks())
+    dF_dn = [grid.radial_table(functools.partial(amplitude_F_deriv, setup.spec),
+                               2.0 * setup.hbar) if jets else None for setup in setups]
+    q, p = grid.axes()
+    for rows, arrays in blocks:
+        Fs = []
+        for setup, table in zip(setups, dF_dn):
+            dF = None
+            if table is not None:  # rebound to its gradient so no block of it outlives the yield
+                dF = grid.gather(table, rows)
+                dF = (dF * q[rows] / setup.hbar, dF * p / setup.hbar)
+            Fs.append((grid.gather(setup.F, rows), dF))
+        yield rows, Fs, [arrays[start:start + len(keys)]
+                         for start in range(0, len(arrays), len(keys))]
+        del arrays, Fs  # so the next block is formed without this one
+
+
+def imag_maxima(stars, gs) -> list[list[float]]:
+    """max |Im(k *_f g)| for each star (setup, k) of stars and each g of gs,
+    as one list per star, with the bits of ``setup.product(k, g)``'s; k and g
+    are ``Field``s or ``AnalyticStructure``s on the setups' one grid.
+
+    One pass over the row blocks (``_blocks``) forms each operand's values
+    and first partials once per block, for every product that takes them,
+    and gathers each setup's F once; each product lives one block at a time
+    (``_star_block``) and only the running maxima are kept.  Refused as
+    ``product`` refuses: an operand before any block or after the last, and
+    then, after the last block, the first product in argument order (star,
+    then g) that was not finite, at its first (q, p) in mesh order."""
+    if not stars:
+        return []
+    setups, gs = [setup for setup, _ in stars], list(gs)
+    operands = [k for _, k in stars] + gs
+    maxima = [[0.0] * len(gs) for _ in stars]
+    bad = {}  # (star, g) -> the mesh point of the product's first non-finite sample
+    with np.errstate(all="ignore"):  # refused by name after the last block
+        for rows, Fs, ops in _blocks(setups, operands, jets=False):
+            for a, (setup, (F, _), kb) in enumerate(zip(setups, Fs, ops)):
+                for b, gb in enumerate(ops[len(stars):]):
+                    out = _star_block(setup.hbar, F, kb, gb)[0]
+                    if (a, b) not in bad and not np.isfinite(out).all():
+                        iq, ip = np.argwhere(~np.isfinite(out))[0]
+                        bad[a, b] = rows.start + iq, ip
+                    maxima[a][b] = max(maxima[a][b], float(np.max(np.abs(out.imag))))
+            del ops  # so the next block is formed without this one
+    if bad:
+        a, b = min(bad)
+        label = f"{getattr(operands[a], 'label', '')} star_f {getattr(gs[b], 'label', '')}"
+        raise _not_finite(setups[0].grid, f"field {label}", *bad[a, b])
+    return maxima
 
 
 def fstar_apply(k: Field, g: Field, spec: DeformationSpec) -> Field:

@@ -8,17 +8,16 @@ mode uses the canonical parameters.
 Checks 1-3 read the number-state Wigner functions W_n.  One pass per run
 (``fock_pass``) builds each W_n once and feeds all three, so its profile
 tables are shared by every check that reads it; the pass belongs to one
-``run_verification`` call and is not kept.  Products form their operands'
-partials one row block at a time and keep none, so the pass memoizes on
-purpose (``gradient``) the first partials it reads in several products:
-each W_n's, read by its Moyal product and the three deformed stars, and each
-star's H's, read by the product with every W_n.  The suite runs on one
-thread.
+``run_verification`` call and is not kept.  The pass memoizes no partial:
+the deformed stars' products with every W_n are one ``imag_maxima`` sweep
+over the row blocks, on H and the kept W_n as analytic structures, so no
+mesh-sized H, W_n or partial is held while it runs, and each operand's first
+partials are formed once per block for every product that reads them.  The
+suite runs on one thread.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,8 +26,8 @@ from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, 
 from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, _residual_report, assoc_probe,
                        associativity_defect, build_hamiltonian, commutator_deviation)
 from .phasespace import (PhaseGrid, default_grid, fcs_wigner, fd4_partial, fock_wigner,
-                         gradient, integrate, partial_field)
-from .starproduct import ProductSetup
+                         integrate, partial_field)
+from .starproduct import ProductSetup, imag_maxima
 from .symbols import (PolySymbol, annihilation_symbol, creation_symbol, moyal_exact,
                       random_polynomial)
 
@@ -66,35 +65,31 @@ def fock_pass(quick: bool) -> FockPass:
 
     Every n gives |integral W_n - 1| (check 3).  For n <= n_top the pass also
     takes the identity residual report on that W_n, whose max_abs is check 1's
-    and whose imag_max is check 2's identity row (W_n is real, so the
-    residual's imaginary part is the product's), then applies each deformed
-    registry star and drops the product at once.
+    and whose imag_max is check 2's identity column (W_n is real, so the
+    residual's imaginary part is the product's), and keeps W_n's analytic
+    structure alone.  One ``imag_maxima`` sweep over the row blocks then
+    gives the other columns: each deformed registry star's H, a structure
+    too, with every kept W_n, each operand's partials formed once per block.
     """
     grid = _grid(quick)
     n_top, n_norm = (3, 8) if quick else (10, 20)
     identity = identity_spec()
-    # built once, before the loop, so every W_n reuses each star's H, F(n) and
-    # H's first partials, memoized on H by gradient, which every star reads
-    stars = []
-    for spec in registry_specs():
-        if spec.kind == "identity":
-            stars.append(None)
-            continue
-        ham = build_hamiltonian(spec, grid)
-        gradient(ham)
-        stars.append(functools.partial(ProductSetup(grid, spec).product, ham))
-    residual, imag, norm = [], [], []
+    residual, identity_imag, structures, norm = [], [], [], []
     for n in range(n_norm + 1):
         w = fock_wigner(n, grid)
         norm.append(abs(integrate(w).real - 1.0))
-        if n > n_top:
-            continue
-        gradient(w)  # memoized on W_n for its Moyal product and the three stars
-        report = _residual_report(identity, n, w, 1.0, DEFAULT_R_CUT)
-        residual.append(report.max_abs)
-        imag.append(tuple(report.imag_max if star is None
-                          else float(np.max(np.abs(star(w).values.imag))) for star in stars))
-    return FockPass(tuple(residual), tuple(imag), tuple(norm))
+        if n <= n_top:
+            report = _residual_report(identity, n, w, 1.0, DEFAULT_R_CUT)
+            residual.append(report.max_abs)
+            identity_imag.append(report.imag_max)
+            structures.append(w.analytic)
+    del w  # the sweep holds no mesh-sized W_n
+    stars = [(ProductSetup(grid, spec), build_hamiltonian(spec, grid).analytic)
+             for spec in registry_specs() if spec.kind != "identity"]
+    deformed = iter(imag_maxima(stars, structures))
+    columns = [identity_imag if spec.kind == "identity" else next(deformed)
+               for spec in registry_specs()]
+    return FockPass(tuple(residual), tuple(zip(*columns)), tuple(norm))
 
 
 def check_moyal_genvalue(quick: bool, fock: FockPass) -> dict:

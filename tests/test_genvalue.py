@@ -410,12 +410,13 @@ def _separate_loops(quick: bool) -> tuple[FockPass, list[dict]]:
               f"fock n<={n_norm} and registry coherent mixtures")]
 
 
-def test_fock_pass_equals_the_separate_loops_bytewise():
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_fock_pass_equals_the_separate_loops_bytewise(quick):
     # every float of the table, the identity column of imag included, and the
     # three summary entries; the floats are absolute values, so == is bitwise
-    table, entries = _separate_loops(quick=True)
-    assert fock_pass(True) == table
-    checks = run_verification(quick=True)["checks"][:3]
+    table, entries = _separate_loops(quick)
+    assert fock_pass(quick) == table
+    checks = run_verification(quick)["checks"][:3]
     assert canonical_json(checks) == canonical_json(entries)
 
 

@@ -568,7 +568,7 @@ BATCH_GRIDS = {"513": default_grid(), "origin": PhaseGrid(-4.0, 4.0, -4.0, 4.0, 
 def _by_blocks(requests, grid):
     """Each request's ``_partials`` blocks over ``row_blocks``, put back
     together: a (1, 1) constant is served whole, so by every block alike."""
-    blocks = [arrays for _, arrays in _partials(requests, grid.row_blocks())]
+    blocks = [arrays for _, arrays in _partials(grid, requests, grid.row_blocks())]
     out = []
     for parts in zip(*blocks):
         if parts[0].shape == (1, 1):
@@ -618,6 +618,35 @@ def test_block_partials_keep_the_bits_of_partial_field(grid):
         for key, got in zip(keys, blocks, strict=True):
             want = partial_field(field, *key)
             assert got.dtype == want.dtype and _same_bits(got, want), (field.label, key)
+
+
+def _structure_fields(grid):
+    yield fock_wigner(0, grid)
+    yield fock_wigner(4, grid)
+    yield build_hamiltonian(sqrt_n_spec(), grid)
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS.values(), ids=BLOCK_GRIDS)
+def test_structure_operands_keep_the_bits_of_their_fields(grid):
+    # a structure operand is the field it samples, with no mesh-sized values:
+    # its (0, 0) is the sum cast to complex128, its partials the field's
+    keys = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for field in _structure_fields(grid):
+        blocks = _by_blocks([(field.analytic, *key) for key in keys], grid)
+        for key, got in zip(keys, blocks, strict=True):
+            want = field.values if key == (0, 0) else partial_field(field, *key)
+            assert got.dtype == want.dtype and _same_bits(got, want), (field.label, key)
+
+
+def test_structure_operand_budget_is_refused_as_a_field_operands_is(origin_grid):
+    structure = build_hamiltonian(sqrt_n_spec(), origin_grid).analytic
+    unnamed = structure.field(origin_grid, "")
+    with pytest.raises(ValueError) as want:
+        partial_field(unnamed, 3, 0)
+    with pytest.raises(ValueError) as got:
+        _partials(origin_grid, [(structure, 1, 0), (structure, 3, 0)], origin_grid.row_blocks())
+    assert str(got.value) == str(want.value) == (
+        "partial (3, 0) of an unnamed field: HamiltonianProfile carries 2 derivatives only")
 
 
 def _arrays(value):

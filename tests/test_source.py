@@ -21,6 +21,8 @@ from its source attaches it; a field's ``._cache`` is written only in
 partials that ``partial_field`` and ``gradient`` serve from that source.
 ``starproduct`` calls neither of those two: a product forms its operands'
 partials one row block at a time, calling ``_partials`` with its blocks.
+``verify`` calls ``partial_field`` in check 8 alone and ``gradient`` nowhere,
+so its Fock pass keeps no mesh-sized memo.
 The f-star bracket term, an (i hbar / 2) factor multiplied onto F and the
 bracket, is formed in one function, the row-block kernel
 ``starproduct._star_block``.  A module imports another package
@@ -411,23 +413,24 @@ def test_partials_are_memoized_only_by_partial_field(path):
 
 def whole_mesh_partial_calls(source: str) -> list[int]:
     """Lines that call ``partial_field`` or ``gradient``, by name or as an
-    attribute, or ``_partials`` without a second (blocks) argument."""
+    attribute, or ``_partials`` without a third (blocks) argument."""
     def name(func):
         return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and (name(node.func) in ("partial_field", "gradient")
                        or (name(node.func) == "_partials"
-                           and len(node.args) + len(node.keywords) < 2)))
+                           and len(node.args) + len(node.keywords) < 3)))
 
 
 def test_whole_mesh_partial_call_is_caught():
     source = ("from .phasespace import _partials, gradient, partial_field\n"
               "def product(k, g, grid):\n"
               "    kq = partial_field(k, 1, 0)\n    gq, gp = phasespace.gradient(g)\n"
-              "    for rows, parts in _partials([(k, 0, 1)], grid.row_blocks()):\n"
+              "    for rows, parts in _partials(grid, [(k, 0, 1)], grid.row_blocks()):\n"
               "        pass\n"
-              "    return _partials([(g, 1, 1)]), _partials([(g, 2, 0)], blocks=[rows])\n")
+              "    return (_partials(grid, [(g, 1, 1)]),\n"
+              "            _partials(grid, [(g, 2, 0)], blocks=[rows]))\n")
     assert whole_mesh_partial_calls(source) == [3, 4, 7]
 
 
@@ -436,6 +439,35 @@ def test_products_form_partials_only_in_row_blocks():
     # operand partial one row block at a time and memoizes none
     source = (PACKAGE / "starproduct.py").read_text(encoding="utf-8")
     assert whole_mesh_partial_calls(source) == []
+
+
+def partial_calls(source: str) -> list[str]:
+    """'function: name' for each call of ``partial_field`` or ``gradient``, by
+    name or as an attribute, with the top-level function it sits in."""
+    found = []
+    for node in ast.parse(source).body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("partial_field", "gradient"):
+                    found.append(f"{getattr(node, 'name', 'module')}: {name}")
+    return found
+
+
+def test_partial_call_is_caught():
+    source = ("def fock_pass(w):\n    gradient(w)\n    return phasespace.gradient(w)\n"
+              "def check(w):\n    return [partial_field(w, *key) for key in KEYS]\n"
+              "W = partial_field(w, 1, 0)\n")
+    assert partial_calls(source) == ["fock_pass: gradient", "fock_pass: gradient",
+                                     "check: partial_field", "module: partial_field"]
+
+
+def test_verify_memoizes_no_partials_but_check_8s():
+    # the Fock pass streams its products' partials and keeps no mesh-sized
+    # memo; check 8 compares one exact partial per axis with its stencil
+    source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    assert partial_calls(source) == ["check_derivative_crosscheck: partial_field"]
 
 
 def bracket_term_functions(source: str) -> list[str]:
@@ -479,7 +511,8 @@ def test_bracket_term_is_formed_in_the_block_kernel_alone():
 
 # Each private name one package module imports from another, by importer
 PRIVATE_IMPORTS = {"symbols": {"expressions._Parser"},
-                   "starproduct": {"phasespace._partials", "phasespace._poly_samples"},
+                   "starproduct": {"phasespace._not_finite", "phasespace._partials",
+                                   "phasespace._poly_samples"},
                    "genvalue": {"phasespace._require_finite"},
                    "io": {"phasespace._require_finite"},
                    "verify": {"genvalue._residual_report"}}

@@ -9,12 +9,12 @@ from fstarq import (Field, PhaseGrid, PolySymbol, annihilation_symbol, build_ham
                     commutator_deviation, creation_symbol, default_grid, field_from_poly,
                     fock_wigner, fstar_apply, genvalue_residual, gradient, identity_spec,
                     ladder_fields, mesh, moyal_apply, moyal_exact, normalization_Nf,
-                    parse_symbol, partial_field, qdef_spec, random_polynomial, sqrt_n_spec,
-                    star_commutator, wigner_weights)
+                    parse_symbol, partial_field, qdef_spec, random_polynomial, registry_specs,
+                    sqrt_n_spec, star_commutator, wigner_weights)
 from fstarq.deformation import series_terms
 from fstarq.errors import SingularAmplitude
 from fstarq.phasespace import fd4_partial
-from fstarq.starproduct import ProductSetup
+from fstarq.starproduct import ProductSetup, imag_maxima
 
 SQRT2 = math.sqrt(2.0)
 
@@ -305,7 +305,8 @@ def _refusal(fn, *args):
 def _streams(k, g, h):
     """Each streamed f-star result of k, g and h, in that argument order."""
     setup = ProductSetup(REFUSAL_GRID, identity_spec(), hbar=0.1)
-    return [(setup.product, k, g), (setup.commutator, k, g), (setup.defect_squared, k, g, h)]
+    return [(setup.product, k, g), (setup.commutator, k, g),
+            (lambda k, g: imag_maxima([(setup, k)], [g]), k, g), (setup.defect_squared, k, g, h)]
 
 
 @pytest.mark.parametrize("text", PARTIAL_REFUSALS)
@@ -350,3 +351,65 @@ def test_products_leave_the_operands_memo_as_they_found_it(grid):
     for field, memo in zip(fields, memos):
         assert field._cache.keys() == memo.keys()
         assert all(field._cache[key] is memo[key] for key in memo)
+
+
+# ---------------------------------------------------------------------------
+# imag_maxima: max |Im(k *_f g)| of many products in one pass over the blocks
+
+# 16 blocks of 32 rows and a one-row block; one block past 100 rows; two
+# blocks of 496 rows and one of 108
+IMAG_GRIDS = {"513": default_grid(),
+              "100x37": PhaseGrid(-5.0, 5.0, -4.0, 4.0, 100, 37, hbar=0.7, offset=0.5),
+              "1100x33": PhaseGrid(-6.0, 6.0, -5.0, 5.0, 1100, 33, hbar=1.0, offset=0.5)}
+
+
+@pytest.mark.parametrize("grid", IMAG_GRIDS.values(), ids=IMAG_GRIDS)
+def test_imag_maxima_keep_the_bits_of_each_product(grid):
+    specs = [spec for spec in registry_specs() if spec.kind != "identity"]
+    setups = [ProductSetup(grid, spec) for spec in specs]
+    hams = [build_hamiltonian(spec, grid) for spec in specs]
+    # real and complex structures, and for Field operands a polynomial too
+    ws = [fock_wigner(n, grid) for n in (0, 3, 7)] + [ladder_fields(qdef_spec(1.2), grid)[0]]
+    poly = field_from_poly(parse_symbol("0.5*q^2 - q*p + 0.25*p^3"), grid)
+    want = [[float(np.max(np.abs(setup.product(k, g).values.imag))) for g in ws + [poly]]
+            for setup, k in zip(setups, hams)]
+    got = imag_maxima(list(zip(setups, hams)), ws + [poly])
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+    got = imag_maxima([(setup, k.analytic) for setup, k in zip(setups, hams)],
+                      [w.analytic for w in ws])
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row[:-1]]
+                                                       for row in want]
+    assert all(not f._cache for f in hams + ws + [poly])  # memoized nowhere
+
+
+def test_imag_maxima_refuse_the_first_product_in_argument_order():
+    # A B overflows where q p > 1.15, first at row 1034 (q = 1.135); C B
+    # where q p > 0.072, in the first row; neither A P nor C P overflows.  A B
+    # comes first in argument order, so it is named, as product names it
+    A, C, B, P = (field_from_poly(parse_symbol(text), REFUSAL_GRID)
+                  for text in ("1.25e154*q", "2e155*q", "1.25e154*p", "p"))
+    setup = ProductSetup(REFUSAL_GRID, identity_spec())
+    message = ("field 1.25e+154*q star_f 1.25e+154*p is not finite at "
+               "(q, p) = (1.1354413102820746, 1.0140625)")
+    assert _refusal(setup.product, A, B) == message
+    assert _refusal(imag_maxima, [(setup, A), (setup, C)], [P, B]) == message
+    assert _refusal(imag_maxima, [(setup, C)], [P, B]).startswith(
+        "field 2e+155*q star_f 1.25e+154*p is not finite at (q, p) = (0.10050045495905369, ")
+
+
+def test_imag_maxima_refuse_a_foreign_grid(grid):
+    k = field_from_poly(PolySymbol.q(), grid)
+    other_grid = PhaseGrid(-2, 2, -2, 2, 17, 17)
+    other = field_from_poly(PolySymbol.p(), other_grid)
+    setup = ProductSetup(grid, sqrt_n_spec())
+    for stars, gs in (([(setup, k)], [other]), ([(setup, other)], [k])):
+        with pytest.raises(ValueError, match="^fields must share the setup's grid$"):
+            imag_maxima(stars, gs)
+    with pytest.raises(ValueError, match="^setups must share a grid$"):
+        imag_maxima([(setup, k), (ProductSetup(other_grid, sqrt_n_spec()), other)], [k])
+
+
+def test_imag_maxima_of_no_products(grid):
+    setup, w = ProductSetup(grid, sqrt_n_spec()), fock_wigner(1, grid)
+    assert imag_maxima([], [w]) == []
+    assert imag_maxima([(setup, w)], []) == [[]]
