@@ -294,9 +294,9 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
 def _defect_norm(k: Field, g: Field, h: Field, spec: DeformationSpec, hbar: float) -> float:
     """associativity_defect's norm at one hbar."""
     grid = k.grid
-    if spec.kind == "identity" and all(f.poly is not None for f in (k, g, h)):
-        left = moyal_exact(moyal_exact(k.poly, g.poly, hbar), h.poly, hbar)
-        right = moyal_exact(k.poly, moyal_exact(g.poly, h.poly, hbar), hbar)
+    if spec.kind == "identity" and all(isinstance(f.source, PolySymbol) for f in (k, g, h)):
+        left = moyal_exact(moyal_exact(k.source, g.source, hbar), h.source, hbar)
+        right = moyal_exact(k.source, moyal_exact(g.source, h.source, hbar), hbar)
         with np.errstate(all="ignore"):  # refused below, with its first (q, p)
             sq = np.abs((left - right).eval_grid(*grid.axes())) ** 2
     else:

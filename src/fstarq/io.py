@@ -117,8 +117,9 @@ def read_field_csv(path, hbar: float = 1.0) -> Field:
     out of q-outer, p-inner order are refused, naming the first such line, and
     so is a coordinate that is off the uniform grid by more than roundoff.
     The file records no hbar: the grid takes ``hbar``, so a field written at
-    hbar != 1 must be read back with ``hbar=`` set to it.  The field has no
-    exact source, so its partials come from ``fd4_partial`` alone.
+    hbar != 1 must be read back with ``hbar=`` set to it.  The field's
+    ``source`` is None: the samples carry no exact source, so its partials
+    come from ``fd4_partial`` alone.
     """
     with open(path, encoding="utf-8") as fh:
         nonblank = ((i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln != "\n")

@@ -4,29 +4,29 @@ Field values are complex128 samples on a rectangular (q, p) grid; radial
 profiles, and the partials of fields with real coefficients, are float64.
 ``partial_field`` is the one route to a derivative (``gradient`` pairs its
 two first partials); it serves each partial, in its source's dtype, from the
-field's exact source, memoized on the field, and refuses any other by name:
+field's one exact ``source``, which answers ``partial(i, j)``, and refuses
+any other by name:
 
-* ``poly``      -- an exact PolySymbol backing the samples; a constant
-  partial (zero included) is one (1, 1) sample that broadcasts to the mesh;
-* ``analytic``  -- a sum  sum_k c_k(q, p) * w^(k)(v)  with polynomial
-  coefficients c_k and a radial profile w of v = (q^2 + p^2) / scale;
-  this family is closed under partial derivatives, so mixed partials of
-  any order come out exact within the profile's own derivative budget; each
-  profile keeps w^(k)(v) only as a read-only table over the grid's distinct
-  radii, by (grid, scale, k), for as long as it lives
-  (``RadialProfile.table``).
+* a ``PolySymbol`` backing the samples; a constant partial (zero included)
+  is one (1, 1) sample that broadcasts to the mesh;
+* an ``AnalyticStructure``, a sum  sum_k c_k(q, p) * w^(k)(v)  with
+  polynomial coefficients c_k and a radial profile w of
+  v = (q^2 + p^2) / scale; this family is closed under partial derivatives,
+  so mixed partials of any order come out exact within the profile's own
+  derivative budget; each profile keeps w^(k)(v) only as a read-only table
+  over the grid's distinct radii, by (grid, scale, k), for as long as it
+  lives (``RadialProfile.table``).
 
-``partial_field`` and ``gradient`` are the only writers of that memo
-(``Field._cache``).  Every partial is formed by ``_partials``, which plans
-the partials a caller reads together once (each source differentiated, each
-table made) and then forms them one block of q rows at a time, gathering
-each w^(k) once per block for all its structures; the two memoizing entries
-run it as one block, the whole mesh.  The products (``starproduct``) run it
-over the row blocks and drop each block's partials with the block, so no
-mesh-sized partial outlives them; they read a memo a caller has filled.  An
-operand of ``_partials`` is a ``Field`` or an ``AnalyticStructure``, which
-serves the values and partials of the field it samples without holding
-mesh-sized values.
+No partial is kept on a field.  Every partial is formed by ``_partials``,
+which plans the partials a caller reads together once (each source
+differentiated, each table made) and then forms them one block of q rows at
+a time, gathering each w^(k) once per block for all its structures;
+``partial_field`` and ``gradient`` run it as one block, the whole mesh.  The
+products (``starproduct``) run it over the row blocks and drop each block's
+partials with the block, so no mesh-sized partial outlives them.  An operand
+of ``_partials`` is a ``Field`` or an ``AnalyticStructure``, which serves the
+values and partials of the field it samples without holding mesh-sized
+values.
 
 ``PhaseGrid.radial_table`` evaluates a radial function once per distinct
 radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
@@ -268,7 +268,17 @@ class AnalyticStructure:
     def order_needed(self) -> int:
         return max(self.terms, default=0)
 
-    def partial(self, axis: int) -> "AnalyticStructure":
+    def partial(self, i: int, j: int) -> "AnalyticStructure":
+        """d^i/dq^i d^j/dp^j of the sum, q first, refused for a negative order
+        as ``PolySymbol.partial`` refuses it."""
+        if i < 0 or j < 0:
+            raise ValueError(f"partial ({i}, {j}): orders must be >= 0")
+        s = self
+        for axis in [0] * i + [1] * j:
+            s = s._step(axis)
+        return s
+
+    def _step(self, axis: int) -> "AnalyticStructure":
         chain = PolySymbol({((1, 0) if axis == 0 else (0, 1)): 2.0 / self.scale})
         new: dict[int, PolySymbol] = {}
         for k, c in self.terms.items():
@@ -284,14 +294,6 @@ class AnalyticStructure:
         # radial profiles are real, so conjugation only touches the coefficients
         return AnalyticStructure(self.profile, self.scale,
                                  {k: c.conjugate() for k, c in self.terms.items()})
-
-    def mixed(self, i: int, j: int) -> "AnalyticStructure":
-        s = self
-        for _ in range(i):
-            s = s.partial(0)
-        for _ in range(j):
-            s = s.partial(1)
-        return s
 
     def evaluate(self, grid: PhaseGrid) -> np.ndarray:
         """The sum on the grid, each w^(k) gathered by ``on_grid``."""
@@ -328,7 +330,7 @@ class AnalyticStructure:
     def field(self, grid: PhaseGrid, label: str) -> "Field":
         """The structure sampled on grid, as a Field whose partials it serves."""
         field = Field(grid, self.evaluate(grid), label=label)
-        field.analytic = self
+        field.source = self
         return field
 
 
@@ -350,14 +352,13 @@ def _require_finite(grid: PhaseGrid, arr: np.ndarray, what: str) -> None:
 
 
 class Field:
-    """complex128 samples on a PhaseGrid, checked and then cast once.  An exact
-    source of the samples (``poly``, ``analytic``) is attached only by the
-    builder that sampled them from it: ``field_from_poly`` or
-    ``AnalyticStructure.field``; ``_cache`` is the memo of the partials that
-    ``partial_field`` and ``gradient`` serve from that source, keyed by
-    (i, j), which the products read but never write."""
+    """complex128 samples on a PhaseGrid, checked and then cast once, and the
+    exact ``source`` they were sampled from, if any: a ``PolySymbol`` or an
+    ``AnalyticStructure``, attached only by the builder that sampled it
+    (``field_from_poly``, ``AnalyticStructure.field``).  The source answers
+    ``partial(i, j)`` and ``conjugate()``; a field keeps no partial."""
 
-    __slots__ = ("grid", "values", "label", "poly", "analytic", "_cache")
+    __slots__ = ("grid", "values", "label", "source")
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, label: str = ""):
         arr = np.asarray(values)
@@ -368,15 +369,11 @@ class Field:
         self.grid = grid
         self.values = arr.astype(complex, copy=False)
         self.label = label
-        self.poly: PolySymbol | None = None
-        self.analytic: AnalyticStructure | None = None
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self.source: PolySymbol | AnalyticStructure | None = None
 
     def conjugate(self) -> "Field":
         out = Field(self.grid, np.conj(self.values), label=f"conj({self.label})")
-        out._cache = {k: np.conj(v) for k, v in self._cache.items()}
-        out.poly = None if self.poly is None else self.poly.conjugate()
-        out.analytic = None if self.analytic is None else self.analytic.conjugate()
+        out.source = None if self.source is None else self.source.conjugate()
         return out
 
     def __repr__(self):
@@ -396,7 +393,7 @@ def _poly_samples(poly: PolySymbol, q: np.ndarray, p: np.ndarray) -> np.ndarray:
 def field_from_poly(poly: PolySymbol, grid: PhaseGrid) -> Field:
     """poly sampled on grid, labelled by its text, as a Field whose partials it serves."""
     field = Field(grid, poly.eval_grid(*grid.axes()), label=poly.to_string())
-    field.poly = poly
+    field.source = poly
     return field
 
 
@@ -432,80 +429,74 @@ def fd4_partial(field: Field, i: int, j: int) -> np.ndarray:
 
 
 def partial_field(field: Field, i: int, j: int) -> np.ndarray:
-    """d^i/dq^i d^j/dp^j of the samples from the field's exact source: the
-    polynomial or the analytic radial structure.
+    """d^i/dq^i d^j/dp^j of the samples from the field's exact ``source``: the
+    polynomial or the analytic radial structure, formed by ``_partials`` as
+    one block, the whole mesh; (0, 0) is the values.
 
     It keeps its source's dtype: float64 from real coefficients, complex128
     from complex ones; a constant polynomial partial (zero included) is one
-    (1, 1) sample that broadcasts to the mesh.  It is memoized on the field
-    once it is finite.  A ValueError names the partial and the field for a
-    negative order, no exact source (``fd4_partial`` estimates one), the
-    profile's derivative budget (``RadialProfile.table`` states it), or the
-    first (q, p) in mesh order where it is not finite.
+    (1, 1) sample that broadcasts to the mesh.  Nothing is kept on the field.
+    A ValueError names the partial and the field for a negative order, no
+    exact source (``fd4_partial`` estimates one), the profile's derivative
+    budget (``RadialProfile.table`` states it), or the first (q, p) in mesh
+    order where it is not finite.
     """
-    return _memoized(field, [(i, j)])[0]
+    [(_, [arr])] = _partials(field.grid, [(field, i, j)], [slice(None)])
+    return arr
 
 
 def gradient(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """(d/dq, d/dp) of the samples, ``partial_field``'s, formed together."""
-    return tuple(_memoized(field, [(1, 0), (0, 1)]))
+    [(_, arrays)] = _partials(field.grid, [(field, 1, 0), (field, 0, 1)], [slice(None)])
+    return tuple(arrays)
 
 
-def _memoized(field: Field, keys) -> list[np.ndarray]:
-    """``partial_field`` of each (i, j) of keys: the values for (0, 0), else
-    the field's memo, into which the rest are formed first as one
-    whole-mesh ``_partials`` batch, once all of them are finite."""
-    new = [key for key in keys if key != (0, 0) and key not in field._cache]
-    # unpacking runs the one block to its end, where a non-finite partial is refused
-    [(_, arrays)] = _partials(field.grid, [(field, *key) for key in new], [slice(None)])
-    field._cache.update(zip(new, arrays))
-    return [field.values if key == (0, 0) else field._cache[key] for key in keys]
+def _name(operand) -> str:
+    """An operand's label (a structure has none), or "an unnamed field"."""
+    return getattr(operand, "label", "") or "an unnamed field"
 
 
 def _partials(grid: PhaseGrid, requests, blocks):
     """The partial of each (operand, i, j) of requests on grid, formed one
     block of q rows at a time: yields (rows, [each partial on rows]) for each
-    rows of blocks, in order, and memoizes nothing.
+    rows of blocks, in order, and keeps nothing once it is done.
 
     An operand is a ``Field`` on grid, whose partials are ``partial_field``'s,
     or an ``AnalyticStructure``, which has the partials of the field it
     samples (``AnalyticStructure.field``) with no mesh-sized values: its
     (0, 0) is its sum, cast to complex128 as ``Field`` casts its values, and
     a refusal names it as that field with no label.  The plan is made at the
-    call: a partial is a field's values for (0, 0), its memo where a caller
-    has filled it, or else the exact source, differentiated once
-    (``PolySymbol.partial``, ``AnalyticStructure.mixed``) with the profile
-    tables it takes; a negative order, no exact source or the derivative
-    budget is refused there, in request order.  Per block, each w^(k) is
-    gathered once for every analytic sum that takes it and dropped after the
-    last; a polynomial is sampled on the rows.  After the last block, the
-    first request whose partial was not finite somewhere is refused at its
-    first (q, p) in mesh order; no numpy warning comes first.
+    call: a partial is a field's values for (0, 0), or else the exact source
+    (the field's ``source``, a structure itself), differentiated once by its
+    ``partial(i, j)``, with the profile tables it takes; a negative order, no
+    exact source or the derivative budget is refused there, in request
+    order.  Per block, each w^(k) is gathered once for every analytic sum
+    that takes it and dropped after the last; a polynomial is sampled on the
+    rows.  After the last block, the first request whose partial was not
+    finite somewhere is refused at its first (q, p) in mesh order; no numpy
+    warning comes first.
     """
     def what(operand, i, j):
-        return f"partial ({i}, {j}) of {getattr(operand, 'label', '') or 'an unnamed field'}"
+        return f"partial ({i}, {j}) of {_name(operand)}"
 
     plan, uses = {}, collections.Counter()  # plan: key -> [operand, source]
     for operand, i, j in requests:
         if (id(operand), i, j) in plan:
             continue
         if i < 0 or j < 0:
-            raise ValueError(f"{what(operand, i, j)}: orders must be >= 0, not both 0")
-        field = operand if isinstance(operand, Field) else None
-        if field is not None and (i, j) == (0, 0):
-            source = field.values
-        elif field is not None and (i, j) in field._cache:
-            source = field._cache[i, j]
-        elif field is not None and field.poly is not None:
-            source = field.poly.partial(i, j)
-        elif (structure := operand if field is None else field.analytic) is None:
+            raise ValueError(f"{what(operand, i, j)}: orders must be >= 0")
+        exact = operand.source if isinstance(operand, Field) else operand
+        if isinstance(operand, Field) and (i, j) == (0, 0):
+            source = operand.values
+        elif exact is None:
             raise ValueError(f"{what(operand, i, j)}: no exact source; "
                              "fd4_partial estimates it by stencils")
-        else:  # the structure, and the table of each w^(k) it takes
-            structure = structure.mixed(i, j)
+        else:
+            source = exact.partial(i, j)
+        if isinstance(source, AnalyticStructure):  # and the table of each w^(k) it takes
             try:
-                source = structure, {k: structure.profile.table(grid, structure.scale, k)
-                                     for k, c in structure.terms.items() if c.terms}
+                source = source, {k: source.profile.table(grid, source.scale, k)
+                                  for k, c in source.terms.items() if c.terms}
             except ValueError as exc:  # the profile's derivative budget
                 raise ValueError(f"{what(operand, i, j)}: {exc}") from None
             uses.update(id(table) for table in source[1].values())
@@ -527,7 +518,7 @@ def _partials(grid: PhaseGrid, requests, blocks):
             with np.errstate(all="ignore"):  # refused by name after the last block
                 for key, entry in plan.items():
                     operand, source = entry
-                    if isinstance(source, np.ndarray):  # values, memo or a constant: checked
+                    if isinstance(source, np.ndarray):  # values or a constant: checked
                         arrays[key] = source if source.shape[0] == 1 else source[rows]
                         continue
                     if isinstance(source, PolySymbol):

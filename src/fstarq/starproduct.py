@@ -14,12 +14,11 @@ higher terms.
 through it, as a table over the grid's distinct radii (F depends on n
 alone): the default 513^2 grid has 20,759 of them for 263,169 samples.  Its
 ``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
-A product's operands take their partials from their exact sources, formed
-inside the product's own row-block loop (``phasespace._partials``) and
-dropped with the block, so no mesh-sized partial outlives a block and
-operands on one radial profile share each block's gather of its
-derivatives.  A product reads a memo a caller has filled (``gradient``,
-``partial_field``) and never writes one.  The nested products of the
+A product's operands take their partials from their exact sources
+(``Field.source``, or a structure itself), formed inside the product's own
+row-block loop (``phasespace._partials``) and dropped with the block, so no
+mesh-sized partial outlives a block and operands on one radial profile share
+each block's gather of its derivatives.  The nested products of the
 associativity defect need the exact first partials of k *_f g and g *_f h
 ("jets"), formed from the operands' second partials and dF/dn; they exist
 only inside ``defect_squared``'s row block, which samples dF/dn once per
@@ -46,7 +45,8 @@ last block, the first operand partial in argument order that was not finite
 is refused at its first (q, p) in mesh order; then the finished result is
 checked once (``Field``'s, or ``associativity_defect``'s of the squares;
 ``imag_maxima`` names its first product that was not finite as ``product``
-would).
+would).  A result's label names its operands by their labels, an unlabelled
+one as "an unnamed field".
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import math
 import numpy as np
 
 from .deformation import DeformationSpec, amplitude_F, amplitude_F_deriv, require_positive
-from .phasespace import Field, _not_finite, _partials, _poly_samples
+from .phasespace import Field, _name, _not_finite, _partials, _poly_samples
 from .symbols import PolySymbol
 
 
@@ -82,7 +82,7 @@ def moyal_apply(h: PolySymbol, w: Field) -> Field:
             block = out[rows]
             for (coeff, hpart, _), wpart in zip(terms, wparts):
                 block += coeff * _poly_samples(hpart, q[rows], p) * wpart
-    return Field(grid, out, label=f"({h.to_string()}) star {w.label}")
+    return Field(grid, out, label=f"({h.to_string()}) star {_name(w)}")
 
 
 _FIRST = ((1, 0), (0, 1))
@@ -131,7 +131,7 @@ class ProductSetup:
         with np.errstate(all="ignore"):  # Field names the first sample that is not finite
             for rows, [(F, _)], (kb, gb) in _blocks([self], (k, g), jets=False):
                 out[rows] = _star_block(self.hbar, F, kb, gb)[0]
-        return Field(self.grid, out, label=f"{k.label} star_f {g.label}")
+        return Field(self.grid, out, label=f"{_name(k)} star_f {_name(g)}")
 
     def commutator(self, k: Field, g: Field) -> Field:
         """(k *_f g - g *_f k) / hbar, both orders formed by ``_star_block``
@@ -143,7 +143,7 @@ class ProductSetup:
                 diff = _star_block(self.hbar, F, kb, gb)[0]
                 diff -= _star_block(self.hbar, F, gb, kb)[0]
                 np.divide(diff, self.hbar, out=out[rows])
-        return Field(self.grid, out, label=f"[{k.label}, {g.label}]_f / hbar")
+        return Field(self.grid, out, label=f"[{_name(k)}, {_name(g)}]_f / hbar")
 
     def defect_squared(self, k: Field, g: Field, h: Field) -> np.ndarray:
         """|(k *_f g) *_f h - k *_f (g *_f h)|^2 on the mesh, the four products
@@ -227,7 +227,7 @@ def imag_maxima(stars, gs) -> list[list[float]]:
             del ops  # so the next block is formed without this one
     if bad:
         a, b = min(bad)
-        label = f"{getattr(operands[a], 'label', '')} star_f {getattr(gs[b], 'label', '')}"
+        label = f"{_name(operands[a])} star_f {_name(gs[b])}"
         raise _not_finite(setups[0].grid, f"field {label}", *bad[a, b])
     return maxima
 

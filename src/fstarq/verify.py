@@ -8,9 +8,9 @@ mode uses the canonical parameters.
 Checks 1-3 read the number-state Wigner functions W_n.  One pass per run
 (``fock_pass``) builds each W_n once and feeds all three, so its profile
 tables are shared by every check that reads it; the pass belongs to one
-``run_verification`` call and is not kept.  The pass memoizes no partial:
-the deformed stars' products with every W_n are one ``imag_maxima`` sweep
-over the row blocks, on H and the kept W_n as analytic structures, so no
+``run_verification`` call and is not kept.  The deformed stars' products
+with every W_n are one ``imag_maxima`` sweep over the row blocks, on H and
+the kept W_n as analytic structures (their fields' ``source``), so no
 mesh-sized H, W_n or partial is held while it runs, and each operand's first
 partials are formed once per block for every product that reads them.  The
 suite runs on one thread.
@@ -82,9 +82,9 @@ def fock_pass(quick: bool) -> FockPass:
             report = _residual_report(identity, n, w, 1.0, DEFAULT_R_CUT)
             residual.append(report.max_abs)
             identity_imag.append(report.imag_max)
-            structures.append(w.analytic)
+            structures.append(w.source)
     del w  # the sweep holds no mesh-sized W_n
-    stars = [(ProductSetup(grid, spec), build_hamiltonian(spec, grid).analytic)
+    stars = [(ProductSetup(grid, spec), build_hamiltonian(spec, grid).source)
              for spec in registry_specs() if spec.kind != "identity"]
     deformed = iter(imag_maxima(stars, structures))
     columns = [identity_imag if spec.kind == "identity" else next(deformed)

@@ -14,9 +14,12 @@ products carry their jets as their first partials.
 The oracles below are the all-complex formulas the kernels replaced, kept
 verbatim, but for F and dF/dn, which the product oracle gathers onto the mesh
 from tables over the distinct radii: the setup's F, and dF/dn sampled as
-``defect_squared`` samples it.  Results are compared as int64 views, so
-signed zeros count: a real result must equal the oracle's real part bit for
-bit, and the oracle's imaginary part must be +0.0 everywhere.
+``defect_squared`` samples it.  The defect's outer products take
+``_star_block`` on whole-mesh operand lists: the inner product's value and
+jets, and the oracle's values and first partials of the other operand.
+Results are compared as int64 views, so signed zeros count: a real result
+must equal the oracle's real part bit for bit, and the oracle's imaginary
+part must be +0.0 everywhere.
 """
 
 import functools
@@ -27,7 +30,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fstarq import (Field, PhaseGrid, PolySymbol, amplitude_F_deriv, annihilation_symbol,
+from fstarq import (PhaseGrid, PolySymbol, amplitude_F_deriv, annihilation_symbol,
                     associativity_defect, build_hamiltonian, commutator_deviation,
                     creation_symbol, default_grid,
                     fcs_wigner, field_from_poly, field_to_csv, fock_wigner, genvalue_residual,
@@ -35,7 +38,7 @@ from fstarq import (Field, PhaseGrid, PolySymbol, amplitude_F_deriv, annihilatio
                     qdef_spec, random_polynomial, read_field_csv, sqrt_n_spec)
 from fstarq.phasespace import (AnalyticStructure, FockWignerProfile, MixtureWignerProfile,
                                _fd4_axis)
-from fstarq.starproduct import ProductSetup
+from fstarq.starproduct import ProductSetup, _star_block
 from fstarq.verify import fock_pass, run_verification
 
 GRIDS = {
@@ -87,14 +90,12 @@ def _evaluate_before(structure, grid):
 def _partial_before(field, i, j):
     if (i, j) == (0, 0):
         return field.values
-    if field.poly is not None:
-        return _eval_grid_before(field.poly.partial(i, j), *field.grid.axes())
-    analytic = field.analytic
-    if analytic is not None and (analytic.profile.max_order is None
-                                 or analytic.order_needed + i + j <= analytic.profile.max_order):
-        return _evaluate_before(analytic.mixed(i, j), field.grid)
-    if analytic is None and (i, j) in field._cache:
-        return np.asarray(field._cache[i, j], dtype=complex)  # the jets _with_jets seeded
+    source = field.source
+    if isinstance(source, PolySymbol):
+        return _eval_grid_before(source.partial(i, j), *field.grid.axes())
+    if source is not None and (source.profile.max_order is None
+                               or source.order_needed + i + j <= source.profile.max_order):
+        return _evaluate_before(source.partial(i, j), field.grid)
     arr = field.values  # fd4 on the complex samples, as before
     for _ in range(i):
         arr = _fd4_axis(arr, field.grid.dq, 0)
@@ -144,13 +145,17 @@ def _product_before(setup, k, g, jets=False):
     return out, {(1, 0): d_q, (0, 1): d_p}
 
 
+def _operand_before(field):
+    """field's values and first partials by _partial_before: a whole-mesh
+    ``_star_block`` operand."""
+    return [field.values, _partial_before(field, 1, 0), _partial_before(field, 0, 1)]
+
+
 def _with_jets(setup, k, g):
-    """k *_f g by _product_before, as a Field whose memo holds its jets: the
-    operand of a nested product, which _partial_before serves them from."""
+    """k *_f g by _product_before, as the whole-mesh ``_star_block`` operand
+    of a nested product: its values, then its jets as its first partials."""
     value, jets = _product_before(setup, k, g, jets=True)
-    out = Field(setup.grid, value, label=f"{k.label} star_f {g.label}")
-    out._cache.update(jets)
-    return out
+    return [value, jets[1, 0], jets[0, 1]]
 
 
 def _assert_same_bits(got, want):
@@ -203,12 +208,12 @@ def test_eval_grid_keeps_the_complex_bits(grid, name):
 def _structures(grid):
     weights = np.random.default_rng(2102).standard_normal(12)
     A = ladder_fields(qdef_spec(1.2), grid)[0]
-    yield "W_3", fock_wigner(3, grid).analytic
+    yield "W_3", fock_wigner(3, grid).source
     yield "mixture", AnalyticStructure(MixtureWignerProfile(weights), scale=grid.hbar)
-    yield "H[qdef]", build_hamiltonian(qdef_spec(1.2), grid).analytic
-    yield "H[identity]", build_hamiltonian(identity_spec(), grid).analytic
-    yield "A[qdef]", A.analytic  # complex; its partials mix a real and a complex term
-    yield "conj", fock_wigner(2, grid).conjugate().analytic
+    yield "H[qdef]", build_hamiltonian(qdef_spec(1.2), grid).source
+    yield "H[identity]", build_hamiltonian(identity_spec(), grid).source
+    yield "A[qdef]", A.source  # complex; its partials mix a real and a complex term
+    yield "conj", fock_wigner(2, grid).conjugate().source
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
@@ -217,10 +222,10 @@ def test_evaluate_and_partials_keep_the_complex_bits(grid):
         real = all(c.imag == 0 for poly in structure.terms.values()
                    for c in poly.terms.values())
         for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-            mixed = structure.mixed(i, j)
-            got = mixed.evaluate(grid)
+            partial = structure.partial(i, j)
+            got = partial.evaluate(grid)
             assert got.dtype == (np.float64 if real else np.complex128), (name, i, j)
-            _assert_same_bits(got, _evaluate_before(mixed, grid))
+            _assert_same_bits(got, _evaluate_before(partial, grid))
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
@@ -230,7 +235,6 @@ def test_partial_field_keeps_its_source_dtype(grid):
         want = _partial_before(field, *key)
         assert got.shape == ((1, 1) if compact else want.shape)
         assert got.dtype == dtype
-        assert partial_field(field, *key) is got  # cached as served
         _assert_same_bits(np.broadcast_to(got, want.shape), want)
 
     # a constant polynomial partial (zero included) is one (1, 1) sample that
@@ -243,7 +247,8 @@ def test_partial_field_keeps_its_source_dtype(grid):
     for field, dtype in ((w, np.float64), (poly, np.float64), (cpoly, np.complex128),
                          (A, np.complex128)):
         for key in ((1, 0), (0, 1), (1, 1)):
-            check(field, key, dtype, compact=field.poly is not None and key == (1, 1))
+            check(field, key, dtype,
+                  compact=isinstance(field.source, PolySymbol) and key == (1, 1))
     for text in ("q", "p", "q + p"):
         field = field_from_poly(parse_symbol(text), grid)
         for key in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
@@ -357,8 +362,9 @@ def test_product_keeps_the_complex_bits(grid, kind):
     _assert_same_bits(got.values, want)
     # the defect's jets stay in its block: its squares are those of the nested
     # whole-mesh products, whose inner products carry their jets as partials
-    diff = (_product_before(setup, _with_jets(setup, k, g), k)[0]
-            - _product_before(setup, k, _with_jets(setup, g, k))[0])
+    F = setup.grid.gather(setup.F, slice(None))
+    diff = (_star_block(setup.hbar, F, _with_jets(setup, k, g), _operand_before(k))[0]
+            - _star_block(setup.hbar, F, _operand_before(k), _with_jets(setup, g, k))[0])
     sq = setup.defect_squared(k, g, k)
     assert sq.dtype == np.float64
     _assert_same_bits(sq, np.abs(diff) ** 2 + 0j)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fstarq import (FStarError, Field, NonPositiveValue, PhaseGrid, PolySymbol,
+from fstarq import (FStarError, NonPositiveValue, PhaseGrid, PolySymbol,
                     amplitude_F_deriv, associativity_defect, build_hamiltonian, canonical_json,
                     commutator_deviation, deformation,
                     energy_level, expr_spec, fcs_wigner, field_from_poly, fock_wigner,
@@ -477,7 +477,7 @@ def assoc_operands(grid):
 
 def test_assoc_probe_is_q_p_and_their_sum(grid257):
     probe = genvalue.assoc_probe(grid257)
-    assert [f.poly for f in probe] == [poly.poly for poly in assoc_operands(grid257)]
+    assert [f.source for f in probe] == [poly.source for poly in assoc_operands(grid257)]
     assert [f.label for f in probe] == ["q", "p", "p + q"]
     for field, poly in zip(probe, assoc_operands(grid257)):
         assert np.array_equal(field.values, poly.values)
@@ -491,19 +491,28 @@ def test_associativity_samples_amplitude_once_per_hbar(grid257, amplitude_sample
 _JET_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
+def _operand(f):
+    """f's values and partials to second order by ``partial_field``: a
+    whole-mesh ``_star_block`` operand."""
+    return [f.values, *(partial_field(f, *key) for key in _JET_KEYS)]
+
+
 def _with_jets(setup, k, g):
-    """k *_f g formed by _star_block on the whole mesh as one block, as a Field
-    whose memo holds its jets: the operand a nested product reads them from."""
+    """k *_f g formed by _star_block on the whole mesh as one block, as the
+    whole-mesh ``_star_block`` operand of a nested product: its value, then
+    its jets as its first partials."""
     grid, hbar = setup.grid, setup.hbar
     q, p = grid.axes()
     dF_dn = grid.gather(grid.radial_table(functools.partial(amplitude_F_deriv, setup.spec),
                                           2.0 * hbar), slice(None))
-    operands = [[f.values, *(partial_field(f, *key) for key in _JET_KEYS)] for f in (k, g)]
-    value, jets = _star_block(hbar, grid.gather(setup.F, slice(None)), *operands,
+    value, jets = _star_block(hbar, grid.gather(setup.F, slice(None)), _operand(k), _operand(g),
                               (dF_dn * q / hbar, dF_dn * p / hbar))
-    out = Field(grid, value, label=f"{k.label} star_f {g.label}")
-    out._cache.update(zip(_JET_KEYS, jets))
-    return out
+    return [value, *jets]
+
+
+def _nested(setup, k, g):
+    """The value of k *_f g by _star_block on the whole mesh, for operand lists."""
+    return _star_block(setup.hbar, setup.grid.gather(setup.F, slice(None)), k, g)[0]
 
 
 @pytest.mark.parametrize("spec", [sqrt_n_spec(), expr_spec("sqrt(1+0.5*n)")],
@@ -516,8 +525,8 @@ def test_associativity_shared_setup_matches_independent_products(grid257, spec):
         k, g, h = assoc_operands(grid257)
         kg = _with_jets(ProductSetup(grid257, spec, hbar), k, g)
         gh = _with_jets(ProductSetup(grid257, spec, hbar), g, h)
-        diff = (ProductSetup(grid257, spec, hbar).product(kg, h).values
-                - ProductSetup(grid257, spec, hbar).product(k, gh).values)
+        diff = (_nested(ProductSetup(grid257, spec, hbar), kg, _operand(h))
+                - _nested(ProductSetup(grid257, spec, hbar), _operand(k), gh))
         expected.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2)
                                              * grid257.dq * grid257.dp))))
     assert (np.array(result.points).view(np.int64).tolist()
@@ -533,7 +542,7 @@ def _associativity_before(k, g, h, spec, hbars):
         s = ProductSetup(grid, spec, hbar)
         kg = _with_jets(s, k, g)
         gh = _with_jets(s, g, h)
-        diff = s.product(kg, h).values - s.product(k, gh).values
+        diff = _nested(s, kg, _operand(h)) - _nested(s, _operand(k), gh)
         points.append((hbar, float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dq * grid.dp))))
     if all(norm < genvalue.EXACT_ZERO_FLOOR for _, norm in points):
         return tuple(points), None

@@ -74,15 +74,15 @@ def test_field_csv_round_trip(tmp_path):
 
 
 def test_read_back_field_has_no_exact_partials(tmp_path):
-    # the CSV keeps the samples alone: partial_field refuses, naming the
-    # stencil estimate, and nothing joins the known partials
+    # the CSV keeps the samples alone: the field has no source, and
+    # partial_field refuses, naming the stencil estimate
     path = tmp_path / "field.csv"
     field_to_csv(fock_wigner(1, PhaseGrid(-2.0, 2.0, -2.0, 2.0, 9, 9)), path)
     field = read_field_csv(path)
     with pytest.raises(ValueError, match=r"^partial \(1, 0\) of an unnamed field: "
                                          r"no exact source; fd4_partial"):
         partial_field(field, 1, 0)
-    assert field._cache == {}
+    assert field.source is None
 
 
 def reference_field_csv(field) -> bytes:

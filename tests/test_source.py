@@ -13,16 +13,16 @@ one numpy evaluator for scalar and array n.  ``deformation`` raises
 ``PolySymbol(...)``: it takes each partial once and sums terms in place.
 ``ResidualReport(...)`` is built only inside ``genvalue._report``, and
 ``io.report_to_dict`` calls no ``.pop``: the report's fields are its schema.
-A field's exact source (``.poly``, ``.analytic``) is assigned only in
+A field is its samples and one exact source: ``Field.__slots__`` is
+("grid", "values", "label", "source"), so neither a second source slot nor a
+memo of partials can come back unnoticed.  ``.source`` is assigned only in
 ``phasespace``'s ``Field.__init__``, ``Field.conjugate``, ``field_from_poly``
 and ``AnalyticStructure.field``, so only the builder that sampled a field
-from its source attaches it; a field's ``._cache`` is written only in
-``Field.__init__``, ``Field.conjugate`` and ``_memoized``, which memoizes the
-partials that ``partial_field`` and ``gradient`` serve from that source.
-``starproduct`` calls neither of those two: a product forms its operands'
-partials one row block at a time, calling ``_partials`` with its blocks.
-``verify`` calls ``partial_field`` in check 8 alone and ``gradient`` nowhere,
-so its Fock pass keeps no mesh-sized memo.
+from its source attaches it.  ``starproduct`` calls neither
+``partial_field`` nor ``gradient``: a product forms its operands' partials
+one row block at a time, calling ``_partials`` with its blocks.  ``verify``
+calls ``partial_field`` in check 8 alone and ``gradient`` nowhere, so its
+Fock pass holds no mesh-sized partial.
 The f-star bracket term, an (i hbar / 2) factor multiplied onto F and the
 bracket, is formed in one function, the row-block kernel
 ``starproduct._star_block``.  A module imports another package
@@ -314,7 +314,7 @@ def test_report_to_dict_reads_fields_and_pops_nothing():
     assert pops_in((PACKAGE / "io.py").read_text(encoding="utf-8"), "report_to_dict") == []
 
 
-SOURCE_ATTRIBUTES = ("poly", "analytic")
+SOURCE_ATTRIBUTES = ("source",)
 SOURCE_SETTERS = ("Field.__init__", "Field.conjugate", "field_from_poly",
                   "AnalyticStructure.field")
 
@@ -339,8 +339,8 @@ def _setattr_of(node, names) -> bool:
 
 
 def source_assignments(source: str, allowed=()) -> list[int]:
-    """Lines that assign ``.poly`` or ``.analytic``, directly or by ``setattr``,
-    outside the functions named (by qualified name) in ``allowed``."""
+    """Lines that assign ``.source``, directly or by ``setattr``, outside the
+    functions named (by qualified name) in ``allowed``."""
     def assigns(node):
         return ((isinstance(node, ast.Attribute) and node.attr in SOURCE_ATTRIBUTES
                  and isinstance(node.ctx, ast.Store))
@@ -351,64 +351,25 @@ def source_assignments(source: str, allowed=()) -> list[int]:
 
 def test_source_assignment_is_caught():
     source = ("class Field:\n"
-              "    def __init__(self, poly):\n        self.poly = None\n"
-              "    def attach(self, poly):\n        self.poly = poly\n"
+              "    def __init__(self, poly):\n        self.source = None\n"
+              "    def attach(self, poly):\n        self.source = poly\n"
               "def field_from_poly(poly, grid):\n"
-              "    field = Field(grid)\n    field.poly = poly\n    return field\n"
+              "    field = Field(grid)\n    field.source = poly\n    return field\n"
               "def build(structure, grid):\n"
-              "    out = Field(grid)\n    out.analytic = structure\n"
-              "    setattr(out, 'poly', None)\n    return out.analytic\n")
+              "    out = Field(grid)\n    out.source = structure\n"
+              "    setattr(out, 'source', None)\n    return out.source\n")
     assert source_assignments(source, SOURCE_SETTERS) == [5, 12, 13]
     assert source_assignments(source) == [3, 5, 8, 12, 13]
+
+
+def test_a_field_holds_its_samples_and_one_source():
+    assert fstarq.Field.__slots__ == ("grid", "values", "label", "source")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_exact_sources_are_attached_only_by_their_builders(path):
     allowed = SOURCE_SETTERS if path.stem == "phasespace" else ()
     assert source_assignments(path.read_text(encoding="utf-8"), allowed) == []
-
-
-CACHE_WRITERS = ("Field.__init__", "Field.conjugate", "_memoized")
-CACHE_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear")
-
-
-def cache_writes(source: str, allowed=()) -> list[int]:
-    """Lines that write ``._cache`` outside the functions named (by qualified
-    name) in ``allowed``: that bind or delete it or one of its keys, call a
-    mutating dict method on it, or ``setattr`` it."""
-    def is_cache(node):
-        return isinstance(node, ast.Attribute) and node.attr == "_cache"
-
-    def writes(node):
-        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
-        return ((stored and (is_cache(node)
-                             or (isinstance(node, ast.Subscript) and is_cache(node.value))))
-                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and is_cache(node.func.value) and node.func.attr in CACHE_MUTATORS)
-                or _setattr_of(node, ("_cache",)))
-    return sorted(node.lineno for node, scope in scoped_nodes(source)
-                  if scope not in allowed and writes(node))
-
-
-def test_cache_write_is_caught():
-    source = ("class Field:\n"
-              "    def __init__(self):\n        self._cache = {}\n"
-              "    def seed(self, parts):\n        self._cache.update(parts)\n"
-              "def _memoized(field, i, j):\n"
-              "    field._cache[i, j] = 0\n    return field._cache.get((i, j))\n"
-              "def other(field):\n"
-              "    field._cache[1, 0] = 0\n    del field._cache[1, 0]\n"
-              "    field._cache.setdefault((0, 1), 0)\n    setattr(field, '_cache', {})\n"
-              "    return field._cache.get((1, 0)), len(field._cache)\n")
-    assert cache_writes(source, CACHE_WRITERS) == [5, 10, 11, 12, 13]
-    assert cache_writes(source) == [3, 5, 7, 10, 11, 12, 13]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
-def test_partials_are_memoized_only_by_partial_field(path):
-    # a field's partials come from its exact source; no caller seeds them
-    allowed = CACHE_WRITERS if path.stem == "phasespace" else ()
-    assert cache_writes(path.read_text(encoding="utf-8"), allowed) == []
 
 
 def whole_mesh_partial_calls(source: str) -> list[int]:
@@ -464,8 +425,8 @@ def test_partial_call_is_caught():
 
 
 def test_verify_memoizes_no_partials_but_check_8s():
-    # the Fock pass streams its products' partials and keeps no mesh-sized
-    # memo; check 8 compares one exact partial per axis with its stencil
+    # the Fock pass streams its products' partials and holds no mesh-sized
+    # one; check 8 compares one exact partial per axis with its stencil
     source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
     assert partial_calls(source) == ["check_derivative_crosscheck: partial_field"]
 
@@ -511,8 +472,8 @@ def test_bracket_term_is_formed_in_the_block_kernel_alone():
 
 # Each private name one package module imports from another, by importer
 PRIVATE_IMPORTS = {"symbols": {"expressions._Parser"},
-                   "starproduct": {"phasespace._not_finite", "phasespace._partials",
-                                   "phasespace._poly_samples"},
+                   "starproduct": {"phasespace._name", "phasespace._not_finite",
+                                   "phasespace._partials", "phasespace._poly_samples"},
                    "genvalue": {"phasespace._require_finite"},
                    "io": {"phasespace._require_finite"},
                    "verify": {"genvalue._residual_report"}}

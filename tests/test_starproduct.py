@@ -7,14 +7,14 @@ import pytest
 
 from fstarq import (Field, PhaseGrid, PolySymbol, annihilation_symbol, build_hamiltonian,
                     commutator_deviation, creation_symbol, default_grid, field_from_poly,
-                    fock_wigner, fstar_apply, genvalue_residual, gradient, identity_spec,
+                    fock_wigner, fstar_apply, genvalue_residual, identity_spec,
                     ladder_fields, mesh, moyal_apply, moyal_exact, normalization_Nf,
                     parse_symbol, partial_field, qdef_spec, random_polynomial, registry_specs,
                     sqrt_n_spec, star_commutator, wigner_weights)
 from fstarq.deformation import series_terms
 from fstarq.errors import SingularAmplitude
-from fstarq.phasespace import fd4_partial
-from fstarq.starproduct import ProductSetup, imag_maxima
+from fstarq.phasespace import AnalyticStructure, FockWignerProfile, fd4_partial
+from fstarq.starproduct import ProductSetup, _star_block, imag_maxima
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,8 +71,8 @@ def test_fstar_identity_matches_moyal_first_order(grid):
     g = field_from_poly(parse_symbol("q*p + p^2"), grid)
     out = fstar_apply(k, g, identity_spec())
     Q, P = mesh(grid)
-    kg = k.poly * g.poly
-    bracket = k.poly.dq() * g.poly.dp() - k.poly.dp() * g.poly.dq()
+    kg = k.source * g.source
+    bracket = k.source.dq() * g.source.dp() - k.source.dp() * g.source.dq()
     expected = (kg + (0.5j * hbar) * bracket).eval_grid(Q, P)
     assert np.max(np.abs(out.values - expected)) <= 1e-12
 
@@ -195,11 +195,10 @@ def test_fstar_jet_partials_match_polynomial_truth(grid):
     assert np.allclose(sq, np.abs(truth.eval_grid(*grid.axes())) ** 2, rtol=1e-12, atol=1e-12)
 
 
-def _with_fd4_jets(field):
-    """field's samples, with fd4 estimates of its first partials as its memo."""
-    out = Field(field.grid, field.values, label=field.label)
-    out._cache.update({key: fd4_partial(field, *key) for key in ((1, 0), (0, 1))})
-    return out
+def _operand(field, partial=partial_field):
+    """field's values and its first partials by ``partial``: a whole-mesh
+    ``_star_block`` operand."""
+    return [field.values, partial(field, 1, 0), partial(field, 0, 1)]
 
 
 def test_fstar_jet_partials_match_fd(grid):
@@ -210,8 +209,9 @@ def test_fstar_jet_partials_match_fd(grid):
     spec = sqrt_n_spec()
     k, g, h = (field_from_poly(parse_symbol(text), grid) for text in ("q^2 + p", "q*p", "q + p"))
     s = ProductSetup(grid, spec)
-    diff = (s.product(_with_fd4_jets(s.product(k, g)), h).values
-            - s.product(k, _with_fd4_jets(s.product(g, h))).values)
+    F = grid.gather(s.F, slice(None))
+    diff = (_star_block(s.hbar, F, _operand(s.product(k, g), fd4_partial), _operand(h))[0]
+            - _star_block(s.hbar, F, _operand(k), _operand(s.product(g, h), fd4_partial))[0])
     Q, P = mesh(grid)
     mask = (Q**2 + P**2) >= 1.0
     mask[:8, :] = mask[-8:, :] = mask[:, :8] = mask[:, -8:] = False
@@ -335,24 +335,6 @@ def test_the_first_failing_operand_in_argument_order_is_refused():
                     h, late, early) == PARTIAL_REFUSALS[late.label]
 
 
-def test_products_leave_the_operands_memo_as_they_found_it(grid):
-    W, H = fock_wigner(3, grid), build_hamiltonian(sqrt_n_spec(), grid)
-    A, Abar = ladder_fields(qdef_spec(1.2), grid)
-    P = field_from_poly(parse_symbol("q^2 + p"), grid)
-    gradient(H)  # a memo a caller filled is read, and kept as it was
-    fields = (W, H, A, Abar, P)
-    memos = [dict(f._cache) for f in fields]
-    setup = ProductSetup(grid, qdef_spec(1.2), hbar=0.5)
-    setup.product(H, W)
-    setup.commutator(A, Abar)
-    setup.defect_squared(P, W, H)
-    moyal_apply(parse_symbol("q^2 + p^2"), W)
-    moyal_apply(parse_symbol("q*p"), H)
-    for field, memo in zip(fields, memos):
-        assert field._cache.keys() == memo.keys()
-        assert all(field._cache[key] is memo[key] for key in memo)
-
-
 # ---------------------------------------------------------------------------
 # imag_maxima: max |Im(k *_f g)| of many products in one pass over the blocks
 
@@ -375,11 +357,10 @@ def test_imag_maxima_keep_the_bits_of_each_product(grid):
             for setup, k in zip(setups, hams)]
     got = imag_maxima(list(zip(setups, hams)), ws + [poly])
     assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
-    got = imag_maxima([(setup, k.analytic) for setup, k in zip(setups, hams)],
-                      [w.analytic for w in ws])
+    got = imag_maxima([(setup, k.source) for setup, k in zip(setups, hams)],
+                      [w.source for w in ws])
     assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row[:-1]]
                                                        for row in want]
-    assert all(not f._cache for f in hams + ws + [poly])  # memoized nowhere
 
 
 def test_imag_maxima_refuse_the_first_product_in_argument_order():
@@ -395,6 +376,21 @@ def test_imag_maxima_refuse_the_first_product_in_argument_order():
     assert _refusal(imag_maxima, [(setup, A), (setup, C)], [P, B]) == message
     assert _refusal(imag_maxima, [(setup, C)], [P, B]).startswith(
         "field 2e+155*q star_f 1.25e+154*p is not finite at (q, p) = (0.10050045495905369, ")
+
+
+def test_unlabelled_operands_are_named_in_a_refusal():
+    # an operand without a label is "an unnamed field", as in the refusals of
+    # Field and of the partials, for Field and structure operands alike
+    grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 33, 33, hbar=1.0, offset=0.5)
+    big = AnalyticStructure(FockWignerProfile(0), grid.hbar, {0: PolySymbol.constant(1e200)})
+    field = big.field(grid, "")
+    setup = ProductSetup(grid, identity_spec())
+    where = "is not finite at (q, p) = (-3.875, -3.875)"
+    product = f"field an unnamed field star_f an unnamed field {where}"
+    assert _refusal(setup.product, field, field) == product
+    assert _refusal(imag_maxima, [(setup, big)], [big]) == product
+    assert _refusal(setup.commutator, field, field) == (
+        f"field [an unnamed field, an unnamed field]_f / hbar {where}")
 
 
 def test_imag_maxima_refuse_a_foreign_grid(grid):
