@@ -26,8 +26,8 @@ import sys
 
 from .deformation import DEFAULT_SERIES_TOL, DeformationSpec, parse_deformation, spectrum
 from .errors import FStarError, ParseError
-from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, assoc_probe, associativity_defect,
-                       commutator_deviation, genvalue_residual)
+from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, commutator_deviation, genvalue_residual,
+                       probe_defect)
 from .io import canonical_json, field_to_csv, format_float, report_to_json, spectrum_to_csv
 from .phasespace import PhaseGrid, fcs_wigner, fock_wigner
 from .verify import run_verification
@@ -204,7 +204,7 @@ def _commutator(args) -> int:
 
 def _assoc(args) -> int:
     spec, hbars = _spec(args.spec), _parse_hbars(args.hbar)
-    result = associativity_defect(*assoc_probe(_parse_grid(args.grid, 1.0)), spec, hbars)
+    result = probe_defect(_parse_grid(args.grid, 1.0), spec, hbars)
     lines = ["hbar,defect,slope"]
     slope_txt = "" if result.slope is None else format_float(result.slope)
     for hbar, defect in result.points:

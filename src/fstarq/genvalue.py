@@ -11,6 +11,12 @@ to (w/2)(q^2 + p^2) star W_n = hbar w (n + 1/2) W_n; the substituted field
 above differs from that symbol by the constant hbar w / 2.  For every other
 deformation it is the first-order f-star product with the deformed
 Hamiltonian, whose residual is measured and reported, not asserted.
+
+The diagnostics' products take H (``hamiltonian_structure``), A and Abar as
+``AnalyticStructure``s labelled as their fields, and the associativity probe
+q, p, q + p (``probe_defect``) as ``PolySymbol``s; only W_n, whose samples
+the residual subtracts, is a ``Field``.  ``build_hamiltonian``,
+``ladder_fields`` and ``assoc_probe`` sample the same sources as fields.
 """
 
 from __future__ import annotations
@@ -77,30 +83,65 @@ class DeformationProfile(RadialProfile):
 # Hamiltonian field
 
 
+def _labelled(structure: AnalyticStructure, label: str) -> AnalyticStructure:
+    """structure, named as the field it samples is labelled."""
+    structure.label = label
+    return structure
+
+
+def _sampled(structure: AnalyticStructure, grid: PhaseGrid) -> Field:
+    """A labelled structure's field on grid.  The field carries the label, so
+    its source is the same sum unlabelled, as every field's source is."""
+    return (AnalyticStructure(structure.profile, structure.scale, structure.terms)
+            .field(grid, structure.label))
+
+
+def hamiltonian_structure(spec: DeformationSpec, grid: PhaseGrid,
+                          omega: float) -> AnalyticStructure:
+    """The deformed Hamiltonian's exact source on a grid: the structure of
+    ``build_hamiltonian``'s field, labelled as it, with no mesh-sized values.
+    H is radial, so its table over the grid's distinct radii is finite
+    exactly where its samples would be; it is made and refused here, at the
+    first (q, p) in mesh order, as sampling the field refuses it."""
+    require_positive("omega", omega)
+    structure = _labelled(AnalyticStructure(HamiltonianProfile(spec, grid.hbar, omega),
+                                            scale=2.0 * grid.hbar), f"H[{spec_to_text(spec)}]")
+    table = structure.profile.table(grid, structure.scale, 0)
+    if not np.isfinite(table).all():
+        _require_finite(grid, grid.gather(table, slice(None)), f"field {structure.label}")
+    return structure
+
+
 def build_hamiltonian(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0) -> Field:
     """Sample the deformed Hamiltonian on a grid, with analytic derivatives."""
-    require_positive("omega", omega)
-    structure = AnalyticStructure(HamiltonianProfile(spec, grid.hbar, omega),
-                                  scale=2.0 * grid.hbar)
-    return structure.field(grid, f"H[{spec_to_text(spec)}]")
+    return _sampled(hamiltonian_structure(spec, grid, omega), grid)
 
 
 def hamiltonian_star(spec: DeformationSpec, grid: PhaseGrid, omega: float = 1.0):
-    """(star, path) with star(w) = H star w.  For a deformed spec, H and F(n)
-    are sampled here once for every product taken through star."""
+    """(star, path) with star(w) = H star w.  For a deformed spec, H's exact
+    source is checked and F(n) sampled here, once for every product taken
+    through star; no mesh-sized H is formed."""
     if spec.kind == "identity":
         h_sym = PolySymbol({(2, 0): 0.5 * omega, (0, 2): 0.5 * omega})
         return functools.partial(moyal_apply, h_sym), "moyal_exact"
-    ham = build_hamiltonian(spec, grid, omega)
+    ham = hamiltonian_structure(spec, grid, omega)
     return functools.partial(ProductSetup(grid, spec).product, ham), "fstar_first"
+
+
+def _ladder(spec: DeformationSpec, grid: PhaseGrid) -> tuple[AnalyticStructure, ...]:
+    """A = a f(n) and Abar = abar f(n) as exact sources on a grid, labelled as
+    their fields.  f's table over the grid's distinct radii is made here, so
+    f is refused before anything else is sampled, as sampling A refused it."""
+    profile = DeformationProfile(spec)
+    profile.table(grid, 2.0 * grid.hbar, 0)
+    return tuple(_labelled(AnalyticStructure(profile, 2.0 * grid.hbar, {0: symbol}),
+                           f"{name}[{spec_to_text(spec)}]")
+                 for name, symbol in (("A", annihilation_symbol()), ("Abar", creation_symbol())))
 
 
 def ladder_fields(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field, Field]:
     """A = a f(n) and Abar = abar f(n) sampled with exact partials."""
-    profile = DeformationProfile(spec)
-    return tuple(AnalyticStructure(profile, 2.0 * grid.hbar, {0: symbol})
-                 .field(grid, f"{name}[{spec_to_text(spec)}]")
-                 for name, symbol in (("A", annihilation_symbol()), ("Abar", creation_symbol())))
+    return tuple(_sampled(structure, grid) for structure in _ladder(spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +171,17 @@ class ResidualReport:
 
 def _region_norms(residual: np.ndarray, grid: PhaseGrid,
                   r_cut: float | None) -> tuple[float, float, Witness]:
-    absr = np.abs(residual)
-    if r_cut is None:
-        masked = absr
-    else:
+    absr = squares = np.abs(residual)
+    if r_cut is not None:
         inside = grid.radial(lambda v: v <= r_cut * r_cut)
         if not inside.any():
             raise ValueError(f"r_cut = {r_cut!r}: no grid sample lies inside the disc")
-        masked = np.where(inside, absr, -1.0)
-    flat = int(np.argmax(masked))  # first occurrence: lowest q index, then p index
+        squares = absr[inside]  # the in-disc samples, in mesh order
+        absr[~inside] = -1.0  # masked in place
+    flat = int(np.argmax(absr))  # first occurrence: lowest q index, then p index
     iq, ip = np.unravel_index(flat, absr.shape)
-    max_abs = float(masked[iq, ip])
+    max_abs = float(absr[iq, ip])
     # squared in place: every sample, or the in-disc ones only, in mesh order
-    squares = absr if r_cut is None else absr[inside]
     squares *= squares
     l2 = float(np.sqrt(np.sum(squares) * grid.dq * grid.dp))
     witness = Witness(float(grid.q_values()[iq]), float(grid.p_values()[ip]),
@@ -193,7 +232,9 @@ def _residual_report(spec: DeformationSpec, n: int, w: Field, omega: float,
     del h_star  # H and F(n) go before the residual is formed
     avg = integrate(star)
     residual = star.values  # star - E_n W, formed in the product's buffer
-    residual -= e_n * w.values
+    for rows in grid.row_blocks():
+        residual[rows] -= e_n * w.values[rows]
+    del w  # a W_n built for this report goes before its norms are taken
     return _report("genvalue", residual, grid, r_cut, spec, n, omega,
                    path=path, r_cut=r_cut, energy=e_n, energy_crosscheck=e_crosscheck,
                    phase_space_average_re=float(avg.real),
@@ -209,7 +250,7 @@ def commutator_deviation(spec: DeformationSpec, grid: PhaseGrid) -> tuple[Field,
     pointwise deviation field together with the report.
     """
     hbar = grid.hbar
-    A, Abar = ladder_fields(spec, grid)
+    A, Abar = _ladder(spec, grid)
     s = ProductSetup(grid, spec)
     comm = s.commutator(A, Abar).values
     # the target and the closed form are tables over the distinct radii, as s.F is
@@ -253,11 +294,24 @@ EXACT_ZERO_FLOOR = 1e-14
 ASSOC_HBARS = (1e-1, 1e-2, 1e-3)
 
 
+def _probe_symbols() -> tuple[PolySymbol, PolySymbol, PolySymbol]:
+    """The associativity probe: the polynomials q, p and q + p."""
+    q, p = PolySymbol.q(), PolySymbol.p()
+    return q, p, q + p
+
+
 def assoc_probe(grid: PhaseGrid) -> tuple[Field, Field, Field]:
     """The fields q, p and q + p on grid, whose defect ``fstarq assoc`` and
-    verify's scaling check take over ``ASSOC_HBARS``."""
-    q, p = PolySymbol.q(), PolySymbol.p()
-    return tuple(field_from_poly(poly, grid) for poly in (q, p, q + p))
+    verify's scaling check take over ``ASSOC_HBARS`` (``probe_defect``)."""
+    return tuple(field_from_poly(poly, grid) for poly in _probe_symbols())
+
+
+def probe_defect(grid: PhaseGrid, spec: DeformationSpec, hbar_list) -> AssocScaling:
+    """``associativity_defect(*assoc_probe(grid), spec, hbar_list)``, bit for
+    bit, taken on the probe's polynomials themselves, so no operand is
+    sampled on the mesh: each product forms their samples one row block at a
+    time.  Refused as ``associativity_defect`` refuses."""
+    return _scaling(grid, _probe_symbols(), spec, hbar_list)
 
 
 def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
@@ -271,6 +325,13 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
     setup.  Either route's |difference|^2 is refused where it is not finite,
     and a repeated hbar is refused by name.
     """
+    return _scaling(k.grid, (k, g, h), spec, hbar_list)
+
+
+def _scaling(grid: PhaseGrid, operands, spec: DeformationSpec, hbar_list) -> AssocScaling:
+    """The defect of operands, ``Field``s on grid or exact sources (as
+    ``_partials`` takes them), at each hbar of hbar_list, and its fitted
+    slope; every hbar check runs before any operand is read."""
     hbars = [require_positive("hbar", float(x)) for x in hbar_list]
     if len(set(hbars)) < 3:
         raise ValueError("need at least 3 distinct hbar values")
@@ -279,10 +340,9 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
             raise ValueError(f"hbar = {hbar!r} is given more than once")
     if max(hbars) / min(hbars) < 100.0:
         raise ValueError("hbar values should span at least two decades")
-    grid = k.grid
-    if g.grid != grid or h.grid != grid:
+    if any(isinstance(f, Field) and f.grid != grid for f in operands):
         raise ValueError("fields must share a grid")
-    points = [(hbar, _defect_norm(k, g, h, spec, hbar)) for hbar in hbars]
+    points = [(hbar, _defect_norm(grid, *operands, spec, hbar)) for hbar in hbars]
     if all(norm < EXACT_ZERO_FLOOR for _, norm in points):
         return AssocScaling(tuple(points), slope=None)
     logs_h = np.log([p[0] for p in points])
@@ -291,16 +351,16 @@ def associativity_defect(k: Field, g: Field, h: Field, spec: DeformationSpec,
     return AssocScaling(tuple(points), slope=slope)
 
 
-def _defect_norm(k: Field, g: Field, h: Field, spec: DeformationSpec, hbar: float) -> float:
-    """associativity_defect's norm at one hbar."""
-    grid = k.grid
-    if spec.kind == "identity" and all(isinstance(f.source, PolySymbol) for f in (k, g, h)):
-        left = moyal_exact(moyal_exact(k.source, g.source, hbar), h.source, hbar)
-        right = moyal_exact(k.source, moyal_exact(g.source, h.source, hbar), hbar)
+def _defect_norm(grid: PhaseGrid, k, g, h, spec: DeformationSpec, hbar: float) -> float:
+    """associativity_defect's norm at one hbar, of operands on grid."""
+    sources = [f.source if isinstance(f, Field) else f for f in (k, g, h)]
+    if spec.kind == "identity" and all(isinstance(f, PolySymbol) for f in sources):
+        ks, gs, hs = sources
+        left = moyal_exact(moyal_exact(ks, gs, hbar), hs, hbar)
+        right = moyal_exact(ks, moyal_exact(gs, hs, hbar), hbar)
         with np.errstate(all="ignore"):  # refused below, with its first (q, p)
             sq = np.abs((left - right).eval_grid(*grid.axes())) ** 2
     else:
         sq = ProductSetup(grid, spec, hbar).defect_squared(k, g, h)
     _require_finite(grid, sq, f"associativity defect at hbar = {hbar!r}")
     return float(np.sqrt(np.sum(sq) * grid.dq * grid.dp))
-

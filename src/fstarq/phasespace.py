@@ -24,9 +24,9 @@ a time, gathering each w^(k) once per block for all its structures;
 ``partial_field`` and ``gradient`` run it as one block, the whole mesh.  The
 products (``starproduct``) run it over the row blocks and drop each block's
 partials with the block, so no mesh-sized partial outlives them.  An operand
-of ``_partials`` is a ``Field`` or an ``AnalyticStructure``, which serves the
-values and partials of the field it samples without holding mesh-sized
-values.
+of ``_partials`` is a ``Field`` or an exact source, an ``AnalyticStructure``
+or a ``PolySymbol``, which serves the values and partials of the field it
+samples without holding mesh-sized values.
 
 ``PhaseGrid.radial_table`` evaluates a radial function once per distinct
 radius of the grid, and ``PhaseGrid.gather`` puts the table on the mesh
@@ -257,7 +257,11 @@ class AnalyticStructure:
     """sum_k c_k(q,p) * w^(k)(v) with v = (q^2+p^2)/scale; closed under d/dq, d/dp.
     ``evaluate`` gathers each w^(k)(v) from the profile's table (``on_grid``)
     and drops it once multiplied; ``_partials`` forms the sum one row block
-    at a time instead, sharing each block's gather among its structures."""
+    at a time instead, sharing each block's gather among its structures.
+    ``label`` names it in a refusal as its field would be named; it is empty
+    unless the builder that made the structure set it."""
+
+    label = ""
 
     def __init__(self, profile, scale: float, terms: dict[int, PolySymbol] | None = None):
         self.profile = profile
@@ -452,8 +456,12 @@ def gradient(field: Field) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _name(operand) -> str:
-    """An operand's label (a structure has none), or "an unnamed field"."""
-    return getattr(operand, "label", "") or "an unnamed field"
+    """An operand's name as its field's label would give it: a field's or a
+    structure's label, a polynomial's text (``field_from_poly``), or else
+    "an unnamed field"."""
+    if isinstance(operand, PolySymbol):
+        return operand.to_string()
+    return operand.label or "an unnamed field"
 
 
 def _partials(grid: PhaseGrid, requests, blocks):
@@ -462,12 +470,13 @@ def _partials(grid: PhaseGrid, requests, blocks):
     rows of blocks, in order, and keeps nothing once it is done.
 
     An operand is a ``Field`` on grid, whose partials are ``partial_field``'s,
-    or an ``AnalyticStructure``, which has the partials of the field it
-    samples (``AnalyticStructure.field``) with no mesh-sized values: its
-    (0, 0) is its sum, cast to complex128 as ``Field`` casts its values, and
-    a refusal names it as that field with no label.  The plan is made at the
-    call: a partial is a field's values for (0, 0), or else the exact source
-    (the field's ``source``, a structure itself), differentiated once by its
+    or an exact source, an ``AnalyticStructure`` or a ``PolySymbol``, which
+    has the partials of the field it samples (``AnalyticStructure.field``,
+    ``field_from_poly``) with no mesh-sized values: its (0, 0) is its
+    samples, cast to complex128 as ``Field`` casts its values, and a refusal
+    names it as that field (``_name``).  The plan is made at the call: a
+    partial is a field's values for (0, 0), or else the exact source (the
+    field's ``source``, the operand itself), differentiated once by its
     ``partial(i, j)``, with the profile tables it takes; a negative order, no
     exact source or the derivative budget is refused there, in request
     order.  Per block, each w^(k) is gathered once for every analytic sum
@@ -523,17 +532,18 @@ def _partials(grid: PhaseGrid, requests, blocks):
                         continue
                     if isinstance(source, PolySymbol):
                         arr = _poly_samples(source, q[rows], p)
-                        if arr.shape == (1, 1):  # a constant: this sample serves every block
-                            entry[1] = arr
                     else:
                         structure, tables = source
                         arr = structure._sum(q[rows], p, lambda k: take(tables[k]))
+                    if key[1:] == (0, 0):  # an exact source's values, as its field holds them
+                        arr = arr.astype(complex, copy=False)
                     if key not in refusals and not np.isfinite(arr).all():
                         iq, ip = np.argwhere(~np.isfinite(arr))[0]
                         refusals[key] = _not_finite(grid, what(operand, *key[1:]),
                                                     range(grid.n_q)[rows][iq], ip)
-                    # a structure's (0, 0): the values its field would hold
-                    arrays[key] = arr.astype(complex, copy=False) if key[1:] == (0, 0) else arr
+                    if isinstance(source, PolySymbol) and arr.shape == (1, 1):
+                        entry[1] = arr  # a constant: this sample serves every block
+                    arrays[key] = arr
             yield rows, [arrays[id(operand), i, j] for operand, i, j in requests]
         for key in plan:
             if key in refusals:

@@ -1,4 +1,4 @@
-"""Star products on sampled fields.
+"""Star products on sampled fields and exact sources.
 
 ``moyal_apply`` multiplies a polynomial symbol onto a field through the full
 Moyal bidifferential series (exact, since the polynomial truncates it).
@@ -14,15 +14,19 @@ higher terms.
 through it, as a table over the grid's distinct radii (F depends on n
 alone): the default 513^2 grid has 20,759 of them for 263,169 samples.  Its
 ``hbar`` defaults to the grid's; the one-call entries use the grid's alone.
-A product's operands take their partials from their exact sources
-(``Field.source``, or a structure itself), formed inside the product's own
-row-block loop (``phasespace._partials``) and dropped with the block, so no
-mesh-sized partial outlives a block and operands on one radial profile share
-each block's gather of its derivatives.  The nested products of the
-associativity defect need the exact first partials of k *_f g and g *_f h
-("jets"), formed from the operands' second partials and dF/dn; they exist
-only inside ``defect_squared``'s row block, which samples dF/dn once per
-call.
+A product's operand is a ``Field``, or an exact source with no mesh-sized
+values, an ``AnalyticStructure`` or a ``PolySymbol``, which stands for the
+field it samples, bits and name alike; ``genvalue`` passes H, A, Abar and
+the associativity probe so.  Operands take their values and partials from
+their exact sources (``Field.source``, or the operand itself), formed
+inside the product's own row-block loop (``phasespace._partials``) and
+dropped with the block, so no mesh-sized operand value or partial outlives
+a block and operands on one radial profile share each block's gather of
+its derivatives.  The nested products
+of the associativity defect need the exact first partials of k *_f g and
+g *_f h ("jets"), formed from the operands' second partials and dF/dn; they
+exist only inside ``defect_squared``'s row block, which samples dF/dn once
+per call.
 
 ``_star_block`` is the one place the first-order formula (the value and the
 jets) is formed, on one block of whole q rows (``PhaseGrid.row_blocks``), so
@@ -34,8 +38,7 @@ output block by block; ``commutator`` writes both orders' difference over
 hbar into its one output; ``defect_squared`` keeps only the real
 |difference|^2 of its four nested products; and ``imag_maxima`` keeps only
 max |Im(k *_f g)| of every product of several setups' k with several g,
-forming each operand's partials once per block for all of them, on operands
-that may be ``AnalyticStructure``s, which hold no mesh-sized values.
+forming each operand's partials once per block for all of them.
 ``moyal_apply`` streams the same blocks.  Every element goes through the
 same operations in the same order as on the whole mesh, so the bits do not
 depend on the blocking.
@@ -45,8 +48,8 @@ last block, the first operand partial in argument order that was not finite
 is refused at its first (q, p) in mesh order; then the finished result is
 checked once (``Field``'s, or ``associativity_defect``'s of the squares;
 ``imag_maxima`` names its first product that was not finite as ``product``
-would).  A result's label names its operands by their labels, an unlabelled
-one as "an unnamed field".
+would).  A result's label names its operands as their fields are labelled
+(``phasespace._name``), an unlabelled one as "an unnamed field".
 """
 
 from __future__ import annotations
@@ -112,10 +115,11 @@ def _star_block(hbar: float, F, k, g, dF=None):
 
 
 class ProductSetup:
-    """Validated options of f-star products among fields on one grid.  F(n)
-    is sampled once for every product taken through the setup, as a table
-    over the grid's distinct radii (``PhaseGrid.radial_table``), gathered one
-    row block at a time, so no setup holds a mesh-sized grid."""
+    """Validated options of f-star products among operands on one grid:
+    fields, or exact sources standing for them (``_blocks``).  F(n) is
+    sampled once for every product taken through the setup, as a table over
+    the grid's distinct radii (``PhaseGrid.radial_table``), gathered one row
+    block at a time, so no setup holds a mesh-sized grid."""
 
     def __init__(self, grid, spec: DeformationSpec, hbar: float | None = None):
         hbar = require_positive("hbar", grid.hbar if hbar is None else hbar)
@@ -168,8 +172,8 @@ def _blocks(setups, operands, jets: bool):
     (dF/dq, dF/dp) = dF/dn (q, p) / hbar and else None, and each operand's
     ``_star_block`` operand on the block, formed there by
     ``_partials``: its values and first partials, with jets its second too,
-    where a (1, 1) constant partial broadcasts whole.  An operand is a
-    ``Field`` or an ``AnalyticStructure`` (``_partials``).  The one loop of
+    where a (1, 1) constant broadcasts whole.  An operand is a ``Field``, an
+    ``AnalyticStructure`` or a ``PolySymbol`` (``_partials``).  The one loop of
     ``_star_block``'s callers.  Refused, in this order: setups on different
     grids, a field off the setups' grid, an operand partial without an exact
     source or past its budget (argument order), the dF/dn tables, and after
@@ -200,7 +204,7 @@ def _blocks(setups, operands, jets: bool):
 def imag_maxima(stars, gs) -> list[list[float]]:
     """max |Im(k *_f g)| for each star (setup, k) of stars and each g of gs,
     as one list per star, with the bits of ``setup.product(k, g)``'s; k and g
-    are ``Field``s or ``AnalyticStructure``s on the setups' one grid.
+    are operands on the setups' one grid, as ``_blocks`` takes them.
 
     One pass over the row blocks (``_blocks``) forms each operand's values
     and first partials once per block, for every product that takes them,

@@ -9,11 +9,13 @@ Checks 1-3 read the number-state Wigner functions W_n.  One pass per run
 (``fock_pass``) builds each W_n once and feeds all three, so its profile
 tables are shared by every check that reads it; the pass belongs to one
 ``run_verification`` call and is not kept.  The deformed stars' products
-with every W_n are one ``imag_maxima`` sweep over the row blocks, on H and
-the kept W_n as analytic structures (their fields' ``source``), so no
-mesh-sized H, W_n or partial is held while it runs, and each operand's first
-partials are formed once per block for every product that reads them.  The
-suite runs on one thread.
+with every W_n are one ``imag_maxima`` sweep over the row blocks, on each
+star's H (``hamiltonian_structure``, never sampled) and each kept W_n's
+``source``, both analytic structures, so no mesh-sized H, W_n or partial is
+held while it runs, and each operand's first partials are formed once per
+block for every product that reads them.  Check 5 takes A and Abar as
+structures and check 6 the probe as ``PolySymbol``s (``probe_defect``).
+The suite runs on one thread.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .deformation import identity_spec, registry_specs, spec_to_text, spectrum, sqrt_n_spec
-from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, _residual_report, assoc_probe,
-                       associativity_defect, build_hamiltonian, commutator_deviation)
+from .genvalue import (ASSOC_HBARS, DEFAULT_R_CUT, _residual_report, commutator_deviation,
+                       hamiltonian_structure, probe_defect)
 from .phasespace import (PhaseGrid, default_grid, fcs_wigner, fd4_partial, fock_wigner,
                          integrate, partial_field)
 from .starproduct import ProductSetup, imag_maxima
@@ -84,7 +86,7 @@ def fock_pass(quick: bool) -> FockPass:
             identity_imag.append(report.imag_max)
             structures.append(w.source)
     del w  # the sweep holds no mesh-sized W_n
-    stars = [(ProductSetup(grid, spec), build_hamiltonian(spec, grid).source)
+    stars = [(ProductSetup(grid, spec), hamiltonian_structure(spec, grid, 1.0))
              for spec in registry_specs() if spec.kind != "identity"]
     deformed = iter(imag_maxima(stars, structures))
     columns = [identity_imag if spec.kind == "identity" else next(deformed)
@@ -159,7 +161,7 @@ def check_commutator_correspondence(quick: bool, fock: FockPass) -> dict:
 
 
 def check_associativity_scaling(quick: bool, fock: FockPass) -> dict:
-    result = associativity_defect(*assoc_probe(_grid(quick)), sqrt_n_spec(), ASSOC_HBARS)
+    result = probe_defect(_grid(quick), sqrt_n_spec(), ASSOC_HBARS)
     slope = result.slope if result.slope is not None else float("inf")
     defects = ", ".join(f"{hb:g}:{d:.3e}" for hb, d in result.points)
     return _check("associativity_scaling", slope, 1.9, larger_is_better=True,

@@ -14,6 +14,10 @@ no W_n and are handed none.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -127,6 +131,18 @@ def test_criterion_9_verify_stdout_bytes(mode, capsys):
           f"(verify {mode} stdout sha256 {digest[:8]}...)")
     assert code == 0
     assert digest == VERIFY_STDOUT_SHA256[mode]
+
+
+def test_criterion_9_quick_verify_bytes_on_one_blas_thread():
+    # the summary must not depend on how OpenBLAS splits its calls across
+    # threads; the residuals' phase_space_average_im does (see ROADMAP)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fstarq.cli", "verify", "--quick"], cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, timeout=300)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_STDOUT_SHA256["quick"]
 
 
 # exit code and sha256 of stdout and stderr of `fstarq assoc --spec <spec>` on the

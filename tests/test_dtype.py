@@ -36,6 +36,7 @@ from fstarq import (PhaseGrid, PolySymbol, amplitude_F_deriv, annihilation_symbo
                     fcs_wigner, field_from_poly, field_to_csv, fock_wigner, genvalue_residual,
                     identity_spec, ladder_fields, moyal_apply, parse_symbol, partial_field,
                     qdef_spec, random_polynomial, read_field_csv, sqrt_n_spec)
+from fstarq.genvalue import ASSOC_HBARS, probe_defect
 from fstarq.phasespace import (AnalyticStructure, FockWignerProfile, MixtureWignerProfile,
                                _fd4_axis)
 from fstarq.starproduct import ProductSetup, _star_block
@@ -475,36 +476,52 @@ def test_allocation_peaks_at_513(monkeypatch, tmp_path):
     # formed on the mesh and memoized, 8.44 while each profile kept its w' on
     # the mesh, 11.06 with whole-mesh temporaries)
     assert _peak_grids(lambda: setup.product(H, W), grid) <= 3.0
-    # A, Abar and the commutator's one complex output (6 grids); their complex
-    # first partials and both products live one row block at a time, and the
-    # target and the closed form are tables over the distinct radii (7.89;
-    # 17.38 grids with the four partials on the mesh, 18.22 with the profile's
-    # mesh-sized f and f', 23.0 with the two whole products, their difference
-    # and mesh-sized F, target and closed form)
-    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 8.0
-    # W_5 and H, and the complex product, in whose buffer the residual is
-    # formed; the real first partials of both live one row block at a time
-    # (7.11; 10.84 grids with them on the mesh, 14.53 while the profiles kept
-    # w and w' on the mesh, 20.32 with mesh-sized F, H kept alive and the
-    # residual a fresh grid)
-    assert _peak_grids(lambda: genvalue_residual(sqrt_n_spec(), 5, grid), grid) <= 7.25
+    # the commutator's one complex output, and then |deviation| and
+    # |Im deviation| beside it; A and Abar are structures, so their values,
+    # their complex first partials and both products live one row block at a
+    # time, and the target and the closed form are tables over the distinct
+    # radii (4.37; 7.89 grids with A and Abar sampled as fields, 17.38 with
+    # the four partials on the mesh, 18.22 with the profile's mesh-sized f
+    # and f', 23.0 with the two whole products, their difference and
+    # mesh-sized F, target and closed form)
+    assert _peak_grids(lambda: commutator_deviation(sqrt_n_spec(), grid), grid) <= 4.5
+    # W_5 and the complex product, in whose buffer the residual is formed one
+    # row block at a time; H is a structure, and its values and the real
+    # first partials of both live one row block at a time; W_5 goes before
+    # the norms, which mask |residual| in place (5.35; 7.11 grids with H
+    # sampled, E_n W_5 a whole grid and a masked copy of |residual|, 10.84
+    # with the partials on the mesh, 14.53 while the profiles kept w and w'
+    # on the mesh, 20.32 with mesh-sized F, H kept alive and the residual a
+    # fresh grid)
+    assert _peak_grids(lambda: genvalue_residual(sqrt_n_spec(), 5, grid), grid) <= 5.5
     # the Moyal route: W_5, its partials to second order one row block at a
     # time, and the complex product, in whose buffer the residual is formed
-    # (6.57; 11.30 grids with W_5's five partials on the mesh)
-    assert _peak_grids(lambda: genvalue_residual(identity_spec(), 5, grid), grid) <= 6.75
+    # (4.94; 6.57 grids with E_n W_5 a whole grid and a masked copy of
+    # |residual|, 11.30 with W_5's five partials on the mesh)
+    assert _peak_grids(lambda: genvalue_residual(identity_spec(), 5, grid), grid) <= 5.0
     # the identity residual's grids on the last W_n it reads, beside the
     # profile tables of the W_n kept for the one imag_maxima sweep, which
-    # holds one row block of every operand at a time (8.94; 21.29 grids while
-    # the pass memoized each star's H with its first partials and each W_n's
-    # first partials on the mesh, 24.02 when every product memoized its
-    # operands' partials on the mesh, 31.58 with mesh-sized profile
-    # derivatives, 37.34 also with mesh-sized F in each star and the residual
-    # a fresh grid)
-    assert _peak_grids(lambda: fock_pass(False), grid) <= 9.0
+    # holds one row block of every operand at a time, each star's H a
+    # structure never sampled (8.06; 8.94 grids with the residual's whole
+    # E_n W_n and masked copy, 21.29 while the pass memoized each star's H
+    # with its first partials and each W_n's first partials on the mesh,
+    # 24.02 when every product memoized its operands' partials on the mesh,
+    # 31.58 with mesh-sized profile derivatives, 37.34 also with mesh-sized F
+    # in each star and the residual a fresh grid)
+    assert _peak_grids(lambda: fock_pass(False), grid) <= 8.25
     # the whole verify, whose peak is the pass's; check 6's associativity
-    # defect comes next (8.95; 21.28 grids with the memoizing pass)
+    # defect comes next (8.06; 8.95 grids before the residual streamed, 21.28
+    # with the memoizing pass)
     np.random.default_rng(0)  # its first call imports modules that stay (0.36 grids)
-    assert _peak_grids(lambda: run_verification(False), grid) <= 9.0
+    assert _peak_grids(lambda: run_verification(False), grid) <= 8.25
+    # the probe of `fstarq assoc` and verify check 6, taken on the polynomials
+    # q, p and q + p: each hbar keeps the real |diff|^2 grid, and the
+    # operands' samples live one row block at a time (3.23; 8.86 grids with
+    # the three probe fields sampled)
+    assert _peak_grids(lambda: probe_defect(grid, sqrt_n_spec(), ASSOC_HBARS), grid) <= 3.25
+    # the identity probe's exact Moyal route: its |diff|^2 grid and the
+    # difference sampled by eval_grid (2.00; 8.02 grids with the probe fields)
+    assert _peak_grids(lambda: probe_defect(grid, identity_spec(), ASSOC_HBARS), grid) <= 2.25
     # field_to_csv writes one row block at a time: a block's patterns, the
     # sorted memo of those met so far and the texts of each distinct number
     # (W_5: 2.01; the sqrt_n commutator deviation: 5.41, most of it its

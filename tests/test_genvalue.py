@@ -580,6 +580,24 @@ def test_associativity_nested_pairs_match_the_old_order(grid, triple, spec):
     assert (result.points, result.slope) == want
 
 
+@pytest.mark.parametrize("grid", ASSOC_GRIDS.values(), ids=ASSOC_GRIDS)
+@pytest.mark.parametrize("spec", [identity_spec(), sqrt_n_spec(), expr_spec("sqrt(1+0.5*n)"),
+                                  qdef_spec(1.2)], ids=spec_to_text)
+def test_probe_defect_keeps_the_bits_of_the_sampled_probe(grid, spec):
+    # the probe taken on its polynomials, formed one row block at a time,
+    # against the defect of its sampled fields, refusals included
+    try:
+        want = associativity_defect(*genvalue.assoc_probe(grid), spec, genvalue.ASSOC_HBARS)
+    except (FStarError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            genvalue.probe_defect(grid, spec, genvalue.ASSOC_HBARS)
+        return
+    got = genvalue.probe_defect(grid, spec, genvalue.ASSOC_HBARS)
+    assert (np.array(got.points).view(np.int64).tolist()
+            == np.array(want.points).view(np.int64).tolist())
+    assert repr(got.slope) == repr(want.slope)
+
+
 # 33 columns make 496-row blocks, so the 1100 rows take three.  k g and g h
 # overflow only where q p > 1.15, first at row 1034 (q = 1.135), in the last
 # block; h's second partials are refused at the first sample
@@ -612,7 +630,7 @@ def test_streamed_defect_refuses_once_without_warnings(case):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError) as err:
-            genvalue._defect_norm(*fields, qdef_spec(1.2), 0.1)
+            genvalue._defect_norm(REFUSAL_GRID, *fields, qdef_spec(1.2), 0.1)
     assert str(err.value) == message
     assert not caught
 

@@ -22,7 +22,12 @@ from its source attaches it.  ``starproduct`` calls neither
 ``partial_field`` nor ``gradient``: a product forms its operands' partials
 one row block at a time, calling ``_partials`` with its blocks.  ``verify``
 calls ``partial_field`` in check 8 alone and ``gradient`` nowhere, so its
-Fock pass holds no mesh-sized partial.
+Fock pass holds no mesh-sized partial.  The diagnostics' own products
+(``SOURCE_PRODUCTS``: ``hamiltonian_star``, ``commutator_deviation``,
+``fock_pass``, verify check 6 and ``cli._assoc``) sample no operand field:
+they call none of ``build_hamiltonian``, ``ladder_fields``,
+``field_from_poly`` or ``.field``, and take H, A, Abar and the probe as
+exact sources.
 The f-star bracket term, an (i hbar / 2) factor multiplied onto F and the
 bracket, is formed in one function, the row-block kernel
 ``starproduct._star_block``.  A module imports another package
@@ -429,6 +434,61 @@ def test_verify_memoizes_no_partials_but_check_8s():
     # one; check 8 compares one exact partial per axis with its stencil
     source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
     assert partial_calls(source) == ["check_derivative_crosscheck: partial_field"]
+
+
+# The functions whose own products take their operands as exact sources, by
+# module; a sampled operand field would be a mesh-sized copy of its source
+SOURCE_PRODUCTS = {"genvalue": ("hamiltonian_star", "commutator_deviation"),
+                   "verify": ("fock_pass", "check_associativity_scaling"),
+                   "cli": ("_assoc",)}
+FIELD_SAMPLERS = ("build_hamiltonian", "ladder_fields", "field_from_poly", "field")
+
+
+def operand_samplings(source: str, functions) -> list[str]:
+    """'function: name' for each call of a ``FIELD_SAMPLERS`` name, by name or
+    as an attribute, inside each top-level function of ``functions``, and
+    'function: missing' for one that source does not define."""
+    found, defined = [], set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            defined.add(node.name)
+            calls = sorted((call for call in ast.walk(node) if isinstance(call, ast.Call)),
+                           key=lambda call: (call.lineno, call.col_offset))
+            for call in calls:
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FIELD_SAMPLERS:
+                    found.append(f"{node.name}: {name}")
+    return found + [f"{name}: missing" for name in functions if name not in defined]
+
+
+def test_operand_sampling_is_caught():
+    source = ("def fock_pass(spec, grid):\n"
+              "    return build_hamiltonian(spec, grid).source, genvalue.ladder_fields(spec, grid)\n"
+              "def _assoc(grid):\n"
+              "    return [field_from_poly(poly, grid) for poly in PROBE]\n"
+              "def commutator_deviation(structure, grid):\n"
+              "    return structure.field(grid, 'A'), dataclasses.fields(structure)\n"
+              "def other(spec, grid):\n    return build_hamiltonian(spec, grid)\n")
+    assert operand_samplings(source, ("fock_pass", "_assoc", "commutator_deviation",
+                                      "hamiltonian_star")) == [
+        "fock_pass: build_hamiltonian", "fock_pass: ladder_fields", "_assoc: field_from_poly",
+        "commutator_deviation: field", "hamiltonian_star: missing"]
+    # the guard reads the real modules: putting back the sampled ladder fields
+    # in commutator_deviation is caught
+    genvalue = (PACKAGE / "genvalue.py").read_text(encoding="utf-8")
+    mutant = genvalue.replace("A, Abar = _ladder(spec, grid)", "A, Abar = ladder_fields(spec, grid)")
+    assert mutant != genvalue
+    assert operand_samplings(mutant, SOURCE_PRODUCTS["genvalue"]) == [
+        "commutator_deviation: ladder_fields"]
+
+
+@pytest.mark.parametrize("module", SOURCE_PRODUCTS)
+def test_diagnostic_products_sample_no_operand_field(module):
+    # H, A, Abar and the associativity probe reach the products as exact
+    # sources; only the samples a caller reads (W_n) are a field
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert operand_samplings(source, SOURCE_PRODUCTS[module]) == []
 
 
 def bracket_term_functions(source: str) -> list[str]:
